@@ -2,12 +2,20 @@
 momentum closure, the static duct thrust gain, and the power-matching map
 from engine brake power to ducted thrust.
 
-Everything here is a pure function of (speed, geometry): no stored state,
-safe to call from anywhere.
+The fan is static (no climb velocity) with uniform inflow, so every velocity
+scales with the fan speed and every inflow angle is speed-invariant: thrust
+is k_T*n^2 and absorbed power k_P*n^3 exactly (the constant-C_T/C_P hover
+result).  One converged operating point per geometry fixes k_T and k_P; the
+power map, its inverse and its thrust sensitivities are closed forms on top
+of them, with ``solve_operating_point`` kept as the iterative oracle.
+
+Everything here is a pure function of (speed, geometry): no stored state
+beyond the per-geometry coefficient cache, safe to call from anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,7 +54,7 @@ class FanGeometry:
     air_density: float = 1.225        # kg/m^3
     pulley_ratio: float = 1.0         # n_fan / n_crankshaft
     transmission_eff: float = 0.97
-    n_fan_max: float = 250.0          # rev/s, bracket for the power solve
+    n_fan_max: float = 250.0          # rev/s, top of the power map's range
 
     def __post_init__(self):
         if not 0.0 <= self.root_cutout < self.blade_radius:
@@ -194,46 +202,46 @@ def duct_ratio(geom: FanGeometry) -> float:
     return 1.26 * (geom.s3 / geom.s2) ** (1.0 / 3.0)
 
 
-def thrust_from_power(p_b: float, geom: FanGeometry,
-                      rel_tol: float = 1e-13):
+@functools.cache
+def _hover_coeffs(geom: FanGeometry):
+    """(k_T, k_P): unducted thrust over n_fan^2 and absorbed power over n_fan^3.
+
+    Computed from one converged operating point; the similarity law makes the
+    ratios independent of the reference speed chosen.
+    """
+    n_ref = 100.0  # rev/s
+    op = solve_operating_point(n_ref, geom)
+    return op.thrust_unducted / n_ref ** 2, op.power / n_ref ** 3
+
+
+def thrust_from_power(p_b: float, geom: FanGeometry):
     """Invert the fan power curve: engine brake power -> (T_DF, n_fan).
 
-    Bisection on the monotone absorbed-power map P_UDF(n_fan) against
-    p_b scaled by the transmission efficiency.  Raises PowerBracketError
-    when the demand exceeds the configured speed range.
+    The fan absorbs p_b scaled by the transmission efficiency, so
+    n_fan = (eta*p_b/k_P)^(1/3) and T_DF = duct_ratio*k_T*n_fan^2.  Raises
+    PowerBracketError when n_fan would exceed the configured n_fan_max.
     """
     if p_b <= 0.0:
         return 0.0, 0.0
-    target = p_b * geom.transmission_eff
-    lo, hi = 0.0, geom.n_fan_max
-    p_hi = solve_operating_point(hi, geom).power
-    if p_hi < target:
+    k_t, k_p = _hover_coeffs(geom)
+    n_fan = (p_b * geom.transmission_eff / k_p) ** (1.0 / 3.0)
+    if n_fan > geom.n_fan_max:
         raise PowerBracketError(
-            f"power {p_b:.0f} W exceeds fan capability {p_hi:.0f} W at "
-            f"{geom.n_fan_max} rev/s")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if solve_operating_point(mid, geom).power < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * geom.n_fan_max:
-            break
-    n_fan = 0.5 * (lo + hi)
-    op = solve_operating_point(n_fan, geom)
-    return op.thrust_ducted, n_fan
+            f"power {p_b:.0f} W exceeds fan capability "
+            f"{k_p * geom.n_fan_max ** 3:.0f} W at {geom.n_fan_max} rev/s")
+    return duct_ratio(geom) * k_t * n_fan * n_fan, n_fan
 
 
 def fan_load_power(n: float, geom: FanGeometry) -> float:
     """Load power (W) the engine must supply at crankshaft speed n (rev/s).
 
-    Fan absorbed power at the pulley-mapped speed, grossed up by the belt
-    transmission losses.
+    Fan absorbed power k_P*n_fan^3 at the pulley-mapped speed, grossed up by
+    the belt transmission losses.
     """
     if n <= 0.0:
         return 0.0
-    op = solve_operating_point(n * geom.pulley_ratio, geom)
-    return op.power / geom.transmission_eff
+    return _hover_coeffs(geom)[1] * (n * geom.pulley_ratio) ** 3 \
+        / geom.transmission_eff
 
 
 def ducted_thrust_at_crank_speed(n: float, geom: FanGeometry) -> float:
@@ -243,25 +251,16 @@ def ducted_thrust_at_crank_speed(n: float, geom: FanGeometry) -> float:
     return solve_operating_point(n * geom.pulley_ratio, geom).thrust_ducted
 
 
-def thrust_power_map(q_eng: float, n: float, geom: FanGeometry) -> float:
-    """T_DF (N) reached when brake power Q_eng * 2*pi*n is fed to the fan."""
+def thrust_jacobian(q_eng: float, n: float, geom: FanGeometry):
+    """Sensitivities (dT_DF/dQ_eng, dT_DF/dn) of the power-matching thrust map.
+
+    T_DF grows as P_b^(2/3) in brake power P_b = Q_eng*2*pi*n, so
+    dT_DF/dP_b = (2/3)*T_DF/P_b and the chain rule through P_b gives both
+    entries.  Zero when P_b <= 0 (no power, no thrust to differentiate);
+    raises PowerBracketError when the demand exceeds n_fan_max.
+    """
     p_b = q_eng * TWO_PI * n
     if p_b <= 0.0:
-        return 0.0
-    return thrust_from_power(p_b, geom)[0]
-
-
-def thrust_jacobian(q_eng: float, n: float, geom: FanGeometry,
-                    rel_step: float = 1e-3):
-    """Central-difference sensitivities (dT_DF/dQ_eng, dT_DF/dn).
-
-    Differentiates the power-matching thrust map, so both entries inherit
-    T_DF's dependence on brake power P_b = Q_eng * 2*pi*n.
-    """
-    hq = max(abs(q_eng) * rel_step, 1e-6)
-    hn = max(abs(n) * rel_step, 1e-6)
-    dt_dq = (thrust_power_map(q_eng + hq, n, geom)
-             - thrust_power_map(q_eng - hq, n, geom)) / (2.0 * hq)
-    dt_dn = (thrust_power_map(q_eng, n + hn, geom)
-             - thrust_power_map(q_eng, n - hn, geom)) / (2.0 * hn)
-    return dt_dq, dt_dn
+        return 0.0, 0.0
+    dt_dp = 2.0 * thrust_from_power(p_b, geom)[0] / (3.0 * p_b)
+    return dt_dp * TWO_PI * n, dt_dp * TWO_PI * q_eng

@@ -5,10 +5,12 @@ has a closed form sharing the centers, radii, and weights of the trained
 model: a second "derivative" network that needs no training of its own.
 Evaluated at the current operating point and rescaled through the
 normalization maps, its entries populate the discrete A and B matrices; the
-output matrix C comes from differentiating the fan's power-matching thrust
-map.  The current engine torque never influences the next state (it is an
-output of the power balance, not a memory), so the first column of A is
-structurally zero, as are D and the thrust row's lambda entry in C.
+output matrix C's thrust row is the closed-form derivative of the fan's
+power-matching thrust map (T_DF grows as brake power to the 2/3 under the
+hover similarity law).  The current engine torque never influences the next
+state (it is an output of the power balance, not a memory), so the first
+column of A is structurally zero, as are D and the thrust row's lambda entry
+in C.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ def build_lpv(rbf: RbfModel, geom: FanGeometry, x0: np.ndarray,
 
     The network input order is [tps, m_fi, n, lambda]; its Jacobian columns
     split into the B matrix (input pair) and A columns 2..3 (speed and
-    lambda), with A's torque column pinned to zero.  C's thrust row comes
-    from the fan map's finite-difference sensitivities at (Q_eng, n).
+    lambda), with A's torque column pinned to zero.  C's thrust row is the
+    fan map's closed-form sensitivities at (Q_eng, n).
     """
     x0 = np.asarray(x0, dtype=float)
     if isinstance(u0, ControlInput):

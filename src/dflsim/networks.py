@@ -204,15 +204,6 @@ def rbf_forward(model: RbfModel, p: np.ndarray) -> np.ndarray:
     return model.lw @ np.exp(-d2 / model.radii ** 2)
 
 
-def rbf_predict(model: RbfModel, x_phys: np.ndarray) -> np.ndarray:
-    """Physical-unit convenience wrapper around :func:`rbf_forward`."""
-    x = np.atleast_2d(x_phys)
-    p = normalize(x, model.stats.in_min, model.stats.in_max)
-    out = _phi_matrix(p, model.centers, model.radii) @ model.lw.T
-    out = denormalize(out, model.stats.out_min, model.stats.out_max)
-    return out[0] if np.ndim(x_phys) == 1 else out
-
-
 def _kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100):
     """Lloyd iteration with greedy farthest-point seeding.
 

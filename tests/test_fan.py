@@ -1,4 +1,8 @@
-"""Fan aerodynamics: blade-element sums, duct gain, power inversion."""
+"""Fan aerodynamics: blade-element sums, duct gain, power inversion.
+
+The closed-form power map and Jacobian are checked against the iterative
+``solve_operating_point`` and a bisection over it, the route they replace.
+"""
 
 import math
 
@@ -12,6 +16,25 @@ from dflsim.fan import (FanGeometry, PowerBracketError, blade_element_coeffs,
                         unducted_torque)
 
 G = FanGeometry()
+
+
+def _oracle_thrust_from_power(p_b, geom):
+    """(T_DF, n_fan) by bisecting the iterative power curve to the last bit."""
+    target = p_b * geom.transmission_eff
+    lo, hi = 0.0, geom.n_fan_max
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if solve_operating_point(mid, geom).power < target:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return solve_operating_point(mid, geom).thrust_ducted, mid
+
+
+def _oracle_power_map(q_eng, n, geom):
+    """T_DF (N) reached when brake power Q_eng*2*pi*n is fed to the fan."""
+    return _oracle_thrust_from_power(q_eng * 2.0 * math.pi * n, geom)[0]
 
 
 class TestBladeElementCoeffs:
@@ -97,6 +120,41 @@ class TestDuctRatio:
         assert scaled == pytest.approx(k * base, rel=1e-12)
 
 
+class TestHoverSimilarityLaw:
+    """The static, uniform-inflow fan obeys T = k_T*n^2 and P = k_P*n^3.
+
+    Every closed form in dflsim.fan rests on this; a climb velocity or a
+    non-uniform inflow model would break it, and this test with it.
+    """
+
+    @pytest.mark.parametrize("geom", [
+        G, FanGeometry(twist_root=math.radians(24.0), chord_tip=0.04,
+                       outlet_area_ratio=1.4, element_count=20)],
+        ids=["stock", "reshaped"])
+    def test_oracle_ratios_constant_over_speed(self, geom):
+        ops = [solve_operating_point(n, geom) for n in np.geomspace(5.0, 240.0, 13)]
+        k_t = np.array([op.thrust_unducted / op.n_fan ** 2 for op in ops])
+        k_p = np.array([op.power / op.n_fan ** 3 for op in ops])
+        assert np.max(np.abs(k_t / k_t[0] - 1.0)) <= 1e-12
+        assert np.max(np.abs(k_p / k_p[0] - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("geom", [
+        G, FanGeometry(pulley_ratio=1.3, transmission_eff=0.9)],
+        ids=["stock", "geared"])
+    def test_fan_load_power_matches_oracle(self, geom):
+        for n in (5.0, 40.0, 90.0, 180.0):
+            op = solve_operating_point(n * geom.pulley_ratio, geom)
+            assert fan_load_power(n, geom) == pytest.approx(
+                op.power / geom.transmission_eff, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p_b", [5.0e2, 2.0e3, 1.0e4, 3.0e4])
+    def test_thrust_from_power_matches_bisection(self, p_b):
+        t_df, n_fan = thrust_from_power(p_b, G)
+        t_ref, n_ref = _oracle_thrust_from_power(p_b, G)
+        assert n_fan == pytest.approx(n_ref, rel=1e-12, abs=0.0)
+        assert t_df == pytest.approx(t_ref, rel=1e-12, abs=0.0)
+
+
 class TestThrustFromPower:
     def test_zero_power(self):
         assert thrust_from_power(0.0, G) == (0.0, 0.0)
@@ -139,11 +197,25 @@ class TestThrustJacobian:
         dq, dn = thrust_jacobian(0.0, 50.0, G)
         assert dn == 0.0
 
-    def test_richardson_step_halving(self):
-        d1 = thrust_jacobian(20.0, 80.0, G, rel_step=1e-3)
-        d2 = thrust_jacobian(20.0, 80.0, G, rel_step=5e-4)
-        assert abs(d2[0] - d1[0]) / abs(d1[0]) < 1e-4
-        assert abs(d2[1] - d1[1]) / abs(d1[1]) < 1e-4
+    @pytest.mark.parametrize("q0, n0", [(5.0, 40.0), (20.0, 80.0),
+                                        (30.0, 105.0), (12.0, 130.0)])
+    def test_matches_oracle_central_differences(self, q0, n0):
+        dq, dn = thrust_jacobian(q0, n0, G)
+        hq, hn = q0 * 1e-4, n0 * 1e-4
+        fd_q = (_oracle_power_map(q0 + hq, n0, G)
+                - _oracle_power_map(q0 - hq, n0, G)) / (2.0 * hq)
+        fd_n = (_oracle_power_map(q0, n0 + hn, G)
+                - _oracle_power_map(q0, n0 - hn, G)) / (2.0 * hn)
+        assert dq == pytest.approx(fd_q, rel=1e-6)
+        assert dn == pytest.approx(fd_n, rel=1e-6)
+
+    @pytest.mark.parametrize("q0, n0", [(0.0, 50.0), (-3.0, 50.0), (20.0, 0.0)])
+    def test_no_brake_power_gives_exact_zeros(self, q0, n0):
+        assert thrust_jacobian(q0, n0, G) == (0.0, 0.0)
+
+    def test_bracket_failure(self):
+        with pytest.raises(PowerBracketError):
+            thrust_jacobian(200.0, 80.0, FanGeometry(n_fan_max=30.0))
 
     def test_matches_chain_rule_through_power(self):
         # T_DF depends on (Q, n) only through P_b = 2*pi*n*Q, so the entries
