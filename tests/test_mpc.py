@@ -6,6 +6,7 @@ import pytest
 from dflsim.dataset import generate_dataset
 from dflsim.engine import EngineParams
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
+import dflsim.mpc as mpc
 from dflsim.lpv import LpvModel, build_lpv
 from dflsim.mpc import (Measurement, MpcConfig, ampc_step, cost, hildreth,
                         linear_mpc_step, predict_horizon, solve_qp)
@@ -25,6 +26,31 @@ def toy_lpv(seed=0):
                   [0.0, 0.0, 1.0]])
     return LpvModel(a=a, b=b, c=c, d=np.zeros((2, 2)),
                     x0=np.zeros(3), u0=np.zeros(2))
+
+
+def simulate_horizon(lpv, y0, du_seq, n2):
+    """Reference velocity-form simulation, one step at a time.
+
+    dx(k+1) = A dx(k) + B du(k), y(k+1) = y(k) + C dx(k+1) from dx(0) = 0,
+    with the inputs held once the increment sequence runs out.
+    """
+    du_seq = np.atleast_2d(du_seq)
+    dx = np.zeros(3)
+    y = np.asarray(y0, dtype=float).copy()
+    out = np.empty((n2, 2))
+    for k in range(n2):
+        du = du_seq[k] if k < len(du_seq) else np.zeros(2)
+        dx = lpv.a @ dx + lpv.b @ du
+        y = y + lpv.c @ dx
+        out[k] = y
+    return out
+
+
+def output_violation(predicted, config=CFG):
+    lo = np.array([config.thrust_bounds[0], config.lambda_bounds[0]])
+    hi = np.array([config.thrust_bounds[1], config.lambda_bounds[1]])
+    return float(np.sum(np.maximum(predicted - hi, 0.0)
+                        + np.maximum(lo - predicted, 0.0)))
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +203,36 @@ class TestSolveQp:
         f = 2.0 * g.T @ (q * (np.tile(y0, CFG.n2) - refs.ravel()))
         z_dense = -np.linalg.solve(e, f)
         assert np.max(np.abs(sol.du.ravel() - z_dense)) < 1e-8
+
+    def test_soft_output_limits_pull_prediction_back(self, monkeypatch):
+        # the reference is the toy model's answer to one throttle cut that
+        # gains 300 N, so the unpenalised optimum overshoots the thrust limit
+        # and the fuel increment runs into its lower box edge
+        lpv = toy_lpv(2)
+        y0 = np.array([1450.0, 0.95])
+        step = simulate_horizon(lpv, np.zeros(2), [[1.0, 0.0]], CFG.n2)
+        refs = y0 + 300.0 / step[-1, 0] * step
+        u_prev = np.array([90.0, 0.003])
+        rounds = []
+
+        def counted(*args):
+            result = hildreth(*args)
+            rounds.append(result[0])
+            return result
+
+        monkeypatch.setattr(mpc, "hildreth", counted)
+        sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, CFG)
+        assert len(rounds) > 1
+        first = simulate_horizon(lpv, y0, rounds[0].reshape(CFG.nc, 2), CFG.n2)
+        assert first[:, 0].max() > CFG.thrust_bounds[1]
+        assert output_violation(sol.predicted) < output_violation(first)
+        # frozen values: every condensing of this QP must reproduce them
+        du_frozen = np.array([-6.352943628154424, -0.0019000001072223445,
+                              -3.1722026999724657, 1.9565124000087142e-10,
+                              -0.24395629607032898, -8.8428882272229e-11])
+        assert np.max(np.abs(sol.du.ravel() - du_frozen)) \
+            <= 1e-9 * np.max(np.abs(du_frozen))
+        assert sol.cost == pytest.approx(564.416850081134, rel=1e-9)
 
 
 class TestControllerSteps:
