@@ -3,7 +3,11 @@
 The optimizer works in velocity form: decision variables are the input
 increments over the control horizon, the predicted output trail starts at
 the measured output, and state differences propagate through the frozen
-per-step matrices.  Tracking and move terms are scaled per channel by the
+per-step matrices.  The trail is linear in the increments through one
+block lower-triangular Toeplitz map whose blocks are the step responses,
+the cumulative sums of the Markov parameters C*A^i*B (L. Wang, Model
+Predictive Control System Design and Implementation Using MATLAB, 2009,
+ch. 1-3).  Tracking and move terms are scaled per channel by the
 constraint spans so the weighting factors compare like with like.  The
 condensed problem is a strictly convex QP in 2*Nc variables: input box
 limits enter as hard linear inequalities handled by Hildreth dual
@@ -84,56 +88,48 @@ class HorizonSolution:
     capped: bool = False
 
 
-def predict_horizon(lpv: LpvModel, y0: np.ndarray, dx0: np.ndarray,
-                    du_seq: np.ndarray, n2: int) -> np.ndarray:
-    """Propagate output predictions over n2 steps in velocity form.
+def condensed_map(lpv: LpvModel, nc: int, n2: int) -> np.ndarray:
+    """(2*n2, 2*nc) map from stacked increments to stacked output deviations.
 
-    dx(k+1) = A dx(k) + B du(k), dy(k) = C dx(k), with inputs frozen after
-    the increment sequence runs out; absolute outputs accumulate from the
-    measured y0.  With zero increments and zero initial state difference
-    every prediction equals y0.
+    An increment applied at step k and held from then on moves the output
+    j >= k steps later by the step response S(j-k) = sum_{i<=j-k} C A^i B,
+    so block (j, k) of the map is S(j-k) and the blocks above the diagonal
+    are zero.  Requires nc <= n2.
+    """
+    markov = np.empty((n2, 2, 2))
+    a_pow_b = lpv.b
+    for i in range(n2):
+        markov[i] = lpv.c @ a_pow_b
+        a_pow_b = lpv.a @ a_pow_b
+    step = np.cumsum(markov, axis=0)
+    g = np.zeros((n2, 2, nc, 2))
+    for k in range(nc):
+        g[k:, :, k, :] = step[:n2 - k]
+    return g.reshape(2 * n2, 2 * nc)
+
+
+def predict_horizon(lpv: LpvModel, y0: np.ndarray, du_seq: np.ndarray,
+                    n2: int) -> np.ndarray:
+    """Absolute output predictions over n2 steps for an increment sequence.
+
+    The increments act through ``condensed_map`` from zero initial state
+    difference, with inputs held after the sequence runs out; with zero
+    increments every prediction equals the measured y0.
     """
     du_seq = np.atleast_2d(du_seq)
-    dx = np.asarray(dx0, dtype=float).copy()
-    y = np.asarray(y0, dtype=float).copy()
-    out = np.empty((n2, 2))
-    for k in range(n2):
-        du = du_seq[k] if k < len(du_seq) else np.zeros(2)
-        dx = lpv.a @ dx + lpv.b @ du
-        y = y + lpv.c @ dx
-        out[k] = y
-    return out
-
-
-def _impulse_matrix(lpv: LpvModel, nc: int, n2: int) -> np.ndarray:
-    """(2*n2, 2*nc) map from stacked increments to stacked output deviations."""
-    g = np.empty((2 * n2, 2 * nc))
-    y0 = np.zeros(2)
-    dx0 = np.zeros(3)
-    for col in range(2 * nc):
-        du = np.zeros((nc, 2))
-        du[col // 2, col % 2] = 1.0
-        g[:, col] = predict_horizon(lpv, y0, dx0, du, n2).ravel()
-    return g
+    g = condensed_map(lpv, len(du_seq), n2)
+    return np.asarray(y0, dtype=float) + (g @ du_seq.ravel()).reshape(n2, 2)
 
 
 def cost(config: MpcConfig, refs: np.ndarray, predicted: np.ndarray,
          du_seq: np.ndarray) -> float:
     """Tracking-plus-move objective over the horizon (span-scaled channels)."""
-    refs = np.atleast_2d(refs)
-    predicted = np.atleast_2d(predicted)
-    du_seq = np.atleast_2d(du_seq)
-    w_y = config.output_scale
-    w_u = config.input_scale
-    track = 0.0
-    for j in range(config.n1 - 1, config.n2):
-        err = (refs[j] - predicted[j]) * w_y
-        track += float(err @ err)
-    moves = 0.0
-    for k in range(min(config.nc, len(du_seq))):
-        step = du_seq[k] * w_u
-        moves += float(step @ step)
-    return config.eps * track + config.xi * moves
+    rows = slice(config.n1 - 1, config.n2)
+    err = (np.atleast_2d(refs)[rows] - np.atleast_2d(predicted)[rows]) \
+        * config.output_scale
+    moves = np.atleast_2d(du_seq)[:config.nc] * config.input_scale
+    return config.eps * float(np.sum(err ** 2)) \
+        + config.xi * float(np.sum(moves ** 2))
 
 
 def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, m_mat: np.ndarray,
@@ -178,35 +174,35 @@ def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, m_mat: np.ndarray,
 
 
 def _box_constraints(config: MpcConfig, u_prev: np.ndarray):
-    """Cumulative-increment box: lb <= u_prev + sum du <= ub at every step."""
+    """Cumulative-increment box: lb <= u_prev + sum du <= ub at every step.
+
+    Rows come in (upper, lower) pairs per step and channel; Hildreth's
+    sweep visits them in this order.
+    """
     nc = config.nc
-    rows = []
-    rhs = []
-    for k in range(nc):
-        for ch in range(2):
-            row = np.zeros(2 * nc)
-            row[[2 * i + ch for i in range(k + 1)]] = 1.0
-            rows.append(row.copy())
-            rhs.append(config.u_upper[ch] - u_prev[ch])
-            rows.append(-row)
-            rhs.append(u_prev[ch] - config.u_lower[ch])
-    return np.array(rows), np.array(rhs)
+    cum = np.kron(np.tril(np.ones((nc, nc))), np.eye(2))
+    m_mat = np.stack([cum, -cum], axis=1).reshape(4 * nc, 2 * nc)
+    gamma = np.stack([np.tile(config.u_upper - u_prev, nc),
+                      np.tile(u_prev - config.u_lower, nc)], axis=1).ravel()
+    return m_mat, gamma
 
 
 def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
              u_prev: np.ndarray, config: MpcConfig) -> HorizonSolution:
     """Condense the horizon into a 2*Nc-variable QP and solve it.
 
-    Output limits are enforced softly: predicted violations add quadratic
-    pull-back terms and the QP is re-solved, at most three refinement
-    rounds.  The returned increments always satisfy the input box.
+    The predicted trail is y0 + G*du with G from ``condensed_map``.  Output
+    limits are enforced softly: rows predicted beyond a limit add quadratic
+    pull-back terms toward it and the QP is re-solved, at most three
+    refinement rounds.  The returned increments always satisfy the input
+    box.
     """
     refs = np.atleast_2d(np.asarray(refs, dtype=float))
     u_prev = np.asarray(u_prev, dtype=float)
     y0 = np.asarray(meas.output, dtype=float)
     nc, n2 = config.nc, config.n2
 
-    g = _impulse_matrix(lpv, nc, n2)
+    g = condensed_map(lpv, nc, n2)
     sel = slice(2 * (config.n1 - 1), 2 * n2)
     g_s = g[sel]
     y0_s = np.tile(y0, n2)[sel]
@@ -215,50 +211,37 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     w_y = np.tile(config.output_scale, n2)[sel]
     q_diag = config.eps * w_y ** 2
     r_diag = config.xi * np.tile(config.input_scale, nc) ** 2
-
-    e_base = 2.0 * (g_s.T @ (q_diag[:, None] * g_s) + np.diag(r_diag))
-    f_base = 2.0 * g_s.T @ (q_diag * (y0_s - ref_s))
     m_mat, gamma = _box_constraints(config, u_prev)
 
     y_lo = np.tile([config.thrust_bounds[0], config.lambda_bounds[0]], n2)[sel]
     y_hi = np.tile([config.thrust_bounds[1], config.lambda_bounds[1]], n2)[sel]
     rho = config.soft_weight * config.eps * w_y ** 2
 
-    penalties: set = set()
-    z = np.zeros(2 * nc)
-    iterations = 0
-    kkt = 0.0
-    capped = False
+    # rows penalised toward the upper / lower limit; np.where keeps an
+    # infinite limit inert instead of turning 0*inf into nan
+    over = under = np.zeros(len(y0_s), dtype=bool)
     for _ in range(3):
-        e_mat = e_base.copy()
-        f_vec = f_base.copy()
-        for (row, bound) in sorted(penalties):
-            g_row = g_s[row]
-            e_mat += 2.0 * rho[row] * np.outer(g_row, g_row)
-            f_vec += 2.0 * rho[row] * (y0_s[row] - bound) * g_row
-        z, lam, iterations, kkt, capped = hildreth(
+        pull = np.where(over, y0_s - y_hi, 0.0) + np.where(under, y0_s - y_lo, 0.0)
+        weight = q_diag + rho * over + rho * under
+        e_mat = 2.0 * (g_s.T @ (weight[:, None] * g_s) + np.diag(r_diag))
+        f_vec = 2.0 * g_s.T @ (q_diag * (y0_s - ref_s) + rho * pull)
+        z, _, iterations, kkt, capped = hildreth(
             e_mat, f_vec, m_mat, gamma, config.qp_max_iter, config.qp_tol)
         y_pred = y0_s + g_s @ z
-        new_penalties = set(penalties)
-        for row in range(len(y_pred)):
-            if y_pred[row] > y_hi[row] + 1e-12:
-                new_penalties.add((row, y_hi[row]))
-            elif y_pred[row] < y_lo[row] - 1e-12:
-                new_penalties.add((row, y_lo[row]))
-        if new_penalties == penalties:
+        new_over = over | (y_pred > y_hi + 1e-12)
+        new_under = under | (y_pred < y_lo - 1e-12)
+        if np.array_equal(new_over, over) and np.array_equal(new_under, under):
             break
-        penalties = new_penalties
+        over, under = new_over, new_under
 
     du = z.reshape(nc, 2)
-    predicted = predict_horizon(lpv, y0, np.zeros(3), du, n2)
-    base_cost = cost(config, refs, predicted, du)
-    pen_cost = 0.0
-    y_pred = y0_s + g_s @ z
-    for (row, bound) in sorted(penalties):
-        pen_cost += rho[row] * float(y_pred[row] - bound) ** 2
+    predicted = y0 + (g @ z).reshape(n2, 2)
+    excess = np.where(over, y_pred - y_hi, 0.0) ** 2 \
+        + np.where(under, y_pred - y_lo, 0.0) ** 2
     active = (m_mat @ z - gamma) > -1e-9
     return HorizonSolution(du=du, predicted=predicted,
-                           cost=base_cost + pen_cost, iterations=iterations,
+                           cost=cost(config, refs, predicted, du) + float(rho @ excess),
+                           iterations=iterations,
                            kkt_residual=kkt, active=active, capped=capped)
 
 

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+import dflsim.mpc as mpc
 from dflsim.dataset import generate_dataset
 from dflsim.engine import EngineParams
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
-import dflsim.mpc as mpc
 from dflsim.lpv import LpvModel, build_lpv
-from dflsim.mpc import (Measurement, MpcConfig, ampc_step, cost, hildreth,
-                        linear_mpc_step, predict_horizon, solve_qp)
+from dflsim.mpc import (Measurement, MpcConfig, ampc_step, condensed_map, cost,
+                        hildreth, linear_mpc_step, predict_horizon, solve_qp)
 from dflsim.networks import train_rbf
 
 P = EngineParams()
@@ -63,7 +63,7 @@ class TestPredictHorizon:
     def test_zero_increments_hold_measured_output(self):
         lpv = toy_lpv()
         y0 = np.array([700.0, 0.9])
-        pred = predict_horizon(lpv, y0, np.zeros(3), np.zeros((3, 2)), 8)
+        pred = predict_horizon(lpv, y0, np.zeros((3, 2)), 8)
         assert np.allclose(pred, np.tile(y0, (8, 1)), rtol=0, atol=1e-14)
 
     def test_single_increment_matches_matrix_powers(self):
@@ -71,7 +71,7 @@ class TestPredictHorizon:
         y0 = np.zeros(2)
         du = np.zeros((3, 2))
         du[0] = [1.3, -0.7]
-        pred = predict_horizon(lpv, y0, np.zeros(3), du, 8)
+        pred = predict_horizon(lpv, y0, du, 8)
         # per-step differences must equal C A^(k-1) B du
         diffs = np.vstack([pred[0], np.diff(pred, axis=0)])
         a_pow = np.eye(3)
@@ -86,11 +86,36 @@ class TestPredictHorizon:
         y0 = rng.normal(size=2)
         du1 = rng.normal(size=(3, 2))
         du2 = rng.normal(size=(3, 2))
-        base = predict_horizon(lpv, y0, np.zeros(3), np.zeros((3, 2)), 8)
-        p1 = predict_horizon(lpv, y0, np.zeros(3), du1, 8)
-        p2 = predict_horizon(lpv, y0, np.zeros(3), du2, 8)
-        p12 = predict_horizon(lpv, y0, np.zeros(3), du1 + du2, 8)
+        base = predict_horizon(lpv, y0, np.zeros((3, 2)), 8)
+        p1 = predict_horizon(lpv, y0, du1, 8)
+        p2 = predict_horizon(lpv, y0, du2, 8)
+        p12 = predict_horizon(lpv, y0, du1 + du2, 8)
         assert np.allclose(p12, p1 + p2 - base, rtol=1e-12)
+
+
+class TestCondensedMap:
+    @pytest.mark.parametrize("nc,n2", [(1, 1), (2, 5), (3, 8), (8, 8)])
+    def test_columns_match_step_simulation(self, nc, n2):
+        for seed in range(5):
+            lpv = toy_lpv(seed)
+            g = condensed_map(lpv, nc, n2)
+            assert g.shape == (2 * n2, 2 * nc)
+            for col in range(2 * nc):
+                du = np.zeros((nc, 2))
+                du[col // 2, col % 2] = 1.0
+                ref = simulate_horizon(lpv, np.zeros(2), du, n2).ravel()
+                assert np.max(np.abs(g[:, col] - ref)) \
+                    <= 1e-12 * np.max(np.abs(ref))
+
+    def test_prediction_matches_step_simulation(self):
+        rng = np.random.default_rng(8)
+        for seed in range(5):
+            lpv = toy_lpv(seed)
+            y0 = np.array([rng.uniform(200, 1200), rng.uniform(0.7, 1.2)])
+            du = rng.normal(size=(3, 2))
+            ref = simulate_horizon(lpv, y0, du, 8)
+            pred = predict_horizon(lpv, y0, du, 8)
+            assert np.allclose(pred, ref, rtol=1e-12, atol=0.0)
 
 
 class TestCost:
@@ -180,29 +205,30 @@ class TestSolveQp:
             y0 = np.array([ducted_thrust_at_crank_speed(x0[1], G), x0[2]])
             refs = np.tile(y0 * rng.uniform(0.9, 1.1, 2), (CFG.n2, 1))
             sol = solve_qp(lpv, Measurement(x0, y0), refs, u_prev, CFG)
-            pred0 = predict_horizon(lpv, y0, np.zeros(3),
-                                    np.zeros((CFG.nc, 2)), CFG.n2)
+            pred0 = predict_horizon(lpv, y0, np.zeros((CFG.nc, 2)), CFG.n2)
             z0 = cost(CFG, refs, pred0, np.zeros((CFG.nc, 2)))
             assert sol.cost <= z0 + 1e-12
 
     def test_unconstrained_matches_normal_equations(self):
         # small tracking errors keep the optimum interior; compare against
-        # the dense closed-form solution of the same condensed quadratic
+        # the dense closed-form solution of the same condensed quadratic,
+        # which tracks only the rows from N1 on
         lpv = toy_lpv(4)
         y0 = np.array([700.0, 0.9])
-        refs = np.tile(y0 + np.array([3.0, 0.002]), (CFG.n2, 1))
         u_prev = np.array([45.0, 0.003])
-        sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, CFG)
+        for cfg in (CFG, MpcConfig(n1=3)):
+            refs = np.tile(y0 + np.array([3.0, 0.002]), (cfg.n2, 1))
+            sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, cfg)
 
-        from dflsim.mpc import _impulse_matrix
-        g = _impulse_matrix(lpv, CFG.nc, CFG.n2)
-        w_y = np.tile(CFG.output_scale, CFG.n2)
-        q = CFG.eps * w_y ** 2
-        r = CFG.xi * np.tile(CFG.input_scale, CFG.nc) ** 2
-        e = 2.0 * (g.T @ (q[:, None] * g) + np.diag(r))
-        f = 2.0 * g.T @ (q * (np.tile(y0, CFG.n2) - refs.ravel()))
-        z_dense = -np.linalg.solve(e, f)
-        assert np.max(np.abs(sol.du.ravel() - z_dense)) < 1e-8
+            rows = slice(2 * (cfg.n1 - 1), 2 * cfg.n2)
+            g = condensed_map(lpv, cfg.nc, cfg.n2)[rows]
+            w_y = np.tile(cfg.output_scale, cfg.n2)[rows]
+            q = cfg.eps * w_y ** 2
+            r = cfg.xi * np.tile(cfg.input_scale, cfg.nc) ** 2
+            e = 2.0 * (g.T @ (q[:, None] * g) + np.diag(r))
+            f = 2.0 * g.T @ (q * (np.tile(y0, cfg.n2) - refs.ravel())[rows])
+            z_dense = -np.linalg.solve(e, f)
+            assert np.max(np.abs(sol.du.ravel() - z_dense)) < 1e-8
 
     def test_soft_output_limits_pull_prediction_back(self, monkeypatch):
         # the reference is the toy model's answer to one throttle cut that
