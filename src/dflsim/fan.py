@@ -245,10 +245,15 @@ def fan_load_power(n: float, geom: FanGeometry) -> float:
 
 
 def ducted_thrust_at_crank_speed(n: float, geom: FanGeometry) -> float:
-    """Plant output: T_DF (N) when the crankshaft turns at n rev/s."""
+    """Plant output: T_DF (N) when the crankshaft turns at n rev/s.
+
+    The same similarity law as ``thrust_from_power``:
+    duct_ratio*k_T*n_fan^2 at the pulley-mapped fan speed.
+    """
     if n <= 0.0:
         return 0.0
-    return solve_operating_point(n * geom.pulley_ratio, geom).thrust_ducted
+    n_fan = n * geom.pulley_ratio
+    return duct_ratio(geom) * _hover_coeffs(geom)[0] * n_fan * n_fan
 
 
 def thrust_jacobian(q_eng: float, n: float, geom: FanGeometry):

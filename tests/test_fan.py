@@ -248,6 +248,10 @@ class TestGeometryValidation:
             FanGeometry(element_count=8)
 
     def test_crank_speed_thrust_consistency(self):
-        n = 90.0
-        op = solve_operating_point(n * G.pulley_ratio, G)
-        assert ducted_thrust_at_crank_speed(n, G) == op.thrust_ducted
+        for geom in (G, FanGeometry(pulley_ratio=1.5)):
+            for n in (5.0, 37.0, 90.0, 140.0):
+                op = solve_operating_point(n * geom.pulley_ratio, geom)
+                assert ducted_thrust_at_crank_speed(n, geom) \
+                    == pytest.approx(op.thrust_ducted, rel=1e-12, abs=0.0)
+            for n in (0.0, -3.0):
+                assert ducted_thrust_at_crank_speed(n, geom) == 0.0
