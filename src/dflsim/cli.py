@@ -52,12 +52,26 @@ def _ensure_out(args) -> Path:
     return args.out
 
 
+def dataset_from_config(bundle):
+    """Excite the plant as the [training] section configures."""
+    tr = bundle.training
+    return generate_dataset(bundle.plant, bundle.fan,
+                            sample_count=tr.sample_count, seed=tr.seed,
+                            snr_db=tr.snr_db, n_train=tr.n_train)
+
+
+def rbf_from_config(dataset, tr):
+    """Train the RBF model with every [training] RBF setting."""
+    return train_rbf(dataset, k=tr.rbf_centers, neighbors=tr.rbf_neighbors,
+                     seed=tr.model_seed + 1, overlap=tr.rbf_overlap,
+                     ridge=tr.ridge, lms_passes=tr.lms_passes,
+                     lms_rate=tr.lms_rate)
+
+
 def cmd_gen_data(args) -> int:
     bundle = _load(args, "training.seed")
     tr = bundle.training
-    dataset = generate_dataset(bundle.plant, bundle.fan,
-                               sample_count=tr.sample_count, seed=tr.seed,
-                               snr_db=tr.snr_db, n_train=tr.n_train)
+    dataset = dataset_from_config(bundle)
     out = _ensure_out(args) / "dataset.csv"
     save_dataset_csv(dataset, out)
     print(f"wrote {tr.sample_count} samples ({tr.n_train} train) to {out}")
@@ -68,10 +82,7 @@ def _dataset_for(args, bundle):
     path = args.data if args.data else args.out / "dataset.csv"
     if Path(path).exists():
         return load_dataset_csv(path, n_train=bundle.training.n_train)
-    tr = bundle.training
-    return generate_dataset(bundle.plant, bundle.fan,
-                            sample_count=tr.sample_count, seed=tr.seed,
-                            snr_db=tr.snr_db, n_train=tr.n_train)
+    return dataset_from_config(bundle)
 
 
 def cmd_train(args) -> int:
@@ -80,10 +91,7 @@ def cmd_train(args) -> int:
     dataset = _dataset_for(args, bundle)
     out_dir = _ensure_out(args)
     if args.model == "rbf":
-        model = train_rbf(dataset, k=tr.rbf_centers, neighbors=tr.rbf_neighbors,
-                          seed=tr.model_seed + 1, overlap=tr.rbf_overlap,
-                          ridge=tr.ridge, lms_passes=tr.lms_passes,
-                          lms_rate=tr.lms_rate)
+        model = rbf_from_config(dataset, tr)
         path = out_dir / "rbf_model.txt"
         save_rbf(model, path)
         print(f"trained RBF ({tr.rbf_centers} centers) -> {path}")
@@ -112,12 +120,7 @@ def cmd_compare_models(args) -> int:
     bundle = _load(args, "training.seed")
     tr = bundle.training
     dataset = _dataset_for(args, bundle)
-    report = compare_models(dataset, seed=tr.model_seed,
-                            mlp_hidden=tr.mlp_hidden,
-                            elman_hidden=tr.elman_hidden,
-                            rbf_centers=tr.rbf_centers,
-                            mlp_epochs=tr.mlp_epochs,
-                            elman_epochs=tr.elman_epochs)
+    report = compare_models(dataset, tr, rbf_from_config(dataset, tr))
     out_dir = _ensure_out(args)
     names = ("torque", "speed", "afr")
     print(f"{'output':>8} | " + " | ".join(f"{m:>7}" for m in report.mape_table))
@@ -146,12 +149,7 @@ def _rbf_for(args, bundle):
     path = args.model_file if args.model_file else args.out / "rbf_model.txt"
     if Path(path).exists():
         return load_rbf(path)
-    tr = bundle.training
-    dataset = _dataset_for(args, bundle)
-    return train_rbf(dataset, k=tr.rbf_centers, neighbors=tr.rbf_neighbors,
-                     seed=tr.model_seed + 1, overlap=tr.rbf_overlap,
-                     ridge=tr.ridge, lms_passes=tr.lms_passes,
-                     lms_rate=tr.lms_rate)
+    return rbf_from_config(_dataset_for(args, bundle), bundle.training)
 
 
 def cmd_simulate(args) -> int:

@@ -12,10 +12,14 @@ optional normalized-LMS refinement passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import Dataset, NormStats, denormalize, normalize
+
+if TYPE_CHECKING:  # config imports this module through mpc
+    from .config import TrainingConfig
 
 
 class TrainingDivergedError(RuntimeError):
@@ -308,11 +312,10 @@ class ModelComparison:
     losses: dict                # model name -> training loss curve
 
 
-def compare_models(dataset: Dataset, seed: int = 0,
-                   mlp_hidden: int = 26, elman_hidden: int = 12,
-                   rbf_centers: int = 25, mlp_epochs: int = 5000,
-                   elman_epochs: int = 1000) -> ModelComparison:
-    """Train MLP, Elman, and RBF on the same data and score validation MAPE.
+def compare_models(dataset: Dataset, training: TrainingConfig,
+                   rbf: RbfModel) -> ModelComparison:
+    """Train MLP and Elman as ``training`` configures them and score all
+    three models, with the given trained RBF, on the same validation data.
 
     Validation targets are the clean plant outputs; proportional error is the
     signed per-sample percentage deviation.
@@ -321,12 +324,14 @@ def compare_models(dataset: Dataset, seed: int = 0,
     val_in = normalize(dataset.val_inputs, stats.in_min, stats.in_max)
     val_targets = dataset.targets_clean[dataset.n_train:]
 
-    mlp, mlp_losses = train_mlp(init_mlp(stats, hidden=mlp_hidden, seed=seed),
-                                dataset, max_epochs=mlp_epochs)
+    mlp, mlp_losses = train_mlp(
+        init_mlp(stats, hidden=training.mlp_hidden, seed=training.model_seed),
+        dataset, lr_weights=training.mlp_lr, lr_bias=training.mlp_lr,
+        max_epochs=training.mlp_epochs, mse_target=training.mse_target)
     elman, elman_losses = train_elman(
-        init_elman(stats, hidden=elman_hidden, seed=seed), dataset,
-        max_epochs=elman_epochs)
-    rbf = train_rbf(dataset, k=rbf_centers, seed=seed + 1)
+        init_elman(stats, hidden=training.elman_hidden, seed=training.model_seed),
+        dataset, lr=training.elman_lr, max_epochs=training.elman_epochs,
+        mse_target=training.mse_target)
 
     preds = {}
     out, _ = _mlp_forward_batch(mlp, val_in)

@@ -8,9 +8,9 @@ models, and runs the closed-loop scenarios, so it takes a few minutes.
 import numpy as np
 import pytest
 
-from dflsim.cli import main as cli_main
+from dflsim.cli import dataset_from_config, main as cli_main, rbf_from_config
 from dflsim.config import load_bundle
-from dflsim.dataset import generate_dataset, normalize
+from dflsim.dataset import normalize
 from dflsim.engine import ControlInput, EngineParams, make_initial_state, \
     step_engine, friction_power, combustion_power, cylinder_air_flow, \
     normalized_afr
@@ -18,7 +18,7 @@ from dflsim.fan import (FanGeometry, duct_ratio, solve_operating_point,
                         thrust_from_power, unducted_thrust, unducted_torque)
 from dflsim.lpv import assoc_jacobian, build_lpv
 from dflsim.mpc import hildreth
-from dflsim.networks import compare_models, rbf_forward, train_rbf
+from dflsim.networks import compare_models, rbf_forward
 from dflsim.scenario import run_scenario
 
 
@@ -35,19 +35,12 @@ def bundle():
 
 @pytest.fixture(scope="module")
 def dataset(bundle):
-    tr = bundle.training
-    return generate_dataset(bundle.plant, bundle.fan,
-                            sample_count=tr.sample_count, seed=tr.seed,
-                            snr_db=tr.snr_db, n_train=tr.n_train)
+    return dataset_from_config(bundle)
 
 
 @pytest.fixture(scope="module")
 def rbf(bundle, dataset):
-    tr = bundle.training
-    return train_rbf(dataset, k=tr.rbf_centers, neighbors=tr.rbf_neighbors,
-                     seed=tr.model_seed + 1, overlap=tr.rbf_overlap,
-                     ridge=tr.ridge, lms_passes=tr.lms_passes,
-                     lms_rate=tr.lms_rate)
+    return rbf_from_config(dataset, bundle.training)
 
 
 @pytest.fixture(scope="module")
@@ -130,14 +123,8 @@ def test_criterion_3_first_order_validity(bundle, rbf):
             med >= 3.5, f"median ratio {med:.2f} over {len(ratios)} points")
 
 
-def test_criterion_4_model_comparison(bundle, dataset):
-    tr = bundle.training
-    report = compare_models(dataset, seed=tr.model_seed,
-                            mlp_hidden=tr.mlp_hidden,
-                            elman_hidden=tr.elman_hidden,
-                            rbf_centers=tr.rbf_centers,
-                            mlp_epochs=tr.mlp_epochs,
-                            elman_epochs=tr.elman_epochs)
+def test_criterion_4_model_comparison(bundle, dataset, rbf):
+    report = compare_models(dataset, bundle.training, rbf)
     rbf_mape = report.mape_table["rbf"]
     elman_mape = report.mape_table["elman"]
     within = bool(np.all(rbf_mape <= 2.5))

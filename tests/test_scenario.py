@@ -7,12 +7,13 @@ import pytest
 
 from dflsim.cli import main as cli_main
 from dflsim.config import ConfigError, load_bundle
-from dflsim.dataset import generate_dataset
+from dflsim.dataset import (denormalize, generate_dataset, load_dataset_csv,
+                            normalize)
 from dflsim.engine import EngineParams
 from dflsim.fan import (KGF, FanGeometry, fan_power, solve_operating_point,
                         thrust_from_power)
 from dflsim.mpc import MpcConfig
-from dflsim.networks import train_rbf
+from dflsim.networks import load_rbf, mape, rbf_forward, train_rbf
 from dflsim.scenario import (ScenarioConfig, compute_metrics,
                              load_trajectory_csv, relative_error,
                              run_scenario, save_trajectory_csv)
@@ -263,6 +264,26 @@ class TestCli:
                   "--out", str(out)])
         assert cli_main(["check-jacobian", "--config", str(small_ini),
                          "--out", str(out), "--points", "20"]) == 0
+
+    def test_compare_models_honours_training_config(self, tmp_path):
+        ini = tmp_path / "overlap.ini"
+        ini.write_text("[training]\nsample_count = 300\nn_train = 285\n"
+                       "seed = 11\nrbf_overlap = 2.5\nmlp_epochs = 5\n"
+                       "elman_epochs = 2\n")
+        out = tmp_path / "out"
+        for argv in (["gen-data"], ["train", "--model", "rbf"],
+                     ["compare-models"]):
+            assert cli_main(argv + ["--config", str(ini), "--out", str(out)]) == 0
+        with open(out / "mape_report.json") as fh:
+            reported = json.load(fh)["rbf"]
+        ds = load_dataset_csv(out / "dataset.csv", n_train=285)
+        model = load_rbf(out / "rbf_model.txt")
+        stats = ds.stats
+        val_in = normalize(ds.val_inputs, stats.in_min, stats.in_max)
+        pred = denormalize(np.array([rbf_forward(model, p) for p in val_in]),
+                           stats.out_min, stats.out_max)
+        trained = mape(pred, ds.targets_clean[ds.n_train:])
+        assert np.allclose(reported, trained, rtol=1e-12, atol=0.0)
 
     def test_stall_exit_code(self, tmp_path):
         ini = tmp_path / "stall.ini"
