@@ -256,6 +256,10 @@ class TestCli:
         with open(out / "metrics_report.json") as fh:
             rep_metrics = json.load(fh)
         assert sim_metrics == rep_metrics
+        lines = (out / "relative_errors.csv").read_text().splitlines()
+        assert lines[0] == "step,thrust_rel_err_pct,lambda_rel_err_pct"
+        assert [ln.split(",")[0] for ln in lines[1:]] == \
+            [str(k) for k in range(40)]
 
     def test_check_jacobian_passes(self, small_ini, tmp_path):
         out = tmp_path / "out"
@@ -284,6 +288,12 @@ class TestCli:
                            stats.out_min, stats.out_max)
         trained = mape(pred, ds.targets_clean[ds.n_train:])
         assert np.allclose(reported, trained, rtol=1e-12, atol=0.0)
+        lines = (out / "prediction_errors.csv").read_text().splitlines()
+        assert lines[0] == "sample," + ",".join(
+            f"{m}_{n}" for m in ("mlp", "elman", "rbf")
+            for n in ("torque", "speed", "afr"))
+        assert [ln.split(",")[0] for ln in lines[1:]] == \
+            [str(i) for i in range(15)]
 
     def test_stall_exit_code(self, tmp_path):
         ini = tmp_path / "stall.ini"
