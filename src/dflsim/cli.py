@@ -19,11 +19,12 @@ from .config import ConfigError, load_bundle
 from .dataset import generate_dataset, load_dataset_csv, save_dataset_csv
 from .lpv import assoc_jacobian
 from .networks import (compare_models, init_elman, init_mlp, load_rbf,
-                       rbf_forward, save_blocks, save_rbf, train_elman,
-                       train_mlp, train_rbf)
+                       rbf_forward, save_rbf, train_elman, train_mlp,
+                       train_rbf)
 from .scenario import (ScenarioStallError, compute_metrics,
                        load_trajectory_csv, relative_error, run_scenario,
                        save_lpv_trace, save_trajectory_csv)
+from .tables import save_blocks, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,6 +69,22 @@ def rbf_from_config(dataset, tr):
                      lms_rate=tr.lms_rate)
 
 
+def mlp_from_config(dataset, tr):
+    """Train the MLP with every [training] MLP setting: (model, losses)."""
+    return train_mlp(init_mlp(dataset.stats, hidden=tr.mlp_hidden,
+                              seed=tr.model_seed),
+                     dataset, lr=tr.mlp_lr, max_epochs=tr.mlp_epochs,
+                     mse_target=tr.mse_target)
+
+
+def elman_from_config(dataset, tr):
+    """Train the Elman net with every [training] Elman setting: (model, losses)."""
+    return train_elman(init_elman(dataset.stats, hidden=tr.elman_hidden,
+                                  seed=tr.model_seed),
+                       dataset, lr=tr.elman_lr, max_epochs=tr.elman_epochs,
+                       mse_target=tr.mse_target)
+
+
 def cmd_gen_data(args) -> int:
     bundle = _load(args, "training.seed")
     tr = bundle.training
@@ -96,19 +113,13 @@ def cmd_train(args) -> int:
         save_rbf(model, path)
         print(f"trained RBF ({tr.rbf_centers} centers) -> {path}")
     elif args.model == "mlp":
-        model, losses = train_mlp(
-            init_mlp(dataset.stats, hidden=tr.mlp_hidden, seed=tr.model_seed),
-            dataset, lr_weights=tr.mlp_lr, lr_bias=tr.mlp_lr,
-            max_epochs=tr.mlp_epochs, mse_target=tr.mse_target)
+        model, losses = mlp_from_config(dataset, tr)
         path = out_dir / "mlp_model.txt"
         save_blocks(path, {"IW": model.iw, "LW": model.lw,
                            "B1": model.b1[None, :], "B2": model.b2[None, :]})
         print(f"trained MLP: {len(losses)} epochs, final MSE {losses[-1]:.6f} -> {path}")
     else:
-        model, losses = train_elman(
-            init_elman(dataset.stats, hidden=tr.elman_hidden, seed=tr.model_seed),
-            dataset, lr=tr.elman_lr, max_epochs=tr.elman_epochs,
-            mse_target=tr.mse_target)
+        model, losses = elman_from_config(dataset, tr)
         path = out_dir / "elman_model.txt"
         save_blocks(path, {"IW": model.iw, "LW1": model.lw1, "LW2": model.lw2,
                            "B1": model.b1[None, :], "B2": model.b2[None, :]})
@@ -120,7 +131,9 @@ def cmd_compare_models(args) -> int:
     bundle = _load(args, "training.seed")
     tr = bundle.training
     dataset = _dataset_for(args, bundle)
-    report = compare_models(dataset, tr, rbf_from_config(dataset, tr))
+    report = compare_models(dataset, mlp_from_config(dataset, tr)[0],
+                            elman_from_config(dataset, tr)[0],
+                            rbf_from_config(dataset, tr))
     out_dir = _ensure_out(args)
     names = ("torque", "speed", "afr")
     print(f"{'output':>8} | " + " | ".join(f"{m:>7}" for m in report.mape_table))
@@ -128,15 +141,10 @@ def cmd_compare_models(args) -> int:
         row = " | ".join(f"{report.mape_table[m][i]:6.2f}%" for m in report.mape_table)
         print(f"{name:>8} | {row}")
     pe_path = out_dir / "prediction_errors.csv"
-    with open(pe_path, "w") as fh:
-        fh.write("sample," + ",".join(f"{m}_{n}" for m in report.pe_series
-                                      for n in names) + "\n")
-        n_val = len(next(iter(report.pe_series.values())))
-        for i in range(n_val):
-            cells = [str(i)]
-            for m in report.pe_series:
-                cells += [repr(float(v)) for v in report.pe_series[m][i]]
-            fh.write(",".join(cells) + "\n")
+    errors = np.hstack(list(report.pe_series.values()))
+    write_table(pe_path, "sample," + ",".join(f"{m}_{n}" for m in report.pe_series
+                                              for n in names),
+                ((i, *row) for i, row in enumerate(errors)))
     mape_path = out_dir / "mape_report.json"
     with open(mape_path, "w") as fh:
         json.dump({m: [float(v) for v in vals]
@@ -220,12 +228,9 @@ def cmd_report(args) -> int:
     metrics = compute_metrics(records, bundle.mpc, bundle.scenario)
     out_dir = _ensure_out(args)
     err_path = out_dir / "relative_errors.csv"
-    with open(err_path, "w") as fh:
-        fh.write("step,thrust_rel_err_pct,lambda_rel_err_pct\n")
-        for r in records:
-            te = relative_error(r.thrust_true, r.thrust_ref)
-            le = relative_error(r.lam_true, r.lam_ref)
-            fh.write(f"{r.step},{repr(float(te))},{repr(float(le))}\n")
+    write_table(err_path, "step,thrust_rel_err_pct,lambda_rel_err_pct",
+                ((r.step, relative_error(r.thrust_true, r.thrust_ref),
+                  relative_error(r.lam_true, r.lam_ref)) for r in records))
     metrics_path = out_dir / "metrics_report.json"
     with open(metrics_path, "w") as fh:
         json.dump(metrics, fh, indent=2)

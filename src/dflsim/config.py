@@ -65,15 +65,9 @@ _SECTIONS = {
 
 def _convert(raw: str, kind, key: str):
     try:
-        if kind is float:
-            return float(raw)
-        if kind is int:
-            return int(raw)
-        if kind is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         if kind is tuple:
             return tuple(float(v) for v in raw.split(","))
-        return raw
+        return kind(raw)            # int or float
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 

@@ -4,7 +4,8 @@ Excites the coupled engine + fan plant with multi-level pseudo-random input
 steps, records one-step (input, state) -> next-state pairs at the 0.1 s
 control rate, and adds Gaussian noise of a prescribed SNR to the training
 targets.  Columns are min/max normalized to [-1, 1] using training-split
-statistics only.
+statistics only.  The dataset CSV is a ``tables`` table with the
+``CSV_HEADER`` columns.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .engine import (TWO_PI, ControlInput, EngineParams, EngineStallError,
                      air_mass_flow, friction_power, make_initial_state,
                      step_engine, thermal_efficiency)
 from .fan import FanGeometry, fan_load_power
+from .tables import read_table, write_table
 
 INPUT_COLUMNS = ("tps", "m_fi", "n", "lambda")
 TARGET_COLUMNS = ("Q_next", "n_next", "lambda_next")
@@ -223,18 +225,12 @@ def generate_dataset(params: EngineParams, geom: FanGeometry,
 
 def save_dataset_csv(dataset: Dataset, path) -> None:
     """Write the dataset as CSV (training-row targets keep their noise)."""
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row_in, row_out in zip(dataset.inputs, dataset.targets):
-            cells = [repr(float(v)) for v in (*row_in, *row_out)]
-            fh.write(",".join(cells) + "\n")
+    write_table(path, CSV_HEADER, np.hstack([dataset.inputs, dataset.targets]))
 
 
 def load_dataset_csv(path, n_train: int | None = None) -> Dataset:
     """Read a dataset CSV; normalization stats are rebuilt from the train split."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim == 1:
-        data = data[None, :]
+    data = read_table(path, CSV_HEADER)
     inputs, targets = data[:, :4], data[:, 4:]
     if n_train is None:
         n_train = max(1, len(inputs) - len(inputs) // 20)

@@ -198,23 +198,6 @@ def engine_torque_from_power(p_comb: float, p_fric: float, omega: float) -> floa
     return (p_comb - p_fric) / omega
 
 
-def engine_torque(state: EngineState, delayed_fuel_rate: float,
-                  params: EngineParams) -> float:
-    """Engine torque produced by the delayed fuel rate at the state's speed.
-
-    The efficiency is evaluated on the mixture actually burning, i.e. the
-    state's air flow against the delayed fuel, so an injection change only
-    reaches torque after the transport delay.  Raises EngineStallError below
-    the stall floor instead of dividing toward the 1/omega singularity.
-    """
-    omega = TWO_PI * state.n
-    if state.n < params.stall_speed:
-        raise EngineStallError(f"speed {state.n:.2f} rev/s below stall floor")
-    m_as = cylinder_air_flow(state.manifold_pressure, state.n, params)
-    p_comb = delayed_combustion_power(delayed_fuel_rate, m_as, state.n, params)
-    return engine_torque_from_power(p_comb, friction_power(state.n, params), omega)
-
-
 def delayed_combustion_power(m_f_delayed: float, m_as: float, n: float,
                              params: EngineParams) -> float:
     """Combustion power of the delayed charge: efficiency at its own mixture."""

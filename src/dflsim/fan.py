@@ -104,33 +104,15 @@ class FanOperatingPoint:
     induced_velocity: float = field(default=0.0)  # m/s, uniform inflow
 
 
-def blade_element_coeffs(r: float, n_fan: float, induced_velocity: float,
-                         geom: FanGeometry):
-    """Per-radius thrust and torque coefficients (T_c, Q_c) at one element.
+def _element_loads(n_fan: float, vi: float, geom: FanGeometry):
+    """Per-element thrust and torque contributions (already * dr).
 
     The local relative wind composes rotation (2*pi*n*r) with the axial
     induced velocity; lift follows the linear polar capped at stall, drag
-    is the constant profile value.  Coefficients carry the chord so that
-    force/span = 0.5*rho*V^2*B*coeff.  No relative wind means no force.
+    is the constant profile value.  Each load is 0.5*rho*V^2*B*c*dr times
+    the element's lift/drag projection (times r for torque), so no relative
+    wind means no force.
     """
-    u_t = TWO_PI * n_fan * r
-    u_a = induced_velocity
-    v_sq = u_t * u_t + u_a * u_a
-    if v_sq == 0.0:
-        return 0.0, 0.0
-    phi = math.atan2(u_a, u_t)
-    alpha = float(geom.twist(r)) - phi
-    cl = min(max(geom.lift_slope * (alpha - geom.alpha_zero_lift), -geom.cl_max),
-             geom.cl_max)
-    cd = geom.cd_profile
-    c = float(geom.chord(r))
-    t_c = c * (cl * math.cos(phi) - cd * math.sin(phi))
-    q_c = c * (cl * math.sin(phi) + cd * math.cos(phi)) * r
-    return t_c, q_c
-
-
-def _element_loads(n_fan: float, vi: float, geom: FanGeometry):
-    """Vectorized per-element thrust and torque contributions (already * dr)."""
     r = geom.element_radii()
     dr = geom.element_width()
     u_t = TWO_PI * n_fan * r
@@ -180,16 +162,6 @@ def solve_operating_point(n_fan: float, geom: FanGeometry,
     power = fan_power(n_fan, torque)
     return FanOperatingPoint(n_fan, thrust, torque, power,
                              duct_ratio(geom) * thrust, vi)
-
-
-def unducted_thrust(n_fan: float, geom: FanGeometry) -> float:
-    """Total blade-element thrust T_UDF (N) at a fan speed in rev/s."""
-    return solve_operating_point(n_fan, geom).thrust_unducted
-
-
-def unducted_torque(n_fan: float, geom: FanGeometry) -> float:
-    """Total blade-element torque Q_UDF (N*m) at a fan speed in rev/s."""
-    return solve_operating_point(n_fan, geom).torque
 
 
 def fan_power(n_fan: float, torque: float) -> float:

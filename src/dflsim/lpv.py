@@ -95,11 +95,10 @@ def build_lpv(rbf: RbfModel, geom: FanGeometry, x0: np.ndarray,
     return LpvModel(a=a, b=b, c=c, d=np.zeros((2, 2)), x0=x0, u0=u0, t=t)
 
 
-def lpv_csv_row(lpv: LpvModel) -> str:
-    """Flatten one model to a CSV row (time, x0, u0, A, B, C, D row-major)."""
-    cells = [lpv.t, *lpv.x0, *lpv.u0, *lpv.a.ravel(), *lpv.b.ravel(),
-             *lpv.c.ravel(), *lpv.d.ravel()]
-    return ",".join(repr(float(v)) for v in cells)
+def lpv_csv_row(lpv: LpvModel) -> np.ndarray:
+    """Flatten one model to its CSV cells (time, x0, u0, A, B, C, D row-major)."""
+    return np.concatenate([[lpv.t], lpv.x0, lpv.u0, lpv.a.ravel(),
+                           lpv.b.ravel(), lpv.c.ravel(), lpv.d.ravel()])
 
 
 LPV_CSV_HEADER = ",".join(

@@ -108,19 +108,6 @@ def condensed_map(lpv: LpvModel, nc: int, n2: int) -> np.ndarray:
     return g.reshape(2 * n2, 2 * nc)
 
 
-def predict_horizon(lpv: LpvModel, y0: np.ndarray, du_seq: np.ndarray,
-                    n2: int) -> np.ndarray:
-    """Absolute output predictions over n2 steps for an increment sequence.
-
-    The increments act through ``condensed_map`` from zero initial state
-    difference, with inputs held after the sequence runs out; with zero
-    increments every prediction equals the measured y0.
-    """
-    du_seq = np.atleast_2d(du_seq)
-    g = condensed_map(lpv, len(du_seq), n2)
-    return np.asarray(y0, dtype=float) + (g @ du_seq.ravel()).reshape(n2, 2)
-
-
 def cost(config: MpcConfig, refs: np.ndarray, predicted: np.ndarray,
          du_seq: np.ndarray) -> float:
     """Tracking-plus-move objective over the horizon (span-scaled channels)."""

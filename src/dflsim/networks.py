@@ -6,20 +6,18 @@ the normalized state triple [Q_eng, n, lambda] one sample ahead.  The MLP and
 Elman nets train by gradient descent on mean squared error; the RBF trains
 its centers by k-means, its radii by a nearest-co-center heuristic, and its
 output weights by a ridge-regularized batch least-squares solve followed by
-optional normalized-LMS refinement passes.
+optional normalized-LMS refinement passes.  A trained RBF is saved as a
+``tables`` block file; ``save_blocks``/``load_blocks`` are re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import Dataset, NormStats, denormalize, normalize
-
-if TYPE_CHECKING:  # config imports this module through mpc
-    from .config import TrainingConfig
+from .tables import load_blocks, save_blocks
 
 
 class TrainingDivergedError(RuntimeError):
@@ -48,20 +46,18 @@ def init_mlp(stats: NormStats, hidden: int = 26, seed: int = 0) -> MlpModel:
                     b2=np.zeros(3), stats=stats)
 
 
-def mlp_forward(model: MlpModel, p: np.ndarray) -> np.ndarray:
-    """Single normalized input -> normalized output, tanh hidden layer."""
-    hidden = np.tanh(model.iw @ p + model.b1)
-    return model.lw @ hidden + model.b2
+def mlp_forward(model: MlpModel, p: np.ndarray):
+    """Normalized input rows -> (normalized outputs, tanh hidden activations).
 
-
-def _mlp_forward_batch(model: MlpModel, p: np.ndarray):
+    ``p`` is one input (4,) or a batch (N, 4); the results follow its shape.
+    """
     hidden = np.tanh(p @ model.iw.T + model.b1)
     return hidden @ model.lw.T + model.b2, hidden
 
 
 def _mlp_gradients(model: MlpModel, p: np.ndarray, y: np.ndarray):
     """Mean-squared-error gradients for a batch (mean over samples and outputs)."""
-    out, hidden = _mlp_forward_batch(model, p)
+    out, hidden = mlp_forward(model, p)
     err = out - y                                   # (N, 3)
     scale = 2.0 / err.size
     g_lw = scale * err.T @ hidden
@@ -73,9 +69,8 @@ def _mlp_gradients(model: MlpModel, p: np.ndarray, y: np.ndarray):
     return g_iw, g_lw, g_b1, g_b2, mse
 
 
-def train_mlp(model: MlpModel, dataset: Dataset, lr_weights: float = 0.1,
-              lr_bias: float = 0.1, max_epochs: int = 5000,
-              mse_target: float = 1e-4):
+def train_mlp(model: MlpModel, dataset: Dataset, lr: float = 0.1,
+              max_epochs: int = 5000, mse_target: float = 1e-4):
     """Full-batch gradient descent; returns (trained model, per-epoch MSE)."""
     p = normalize(dataset.train_inputs, dataset.stats.in_min, dataset.stats.in_max)
     y = normalize(dataset.train_targets, dataset.stats.out_min, dataset.stats.out_max)
@@ -89,10 +84,10 @@ def train_mlp(model: MlpModel, dataset: Dataset, lr_weights: float = 0.1,
             raise TrainingDivergedError(f"MLP loss diverged: {mse}")
         if mse <= mse_target:
             break
-        iw = iw - lr_weights * g_iw
-        lw = lw - lr_weights * g_lw
-        b1 = b1 - lr_bias * g_b1
-        b2 = b2 - lr_bias * g_b2
+        iw = iw - lr * g_iw
+        lw = lw - lr * g_lw
+        b1 = b1 - lr * g_b1
+        b2 = b2 - lr * g_b2
     return MlpModel(iw, lw, b1, b2, model.stats), np.asarray(losses)
 
 
@@ -191,13 +186,8 @@ class RbfModel:
     stats: NormStats
 
 
-def rbf_phi(p: np.ndarray, center: np.ndarray, radius: float) -> float:
-    """Gaussian activation exp(-(||p - c|| / s)^2), in (0, 1]."""
-    d = np.asarray(p) - np.asarray(center)
-    return float(np.exp(-(d @ d) / radius ** 2))
-
-
 def _phi_matrix(points: np.ndarray, centers: np.ndarray, radii: np.ndarray):
+    """Gaussian activations exp(-(||p - c_j|| / s_j)^2), one row per point."""
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return np.exp(-d2 / radii ** 2)
 
@@ -309,13 +299,11 @@ def mape(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
 class ModelComparison:
     mape_table: dict            # model name -> (3,) validation MAPE %
     pe_series: dict             # model name -> (n_val, 3) proportional error %
-    losses: dict                # model name -> training loss curve
 
 
-def compare_models(dataset: Dataset, training: TrainingConfig,
+def compare_models(dataset: Dataset, mlp: MlpModel, elman: ElmanModel,
                    rbf: RbfModel) -> ModelComparison:
-    """Train MLP and Elman as ``training`` configures them and score all
-    three models, with the given trained RBF, on the same validation data.
+    """Score the three trained models on the same validation data.
 
     Validation targets are the clean plant outputs; proportional error is the
     signed per-sample percentage deviation.
@@ -324,17 +312,8 @@ def compare_models(dataset: Dataset, training: TrainingConfig,
     val_in = normalize(dataset.val_inputs, stats.in_min, stats.in_max)
     val_targets = dataset.targets_clean[dataset.n_train:]
 
-    mlp, mlp_losses = train_mlp(
-        init_mlp(stats, hidden=training.mlp_hidden, seed=training.model_seed),
-        dataset, lr_weights=training.mlp_lr, lr_bias=training.mlp_lr,
-        max_epochs=training.mlp_epochs, mse_target=training.mse_target)
-    elman, elman_losses = train_elman(
-        init_elman(stats, hidden=training.elman_hidden, seed=training.model_seed),
-        dataset, lr=training.elman_lr, max_epochs=training.elman_epochs,
-        mse_target=training.mse_target)
-
     preds = {}
-    out, _ = _mlp_forward_batch(mlp, val_in)
+    out, _ = mlp_forward(mlp, val_in)
     preds["mlp"] = denormalize(out, stats.out_min, stats.out_max)
 
     train_in = normalize(dataset.train_inputs, stats.in_min, stats.in_max)
@@ -348,45 +327,12 @@ def compare_models(dataset: Dataset, training: TrainingConfig,
     table = {name: mape(pred, val_targets) for name, pred in preds.items()}
     pe = {name: (pred - val_targets) / np.abs(val_targets) * 100.0
           for name, pred in preds.items()}
-    return ModelComparison(mape_table=table, pe_series=pe,
-                           losses={"mlp": mlp_losses, "elman": elman_losses})
+    return ModelComparison(mape_table=table, pe_series=pe)
 
 
 # ---------------------------------------------------------------------------
-# persistence: named matrix blocks, full-precision decimal
+# persistence: named matrix blocks (``tables.save_blocks``)
 # ---------------------------------------------------------------------------
-
-def save_blocks(path, blocks: dict) -> None:
-    """Write named matrices as a human-readable block file.
-
-    Each block is ``# NAME rows cols`` followed by one row per line with
-    repr-formatted floats, which round-trip float64 exactly.
-    """
-    with open(path, "w") as fh:
-        for name, mat in blocks.items():
-            mat = np.atleast_2d(np.asarray(mat, dtype=float))
-            fh.write(f"# {name} {mat.shape[0]} {mat.shape[1]}\n")
-            for row in mat:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_blocks(path) -> dict:
-    blocks = {}
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    i = 0
-    while i < len(lines):
-        if not lines[i].startswith("# "):
-            i += 1
-            continue
-        name, rows, cols = lines[i][2:].rsplit(" ", 2)
-        rows, cols = int(rows), int(cols)
-        mat = np.array([[float(v) for v in lines[i + 1 + r].split()]
-                        for r in range(rows)])
-        blocks[name] = mat.reshape(rows, cols)
-        i += 1 + rows
-    return blocks
-
 
 def save_rbf(model: RbfModel, path) -> None:
     stats = np.vstack([

@@ -4,7 +4,8 @@ Couples the engine and fan plants at the 0.1 s control rate, feeds the
 controller noisy measurements, and logs every step to a trajectory record.
 The reference schedule ramps thrust from idle to hover and steps the
 air-fuel-ratio target from the rich power setting to stoichiometric once
-thrust has stabilized.
+thrust has stabilized.  Trajectories and LPV traces are ``tables`` tables:
+one ``TrajectoryRecord`` or one flattened ``LpvModel`` per row.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .fan import KGF, FanGeometry, ducted_thrust_at_crank_speed, fan_load_power
 from .lpv import LPV_CSV_HEADER, build_lpv, lpv_csv_row
 from .mpc import Measurement, MpcConfig, ampc_step, linear_mpc_step
 from .networks import RbfModel
+from .tables import read_table, write_table
 
 CONTROLLER_KINDS = ("ampc", "linear-mpc", "open-loop")
 
@@ -240,44 +242,15 @@ def compute_metrics(records, mpc: MpcConfig, scenario: ScenarioConfig) -> dict:
 # CSV round-trip
 # ---------------------------------------------------------------------------
 
-def record_to_row(r: TrajectoryRecord) -> str:
-    cells = [str(r.step), repr(float(r.time)),
-             repr(float(r.thrust_ref)), repr(float(r.lam_ref)),
-             repr(float(r.thrust_true)), repr(float(r.lam_true)),
-             repr(float(r.thrust_meas)), repr(float(r.lam_meas)),
-             repr(float(r.tps)), repr(float(r.m_fi)),
-             repr(float(r.q_eng)), repr(float(r.n)),
-             repr(float(r.cost)), str(r.qp_iterations)]
-    return ",".join(cells)
-
-
 def save_trajectory_csv(records, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for r in records:
-            fh.write(record_to_row(r) + "\n")
+    # vars() keeps declaration order without astuple's per-cell deep copy
+    write_table(path, TRAJECTORY_HEADER, (vars(r).values() for r in records))
 
 
 def load_trajectory_csv(path):
-    records = []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != TRAJECTORY_HEADER:
-            raise ValueError("unexpected trajectory header")
-        for line in fh:
-            c = line.rstrip("\n").split(",")
-            records.append(TrajectoryRecord(
-                step=int(c[0]), time=float(c[1]),
-                thrust_ref=float(c[2]), lam_ref=float(c[3]),
-                thrust_true=float(c[4]), lam_true=float(c[5]),
-                thrust_meas=float(c[6]), lam_meas=float(c[7]),
-                tps=float(c[8]), m_fi=float(c[9]), q_eng=float(c[10]),
-                n=float(c[11]), cost=float(c[12]), qp_iterations=int(c[13])))
-    return records
+    return [TrajectoryRecord(int(row[0]), *row[1:-1], int(row[-1]))
+            for row in read_table(path, TRAJECTORY_HEADER).tolist()]
 
 
 def save_lpv_trace(trace, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(LPV_CSV_HEADER + "\n")
-        for lpv in trace:
-            fh.write(lpv_csv_row(lpv) + "\n")
+    write_table(path, LPV_CSV_HEADER, map(lpv_csv_row, trace))

@@ -1,0 +1,73 @@
+"""The pipeline's on-disk formats: CSV tables and named matrix blocks.
+
+Every file one stage hands to the next goes through this module.  A table
+is a header line followed by comma-joined rows; a block file is a sequence
+of ``# NAME rows cols`` headers, each followed by its matrix rows.  Integer
+cells are written with ``str`` and every other cell with ``repr(float(v))``,
+which round-trips float64 exactly.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def _cell(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return repr(float(value))
+
+
+def write_table(path, header: str, rows) -> None:
+    """Write ``header`` and one comma-joined line per row of cells."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def read_table(path, header: str) -> np.ndarray:
+    """Read a table written by ``write_table`` as an (rows, columns) float array.
+
+    Raises ValueError when the file's header line is not ``header`` or a row
+    does not have one cell per column.
+    """
+    with open(path) as fh:
+        found = fh.readline().rstrip("\n")
+        if found != header:
+            raise ValueError(f"{path}: header {found!r}, expected {header!r}")
+        rows = [[float(cell) for cell in line.split(",")] for line in fh]
+    return np.array(rows).reshape(len(rows), header.count(",") + 1)
+
+
+def save_blocks(path, blocks: dict) -> None:
+    """Write named matrices as a human-readable block file.
+
+    Each block is ``# NAME rows cols`` followed by one row per line with
+    repr-formatted floats, which round-trip float64 exactly.
+    """
+    with open(path, "w") as fh:
+        for name, mat in blocks.items():
+            mat = np.atleast_2d(np.asarray(mat, dtype=float))
+            fh.write(f"# {name} {mat.shape[0]} {mat.shape[1]}\n")
+            for row in mat:
+                fh.write(" ".join(map(_cell, row)) + "\n")
+
+
+def load_blocks(path) -> dict:
+    """Read a block file back into ``{name: 2-D float array}``."""
+    blocks = {}
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
+    i = 0
+    while i < len(lines):
+        if not lines[i].startswith("# "):
+            i += 1
+            continue
+        name, rows, cols = lines[i][2:].rsplit(" ", 2)
+        rows, cols = int(rows), int(cols)
+        mat = np.array([[float(v) for v in lines[i + 1 + r].split()]
+                        for r in range(rows)])
+        blocks[name] = mat.reshape(rows, cols)
+        i += 1 + rows
+    return blocks

@@ -8,14 +8,15 @@ models, and runs the closed-loop scenarios, so it takes a few minutes.
 import numpy as np
 import pytest
 
-from dflsim.cli import dataset_from_config, main as cli_main, rbf_from_config
+from dflsim.cli import (dataset_from_config, elman_from_config,
+                        main as cli_main, mlp_from_config, rbf_from_config)
 from dflsim.config import load_bundle
 from dflsim.dataset import normalize
 from dflsim.engine import ControlInput, EngineParams, make_initial_state, \
     step_engine, friction_power, combustion_power, cylinder_air_flow, \
     normalized_afr
 from dflsim.fan import (FanGeometry, duct_ratio, solve_operating_point,
-                        thrust_from_power, unducted_thrust, unducted_torque)
+                        thrust_from_power)
 from dflsim.lpv import assoc_jacobian, build_lpv
 from dflsim.mpc import hildreth
 from dflsim.networks import compare_models, rbf_forward
@@ -124,7 +125,9 @@ def test_criterion_3_first_order_validity(bundle, rbf):
 
 
 def test_criterion_4_model_comparison(bundle, dataset, rbf):
-    report = compare_models(dataset, bundle.training, rbf)
+    tr = bundle.training
+    report = compare_models(dataset, mlp_from_config(dataset, tr)[0],
+                            elman_from_config(dataset, tr)[0], rbf)
     rbf_mape = report.mape_table["rbf"]
     elman_mape = report.mape_table["elman"]
     within = bool(np.all(rbf_mape <= 2.5))
@@ -183,11 +186,11 @@ def test_criterion_7_plant_properties():
     balance = abs(p_comb - friction_power(state.n, params) - 8000.0) / 8000.0
     balance_ok = balance <= 1e-6
     # fan grid convergence
-    fine = FanGeometry(element_count=64)
-    t_rel = abs(unducted_thrust(90.0, fine) - unducted_thrust(90.0, geom)) \
-        / unducted_thrust(90.0, geom)
-    q_rel = abs(unducted_torque(90.0, fine) - unducted_torque(90.0, geom)) \
-        / unducted_torque(90.0, geom)
+    coarse = solve_operating_point(90.0, geom)
+    fine = solve_operating_point(90.0, FanGeometry(element_count=64))
+    t_rel = abs(fine.thrust_unducted - coarse.thrust_unducted) \
+        / coarse.thrust_unducted
+    q_rel = abs(fine.torque - coarse.torque) / coarse.torque
     grid_ok = t_rel < 0.005 and q_rel < 0.005
     # duct ratio exactness
     duct_ok = duct_ratio(geom) == 1.26

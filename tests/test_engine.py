@@ -5,12 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from dflsim.engine import (ControlInput, EngineParams, EngineStallError,
-                           air_mass_flow, cylinder_air_flow, engine_torque,
+from dflsim.engine import (TWO_PI, ControlInput, EngineParams,
+                           EngineStallError, air_mass_flow, cylinder_air_flow,
+                           delayed_combustion_power, engine_torque_from_power,
                            friction_power, make_initial_state, normalized_afr,
                            step_engine, thermal_efficiency, combustion_power)
 
 P = EngineParams()
+
+
+def engine_torque(state, delayed_fuel_rate, params):
+    """Reference torque of the delayed fuel rate at the state's speed.
+
+    The efficiency is evaluated on the mixture actually burning: the state's
+    air flow against the delayed fuel.
+    """
+    m_as = cylinder_air_flow(state.manifold_pressure, state.n, params)
+    p_comb = delayed_combustion_power(delayed_fuel_rate, m_as, state.n, params)
+    return engine_torque_from_power(p_comb, friction_power(state.n, params),
+                                    TWO_PI * state.n)
 
 
 def settle(params, u, load, steps=400, n0=60.0, pm0=7.0e4):
@@ -114,9 +127,11 @@ class TestEngineTorque:
                                             rel=1e-9)
 
     def test_stall_floor_raises(self):
+        # below the stall floor the plant raises instead of integrating
+        # toward the 1/omega singularity
         state = make_initial_state(P, n=5.0, manifold_pressure=7.0e4, m_fi=0.002)
         with pytest.raises(EngineStallError):
-            engine_torque(state, 0.002, P)
+            step_engine(state, ControlInput(tps=40.0, m_fi=0.002), 0.0, P, 0.1)
 
 
 class TestStepEngine:

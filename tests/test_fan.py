@@ -9,13 +9,25 @@ import math
 import numpy as np
 import pytest
 
-from dflsim.fan import (FanGeometry, PowerBracketError, blade_element_coeffs,
+from dflsim.fan import (FanGeometry, PowerBracketError, _element_loads,
                         duct_ratio, ducted_thrust_at_crank_speed,
                         fan_load_power, fan_power, solve_operating_point,
-                        thrust_from_power, thrust_jacobian, unducted_thrust,
-                        unducted_torque)
+                        thrust_from_power, thrust_jacobian)
 
 G = FanGeometry()
+# 33 elements put the middle one's midpoint at r = 0.21 m
+G33 = FanGeometry(element_count=33)
+MID = 16
+
+
+def element_coeffs(n_fan, vi):
+    """(T_c, Q_c) of the middle element: its loads over 0.5*rho*V^2*B*dr."""
+    r = G33.element_radii()[MID]
+    v_sq = (2.0 * math.pi * n_fan * r) ** 2 + vi * vi
+    d_thrust, d_torque = _element_loads(n_fan, vi, G33)
+    prefactor = 0.5 * G33.air_density * v_sq * G33.blade_factor \
+        * G33.element_width()
+    return d_thrust[MID] / prefactor, d_torque[MID] / prefactor
 
 
 def _oracle_thrust_from_power(p_b, geom):
@@ -39,15 +51,16 @@ def _oracle_power_map(q_eng, n, geom):
 
 class TestBladeElementCoeffs:
     def test_no_relative_wind_no_force(self):
-        assert blade_element_coeffs(0.21, 0.0, 0.0, G) == (0.0, 0.0)
+        d_thrust, d_torque = _element_loads(0.0, 0.0, G33)
+        assert not np.any(d_thrust) and not np.any(d_torque)
 
     def test_zero_lift_angle_leaves_only_drag(self):
         # choose the axial inflow that puts the mid-span element exactly at
         # its zero-lift angle: thrust contribution <= 0, torque > 0
-        r, n = 0.21, 80.0
-        twist = float(G.twist(r))
+        r, n = G33.element_radii()[MID], 80.0
+        twist = float(G33.twist(r))
         vi = 2.0 * math.pi * n * r * math.tan(twist)
-        t_c, q_c = blade_element_coeffs(r, n, vi, G)
+        t_c, q_c = element_coeffs(n, vi)
         assert t_c == pytest.approx(-0.06 * 0.02 * math.sin(twist), rel=1e-12)
         assert q_c == pytest.approx(0.06 * 0.02 * math.cos(twist) * r,
                                     rel=1e-12)
@@ -55,7 +68,7 @@ class TestBladeElementCoeffs:
 
     def test_mid_span_hand_arithmetic(self):
         # manual polar evaluation at r=0.21 m, n=80 rev/s, vi=15 m/s
-        r, n, vi = 0.21, 80.0, 15.0
+        r, n, vi = G33.element_radii()[MID], 80.0, 15.0
         u_t = 2.0 * math.pi * n * r
         phi = math.atan2(vi, u_t)
         frac = (r - 0.07) / (0.35 - 0.07)
@@ -63,7 +76,7 @@ class TestBladeElementCoeffs:
         cl = min(max(0.9 * 2.0 * math.pi * (twist - phi), -1.2), 1.2)
         t_hand = 0.06 * (cl * math.cos(phi) - 0.02 * math.sin(phi))
         q_hand = 0.06 * (cl * math.sin(phi) + 0.02 * math.cos(phi)) * r
-        t_c, q_c = blade_element_coeffs(r, n, vi, G)
+        t_c, q_c = element_coeffs(n, vi)
         assert t_c == pytest.approx(t_hand, rel=1e-12)
         assert q_c == pytest.approx(q_hand, rel=1e-12)
         assert t_hand == pytest.approx(0.06967117592668111, rel=1e-12)
@@ -71,20 +84,22 @@ class TestBladeElementCoeffs:
 
 class TestThrustAndTorque:
     def test_zero_speed(self):
-        assert unducted_thrust(0.0, G) == 0.0
-        assert unducted_torque(0.0, G) == 0.0
+        op = solve_operating_point(0.0, G)
+        assert op.thrust_unducted == 0.0
+        assert op.torque == 0.0
 
     def test_monotone_in_speed(self):
-        speeds = np.linspace(10.0, 150.0, 15)
-        thrusts = [unducted_thrust(n, G) for n in speeds]
-        torques = [unducted_torque(n, G) for n in speeds]
+        ops = [solve_operating_point(n, G) for n in np.linspace(10.0, 150.0, 15)]
+        thrusts = [op.thrust_unducted for op in ops]
+        torques = [op.torque for op in ops]
         assert all(b > a for a, b in zip(thrusts, thrusts[1:]))
         assert all(b > a for a, b in zip(torques, torques[1:]))
 
     def test_grid_convergence(self):
-        fine = FanGeometry(element_count=64)
-        t32, t64 = unducted_thrust(90.0, G), unducted_thrust(90.0, fine)
-        q32, q64 = unducted_torque(90.0, G), unducted_torque(90.0, fine)
+        op32 = solve_operating_point(90.0, G)
+        op64 = solve_operating_point(90.0, FanGeometry(element_count=64))
+        t32, t64 = op32.thrust_unducted, op64.thrust_unducted
+        q32, q64 = op32.torque, op64.torque
         assert abs(t64 - t32) / t32 < 0.005
         assert abs(q64 - q32) / q32 < 0.005
 

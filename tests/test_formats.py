@@ -6,6 +6,7 @@ literal here.
 """
 
 import numpy as np
+import pytest
 
 from dflsim.dataset import (Dataset, compute_stats, load_dataset_csv,
                             save_dataset_csv)
@@ -80,3 +81,17 @@ def test_lpv_trace_bytes(tmp_path):
                    u0=np.array([30.0, 0.0028]), t=1.5)
     save_lpv_trace([lpv], path)
     assert path.read_text() == LPV_TEXT
+
+
+def test_dataset_rejects_wrong_header(tmp_path):
+    path = tmp_path / "dataset.csv"
+    path.write_text(DATASET_TEXT.replace("Q_next", "torque_next"))
+    with pytest.raises(ValueError):
+        load_dataset_csv(path)
+
+
+def test_trajectory_rejects_wrong_header(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    path.write_text(TRAJECTORY_TEXT.replace("cost", "objective"))
+    with pytest.raises(ValueError):
+        load_trajectory_csv(path)

@@ -187,4 +187,5 @@ class TestBuildLpv:
         lpv = build_lpv(trained_rbf, G, np.array([12.0, 65.0, 0.9]),
                         np.array([30.0, 0.0028]), t=1.5)
         row = lpv_csv_row(lpv)
-        assert len(row.split(",")) == len(LPV_CSV_HEADER.split(","))
+        assert row.shape == (len(LPV_CSV_HEADER.split(",")),)
+        assert row[0] == 1.5

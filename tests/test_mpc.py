@@ -9,7 +9,7 @@ from dflsim.engine import EngineParams
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
 from dflsim.lpv import LpvModel, build_lpv
 from dflsim.mpc import (Measurement, MpcConfig, ampc_step, condensed_map, cost,
-                        hildreth, linear_mpc_step, predict_horizon, solve_qp)
+                        hildreth, linear_mpc_step, solve_qp)
 from dflsim.networks import train_rbf
 
 P = EngineParams()
@@ -46,6 +46,13 @@ def simulate_horizon(lpv, y0, du_seq, n2):
     return out
 
 
+def predict(lpv, y0, du_seq, n2):
+    """Absolute predictions y0 + G*du over n2 steps, G from ``condensed_map``."""
+    du_seq = np.atleast_2d(du_seq)
+    g = condensed_map(lpv, len(du_seq), n2)
+    return np.asarray(y0, dtype=float) + (g @ du_seq.ravel()).reshape(n2, 2)
+
+
 def output_violation(predicted, config=CFG):
     lo = np.array([config.thrust_bounds[0], config.lambda_bounds[0]])
     hi = np.array([config.thrust_bounds[1], config.lambda_bounds[1]])
@@ -63,7 +70,7 @@ class TestPredictHorizon:
     def test_zero_increments_hold_measured_output(self):
         lpv = toy_lpv()
         y0 = np.array([700.0, 0.9])
-        pred = predict_horizon(lpv, y0, np.zeros((3, 2)), 8)
+        pred = predict(lpv, y0, np.zeros((3, 2)), 8)
         assert np.allclose(pred, np.tile(y0, (8, 1)), rtol=0, atol=1e-14)
 
     def test_single_increment_matches_matrix_powers(self):
@@ -71,7 +78,7 @@ class TestPredictHorizon:
         y0 = np.zeros(2)
         du = np.zeros((3, 2))
         du[0] = [1.3, -0.7]
-        pred = predict_horizon(lpv, y0, du, 8)
+        pred = predict(lpv, y0, du, 8)
         # per-step differences must equal C A^(k-1) B du
         diffs = np.vstack([pred[0], np.diff(pred, axis=0)])
         a_pow = np.eye(3)
@@ -86,10 +93,10 @@ class TestPredictHorizon:
         y0 = rng.normal(size=2)
         du1 = rng.normal(size=(3, 2))
         du2 = rng.normal(size=(3, 2))
-        base = predict_horizon(lpv, y0, np.zeros((3, 2)), 8)
-        p1 = predict_horizon(lpv, y0, du1, 8)
-        p2 = predict_horizon(lpv, y0, du2, 8)
-        p12 = predict_horizon(lpv, y0, du1 + du2, 8)
+        base = predict(lpv, y0, np.zeros((3, 2)), 8)
+        p1 = predict(lpv, y0, du1, 8)
+        p2 = predict(lpv, y0, du2, 8)
+        p12 = predict(lpv, y0, du1 + du2, 8)
         assert np.allclose(p12, p1 + p2 - base, rtol=1e-12)
 
 
@@ -114,7 +121,7 @@ class TestCondensedMap:
             y0 = np.array([rng.uniform(200, 1200), rng.uniform(0.7, 1.2)])
             du = rng.normal(size=(3, 2))
             ref = simulate_horizon(lpv, y0, du, 8)
-            pred = predict_horizon(lpv, y0, du, 8)
+            pred = predict(lpv, y0, du, 8)
             assert np.allclose(pred, ref, rtol=1e-12, atol=0.0)
 
 
@@ -205,7 +212,7 @@ class TestSolveQp:
             y0 = np.array([ducted_thrust_at_crank_speed(x0[1], G), x0[2]])
             refs = np.tile(y0 * rng.uniform(0.9, 1.1, 2), (CFG.n2, 1))
             sol = solve_qp(lpv, Measurement(x0, y0), refs, u_prev, CFG)
-            pred0 = predict_horizon(lpv, y0, np.zeros((CFG.nc, 2)), CFG.n2)
+            pred0 = predict(lpv, y0, np.zeros((CFG.nc, 2)), CFG.n2)
             z0 = cost(CFG, refs, pred0, np.zeros((CFG.nc, 2)))
             assert sol.cost <= z0 + 1e-12
 

@@ -7,15 +7,21 @@ from dflsim.dataset import Dataset, NormStats, compute_stats, normalize
 from dflsim.networks import (ElmanModel, MlpModel, RbfModel,
                              TrainingDivergedError, _kmeans, _mlp_gradients,
                              _phi_matrix, elman_forward, init_elman, init_mlp,
-                             load_blocks, load_rbf, mape, mlp_forward,
-                             rbf_fit_centers, rbf_forward, rbf_phi,
-                             rbf_train_weights, save_blocks, save_rbf,
+                             load_rbf, mape, mlp_forward, rbf_fit_centers,
+                             rbf_forward, rbf_train_weights, save_rbf,
                              train_elman, train_mlp, train_rbf)
+from dflsim.tables import load_blocks, save_blocks
 
 
 def toy_stats():
     return NormStats(in_min=-np.ones(4), in_max=np.ones(4),
                      out_min=-np.ones(3), out_max=np.ones(3))
+
+
+def rbf_phi(p, center, radius):
+    """One Gaussian activation, read off ``_phi_matrix``."""
+    return float(_phi_matrix(np.atleast_2d(p), np.atleast_2d(center),
+                             np.array([radius]))[0, 0])
 
 
 def make_dataset(inputs, targets, n_train=None):
@@ -33,7 +39,7 @@ class TestMlpForward:
         m = MlpModel(iw=np.zeros((26, 4)), lw=np.zeros((3, 26)),
                      b1=np.zeros(26), b2=np.array([0.3, -0.1, 2.0]),
                      stats=toy_stats())
-        assert np.array_equal(mlp_forward(m, np.ones(4)), m.b2)
+        assert np.array_equal(mlp_forward(m, np.ones(4))[0], m.b2)
 
     def test_linear_in_output_layer(self):
         rng = np.random.default_rng(0)
@@ -42,8 +48,8 @@ class TestMlpForward:
                      stats=toy_stats())
         doubled = MlpModel(m.iw, 2.0 * m.lw, m.b1, 2.0 * m.b2, m.stats)
         p = rng.normal(size=4)
-        assert np.allclose(mlp_forward(doubled, p), 2.0 * mlp_forward(m, p),
-                           rtol=1e-12)
+        assert np.allclose(mlp_forward(doubled, p)[0],
+                           2.0 * mlp_forward(m, p)[0], rtol=1e-12)
 
     def test_frozen_fixture_by_hand(self):
         # tiny 2-hidden-unit net evaluated with explicit scalar arithmetic
@@ -58,7 +64,7 @@ class TestMlpForward:
         expected = np.array([1.0 * h1 - 1.0 * h2 + 0.05,
                              0.5 * h1 + 0.25 * h2,
                              2.0 * h2 - 0.5])
-        assert np.allclose(mlp_forward(m, p), expected, rtol=1e-14)
+        assert np.allclose(mlp_forward(m, p)[0], expected, rtol=1e-14)
 
 
 class TestMlpTraining:
@@ -105,8 +111,7 @@ class TestMlpTraining:
         targets = inputs @ w_true.T
         ds = make_dataset(inputs, targets)
         model = init_mlp(ds.stats, hidden=8, seed=3)
-        trained, losses = train_mlp(model, ds, lr_weights=0.5, lr_bias=0.5,
-                                    max_epochs=6000)
+        trained, losses = train_mlp(model, ds, lr=0.5, max_epochs=6000)
         assert losses[-1] <= 1e-4
 
     def test_loss_trend_nonincreasing_by_windows(self):
@@ -127,8 +132,7 @@ class TestMlpTraining:
         ds = make_dataset(inputs, rng.uniform(-1, 1, (20, 3)))
         model = init_mlp(ds.stats, hidden=6, seed=0)
         with pytest.raises(TrainingDivergedError):
-            train_mlp(model, ds, lr_weights=500.0, lr_bias=500.0,
-                      max_epochs=500)
+            train_mlp(model, ds, lr=500.0, max_epochs=500)
 
 
 class TestElman:
