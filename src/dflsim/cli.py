@@ -2,8 +2,9 @@
 
 Subcommands mirror the workflow: generate identification data, train the
 network models, compare them, run the closed-loop scenario, audit the
-derivative network, and post-process a trajectory into metrics.  Exit
-status: 0 success, 2 configuration error, 3 plant stall, 4 solver failure.
+derivative network, and post-process a trajectory into metrics.  ``main``
+alone maps errors to the exit status: 0 success, 2 configuration error,
+3 plant stall, 4 any other RuntimeError (solver failure, diverged training).
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import numpy as np
 
 from .config import ConfigError, load_bundle
 from .dataset import generate_dataset, load_dataset_csv, save_dataset_csv
+from .engine import EngineStallError
 from .lpv import assoc_jacobian
-from .networks import (compare_models, init_elman, init_mlp, load_rbf,
-                       rbf_forward, save_rbf, train_elman, train_mlp,
-                       train_rbf)
+from .networks import (compare_models, init_elman, init_mlp, load_model,
+                       load_rbf, rbf_forward, save_model, train_elman,
+                       train_mlp, train_rbf)
 from .scenario import (ScenarioStallError, compute_metrics,
                        load_trajectory_csv, relative_error, run_scenario,
                        save_lpv_trace, save_trajectory_csv)
-from .tables import save_blocks, write_table
+from .tables import write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,38 +104,39 @@ def _dataset_for(args, bundle):
     return dataset_from_config(bundle)
 
 
+def _train(kind, dataset, tr):
+    """Train one model from the [training] section: (model, summary)."""
+    if kind == "rbf":
+        return rbf_from_config(dataset, tr), f"{tr.rbf_centers} centers"
+    model, losses = (mlp_from_config if kind == "mlp" else elman_from_config)(dataset, tr)
+    return model, f"{len(losses)} epochs, final MSE {losses[-1]:.6f}"
+
+
+def _model_for(args, bundle, kind, dataset=None):
+    """The ``kind`` model in ``--model-file`` or ``<out>/<kind>_model.txt``,
+    trained from the [training] section when that file does not exist."""
+    path = getattr(args, "model_file", None) or args.out / f"{kind}_model.txt"
+    if Path(path).exists():
+        return load_rbf(path) if kind == "rbf" else load_model(path)
+    if dataset is None:
+        dataset = _dataset_for(args, bundle)
+    return _train(kind, dataset, bundle.training)[0]
+
+
 def cmd_train(args) -> int:
     bundle = _load(args, "training.seed")
-    tr = bundle.training
-    dataset = _dataset_for(args, bundle)
-    out_dir = _ensure_out(args)
-    if args.model == "rbf":
-        model = rbf_from_config(dataset, tr)
-        path = out_dir / "rbf_model.txt"
-        save_rbf(model, path)
-        print(f"trained RBF ({tr.rbf_centers} centers) -> {path}")
-    elif args.model == "mlp":
-        model, losses = mlp_from_config(dataset, tr)
-        path = out_dir / "mlp_model.txt"
-        save_blocks(path, {"IW": model.iw, "LW": model.lw,
-                           "B1": model.b1[None, :], "B2": model.b2[None, :]})
-        print(f"trained MLP: {len(losses)} epochs, final MSE {losses[-1]:.6f} -> {path}")
-    else:
-        model, losses = elman_from_config(dataset, tr)
-        path = out_dir / "elman_model.txt"
-        save_blocks(path, {"IW": model.iw, "LW1": model.lw1, "LW2": model.lw2,
-                           "B1": model.b1[None, :], "B2": model.b2[None, :]})
-        print(f"trained Elman: {len(losses)} epochs, final MSE {losses[-1]:.6f} -> {path}")
+    model, summary = _train(args.model, _dataset_for(args, bundle), bundle.training)
+    path = _ensure_out(args) / f"{args.model}_model.txt"
+    save_model(model, path)
+    print(f"trained {args.model}: {summary} -> {path}")
     return EXIT_OK
 
 
 def cmd_compare_models(args) -> int:
     bundle = _load(args, "training.seed")
-    tr = bundle.training
     dataset = _dataset_for(args, bundle)
-    report = compare_models(dataset, mlp_from_config(dataset, tr)[0],
-                            elman_from_config(dataset, tr)[0],
-                            rbf_from_config(dataset, tr))
+    report = compare_models(dataset, *(_model_for(args, bundle, kind, dataset)
+                                       for kind in ("mlp", "elman", "rbf")))
     out_dir = _ensure_out(args)
     names = ("torque", "speed", "afr")
     print(f"{'output':>8} | " + " | ".join(f"{m:>7}" for m in report.mape_table))
@@ -153,34 +156,20 @@ def cmd_compare_models(args) -> int:
     return EXIT_OK
 
 
-def _rbf_for(args, bundle):
-    path = args.model_file if args.model_file else args.out / "rbf_model.txt"
-    if Path(path).exists():
-        return load_rbf(path)
-    return rbf_from_config(_dataset_for(args, bundle), bundle.training)
-
-
 def cmd_simulate(args) -> int:
     bundle = _load(args, "scenario.seed")
     out_dir = _ensure_out(args)
-    rbf = None
-    if args.controller != "open-loop":
-        rbf = _rbf_for(args, bundle)
+    rbf = None if args.controller == "open-loop" else _model_for(args, bundle, "rbf")
     trace = [] if args.dump_lpv else None
+    path = out_dir / f"trajectory_{args.controller}.csv"
     try:
         records, metrics = run_scenario(bundle.plant, bundle.fan, bundle.mpc,
                                         bundle.scenario, controller=args.controller,
                                         rbf=rbf, lpv_trace=trace)
     except ScenarioStallError as exc:
-        path = out_dir / f"trajectory_{args.controller}.csv"
         save_trajectory_csv(exc.records, path)
-        print(f"plant stall: {exc} (partial trajectory in {path})",
-              file=sys.stderr)
-        return EXIT_STALL
-    except RuntimeError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    path = out_dir / f"trajectory_{args.controller}.csv"
+        print(f"partial trajectory in {path}", file=sys.stderr)
+        raise
     save_trajectory_csv(records, path)
     if trace is not None:
         save_lpv_trace(trace, out_dir / f"lpv_trace_{args.controller}.csv")
@@ -199,18 +188,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_check_jacobian(args) -> int:
     bundle = _load(args, "training.seed")
-    rbf = _rbf_for(args, bundle)
+    rbf = _model_for(args, bundle, "rbf")
     rng = np.random.default_rng(bundle.training.seed)
     step = 1e-5
+    dp = step * np.eye(4)       # one central difference per input column
     worst = 0.0
     for _ in range(args.points):
         p = rng.uniform(-1.0, 1.0, 4)
         jac = assoc_jacobian(rbf, p)
-        fd = np.empty_like(jac)
-        for j in range(4):
-            dp = np.zeros(4)
-            dp[j] = step
-            fd[:, j] = (rbf_forward(rbf, p + dp) - rbf_forward(rbf, p - dp)) / (2 * step)
+        fd = (rbf_forward(rbf, p + dp) - rbf_forward(rbf, p - dp)).T / (2 * step)
         denom = max(float(np.max(np.abs(fd))), 1e-12)
         worst = max(worst, float(np.max(np.abs(jac - fd))) / denom)
     print(f"max relative Jacobian error over {args.points} points: {worst:.3e}")
@@ -257,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_train)
 
     sub = subs.add_parser("compare-models",
-                          help="train all three models and report validation MAPE")
+                          help="score the trained models in --out, training any that "
+                          "are missing, and report validation MAPE")
     _common_flags(sub)
     sub.add_argument("--data", type=Path, default=None)
     sub.set_defaults(func=cmd_compare_models)
@@ -296,6 +283,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (EngineStallError, ScenarioStallError) as exc:
+        print(f"plant stall: {exc}", file=sys.stderr)
+        return EXIT_STALL
+    except RuntimeError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

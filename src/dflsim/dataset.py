@@ -10,6 +10,7 @@ statistics only.  The dataset CSV is a ``tables`` table with the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,22 +89,16 @@ def _tps_for_lambda(lam: float, m_fi: float, n: float, params: EngineParams) -> 
     """Static throttle position that would hold a target lambda at speed n.
 
     Inverts the speed-density flow for the needed manifold pressure, then the
-    orifice flow for the throttle.  Used only to shape the excitation signal.
+    throttle area's 1 - cos law in closed form for the throttle.  Used only
+    to shape the excitation signal.
     """
     m_as = lam * params.stoich_afr * m_fi
     p_m = (m_as * params.gas_constant * params.manifold_temp
            / (params.volumetric_eff * params.displacement * max(n, 1.0)))
     p_m = min(p_m, 0.985 * params.ambient_pressure)
-    lo, hi = 0.0, 100.0
-    if air_mass_flow(hi, p_m, n, params) <= m_as:
-        return TPS_RANGE[1]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if air_mass_flow(mid, p_m, n, params) < m_as:
-            lo = mid
-        else:
-            hi = mid
-    return min(max(0.5 * (lo + hi), TPS_RANGE[0]), TPS_RANGE[1])
+    ratio = min(m_as / air_mass_flow(90.0, p_m, n, params), 1.0)  # 1: full open
+    tps = 90.0 * (2.0 / math.pi) * math.acos(1.0 - ratio)
+    return min(max(tps, TPS_RANGE[0]), TPS_RANGE[1])
 
 
 def _settled_initial_state(params: EngineParams, geom: FanGeometry,

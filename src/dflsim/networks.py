@@ -6,13 +6,14 @@ the normalized state triple [Q_eng, n, lambda] one sample ahead.  The MLP and
 Elman nets train by gradient descent on mean squared error; the RBF trains
 its centers by k-means, its radii by a nearest-co-center heuristic, and its
 output weights by a ridge-regularized batch least-squares solve followed by
-optional normalized-LMS refinement passes.  A trained RBF is saved as a
-``tables`` block file; ``save_blocks``/``load_blocks`` are re-exported here.
+optional normalized-LMS refinement passes.  ``save_model``/``load_model``
+write and read every trained model as a ``tables`` block file;
+``save_blocks``/``load_blocks`` are re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -193,9 +194,11 @@ def _phi_matrix(points: np.ndarray, centers: np.ndarray, radii: np.ndarray):
 
 
 def rbf_forward(model: RbfModel, p: np.ndarray) -> np.ndarray:
-    """Normalized input -> normalized output triple."""
-    d2 = ((model.centers - p) ** 2).sum(axis=1)
-    return model.lw @ np.exp(-d2 / model.radii ** 2)
+    """Normalized input (4,) or batch (N, 4) -> normalized outputs (3,) or (N, 3)."""
+    phi = _phi_matrix(np.atleast_2d(p), model.centers, model.radii)
+    # C-ordered weights, so a trained (Fortran-ordered) and a loaded lw agree bitwise
+    out = phi @ np.ascontiguousarray(model.lw.T)
+    return out[0] if np.ndim(p) == 1 else out
 
 
 def _kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100):
@@ -312,18 +315,13 @@ def compare_models(dataset: Dataset, mlp: MlpModel, elman: ElmanModel,
     val_in = normalize(dataset.val_inputs, stats.in_min, stats.in_max)
     val_targets = dataset.targets_clean[dataset.n_train:]
 
-    preds = {}
-    out, _ = mlp_forward(mlp, val_in)
-    preds["mlp"] = denormalize(out, stats.out_min, stats.out_max)
-
     train_in = normalize(dataset.train_inputs, stats.in_min, stats.in_max)
-    _, context = elman_sequence_outputs(elman, train_in)
-    out, _ = elman_sequence_outputs(elman, val_in, context)
-    preds["elman"] = denormalize(out, stats.out_min, stats.out_max)
-
-    out = _phi_matrix(val_in, rbf.centers, rbf.radii) @ rbf.lw.T
-    preds["rbf"] = denormalize(out, stats.out_min, stats.out_max)
-
+    context = elman_sequence_outputs(elman, train_in)[1]
+    outs = {"mlp": mlp_forward(mlp, val_in)[0],
+            "elman": elman_sequence_outputs(elman, val_in, context)[0],
+            "rbf": rbf_forward(rbf, val_in)}
+    preds = {name: denormalize(out, stats.out_min, stats.out_max)
+             for name, out in outs.items()}
     table = {name: mape(pred, val_targets) for name, pred in preds.items()}
     pe = {name: (pred - val_targets) / np.abs(val_targets) * 100.0
           for name, pred in preds.items()}
@@ -331,25 +329,44 @@ def compare_models(dataset: Dataset, mlp: MlpModel, elman: ElmanModel,
 
 
 # ---------------------------------------------------------------------------
-# persistence: named matrix blocks (``tables.save_blocks``)
+# persistence: one block file per model (``tables.save_blocks``)
 # ---------------------------------------------------------------------------
 
-def save_rbf(model: RbfModel, path) -> None:
-    stats = np.vstack([
-        np.concatenate([model.stats.in_min, model.stats.out_min]),
-        np.concatenate([model.stats.in_max, model.stats.out_max]),
-    ])
-    save_blocks(path, {"CENTERS": model.centers,
-                       "RADII": model.radii[None, :],
-                       "LW": model.lw,
-                       "STATS": stats})
+_ARRAYS = {cls: [f.name for f in fields(cls) if f.name != "stats"]
+           for cls in (RbfModel, MlpModel, ElmanModel)}
+_VECTORS = ("radii", "b1", "b2")
+
+
+def save_model(model, path) -> None:
+    """Write a trained model: one block per array field, in declaration order,
+    named by the field upper-cased (1-D fields as one row), then ``STATS``
+    (input and output minima in one row, maxima in the next)."""
+    s = model.stats
+    blocks = {n.upper(): getattr(model, n) for n in _ARRAYS[type(model)]}
+    blocks["STATS"] = [np.r_[s.in_min, s.out_min], np.r_[s.in_max, s.out_max]]
+    save_blocks(path, blocks)
+
+
+def load_model(path):
+    """Read a ``save_model`` file back as the model whose blocks it holds.
+
+    Raises ValueError when the blocks match no model, e.g. ``STATS`` is missing.
+    """
+    blocks = load_blocks(path)
+    for cls, names in _ARRAYS.items():
+        if set(blocks) == {n.upper() for n in names} | {"STATS"}:
+            arrays = {n: blocks[n.upper()] for n in names}
+            arrays.update({n: arrays[n][0] for n in _VECTORS if n in arrays})
+            mins, maxs = blocks["STATS"]
+            n_in = arrays[names[0]].shape[1]      # centers or iw: a column per input
+            return cls(**arrays, stats=NormStats(mins[:n_in], maxs[:n_in],
+                                                 mins[n_in:], maxs[n_in:]))
+    raise ValueError(f"{path}: blocks {sorted(blocks)} match no model file")
 
 
 def load_rbf(path) -> RbfModel:
-    blocks = load_blocks(path)
-    stats_mat = blocks["STATS"]
-    n_in = blocks["CENTERS"].shape[1]
-    stats = NormStats(in_min=stats_mat[0, :n_in], in_max=stats_mat[1, :n_in],
-                      out_min=stats_mat[0, n_in:], out_max=stats_mat[1, n_in:])
-    return RbfModel(centers=blocks["CENTERS"], radii=blocks["RADII"][0],
-                    lw=blocks["LW"], stats=stats)
+    """``load_model`` for the controller's RBF; ValueError for any other model."""
+    model = load_model(path)
+    if not isinstance(model, RbfModel):
+        raise ValueError(f"{path}: holds a {type(model).__name__}, not an RBF")
+    return model

@@ -58,16 +58,9 @@ def load_blocks(path) -> dict:
     """Read a block file back into ``{name: 2-D float array}``."""
     blocks = {}
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    i = 0
-    while i < len(lines):
-        if not lines[i].startswith("# "):
-            i += 1
-            continue
-        name, rows, cols = lines[i][2:].rsplit(" ", 2)
-        rows, cols = int(rows), int(cols)
-        mat = np.array([[float(v) for v in lines[i + 1 + r].split()]
-                        for r in range(rows)])
-        blocks[name] = mat.reshape(rows, cols)
-        i += 1 + rows
+        for line in fh:
+            if line.startswith("# "):
+                name, rows, cols = line[2:].rsplit(" ", 2)
+                mat = [[float(v) for v in next(fh).split()] for _ in range(int(rows))]
+                blocks[name] = np.array(mat).reshape(int(rows), int(cols))
     return blocks

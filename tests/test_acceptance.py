@@ -231,9 +231,9 @@ def test_criterion_8_solver_audit():
 
 
 def test_criterion_9_determinism(tmp_path, bundle, dataset, rbf):
-    from dflsim.networks import save_rbf
+    from dflsim.networks import save_model
     model_path = tmp_path / "rbf_model.txt"
-    save_rbf(rbf, model_path)
+    save_model(rbf, model_path)
     outputs = []
     for name in ("run_a", "run_b"):
         out = tmp_path / name

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from dflsim.dataset import (CSV_HEADER, compute_stats, denormalize,
-                            generate_dataset, load_dataset_csv, normalize,
-                            save_dataset_csv)
-from dflsim.engine import EngineParams
+from dflsim.dataset import (CSV_HEADER, MF_RANGE, TPS_RANGE, _tps_for_lambda,
+                            compute_stats, denormalize, generate_dataset,
+                            load_dataset_csv, normalize, save_dataset_csv)
+from dflsim.engine import EngineParams, air_mass_flow
 from dflsim.fan import FanGeometry
 
 P = EngineParams()
@@ -121,3 +121,38 @@ def test_compute_stats_uses_train_rows_only():
     stats = compute_stats(inputs, targets, n_train=3)
     assert stats.in_max.max() == 2.0
     assert stats.out_min.min() == 1.0
+
+
+def tps_for_lambda_bisection(lam, m_fi, n, params):
+    """Oracle: 60 bisection steps on the throttle's air mass flow."""
+    m_as = lam * params.stoich_afr * m_fi
+    p_m = (m_as * params.gas_constant * params.manifold_temp
+           / (params.volumetric_eff * params.displacement * max(n, 1.0)))
+    p_m = min(p_m, 0.985 * params.ambient_pressure)
+    lo, hi = 0.0, 100.0
+    if air_mass_flow(hi, p_m, n, params) <= m_as:
+        return TPS_RANGE[1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if air_mass_flow(mid, p_m, n, params) < m_as:
+            lo = mid
+        else:
+            hi = mid
+    return min(max(0.5 * (lo + hi), TPS_RANGE[0]), TPS_RANGE[1])
+
+
+def test_throttle_inverse_matches_bisection():
+    clamped = {TPS_RANGE[0]: 0, TPS_RANGE[1]: 0}
+    interior = 0
+    for lam in np.linspace(0.7, 1.3, 7):
+        for m_fi in (1e-5, *np.linspace(*MF_RANGE, 9)):   # 1e-5: idle-clamp
+            for n in (0.5, 5.0, 20.0, 45.0, 80.0, 120.0, 160.0, 220.0):
+                tps = _tps_for_lambda(lam, m_fi, n, P)
+                oracle = tps_for_lambda_bisection(lam, m_fi, n, P)
+                assert tps == pytest.approx(oracle, rel=1e-12, abs=0.0)
+                if tps in clamped:
+                    clamped[tps] += 1
+                else:
+                    interior += 1
+    # the grid reaches both clamps and the closed form between them
+    assert interior > 0 and min(clamped.values()) > 0

@@ -1,15 +1,18 @@
 """Network models: forward maps, gradients, training, persistence."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from dflsim.dataset import Dataset, NormStats, compute_stats, normalize
 from dflsim.networks import (ElmanModel, MlpModel, RbfModel,
                              TrainingDivergedError, _kmeans, _mlp_gradients,
-                             _phi_matrix, elman_forward, init_elman, init_mlp,
-                             load_rbf, mape, mlp_forward, rbf_fit_centers,
-                             rbf_forward, rbf_train_weights, save_rbf,
-                             train_elman, train_mlp, train_rbf)
+                             _phi_matrix, elman_forward, elman_sequence_outputs,
+                             init_elman, init_mlp, load_model, load_rbf, mape,
+                             mlp_forward, rbf_fit_centers, rbf_forward,
+                             rbf_train_weights, save_model, train_elman,
+                             train_mlp, train_rbf)
 from dflsim.tables import load_blocks, save_blocks
 
 
@@ -282,6 +285,19 @@ class TestRbf:
                            a * rbf_forward(m1, p) + b * rbf_forward(m2, p),
                            rtol=1e-12)
 
+    def test_forward_batch_matches_rows(self):
+        rng = np.random.default_rng(4)
+        m = RbfModel(rng.uniform(-1, 1, (6, 4)), rng.uniform(0.3, 1.5, 6),
+                     rng.normal(size=(3, 6)), toy_stats())
+        batch = rng.uniform(-1, 1, (5, 4))
+        out = rbf_forward(m, batch)
+        assert out.shape == (5, 3)
+        assert rbf_forward(m, batch[0]).shape == (3,)
+        for row, expected in zip(batch, out):
+            phi = np.array([rbf_phi(row, c, s) for c, s in zip(m.centers, m.radii)])
+            assert np.allclose(rbf_forward(m, row), m.lw @ phi, rtol=1e-13)
+            assert np.allclose(expected, m.lw @ phi, rtol=1e-13)
+
 
 class TestRbfFitting:
     def test_kmeans_assignment_matches_brute_force(self):
@@ -390,10 +406,72 @@ class TestPersistence:
         ds = make_dataset(inputs, targets)
         model = train_rbf(ds, k=7, seed=2)
         path = tmp_path / "rbf.txt"
-        save_rbf(model, path)
+        save_model(model, path)
         back = load_rbf(path)
         assert np.array_equal(back.centers, model.centers)
         assert np.array_equal(back.radii, model.radii)
         assert np.array_equal(back.lw, model.lw)
         assert np.array_equal(back.stats.in_min, model.stats.in_min)
         assert np.array_equal(back.stats.out_max, model.stats.out_max)
+
+
+def trained_models():
+    """One small trained model of each kind on the same random data."""
+    rng = np.random.default_rng(43)
+    ds = make_dataset(rng.uniform(-2, 3, (60, 4)), rng.normal(size=(60, 3)),
+                      n_train=50)
+    mlp, _ = train_mlp(init_mlp(ds.stats, hidden=5, seed=1), ds, max_epochs=3)
+    elman, _ = train_elman(init_elman(ds.stats, hidden=4, seed=1), ds,
+                           max_epochs=2)
+    return ds, {"rbf": train_rbf(ds, k=6, seed=2), "mlp": mlp, "elman": elman}
+
+
+def forward(model, p):
+    if isinstance(model, RbfModel):
+        return rbf_forward(model, p)
+    if isinstance(model, MlpModel):
+        return mlp_forward(model, p)[0]
+    return elman_sequence_outputs(model, p)[0]
+
+
+class TestModelFiles:
+    @pytest.mark.parametrize("kind", ["rbf", "mlp", "elman"])
+    def test_round_trip_bit_exact(self, kind, tmp_path):
+        ds, models = trained_models()
+        model = models[kind]
+        path = tmp_path / f"{kind}_model.txt"
+        save_model(model, path)
+        back = load_model(path)
+        assert type(back) is type(model)
+        for f in fields(model):
+            if f.name == "stats":
+                for name in ("in_min", "in_max", "out_min", "out_max"):
+                    assert np.array_equal(getattr(back.stats, name),
+                                          getattr(model.stats, name))
+            else:
+                value = getattr(model, f.name)
+                assert getattr(back, f.name).shape == value.shape
+                assert np.array_equal(getattr(back, f.name), value)
+        p = normalize(ds.inputs, ds.stats.in_min, ds.stats.in_max)
+        assert np.array_equal(forward(back, p), forward(model, p))
+
+    def test_blocks_in_declaration_order_with_stats_last(self, tmp_path):
+        _, models = trained_models()
+        path = tmp_path / "elman_model.txt"
+        save_model(models["elman"], path)
+        assert list(load_blocks(path)) == ["IW", "LW1", "LW2", "B1", "B2", "STATS"]
+
+    def test_file_without_stats_rejected(self, tmp_path):
+        _, models = trained_models()
+        m = models["mlp"]
+        path = tmp_path / "mlp_model.txt"
+        save_blocks(path, {"IW": m.iw, "LW": m.lw, "B1": m.b1, "B2": m.b2})
+        with pytest.raises(ValueError, match="mlp_model.txt"):
+            load_model(path)
+
+    def test_load_rbf_rejects_mlp_file(self, tmp_path):
+        _, models = trained_models()
+        path = tmp_path / "mlp_model.txt"
+        save_model(models["mlp"], path)
+        with pytest.raises(ValueError, match="mlp_model.txt"):
+            load_rbf(path)

@@ -295,6 +295,46 @@ class TestCli:
         assert [ln.split(",")[0] for ln in lines[1:]] == \
             [str(i) for i in range(15)]
 
+    def test_compare_models_scores_the_trained_models(self, tmp_path,
+                                                      monkeypatch):
+        ini = tmp_path / "tiny.ini"
+        ini.write_text("[training]\nsample_count = 300\nn_train = 285\n"
+                       "seed = 11\nmlp_epochs = 5\nelman_epochs = 2\n")
+        trained, fresh = tmp_path / "trained", tmp_path / "fresh"
+        for out in (trained, fresh):
+            assert cli_main(["gen-data", "--config", str(ini),
+                             "--out", str(out)]) == 0
+        # with only dataset.csv present, compare-models trains all three
+        assert cli_main(["compare-models", "--config", str(ini),
+                         "--out", str(fresh)]) == 0
+        for kind in ("rbf", "mlp", "elman"):
+            assert cli_main(["train", "--model", kind, "--config", str(ini),
+                             "--out", str(trained)]) == 0
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("compare-models retrained a saved model")
+
+        for name in ("train_rbf", "train_mlp", "train_elman"):
+            monkeypatch.setattr(f"dflsim.cli.{name}", no_training)
+        assert cli_main(["compare-models", "--config", str(ini),
+                         "--out", str(trained)]) == 0
+        for name in ("mape_report.json", "prediction_errors.csv"):
+            assert (trained / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_gen_data_stall_exit_code(self, tmp_path):
+        ini = tmp_path / "stall.ini"
+        ini.write_text("[plant]\nstall_speed = 1000.0\n"
+                       "[training]\nsample_count = 50\n")
+        assert cli_main(["gen-data", "--config", str(ini),
+                         "--out", str(tmp_path / "o")]) == 3
+
+    def test_diverged_training_exit_code(self, tmp_path):
+        ini = tmp_path / "diverge.ini"
+        ini.write_text("[training]\nsample_count = 300\nn_train = 285\n"
+                       "seed = 11\nmlp_lr = 1.0e6\nmlp_epochs = 20\n")
+        assert cli_main(["train", "--model", "mlp", "--config", str(ini),
+                         "--out", str(tmp_path / "o")]) == 4
+
     def test_stall_exit_code(self, tmp_path):
         ini = tmp_path / "stall.ini"
         ini.write_text("[scenario]\nsteps = 10\ninit_tps = 5.0\n"
