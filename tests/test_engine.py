@@ -1,6 +1,7 @@
 """Engine plant: sub-model contracts, delay timing, integrator quality."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,108 @@ def engine_torque(state, delayed_fuel_rate, params):
     p_comb = delayed_combustion_power(delayed_fuel_rate, m_as, state.n, params)
     return engine_torque_from_power(p_comb, friction_power(state.n, params),
                                     TWO_PI * state.n)
+
+
+def reference_derivatives(omega, p_man, tps, m_f_delayed, load_power, params,
+                          hits):
+    """Right-hand side for [omega, p_manifold], one sub-model call at a time.
+
+    The unfused form of the plant's RK4 right-hand side: every constant is
+    recomputed from ``params`` on each call.  ``hits`` collects the branch
+    labels taken, so a test can check which regimes its cases reached.
+    """
+    n = omega / TWO_PI
+    # throttle: 1 - cos area law into a compressible orifice
+    frac = min(max(tps, 0.0), 100.0) / 90.0
+    area = params.throttle_area_max * (1.0 - math.cos(0.5 * math.pi * min(frac, 1.0)))
+    if p_man <= 0.0:
+        raise ValueError("manifold pressure must be positive")
+    gamma = params.gamma
+    pr = p_man / params.ambient_pressure
+    pr_crit = (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0))
+    if pr >= 1.0:
+        hits.add("orifice closed")
+        psi = 0.0
+    elif pr <= pr_crit:
+        hits.add("orifice choked")
+        psi = math.sqrt(gamma * (2.0 / (gamma + 1.0)) ** ((gamma + 1.0) / (gamma - 1.0)))
+    else:
+        hits.add("orifice unchoked")
+        a = pr ** (2.0 / gamma)
+        b = pr ** ((gamma + 1.0) / gamma)
+        psi = math.sqrt(2.0 * gamma / (gamma - 1.0) * (a - b))
+    density_term = params.ambient_pressure / math.sqrt(
+        params.gas_constant * params.ambient_temp)
+    m_at = area * density_term * psi
+    # speed-density induction
+    rho_man = p_man / (params.gas_constant * params.manifold_temp)
+    m_as = params.volumetric_eff * params.displacement * max(n, 0.0) * rho_man
+    # combustion of the delayed charge at its own mixture
+    if m_f_delayed <= 0.0:
+        hits.add("zero delayed fuel")
+        p_comb = 0.0
+    else:
+        lam = m_as / (m_f_delayed * params.stoich_afr)
+        lam_factor = 1.0 - params.eta_lambda_curv * (lam - params.eta_lambda_opt) ** 2
+        speed_factor = 1.0 + params.eta_speed_gain * (n / params.eta_speed_ref - 1.0)
+        if speed_factor < params.eta_speed_floor:
+            hits.add("speed factor floor")
+        speed_factor = max(speed_factor, params.eta_speed_floor)
+        eta = params.eta_peak * lam_factor * speed_factor
+        if eta < 0.0:
+            hits.add("efficiency floor")
+        eta = max(eta, 0.0)
+        p_comb = (params.lower_heating_value * eta * (1.0 - params.fuel_loss_coeff)
+                  * max(m_f_delayed, 0.0))
+    n_fric = max(n, 0.0)
+    p_fric = params.friction_lin * n_fric + params.friction_quad * n_fric * n_fric
+    domega = (p_comb - p_fric - load_power) / (params.inertia * omega)
+    dp_man = (params.gas_constant * params.manifold_temp / params.manifold_volume
+              * (m_at - m_as))
+    return domega, dp_man
+
+
+def reference_step(state, u, load_power, params, dt, hits):
+    """One control interval: RK4 on ``reference_derivatives`` with numpy
+    scalars through a numpy delay line, then the output map.
+
+    Returns (q_eng, n, lam, manifold_pressure, buffer list, buffer index).
+    """
+    n_sub = int(round(dt / params.dt_int))
+    omega = TWO_PI * state.n
+    p_man = state.manifold_pressure
+    buf = np.array(state.fuel_buffer, dtype=float)
+    idx = state.buffer_index
+    h = params.dt_int
+    omega_floor = TWO_PI * params.stall_speed
+
+    def rhs(omega, p_man, m_f_delayed):
+        return reference_derivatives(omega, p_man, u.tps, m_f_delayed,
+                                     load_power, params, hits)
+
+    m_f_delayed = buf[idx]
+    for _ in range(n_sub):
+        m_f_delayed = buf[idx]
+        buf[idx] = u.m_fi
+        idx = (idx + 1) % buf.shape[0]
+        k1 = rhs(omega, p_man, m_f_delayed)
+        k2 = rhs(omega + 0.5 * h * k1[0], p_man + 0.5 * h * k1[1], m_f_delayed)
+        k3 = rhs(omega + 0.5 * h * k2[0], p_man + 0.5 * h * k2[1], m_f_delayed)
+        k4 = rhs(omega + h * k3[0], p_man + h * k3[1], m_f_delayed)
+        omega += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        p_man += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        p_man = min(max(p_man, 1.0), params.ambient_pressure)
+        if omega < omega_floor:
+            hits.add("stall")
+            raise EngineStallError(
+                f"engine stalled at {omega / TWO_PI:.2f} rev/s (load infeasible)")
+
+    n = omega / TWO_PI
+    m_as = cylinder_air_flow(p_man, n, params)
+    lam = normalized_afr(m_as, u.m_fi, params.stoich_afr)
+    p_comb = delayed_combustion_power(m_f_delayed, m_as, n, params)
+    q_eng = engine_torque_from_power(p_comb, friction_power(n, params), omega)
+    return q_eng, n, lam, p_man, [float(v) for v in buf], idx
 
 
 def settle(params, u, load, steps=400, n0=60.0, pm0=7.0e4):
@@ -177,6 +280,51 @@ class TestStepEngine:
         with pytest.raises(EngineStallError):
             for _ in range(100):
                 state = step_engine(state, u, 5.0e4, P, 0.1)
+
+
+class TestStepEngineOracle:
+    # the speed-factor floor of the efficiency map lies below zero speed at
+    # the stock speed gain, so a steeper map reaches it
+    PARAMS = (P, EngineParams(eta_speed_gain=1.6))
+
+    def random_case(self, rng):
+        params = self.PARAMS[int(rng.integers(len(self.PARAMS)))]
+        n = float(rng.uniform(8.0, 160.0))
+        p_man = (params.ambient_pressure if rng.uniform() < 0.1
+                 else float(rng.uniform(2.0e4, params.ambient_pressure)))
+        state = make_initial_state(params, n=n, manifold_pressure=p_man,
+                                   m_fi=float(rng.uniform(5e-4, 6e-3)))
+        # a delay line of mixed past commands, some slots without fuel
+        fuel = rng.uniform(5e-4, 6e-3, len(state.fuel_buffer))
+        fuel[rng.uniform(size=fuel.size) < 0.1] = 0.0
+        state = replace(state, fuel_buffer=np.array(fuel),
+                        buffer_index=int(rng.integers(fuel.size)))
+        u = ControlInput(tps=float(rng.uniform(0.0, 100.0)),
+                         m_fi=float(rng.uniform(5e-4, 6e-3)))
+        return state, u, float(rng.uniform(0.0, 4.0e4)), params
+
+    def test_bit_identical_to_reference_step(self):
+        rng = np.random.default_rng(20240611)
+        hits = set()
+        stalls = 0
+        for _ in range(240):
+            state, u, load, params = self.random_case(rng)
+            try:
+                expected = reference_step(state, u, load, params, 0.1, hits)
+            except EngineStallError as exc:
+                stalls += 1
+                with pytest.raises(EngineStallError) as info:
+                    step_engine(state, u, load, params, 0.1)
+                assert str(info.value) == str(exc)
+                continue
+            out = step_engine(state, u, load, params, 0.1)
+            assert (out.q_eng, out.n, out.lam, out.manifold_pressure,
+                    [float(v) for v in out.fuel_buffer],
+                    out.buffer_index) == expected
+        assert hits == {"orifice closed", "orifice choked", "orifice unchoked",
+                        "zero delayed fuel", "speed factor floor",
+                        "efficiency floor", "stall"}
+        assert 0 < stalls < 120
 
 
 class TestEngineInvariants:
