@@ -7,6 +7,13 @@ induction, and a pure transport delay between fuel injection and torque
 production.  States are advanced with fixed-step RK4 at ``dt_int`` inside
 each control interval.
 
+One interval is 4 * dt/dt_int right-hand-side evaluations (400 at the stock
+0.1 s / 1 ms), so ``step_engine`` runs it on Python floats: the fuel delay
+line holds floats, inputs are converted once, and every constant that is
+fixed while the throttle is held (orifice constants, throttle area, speed-
+density factor, manifold gain, efficiency and friction coefficients) is
+computed once per interval by the sub-model factories below.
+
 All internal math is SI (rad/s, Pa, W, N*m); crankshaft speed crosses the
 module boundary in rev/s because that is the unit the rest of the pipeline
 works in.
@@ -94,7 +101,7 @@ class EngineState:
     n: float                     # rev/s
     lam: float                   # normalized AFR, dimensionless
     manifold_pressure: float     # Pa
-    fuel_buffer: np.ndarray = field(repr=False)      # kg/s ring, oldest-first semantics via index
+    fuel_buffer: tuple = field(repr=False)   # kg/s ring of past commands, read at buffer_index
     buffer_index: int = 0
 
     def as_vector(self) -> np.ndarray:
@@ -105,69 +112,135 @@ class EngineState:
 def make_initial_state(params: EngineParams, n: float, manifold_pressure: float,
                        m_fi: float) -> EngineState:
     """Build a state with the delay line pre-filled at a constant fuel rate."""
+    n, manifold_pressure, m_fi = float(n), float(manifold_pressure), float(m_fi)
     buf_len = max(1, math.ceil(params.injection_delay / params.dt_int))
-    buf = np.full(buf_len, m_fi)
-    lam = normalized_afr(cylinder_air_flow(manifold_pressure, n, params), m_fi,
-                         params.stoich_afr)
-    omega = TWO_PI * n
-    q = engine_torque_from_power(combustion_power(m_fi, lam, n, params),
-                                 friction_power(n, params), omega)
+    q, lam = _outputs(n, TWO_PI * n, manifold_pressure, m_fi, m_fi, params)
     return EngineState(q_eng=q, n=n, lam=lam, manifold_pressure=manifold_pressure,
-                       fuel_buffer=buf, buffer_index=0)
+                       fuel_buffer=(m_fi,) * buf_len, buffer_index=0)
 
 
 # ---------------------------------------------------------------------------
 # sub-models
+#
+# Each formula is written once, in a factory that computes its constants from
+# the parameters and returns a plain-float function closing over them.  The
+# public functions evaluate a factory once; ``step_engine`` builds each
+# factory once per control interval and calls the result 400 times.  The
+# clamps are comparisons written to return what max()/min() would (NaN
+# included) because a builtin call costs more than the arithmetic here.
 # ---------------------------------------------------------------------------
 
-def throttle_area(tps: float, params: EngineParams) -> float:
-    """Effective orifice area (Cd*A, m^2) for a throttle position in percent.
+def _throttle_flow(tps: float, params: EngineParams):
+    """m_at(p_manifold): air mass flow (kg/s) past the throttle held at ``tps``.
 
-    Smooth 1 - cos shape: zero area at 0 %, full area at 90 %.
+    Compressible orifice from ambient into the manifold, choked below the
+    critical pressure ratio, with a smooth 1 - cos effective area (Cd*A):
+    zero at 0 %, full at 90 %.
     """
-    frac = min(max(tps, 0.0), 100.0) / 90.0
-    return params.throttle_area_max * (1.0 - math.cos(0.5 * math.pi * min(frac, 1.0)))
-
-
-def _flow_function(pressure_ratio: float, gamma: float) -> float:
-    """Compressible-orifice flow function Psi(p_down/p_up), choked below critical."""
+    gamma = params.gamma
+    p_amb = params.ambient_pressure
     pr_crit = (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0))
-    if pressure_ratio >= 1.0:
-        return 0.0
-    if pressure_ratio <= pr_crit:
-        return math.sqrt(gamma * (2.0 / (gamma + 1.0)) ** ((gamma + 1.0) / (gamma - 1.0)))
-    a = pressure_ratio ** (2.0 / gamma)
-    b = pressure_ratio ** ((gamma + 1.0) / gamma)
-    return math.sqrt(2.0 * gamma / (gamma - 1.0) * (a - b))
+    psi_choked = math.sqrt(gamma * (2.0 / (gamma + 1.0)) ** ((gamma + 1.0) / (gamma - 1.0)))
+    exp_a = 2.0 / gamma
+    exp_b = (gamma + 1.0) / gamma
+    psi_gain = 2.0 * gamma / (gamma - 1.0)
+    frac = min(max(tps, 0.0), 100.0) / 90.0
+    area = params.throttle_area_max * (1.0 - math.cos(0.5 * math.pi * min(frac, 1.0)))
+    area_density = area * (p_amb / math.sqrt(params.gas_constant * params.ambient_temp))
+
+    def m_at(p_man):
+        if p_man <= 0.0:
+            raise ValueError("manifold pressure must be positive")
+        pr = p_man / p_amb
+        if pr >= 1.0:
+            psi = 0.0
+        elif pr <= pr_crit:
+            psi = psi_choked
+        else:
+            psi = math.sqrt(psi_gain * (pr ** exp_a - pr ** exp_b))
+        return area_density * psi
+    return m_at
+
+
+def _cylinder_flow(params: EngineParams):
+    """m_as(p_manifold, n): speed-density induction flow (kg/s) into the cylinder."""
+    swept = params.volumetric_eff * params.displacement
+    rt_man = params.gas_constant * params.manifold_temp
+
+    def m_as(p_man, n):
+        return swept * (0.0 if n < 0.0 else n) * (p_man / rt_man)
+    return m_as
+
+
+def _friction(params: EngineParams):
+    """p_f(n): friction loss (W), quadratic in crankshaft speed (rev/s)."""
+    lin, quad = params.friction_lin, params.friction_quad
+
+    def p_f(n):
+        if n < 0.0:
+            n = 0.0
+        return lin * n + quad * n * n
+    return p_f
+
+
+def _efficiency(params: EngineParams):
+    """eta(lam, n): indicated thermal efficiency, concave in lambda with a
+    mild speed trend, clamped at zero."""
+    peak, lam_opt, curv = params.eta_peak, params.eta_lambda_opt, params.eta_lambda_curv
+    gain, n_ref, floor = params.eta_speed_gain, params.eta_speed_ref, params.eta_speed_floor
+
+    def eta(lam, n):
+        lam_factor = 1.0 - curv * (lam - lam_opt) ** 2
+        speed_factor = 1.0 + gain * (n / n_ref - 1.0)
+        if speed_factor < floor:
+            speed_factor = floor
+        eta = peak * lam_factor * speed_factor
+        return 0.0 if eta < 0.0 else eta
+    return eta
+
+
+def _combustion(params: EngineParams):
+    """p_comb(m_f, lam, n): indicated power Hu * eta_i * (1 - kf) * m_f, W."""
+    eta = _efficiency(params)
+    hu, kept = params.lower_heating_value, 1.0 - params.fuel_loss_coeff
+
+    def p_comb(m_f, lam, n):
+        return hu * eta(lam, n) * kept * (0.0 if m_f < 0.0 else m_f)
+    return p_comb
+
+
+def _delayed_combustion(params: EngineParams):
+    """p(m_f_delayed, m_as, n): combustion power of the delayed charge, with
+    the efficiency at its own mixture; zero without fuel."""
+    p_comb = _combustion(params)
+    stoich = params.stoich_afr
+
+    def p_delayed(m_f, m_as, n):
+        if m_f <= 0.0:
+            return 0.0
+        return p_comb(m_f, normalized_afr(m_as, m_f, stoich), n)
+    return p_delayed
 
 
 def air_mass_flow(tps: float, manifold_pressure: float, n: float,
                   params: EngineParams) -> float:
     """Air mass flow (kg/s) past the throttle into the intake path.
 
-    Compressible orifice from ambient into the manifold; monotone
-    nondecreasing in throttle position at fixed conditions.  ``n`` is
-    accepted for interface symmetry (the orifice itself is speed-free;
+    Monotone nondecreasing in throttle position at fixed conditions.  ``n``
+    is accepted for interface symmetry (the orifice itself is speed-free;
     speed enters through the manifold pressure it helps set).
     """
-    if manifold_pressure <= 0.0:
-        raise ValueError("manifold pressure must be positive")
-    psi = _flow_function(manifold_pressure / params.ambient_pressure, params.gamma)
-    density_term = params.ambient_pressure / math.sqrt(
-        params.gas_constant * params.ambient_temp)
-    return throttle_area(tps, params) * density_term * psi
+    return _throttle_flow(tps, params)(manifold_pressure)
 
 
 def cylinder_air_flow(manifold_pressure: float, n: float, params: EngineParams) -> float:
     """Speed-density induction flow (kg/s) out of the manifold into the cylinder."""
-    rho_man = manifold_pressure / (params.gas_constant * params.manifold_temp)
-    return params.volumetric_eff * params.displacement * max(n, 0.0) * rho_man
+    return _cylinder_flow(params)(manifold_pressure, n)
 
 
 def friction_power(n: float, params: EngineParams) -> float:
     """Friction loss P_f (W), quadratic in crankshaft speed (rev/s)."""
-    n = max(n, 0.0)
-    return params.friction_lin * n + params.friction_quad * n * n
+    return _friction(params)(n)
 
 
 def normalized_afr(m_as: float, m_f: float, stoich_afr: float) -> float:
@@ -179,51 +252,28 @@ def normalized_afr(m_as: float, m_f: float, stoich_afr: float) -> float:
 
 def thermal_efficiency(lam: float, n: float, params: EngineParams) -> float:
     """Indicated thermal efficiency: concave in lambda, mild speed trend."""
-    lam_factor = 1.0 - params.eta_lambda_curv * (lam - params.eta_lambda_opt) ** 2
-    speed_factor = 1.0 + params.eta_speed_gain * (n / params.eta_speed_ref - 1.0)
-    speed_factor = max(speed_factor, params.eta_speed_floor)
-    return max(params.eta_peak * lam_factor * speed_factor, 0.0)
+    return _efficiency(params)(lam, n)
 
 
-def combustion_power(delayed_fuel_rate: float, lam: float, n: float,
+def combustion_power(fuel_rate: float, lam: float, n: float,
                      params: EngineParams) -> float:
-    """Indicated power Hu * eta_i * (1 - kf) * m_f(t - tau_d), W."""
-    eta = thermal_efficiency(lam, n, params)
-    return (params.lower_heating_value * eta * (1.0 - params.fuel_loss_coeff)
-            * max(delayed_fuel_rate, 0.0))
+    """Indicated power Hu * eta_i * (1 - kf) * m_f, W."""
+    return _combustion(params)(fuel_rate, lam, n)
 
 
-def engine_torque_from_power(p_comb: float, p_fric: float, omega: float) -> float:
-    """Brake torque (N*m) at angular speed omega (rad/s)."""
-    return (p_comb - p_fric) / omega
-
-
-def delayed_combustion_power(m_f_delayed: float, m_as: float, n: float,
-                             params: EngineParams) -> float:
-    """Combustion power of the delayed charge: efficiency at its own mixture."""
-    if m_f_delayed <= 0.0:
-        return 0.0
-    lam_burn = normalized_afr(m_as, m_f_delayed, params.stoich_afr)
-    return combustion_power(m_f_delayed, lam_burn, n, params)
+def _outputs(n: float, omega: float, p_man: float, m_fi: float,
+             m_f_delayed: float, params: EngineParams):
+    """(brake torque N*m, lambda of the command m_fi) at a state whose
+    cylinder burns the delayed fuel rate."""
+    m_as = cylinder_air_flow(p_man, n, params)
+    lam = normalized_afr(m_as, m_fi, params.stoich_afr)
+    p_comb = _delayed_combustion(params)(m_f_delayed, m_as, n)
+    return (p_comb - friction_power(n, params)) / omega, lam
 
 
 # ---------------------------------------------------------------------------
 # time stepping
 # ---------------------------------------------------------------------------
-
-def _derivatives(omega: float, p_man: float, tps: float, m_f_delayed: float,
-                 load_power: float, params: EngineParams):
-    """Right-hand side for [omega, p_manifold]."""
-    n = omega / TWO_PI
-    m_at = air_mass_flow(tps, p_man, n, params)
-    m_as = cylinder_air_flow(p_man, n, params)
-    p_comb = delayed_combustion_power(m_f_delayed, m_as, n, params)
-    p_fric = friction_power(n, params)
-    domega = (p_comb - p_fric - load_power) / (params.inertia * omega)
-    dp_man = (params.gas_constant * params.manifold_temp / params.manifold_volume
-              * (m_at - m_as))
-    return domega, dp_man
-
 
 def step_engine(state: EngineState, u: ControlInput, load_power: float,
                 params: EngineParams, dt: float) -> EngineState:
@@ -233,45 +283,64 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
     advanced one slot per substep, so the commanded rate reaches the torque
     term exactly ceil(tau_d/dt_int) substeps later.  Raises EngineStallError
     (infeasible load / fuel starvation) if speed falls through the floor.
+
+    Inputs are converted to Python floats once, so the whole interval runs
+    in float arithmetic and the returned state holds floats.
     """
     n_sub = int(round(dt / params.dt_int))
     if n_sub < 1 or abs(n_sub * params.dt_int - dt) > 1e-9 * dt:
         raise ValueError("dt_int must divide the control interval")
 
-    omega = TWO_PI * state.n
-    p_man = state.manifold_pressure
-    buf = state.fuel_buffer.copy()
+    m_fi = float(u.m_fi)
+    load_power = float(load_power)
+    m_at = _throttle_flow(float(u.tps), params)
+    m_as = _cylinder_flow(params)
+    p_delayed = _delayed_combustion(params)
+    p_fric = _friction(params)
+    inertia = params.inertia
+    manifold_gain = params.gas_constant * params.manifold_temp / params.manifold_volume
+
+    def rhs(omega, p_man, m_f_delayed):
+        """Right-hand side for [omega, p_manifold]."""
+        n = omega / TWO_PI
+        m_throttle = m_at(p_man)
+        m_cyl = m_as(p_man, n)
+        domega = (p_delayed(m_f_delayed, m_cyl, n) - p_fric(n) - load_power) / (inertia * omega)
+        return domega, manifold_gain * (m_throttle - m_cyl)
+
+    omega = TWO_PI * float(state.n)
+    p_man = float(state.manifold_pressure)
+    buf = list(state.fuel_buffer)
     idx = state.buffer_index
-    buf_len = buf.shape[0]
+    buf_len = len(buf)
     h = params.dt_int
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
+    p_amb = params.ambient_pressure
     omega_floor = TWO_PI * params.stall_speed
 
-    m_f_delayed = buf[idx]
     for _ in range(n_sub):
         # consume the delayed slot, then overwrite it with the current command
         m_f_delayed = buf[idx]
-        buf[idx] = u.m_fi
+        buf[idx] = m_fi
         idx = (idx + 1) % buf_len
 
-        k1 = _derivatives(omega, p_man, u.tps, m_f_delayed, load_power, params)
-        k2 = _derivatives(omega + 0.5 * h * k1[0], p_man + 0.5 * h * k1[1],
-                          u.tps, m_f_delayed, load_power, params)
-        k3 = _derivatives(omega + 0.5 * h * k2[0], p_man + 0.5 * h * k2[1],
-                          u.tps, m_f_delayed, load_power, params)
-        k4 = _derivatives(omega + h * k3[0], p_man + h * k3[1],
-                          u.tps, m_f_delayed, load_power, params)
-        omega += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        p_man += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        p_man = min(max(p_man, 1.0), params.ambient_pressure)
+        w1, p1 = rhs(omega, p_man, m_f_delayed)
+        w2, p2 = rhs(omega + half_h * w1, p_man + half_h * p1, m_f_delayed)
+        w3, p3 = rhs(omega + half_h * w2, p_man + half_h * p2, m_f_delayed)
+        w4, p4 = rhs(omega + h * w3, p_man + h * p3, m_f_delayed)
+        omega += sixth_h * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+        p_man += sixth_h * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+        if p_man < 1.0:
+            p_man = 1.0
+        if p_amb < p_man:
+            p_man = p_amb
 
         if omega < omega_floor:
             raise EngineStallError(
                 f"engine stalled at {omega / TWO_PI:.2f} rev/s (load infeasible)")
 
     n = omega / TWO_PI
-    m_as = cylinder_air_flow(p_man, n, params)
-    lam = normalized_afr(m_as, u.m_fi, params.stoich_afr)
-    p_comb = delayed_combustion_power(m_f_delayed, m_as, n, params)
-    q_eng = engine_torque_from_power(p_comb, friction_power(n, params), omega)
+    q_eng, lam = _outputs(n, omega, p_man, m_fi, m_f_delayed, params)
     return replace(state, q_eng=q_eng, n=n, lam=lam, manifold_pressure=p_man,
-                   fuel_buffer=buf, buffer_index=idx)
+                   fuel_buffer=tuple(buf), buffer_index=idx)

@@ -8,11 +8,23 @@ import pytest
 
 from dflsim.engine import (TWO_PI, ControlInput, EngineParams,
                            EngineStallError, air_mass_flow, cylinder_air_flow,
-                           delayed_combustion_power, engine_torque_from_power,
                            friction_power, make_initial_state, normalized_afr,
                            step_engine, thermal_efficiency, combustion_power)
 
 P = EngineParams()
+
+
+def engine_torque_from_power(p_comb, p_fric, omega):
+    """Brake torque (N*m) at angular speed omega (rad/s)."""
+    return (p_comb - p_fric) / omega
+
+
+def delayed_combustion_power(m_f_delayed, m_as, n, params):
+    """Combustion power of the delayed charge: efficiency at its own mixture."""
+    if m_f_delayed <= 0.0:
+        return 0.0
+    lam_burn = normalized_afr(m_as, m_f_delayed, params.stoich_afr)
+    return combustion_power(m_f_delayed, lam_burn, n, params)
 
 
 def engine_torque(state, delayed_fuel_rate, params):
@@ -297,7 +309,7 @@ class TestStepEngineOracle:
         # a delay line of mixed past commands, some slots without fuel
         fuel = rng.uniform(5e-4, 6e-3, len(state.fuel_buffer))
         fuel[rng.uniform(size=fuel.size) < 0.1] = 0.0
-        state = replace(state, fuel_buffer=np.array(fuel),
+        state = replace(state, fuel_buffer=tuple(fuel.tolist()),
                         buffer_index=int(rng.integers(fuel.size)))
         u = ControlInput(tps=float(rng.uniform(0.0, 100.0)),
                          m_fi=float(rng.uniform(5e-4, 6e-3)))
@@ -325,6 +337,18 @@ class TestStepEngineOracle:
                         "zero delayed fuel", "speed factor floor",
                         "efficiency floor", "stall"}
         assert 0 < stalls < 120
+
+    def test_state_fields_are_python_floats(self):
+        # numpy scalars in the delay line or the inputs would turn every
+        # operation of the interval into numpy scalar arithmetic
+        state = make_initial_state(P, n=np.float64(70.0),
+                                   manifold_pressure=np.float64(7.2e4),
+                                   m_fi=np.float64(0.003))
+        u = ControlInput(tps=np.float64(40.0), m_fi=np.float64(0.0032))
+        for state in (state, step_engine(state, u, np.float64(8000.0), P, 0.1)):
+            assert {type(v) for v in (state.q_eng, state.n, state.lam,
+                                      state.manifold_pressure,
+                                      *state.fuel_buffer)} == {float}
 
 
 class TestEngineInvariants:
