@@ -4,7 +4,8 @@ Subcommands mirror the workflow: generate identification data, train the
 network models, compare them, run the closed-loop scenario, audit the
 derivative network, and post-process a trajectory into metrics.  ``main``
 alone maps errors to the exit status: 0 success, 2 configuration error,
-3 plant stall, 4 any other RuntimeError (solver failure, diverged training).
+3 plant stall, 4 any other RuntimeError (solver failure, diverged training),
+5 a data or model file that its reader cannot parse.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from .networks import (compare_models, init_elman, init_mlp, load_model,
 from .scenario import (ScenarioStallError, compute_metrics,
                        load_trajectory_csv, relative_error, run_scenario,
                        save_lpv_trace, save_trajectory_csv)
-from .tables import write_table
+from .tables import FileFormatError, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STALL = 3
 EXIT_SOLVER = 4
+EXIT_BAD_FILE = 5
 
 
 def _common_flags(sub):
@@ -289,6 +291,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except FileFormatError as exc:
+        print(f"bad input file: {exc}", file=sys.stderr)
+        return EXIT_BAD_FILE
 
 
 if __name__ == "__main__":

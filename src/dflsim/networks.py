@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .dataset import Dataset, NormStats, denormalize, normalize
-from .tables import load_blocks, save_blocks
+from .tables import FileFormatError, load_blocks, save_blocks
 
 
 class TrainingDivergedError(RuntimeError):
@@ -350,7 +350,8 @@ def save_model(model, path) -> None:
 def load_model(path):
     """Read a ``save_model`` file back as the model whose blocks it holds.
 
-    Raises ValueError when the blocks match no model, e.g. ``STATS`` is missing.
+    Raises FileFormatError when the blocks match no model, e.g. ``STATS`` is
+    missing.
     """
     blocks = load_blocks(path)
     for cls, names in _ARRAYS.items():
@@ -361,12 +362,12 @@ def load_model(path):
             n_in = arrays[names[0]].shape[1]      # centers or iw: a column per input
             return cls(**arrays, stats=NormStats(mins[:n_in], maxs[:n_in],
                                                  mins[n_in:], maxs[n_in:]))
-    raise ValueError(f"{path}: blocks {sorted(blocks)} match no model file")
+    raise FileFormatError(f"{path}: blocks {sorted(blocks)} match no model file")
 
 
 def load_rbf(path) -> RbfModel:
-    """``load_model`` for the controller's RBF; ValueError for any other model."""
+    """``load_model`` for the controller's RBF; FileFormatError for any other model."""
     model = load_model(path)
     if not isinstance(model, RbfModel):
-        raise ValueError(f"{path}: holds a {type(model).__name__}, not an RBF")
+        raise FileFormatError(f"{path}: holds a {type(model).__name__}, not an RBF")
     return model

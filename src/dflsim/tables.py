@@ -4,12 +4,17 @@ Every file one stage hands to the next goes through this module.  A table
 is a header line followed by comma-joined rows; a block file is a sequence
 of ``# NAME rows cols`` headers, each followed by its matrix rows.  Integer
 cells are written with ``str`` and every other cell with ``repr(float(v))``,
-which round-trips float64 exactly.
+which round-trips float64 exactly.  A file that does not hold the format
+its reader expects raises ``FileFormatError`` naming the file.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+class FileFormatError(ValueError):
+    """A data or model file does not hold the format its reader expects."""
 
 
 def _cell(value) -> str:
@@ -29,15 +34,18 @@ def write_table(path, header: str, rows) -> None:
 def read_table(path, header: str) -> np.ndarray:
     """Read a table written by ``write_table`` as an (rows, columns) float array.
 
-    Raises ValueError when the file's header line is not ``header`` or a row
-    does not have one cell per column.
+    Raises FileFormatError when the file's header line is not ``header`` or
+    a row does not have one number per column.
     """
     with open(path) as fh:
         found = fh.readline().rstrip("\n")
         if found != header:
-            raise ValueError(f"{path}: header {found!r}, expected {header!r}")
-        rows = [[float(cell) for cell in line.split(",")] for line in fh]
-    return np.array(rows).reshape(len(rows), header.count(",") + 1)
+            raise FileFormatError(f"{path}: header {found!r}, expected {header!r}")
+        try:
+            rows = [[float(cell) for cell in line.split(",")] for line in fh]
+            return np.array(rows).reshape(len(rows), header.count(",") + 1)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: bad row ({exc})") from exc
 
 
 def save_blocks(path, blocks: dict) -> None:
@@ -55,12 +63,19 @@ def save_blocks(path, blocks: dict) -> None:
 
 
 def load_blocks(path) -> dict:
-    """Read a block file back into ``{name: 2-D float array}``."""
+    """Read a block file back into ``{name: 2-D float array}``.
+
+    Raises FileFormatError when a block header or one of its rows does not
+    parse, or the file ends inside a block.
+    """
     blocks = {}
     with open(path) as fh:
-        for line in fh:
-            if line.startswith("# "):
-                name, rows, cols = line[2:].rsplit(" ", 2)
-                mat = [[float(v) for v in next(fh).split()] for _ in range(int(rows))]
-                blocks[name] = np.array(mat).reshape(int(rows), int(cols))
+        try:
+            for line in fh:
+                if line.startswith("# "):
+                    name, rows, cols = line[2:].rsplit(" ", 2)
+                    mat = [[float(v) for v in next(fh).split()] for _ in range(int(rows))]
+                    blocks[name] = np.array(mat).reshape(int(rows), int(cols))
+        except (ValueError, StopIteration) as exc:
+            raise FileFormatError(f"{path}: bad block file ({exc!r})") from exc
     return blocks

@@ -11,8 +11,10 @@ import pytest
 from dflsim.dataset import (Dataset, compute_stats, load_dataset_csv,
                             save_dataset_csv)
 from dflsim.lpv import LpvModel
+from dflsim.networks import load_model
 from dflsim.scenario import (TrajectoryRecord, load_trajectory_csv,
                              save_lpv_trace, save_trajectory_csv)
+from dflsim.tables import FileFormatError, load_blocks
 
 DATASET_TEXT = (
     "tps,m_fi,n,lambda,Q_next,n_next,lambda_next\n"
@@ -95,3 +97,23 @@ def test_trajectory_rejects_wrong_header(tmp_path):
     path.write_text(TRAJECTORY_TEXT.replace("cost", "objective"))
     with pytest.raises(ValueError):
         load_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("name, text, load", [
+    ("dataset.csv", DATASET_TEXT.replace("Q_next", "torque_next"),
+     load_dataset_csv),
+    ("dataset.csv", DATASET_TEXT.replace("12.5,", "twelve,"), load_dataset_csv),
+    ("dataset.csv", DATASET_TEXT.replace(",0.9\n", "\n"), load_dataset_csv),
+    ("trajectory.csv", TRAJECTORY_TEXT.replace("cost", "objective"),
+     load_trajectory_csv),
+    ("rbf_model.txt", "# CENTERS 2 4\n1.0 2.0 3.0 4.0\n", load_blocks),
+    ("rbf_model.txt", "# CENTERS 1 4\n1.0 2.0 3.0\n", load_blocks),
+    ("rbf_model.txt", "# CENTERS one 4\n", load_blocks),
+    ("rbf_model.txt", "# CENTERS 1 4\n1.0 2.0 3.0 4.0\n", load_model),
+])
+def test_bad_file_raises_file_format_error_naming_it(tmp_path, name, text,
+                                                     load):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match=name):
+        load(path)

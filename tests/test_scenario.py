@@ -7,13 +7,13 @@ import pytest
 
 from dflsim.cli import main as cli_main
 from dflsim.config import ConfigError, load_bundle
-from dflsim.dataset import (denormalize, generate_dataset, load_dataset_csv,
-                            normalize)
+from dflsim.dataset import NormStats, denormalize, load_dataset_csv, normalize
 from dflsim.engine import EngineParams
 from dflsim.fan import (KGF, FanGeometry, fan_power, solve_operating_point,
                         thrust_from_power)
 from dflsim.mpc import MpcConfig
-from dflsim.networks import load_rbf, mape, rbf_forward, train_rbf
+from dflsim.networks import (init_mlp, load_rbf, mape, rbf_forward,
+                             save_blocks, save_model, train_rbf)
 from dflsim.scenario import (ScenarioConfig, compute_metrics,
                              load_trajectory_csv, relative_error,
                              run_scenario, save_trajectory_csv)
@@ -23,9 +23,8 @@ G = FanGeometry()
 
 
 @pytest.fixture(scope="module")
-def trained_rbf():
-    ds = generate_dataset(P, G, sample_count=1000, seed=123, snr_db=5.0)
-    return train_rbf(ds, seed=1)
+def trained_rbf(stock_dataset):
+    return train_rbf(stock_dataset, seed=1)
 
 
 class TestRelativeError:
@@ -341,6 +340,29 @@ class TestCli:
                        "init_m_fi = 0.0055\nwarmup_steps = 100\n")
         assert cli_main(["simulate", "--controller", "open-loop", "--config",
                          str(ini), "--out", str(tmp_path / "o")]) == 3
+
+    def test_simulate_on_mlp_model_file_exit_code(self, tmp_path):
+        stats = NormStats(in_min=-np.ones(4), in_max=np.ones(4),
+                          out_min=-np.ones(3), out_max=np.ones(3))
+        path = tmp_path / "mlp_model.txt"
+        save_model(init_mlp(stats, hidden=4, seed=0), path)
+        assert cli_main(["simulate", "--controller", "ampc", "--model-file",
+                         str(path), "--out", str(tmp_path / "o")]) == 5
+
+    def test_compare_models_on_mlp_file_without_stats_exit_code(self,
+                                                                 tmp_path):
+        ini = tmp_path / "tiny.ini"
+        ini.write_text("[training]\nsample_count = 60\nn_train = 57\n")
+        out = tmp_path / "out"
+        assert cli_main(["gen-data", "--config", str(ini),
+                         "--out", str(out)]) == 0
+        m = init_mlp(load_dataset_csv(out / "dataset.csv").stats, hidden=4,
+                     seed=0)
+        # the block set an MLP file had before the STATS block existed
+        save_blocks(out / "mlp_model.txt",
+                    {"IW": m.iw, "LW": m.lw, "B1": m.b1, "B2": m.b2})
+        assert cli_main(["compare-models", "--config", str(ini),
+                         "--out", str(out)]) == 5
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
