@@ -1,0 +1,36 @@
+"""Datasets that several test modules share, each built once per session.
+
+Their arrays are read-only, so a test that wrote into one would fail instead
+of changing what the next test reads.
+"""
+
+import pytest
+
+from dflsim.cli import dataset_from_config
+from dflsim.config import load_bundle
+from dflsim.dataset import generate_dataset
+from dflsim.engine import EngineParams
+from dflsim.fan import FanGeometry
+
+
+def _read_only(ds):
+    s = ds.stats
+    for arr in (ds.inputs, ds.targets, ds.targets_clean,
+                s.in_min, s.in_max, s.out_min, s.out_max):
+        arr.flags.writeable = False
+    return ds
+
+
+@pytest.fixture(scope="session")
+def stock_dataset():
+    """The dataset ``gen-data`` writes at the stock config: 1000 samples,
+    seed 123, 5 dB SNR on the 950 training rows."""
+    return _read_only(dataset_from_config(load_bundle(None)))
+
+
+@pytest.fixture(scope="session")
+def seed19_dataset():
+    """600 samples at seed 19 and 5 dB SNR, for the derivative-network and
+    MPC tests."""
+    return _read_only(generate_dataset(EngineParams(), FanGeometry(),
+                                       sample_count=600, seed=19, snr_db=5.0))

@@ -8,8 +8,8 @@ models, and runs the closed-loop scenarios, so it takes a few minutes.
 import numpy as np
 import pytest
 
-from dflsim.cli import (dataset_from_config, elman_from_config,
-                        main as cli_main, mlp_from_config, rbf_from_config)
+from dflsim.cli import (elman_from_config, main as cli_main, mlp_from_config,
+                        rbf_from_config)
 from dflsim.config import load_bundle
 from dflsim.dataset import normalize
 from dflsim.engine import ControlInput, EngineParams, make_initial_state, \
@@ -35,8 +35,8 @@ def bundle():
 
 
 @pytest.fixture(scope="module")
-def dataset(bundle):
-    return dataset_from_config(bundle)
+def dataset(stock_dataset):
+    return stock_dataset
 
 
 @pytest.fixture(scope="module")

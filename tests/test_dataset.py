@@ -72,8 +72,8 @@ class TestGenerateDataset:
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.targets, b.targets)
 
-    def test_noise_snr_within_half_db(self):
-        ds = generate_dataset(P, G, sample_count=1000, seed=123, snr_db=5.0)
+    def test_noise_snr_within_half_db(self, stock_dataset):
+        ds = stock_dataset
         noise = ds.targets[:950] - ds.targets_clean[:950]
         snr = 10.0 * np.log10(ds.targets_clean[:950].var(axis=0)
                               / noise.var(axis=0))

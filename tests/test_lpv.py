@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dflsim.dataset import NormStats, generate_dataset
+from dflsim.dataset import NormStats
 from dflsim.engine import ControlInput, EngineParams
 from dflsim.fan import FanGeometry
 from dflsim.lpv import (LPV_CSV_HEADER, assoc_jacobian, build_lpv,
@@ -24,9 +24,8 @@ def random_rbf(seed=0, centers=12):
 
 
 @pytest.fixture(scope="module")
-def trained_rbf():
-    ds = generate_dataset(P, G, sample_count=600, seed=19, snr_db=5.0)
-    return train_rbf(ds, seed=1)
+def trained_rbf(seed19_dataset):
+    return train_rbf(seed19_dataset, seed=1)
 
 
 def fd_jacobian(model, p, step=1e-5):

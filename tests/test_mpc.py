@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import dflsim.mpc as mpc
-from dflsim.dataset import generate_dataset
 from dflsim.engine import EngineParams
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
 from dflsim.lpv import LpvModel, build_lpv
@@ -61,9 +60,8 @@ def output_violation(predicted, config=CFG):
 
 
 @pytest.fixture(scope="module")
-def trained_rbf():
-    ds = generate_dataset(P, G, sample_count=600, seed=19, snr_db=5.0)
-    return train_rbf(ds, seed=1)
+def trained_rbf(seed19_dataset):
+    return train_rbf(seed19_dataset, seed=1)
 
 
 class TestPredictHorizon:
