@@ -200,26 +200,18 @@ def _efficiency(params: EngineParams):
 
 
 def _combustion(params: EngineParams):
-    """p_comb(m_f, lam, n): indicated power Hu * eta_i * (1 - kf) * m_f, W."""
+    """p_comb(m_f, m_as, n): indicated power Hu * eta_i * (1 - kf) * m_f (W)
+    of the delayed fuel rate m_f burning in the air flow m_as, with the
+    efficiency at that mixture; zero without fuel."""
     eta = _efficiency(params)
     hu, kept = params.lower_heating_value, 1.0 - params.fuel_loss_coeff
-
-    def p_comb(m_f, lam, n):
-        return hu * eta(lam, n) * kept * (0.0 if m_f < 0.0 else m_f)
-    return p_comb
-
-
-def _delayed_combustion(params: EngineParams):
-    """p(m_f_delayed, m_as, n): combustion power of the delayed charge, with
-    the efficiency at its own mixture; zero without fuel."""
-    p_comb = _combustion(params)
     stoich = params.stoich_afr
 
-    def p_delayed(m_f, m_as, n):
+    def p_comb(m_f, m_as, n):
         if m_f <= 0.0:
             return 0.0
-        return p_comb(m_f, normalized_afr(m_as, m_f, stoich), n)
-    return p_delayed
+        return hu * eta(normalized_afr(m_as, m_f, stoich), n) * kept * m_f
+    return p_comb
 
 
 def air_mass_flow(tps: float, manifold_pressure: float, n: float,
@@ -255,19 +247,13 @@ def thermal_efficiency(lam: float, n: float, params: EngineParams) -> float:
     return _efficiency(params)(lam, n)
 
 
-def combustion_power(fuel_rate: float, lam: float, n: float,
-                     params: EngineParams) -> float:
-    """Indicated power Hu * eta_i * (1 - kf) * m_f, W."""
-    return _combustion(params)(fuel_rate, lam, n)
-
-
 def _outputs(n: float, omega: float, p_man: float, m_fi: float,
              m_f_delayed: float, params: EngineParams):
     """(brake torque N*m, lambda of the command m_fi) at a state whose
     cylinder burns the delayed fuel rate."""
     m_as = cylinder_air_flow(p_man, n, params)
     lam = normalized_afr(m_as, m_fi, params.stoich_afr)
-    p_comb = _delayed_combustion(params)(m_f_delayed, m_as, n)
+    p_comb = _combustion(params)(m_f_delayed, m_as, n)
     return (p_comb - friction_power(n, params)) / omega, lam
 
 
@@ -295,7 +281,7 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
     load_power = float(load_power)
     m_at = _throttle_flow(float(u.tps), params)
     m_as = _cylinder_flow(params)
-    p_delayed = _delayed_combustion(params)
+    p_comb = _combustion(params)
     p_fric = _friction(params)
     inertia = params.inertia
     manifold_gain = params.gas_constant * params.manifold_temp / params.manifold_volume
@@ -305,7 +291,7 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
         n = omega / TWO_PI
         m_throttle = m_at(p_man)
         m_cyl = m_as(p_man, n)
-        domega = (p_delayed(m_f_delayed, m_cyl, n) - p_fric(n) - load_power) / (inertia * omega)
+        domega = (p_comb(m_f_delayed, m_cyl, n) - p_fric(n) - load_power) / (inertia * omega)
         return domega, manifold_gain * (m_throttle - m_cyl)
 
     omega = TWO_PI * float(state.n)

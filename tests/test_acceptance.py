@@ -13,14 +13,14 @@ from dflsim.cli import (elman_from_config, main as cli_main, mlp_from_config,
 from dflsim.config import load_bundle
 from dflsim.dataset import normalize
 from dflsim.engine import ControlInput, EngineParams, make_initial_state, \
-    step_engine, friction_power, combustion_power, cylinder_air_flow, \
-    normalized_afr
+    step_engine, friction_power, cylinder_air_flow, normalized_afr
 from dflsim.fan import (FanGeometry, duct_ratio, solve_operating_point,
                         thrust_from_power)
 from dflsim.lpv import assoc_jacobian, build_lpv
 from dflsim.mpc import hildreth
 from dflsim.networks import compare_models, rbf_forward
 from dflsim.scenario import run_scenario
+from test_engine import combustion_power
 
 
 def _report(num, description, ok, detail=""):

@@ -9,9 +9,15 @@ import pytest
 from dflsim.engine import (TWO_PI, ControlInput, EngineParams,
                            EngineStallError, air_mass_flow, cylinder_air_flow,
                            friction_power, make_initial_state, normalized_afr,
-                           step_engine, thermal_efficiency, combustion_power)
+                           step_engine, thermal_efficiency)
 
 P = EngineParams()
+
+
+def combustion_power(fuel_rate, lam, n, params):
+    """Indicated power Hu * eta_i * (1 - kf) * m_f, W."""
+    return (params.lower_heating_value * thermal_efficiency(lam, n, params)
+            * (1.0 - params.fuel_loss_coeff) * max(fuel_rate, 0.0))
 
 
 def engine_torque_from_power(p_comb, p_fric, omega):
@@ -41,11 +47,11 @@ def engine_torque(state, delayed_fuel_rate, params):
 
 def reference_derivatives(omega, p_man, tps, m_f_delayed, load_power, params,
                           hits):
-    """Right-hand side for [omega, p_manifold], one sub-model call at a time.
+    """Right-hand side for [omega, p_manifold] with every sub-model written
+    out and every constant recomputed from ``params`` on each call.
 
-    The unfused form of the plant's RK4 right-hand side: every constant is
-    recomputed from ``params`` on each call.  ``hits`` collects the branch
-    labels taken, so a test can check which regimes its cases reached.
+    ``hits`` collects the branch labels taken, so a test can check which
+    regimes its cases reached.
     """
     n = omega / TWO_PI
     # throttle: 1 - cos area law into a compressible orifice
