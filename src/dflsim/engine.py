@@ -194,8 +194,8 @@ def _efficiency(params: EngineParams):
         speed_factor = 1.0 + gain * (n / n_ref - 1.0)
         if speed_factor < floor:
             speed_factor = floor
-        eta = peak * lam_factor * speed_factor
-        return 0.0 if eta < 0.0 else eta
+        value = peak * lam_factor * speed_factor
+        return 0.0 if value < 0.0 else value
     return eta
 
 

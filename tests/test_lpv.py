@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from dflsim.dataset import NormStats
-from dflsim.engine import ControlInput, EngineParams
+from dflsim.engine import ControlInput
 from dflsim.fan import FanGeometry
 from dflsim.lpv import (LPV_CSV_HEADER, assoc_jacobian, build_lpv,
                         lpv_csv_row, rescale_jacobian)
 from dflsim.networks import RbfModel, rbf_forward, train_rbf
 
-P = EngineParams()
 G = FanGeometry()
 
 

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 import dflsim.mpc as mpc
-from dflsim.engine import EngineParams
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
 from dflsim.lpv import LpvModel, build_lpv
 from dflsim.mpc import (Measurement, MpcConfig, ampc_step, condensed_map, cost,
                         hildreth, linear_mpc_step, solve_qp)
 from dflsim.networks import train_rbf
 
-P = EngineParams()
 G = FanGeometry()
 CFG = MpcConfig()
 
