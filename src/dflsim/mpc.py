@@ -12,11 +12,16 @@ constraint spans so the weighting factors compare like with like.  The
 condensed problem is a strictly convex QP in 2*Nc variables: input box
 limits enter as hard linear inequalities handled by Hildreth dual
 coordinate ascent, output limits as quadratic penalties activated by a
-short working-set refinement loop.
+short working-set refinement loop.  Every array that depends on the
+config alone (channel scales, weights, limits, the input-box rows) is
+built once per config by ``horizon_layout`` and shared read-only, so a
+control step only condenses the new model and solves.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,28 +50,93 @@ class MpcConfig:
     def __post_init__(self):
         if not (1 <= self.n1 <= self.n2 and 1 <= self.nc <= self.n2):
             raise ValueError("need 1 <= N1 <= N2 and 1 <= Nc <= N2")
-        if self.eps <= 0 or self.xi <= 0:
+        if not (self.eps > 0 and self.xi > 0):
             raise ValueError("weights must be positive")
+        # the layout divides by each span and is cached on the config's hash,
+        # so every bound is a hashable (lower, upper) pair of floats
+        for name in ("tps_bounds", "mf_bounds", "thrust_bounds", "lambda_bounds"):
+            pair = tuple(float(v) for v in getattr(self, name))
+            if len(pair) != 2 or not pair[0] < pair[1]:
+                raise ValueError(f"{name} must be two numbers, lower < upper: {pair}")
+            object.__setattr__(self, name, pair)
+        # output limits may be infinite (solve_qp keeps them inert); the
+        # input box is a hard constraint with a move penalty per unit span
+        if not all(map(math.isfinite, self.tps_bounds + self.mf_bounds)):
+            raise ValueError("input bounds must be finite")
+        if self.qp_max_iter < 1:
+            raise ValueError("qp_max_iter must be at least 1")
+        if not self.qp_tol > 0:
+            raise ValueError("qp_tol must be positive")
+        if not self.soft_weight >= 0:
+            raise ValueError("soft_weight must be non-negative")
 
-    @property
-    def output_scale(self) -> np.ndarray:
-        """1/span for [thrust, lambda]; makes the two error channels commensurate."""
-        return np.array([1.0 / (self.thrust_bounds[1] - self.thrust_bounds[0]),
-                         1.0 / (self.lambda_bounds[1] - self.lambda_bounds[0])])
 
-    @property
-    def input_scale(self) -> np.ndarray:
-        """1/span for [tps, m_fi]."""
-        return np.array([1.0 / (self.tps_bounds[1] - self.tps_bounds[0]),
-                         1.0 / (self.mf_bounds[1] - self.mf_bounds[0])])
+@dataclass(frozen=True)
+class HorizonLayout:
+    """Every array of the condensed QP that depends on the config alone.
 
-    @property
-    def u_lower(self) -> np.ndarray:
-        return np.array([self.tps_bounds[0], self.mf_bounds[0]])
+    ``horizon_layout`` builds it once per config; the arrays are read-only
+    because every caller with an equal config shares them.
+    """
 
-    @property
-    def u_upper(self) -> np.ndarray:
-        return np.array([self.tps_bounds[1], self.mf_bounds[1]])
+    rows: slice                 # tracked steps N1..N2 of an (N2, 2) trail
+    sel: slice                  # the same steps in the stacked (2*N2) trail
+    y_index: np.ndarray         # y0[y_index] stacks the measured output over sel
+    output_scale: np.ndarray    # 1/span for [thrust, lambda]
+    input_scale: np.ndarray     # 1/span for [tps, m_fi]
+    u_lower: np.ndarray
+    u_upper: np.ndarray
+    q_diag: np.ndarray          # tracking weight per stacked row
+    r_mat: np.ndarray           # diagonal move-suppression weight
+    rho: np.ndarray             # soft output-limit weight per stacked row
+    y_lo: np.ndarray
+    y_hi: np.ndarray
+    m_mat: np.ndarray           # cumulative-increment box rows
+    gamma_index: np.ndarray     # picks each box row's bound, see horizon_layout
+
+    def gamma(self, u_prev: np.ndarray) -> np.ndarray:
+        """Right-hand side of the box rows ``m_mat @ du <= gamma`` at ``u_prev``."""
+        return np.concatenate([self.u_upper - u_prev,
+                               u_prev - self.u_lower])[self.gamma_index]
+
+
+@functools.cache
+def horizon_layout(config: MpcConfig) -> HorizonLayout:
+    """The read-only ``HorizonLayout`` of ``config``, built on first use.
+
+    The input box lb <= u_prev + sum du <= ub holds at every step of the
+    control horizon.  Its rows come in (upper, lower) pairs per step and
+    channel, the order Hildreth's sweep visits them; ``gamma_index`` picks
+    that order out of [ub - u_prev, u_prev - lb], and the rows of
+    ``m_mat`` follow it.  The cache keeps one layout per distinct config
+    the process has used.
+    """
+    nc, n2 = config.nc, config.n2
+    sel = slice(2 * (config.n1 - 1), 2 * n2)
+    output_scale = np.array([
+        1.0 / (config.thrust_bounds[1] - config.thrust_bounds[0]),
+        1.0 / (config.lambda_bounds[1] - config.lambda_bounds[0])])
+    input_scale = np.array([1.0 / (config.tps_bounds[1] - config.tps_bounds[0]),
+                            1.0 / (config.mf_bounds[1] - config.mf_bounds[0])])
+    w_y = np.tile(output_scale, n2)[sel]
+    pair_order = np.array([0, 2, 1, 3])
+    signs = np.vstack([np.eye(2), -np.eye(2)])[pair_order]
+    arrays = dict(
+        y_index=np.tile([0, 1], n2)[sel],
+        output_scale=output_scale,
+        input_scale=input_scale,
+        u_lower=np.array([config.tps_bounds[0], config.mf_bounds[0]]),
+        u_upper=np.array([config.tps_bounds[1], config.mf_bounds[1]]),
+        q_diag=config.eps * w_y ** 2,
+        r_mat=np.diag(config.xi * np.tile(input_scale, nc) ** 2),
+        rho=config.soft_weight * config.eps * w_y ** 2,
+        y_lo=np.tile([config.thrust_bounds[0], config.lambda_bounds[0]], n2)[sel],
+        y_hi=np.tile([config.thrust_bounds[1], config.lambda_bounds[1]], n2)[sel],
+        m_mat=np.kron(np.tril(np.ones((nc, nc))), signs),
+        gamma_index=np.tile(pair_order, nc))
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return HorizonLayout(rows=slice(config.n1 - 1, n2), sel=sel, **arrays)
 
 
 @dataclass(frozen=True)
@@ -111,10 +181,11 @@ def condensed_map(lpv: LpvModel, nc: int, n2: int) -> np.ndarray:
 def cost(config: MpcConfig, refs: np.ndarray, predicted: np.ndarray,
          du_seq: np.ndarray) -> float:
     """Tracking-plus-move objective over the horizon (span-scaled channels)."""
-    rows = slice(config.n1 - 1, config.n2)
+    layout = horizon_layout(config)
+    rows = layout.rows
     err = (np.atleast_2d(refs)[rows] - np.atleast_2d(predicted)[rows]) \
-        * config.output_scale
-    moves = np.atleast_2d(du_seq)[:config.nc] * config.input_scale
+        * layout.output_scale
+    moves = np.atleast_2d(du_seq)[:config.nc] * layout.input_scale
     return config.eps * float(np.sum(err ** 2)) \
         + config.xi * float(np.sum(moves ** 2))
 
@@ -160,20 +231,6 @@ def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, m_mat: np.ndarray,
     return z, lam, iterations, kkt, capped
 
 
-def _box_constraints(config: MpcConfig, u_prev: np.ndarray):
-    """Cumulative-increment box: lb <= u_prev + sum du <= ub at every step.
-
-    Rows come in (upper, lower) pairs per step and channel; Hildreth's
-    sweep visits them in this order.
-    """
-    nc = config.nc
-    cum = np.kron(np.tril(np.ones((nc, nc))), np.eye(2))
-    m_mat = np.stack([cum, -cum], axis=1).reshape(4 * nc, 2 * nc)
-    gamma = np.stack([np.tile(config.u_upper - u_prev, nc),
-                      np.tile(u_prev - config.u_lower, nc)], axis=1).ravel()
-    return m_mat, gamma
-
-
 def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
              u_prev: np.ndarray, config: MpcConfig) -> HorizonSolution:
     """Condense the horizon into a 2*Nc-variable QP and solve it.
@@ -189,20 +246,15 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     y0 = np.asarray(meas.output, dtype=float)
     nc, n2 = config.nc, config.n2
 
+    layout = horizon_layout(config)
+    q_diag, r_mat, rho = layout.q_diag, layout.r_mat, layout.rho
+    y_lo, y_hi, m_mat = layout.y_lo, layout.y_hi, layout.m_mat
+
     g = condensed_map(lpv, nc, n2)
-    sel = slice(2 * (config.n1 - 1), 2 * n2)
-    g_s = g[sel]
-    y0_s = np.tile(y0, n2)[sel]
-    ref_s = refs[:n2].ravel()[sel]
-
-    w_y = np.tile(config.output_scale, n2)[sel]
-    q_diag = config.eps * w_y ** 2
-    r_diag = config.xi * np.tile(config.input_scale, nc) ** 2
-    m_mat, gamma = _box_constraints(config, u_prev)
-
-    y_lo = np.tile([config.thrust_bounds[0], config.lambda_bounds[0]], n2)[sel]
-    y_hi = np.tile([config.thrust_bounds[1], config.lambda_bounds[1]], n2)[sel]
-    rho = config.soft_weight * config.eps * w_y ** 2
+    g_s = g[layout.sel]
+    y0_s = y0[layout.y_index]
+    ref_s = refs[:n2].ravel()[layout.sel]
+    gamma = layout.gamma(u_prev)
 
     # rows penalised toward the upper / lower limit; np.where keeps an
     # infinite limit inert instead of turning 0*inf into nan
@@ -210,7 +262,7 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     for _ in range(3):
         pull = np.where(over, y0_s - y_hi, 0.0) + np.where(under, y0_s - y_lo, 0.0)
         weight = q_diag + rho * over + rho * under
-        e_mat = 2.0 * (g_s.T @ (weight[:, None] * g_s) + np.diag(r_diag))
+        e_mat = 2.0 * (g_s.T @ (weight[:, None] * g_s) + r_mat)
         f_vec = 2.0 * g_s.T @ (q_diag * (y0_s - ref_s) + rho * pull)
         z, _, iterations, kkt, capped = hildreth(
             e_mat, f_vec, m_mat, gamma, config.qp_max_iter, config.qp_tol)
@@ -234,8 +286,9 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
 
 def _apply_first_move(u_prev: np.ndarray, solution: HorizonSolution,
                       config: MpcConfig) -> ControlInput:
+    layout = horizon_layout(config)
     u = u_prev + solution.du[0]
-    u = np.minimum(np.maximum(u, config.u_lower), config.u_upper)
+    u = np.minimum(np.maximum(u, layout.u_lower), layout.u_upper)
     return ControlInput(tps=float(u[0]), m_fi=float(u[1]))
 
 

@@ -334,7 +334,11 @@ def compare_models(dataset: Dataset, mlp: MlpModel, elman: ElmanModel,
 
 _ARRAYS = {cls: [f.name for f in fields(cls) if f.name != "stats"]
            for cls in (RbfModel, MlpModel, ElmanModel)}
-_VECTORS = ("radii", "b1", "b2")
+# each array field's axes: a shared size per name, so the blocks must chain
+_AXES = {"centers": ("hidden", "in"), "radii": ("hidden",),
+         "lw": ("out", "hidden"), "iw": ("hidden", "in"),
+         "lw1": ("hidden", "hidden"), "lw2": ("out", "hidden"),
+         "b1": ("hidden",), "b2": ("out",)}
 
 
 def save_model(model, path) -> None:
@@ -351,15 +355,32 @@ def load_model(path):
     """Read a ``save_model`` file back as the model whose blocks it holds.
 
     Raises FileFormatError when the blocks match no model, e.g. ``STATS`` is
-    missing.
+    missing, or when their shapes do not chain: a layer's width differs
+    from the next layer's, a 1-D field is not one row, or ``STATS`` is not
+    two rows of one minimum and one maximum per input and output.
     """
     blocks = load_blocks(path)
     for cls, names in _ARRAYS.items():
         if set(blocks) == {n.upper() for n in names} | {"STATS"}:
-            arrays = {n: blocks[n.upper()] for n in names}
-            arrays.update({n: arrays[n][0] for n in _VECTORS if n in arrays})
-            mins, maxs = blocks["STATS"]
-            n_in = arrays[names[0]].shape[1]      # centers or iw: a column per input
+            sizes, arrays = {}, {}
+            for n in names:
+                block, axes = blocks[n.upper()], _AXES[n]
+                mat = block[0] if len(axes) == 1 and len(block) == 1 else block
+                if mat.ndim != len(axes) or any(
+                        sizes.setdefault(axis, size) != size
+                        for axis, size in zip(axes, mat.shape)):
+                    raise FileFormatError(
+                        f"{path}: block {n.upper()} is {block.shape[0]}x"
+                        f"{block.shape[1]}, which does not chain with the "
+                        f"sizes before it {sizes}")
+                arrays[n] = mat
+            n_in = sizes["in"]
+            stats = blocks["STATS"]
+            if stats.shape != (2, n_in + sizes["out"]):
+                raise FileFormatError(
+                    f"{path}: STATS is {stats.shape[0]}x{stats.shape[1]}, "
+                    f"expected 2x{n_in + sizes['out']}")
+            mins, maxs = stats
             return cls(**arrays, stats=NormStats(mins[:n_in], maxs[:n_in],
                                                  mins[n_in:], maxs[n_in:]))
     raise FileFormatError(f"{path}: blocks {sorted(blocks)} match no model file")

@@ -230,6 +230,54 @@ def test_criterion_8_solver_audit():
             f"worst interior err {worst:.2e}, clamp z={z[0]:.8f}")
 
 
+# Stock AMPC episode, every 25th step: (tps, m_fi, thrust_true kgf, lam_true).
+# Criterion 9 compares two runs of one tree; these pin the episode across
+# commits.  A change that moves them on purpose re-freezes them and records
+# the largest shift in CHANGES.md.
+FROZEN_AMPC = {
+    0: (19.507917799652894, 0.0012402424140224408, 10.03709212852112,
+        0.8188458919023521),
+    25: (28.68375957106608, 0.0021593267655188046, 15.83555722367561,
+         0.8580070891611481),
+    50: (44.84912865842967, 0.004223647620778605, 49.71989467797154,
+         0.8434060827225616),
+    75: (53.476643116037295, 0.004840048788355137, 56.56074884138728,
+         0.8203119934180676),
+    100: (43.996787489889535, 0.0049904557728929445, 81.09811809851207,
+          0.8155273702561137),
+    125: (45.92056571753887, 0.005095490895845277, 80.18359470105906,
+          0.8236599949456148),
+    150: (55.12957058907328, 0.004601422576908193, 79.1114756942277,
+          0.9858270171895652),
+    175: (70.63459786871616, 0.004859006228999892, 79.74658657637993,
+          1.0015669552778967),
+    200: (63.783226174675285, 0.004794883369921149, 80.46704652925855,
+          0.9994979393803206),
+    225: (65.49776436959553, 0.004824019937372241, 79.80316725541398,
+          1.0018850768026424),
+}
+# criterion 5's segment statistics, percent: (min, max, mae)
+FROZEN_SEGMENTS = {
+    "thrust_steady": (-2.1644498107012744, 1.0877405014311137,
+                      0.6407086246633896),
+    "lambda_steady": (-0.482173954135523, 0.5256181601169363,
+                      0.1827510301831465),
+}
+
+
+def test_stock_ampc_closed_loop_frozen(ampc_run):
+    records, metrics = ampc_run
+    assert len(records) == 250
+    for step, expected in FROZEN_AMPC.items():
+        r = records[step]
+        got = (r.tps, r.m_fi, r.thrust_true, r.lam_true)
+        assert got == pytest.approx(expected, rel=1e-9), f"step {step}"
+    for name, expected in FROZEN_SEGMENTS.items():
+        seg = metrics[name]
+        got = (seg["min"], seg["max"], seg["mae"])
+        assert got == pytest.approx(expected, rel=1e-9), name
+
+
 def test_criterion_9_determinism(tmp_path, bundle, dataset, rbf):
     from dflsim.networks import save_model
     model_path = tmp_path / "rbf_model.txt"

@@ -7,7 +7,7 @@ import dflsim.mpc as mpc
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
 from dflsim.lpv import LpvModel, build_lpv
 from dflsim.mpc import (Measurement, MpcConfig, ampc_step, condensed_map, cost,
-                        hildreth, linear_mpc_step, solve_qp)
+                        hildreth, horizon_layout, linear_mpc_step, solve_qp)
 from dflsim.networks import train_rbf
 
 G = FanGeometry()
@@ -48,6 +48,19 @@ def predict(lpv, y0, du_seq, n2):
     du_seq = np.atleast_2d(du_seq)
     g = condensed_map(lpv, len(du_seq), n2)
     return np.asarray(y0, dtype=float) + (g @ du_seq.ravel()).reshape(n2, 2)
+
+
+def overshoot_case():
+    """(lpv, y0, refs, u_prev) whose unpenalised optimum breaks the thrust limit.
+
+    The reference is the toy model's answer to one throttle cut that gains
+    300 N, so the optimum overshoots the thrust limit and the fuel increment
+    runs into its lower box edge.
+    """
+    lpv = toy_lpv(2)
+    y0 = np.array([1450.0, 0.95])
+    step = simulate_horizon(lpv, np.zeros(2), [[1.0, 0.0]], CFG.n2)
+    return lpv, y0, y0 + 300.0 / step[-1, 0] * step, np.array([90.0, 0.003])
 
 
 def output_violation(predicted, config=CFG):
@@ -225,23 +238,17 @@ class TestSolveQp:
 
             rows = slice(2 * (cfg.n1 - 1), 2 * cfg.n2)
             g = condensed_map(lpv, cfg.nc, cfg.n2)[rows]
-            w_y = np.tile(cfg.output_scale, cfg.n2)[rows]
+            layout = horizon_layout(cfg)
+            w_y = np.tile(layout.output_scale, cfg.n2)[rows]
             q = cfg.eps * w_y ** 2
-            r = cfg.xi * np.tile(cfg.input_scale, cfg.nc) ** 2
+            r = cfg.xi * np.tile(layout.input_scale, cfg.nc) ** 2
             e = 2.0 * (g.T @ (q[:, None] * g) + np.diag(r))
             f = 2.0 * g.T @ (q * (np.tile(y0, cfg.n2) - refs.ravel())[rows])
             z_dense = -np.linalg.solve(e, f)
             assert np.max(np.abs(sol.du.ravel() - z_dense)) < 1e-8
 
     def test_soft_output_limits_pull_prediction_back(self, monkeypatch):
-        # the reference is the toy model's answer to one throttle cut that
-        # gains 300 N, so the unpenalised optimum overshoots the thrust limit
-        # and the fuel increment runs into its lower box edge
-        lpv = toy_lpv(2)
-        y0 = np.array([1450.0, 0.95])
-        step = simulate_horizon(lpv, np.zeros(2), [[1.0, 0.0]], CFG.n2)
-        refs = y0 + 300.0 / step[-1, 0] * step
-        u_prev = np.array([90.0, 0.003])
+        lpv, y0, refs, u_prev = overshoot_case()
         rounds = []
 
         def counted(*args):
@@ -262,6 +269,64 @@ class TestSolveQp:
         assert np.max(np.abs(sol.du.ravel() - du_frozen)) \
             <= 1e-9 * np.max(np.abs(du_frozen))
         assert sol.cost == pytest.approx(564.416850081134, rel=1e-9)
+
+
+def old_box_constraints(config, u_prev):
+    """The box rows as built on every step before the layout existed."""
+    nc = config.nc
+    u_lower = np.array([config.tps_bounds[0], config.mf_bounds[0]])
+    u_upper = np.array([config.tps_bounds[1], config.mf_bounds[1]])
+    cum = np.kron(np.tril(np.ones((nc, nc))), np.eye(2))
+    m_mat = np.stack([cum, -cum], axis=1).reshape(4 * nc, 2 * nc)
+    gamma = np.stack([np.tile(u_upper - u_prev, nc),
+                      np.tile(u_prev - u_lower, nc)], axis=1).ravel()
+    return m_mat, gamma
+
+
+class TestHorizonLayout:
+    def test_arrays_are_read_only(self):
+        layout = horizon_layout(CFG)
+        arrays = [v for v in vars(layout).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 12
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_equal_configs_share_one_layout(self):
+        assert horizon_layout(MpcConfig()) is horizon_layout(CFG)
+        assert horizon_layout(MpcConfig(n1=3)) is not horizon_layout(CFG)
+
+    def test_cache_never_serves_a_stale_config(self):
+        lpv, y0, refs, u_prev = overshoot_case()
+        meas = Measurement(np.zeros(3), y0)
+        configs = (CFG, MpcConfig(n1=3), MpcConfig(soft_weight=10.0), CFG)
+        cached, fresh = [], []
+        for cfg in configs:
+            cached.append(solve_qp(lpv, meas, refs, u_prev, cfg))
+            horizon_layout.cache_clear()
+            fresh.append(solve_qp(lpv, meas, refs, u_prev, cfg))
+
+        def solution_bytes(sol):
+            return (sol.du.tobytes(), sol.predicted.tobytes(), sol.cost,
+                    sol.iterations, sol.kkt_residual, sol.active.tobytes(),
+                    sol.capped)
+
+        for a, b in zip(cached, fresh):
+            assert solution_bytes(a) == solution_bytes(b)
+        # the three configs give three different answers on this case
+        assert len({solution_bytes(sol) for sol in cached}) == 3
+
+    @pytest.mark.parametrize("nc", [1, 2, 3, 4])
+    def test_box_rows_match_kron_stack_oracle(self, nc):
+        cfg = MpcConfig(nc=nc)
+        layout = horizon_layout(cfg)
+        rng = np.random.default_rng(nc)
+        for _ in range(5):
+            u_prev = np.array([rng.uniform(5.0, 90.0),
+                               rng.uniform(0.0011, 0.0055)])
+            m_old, gamma_old = old_box_constraints(cfg, u_prev)
+            assert layout.m_mat.tobytes() == m_old.tobytes()
+            assert layout.gamma(u_prev).tobytes() == gamma_old.tobytes()
 
 
 class TestControllerSteps:
@@ -357,3 +422,61 @@ class TestConfigValidation:
     def test_positive_weights(self):
         with pytest.raises(ValueError):
             MpcConfig(eps=0.0)
+        with pytest.raises(ValueError):
+            MpcConfig(xi=float("nan"))
+
+    @pytest.mark.parametrize("bounds", [(5.0,), (5.0, 50.0, 90.0)])
+    def test_bounds_are_pairs(self, bounds):
+        with pytest.raises(ValueError):
+            MpcConfig(tps_bounds=bounds)
+
+    @pytest.mark.parametrize("name", ["tps_bounds", "mf_bounds",
+                                      "thrust_bounds", "lambda_bounds"])
+    def test_bounds_reject_nan(self, name):
+        with pytest.raises(ValueError):
+            MpcConfig(**{name: (float("nan"), 1.0)})
+        with pytest.raises(ValueError):
+            MpcConfig(**{name: (0.0, float("nan"))})
+
+    @pytest.mark.parametrize("name", ["tps_bounds", "mf_bounds",
+                                      "thrust_bounds", "lambda_bounds"])
+    def test_bounds_need_lower_below_upper(self, name):
+        lower, upper = getattr(CFG, name)
+        with pytest.raises(ValueError):
+            MpcConfig(**{name: (upper, lower)})
+        with pytest.raises(ValueError):
+            MpcConfig(**{name: (lower, lower)})
+
+    def test_list_bounds_become_a_hashable_tuple(self):
+        cfg = MpcConfig(tps_bounds=[5, 90])
+        assert cfg.tps_bounds == (5.0, 90.0)
+        assert type(cfg.tps_bounds) is tuple
+        assert cfg == CFG and hash(cfg) == hash(CFG)
+
+    def test_infinite_output_limits_stay_inert(self):
+        inf = float("inf")
+        cfg = MpcConfig(thrust_bounds=(0.0, inf), lambda_bounds=(-inf, inf))
+        lpv, y0, refs, u_prev = overshoot_case()
+        sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, cfg)
+        assert np.all(np.isfinite(sol.du)) and np.isfinite(sol.cost)
+
+    @pytest.mark.parametrize("name", ["tps_bounds", "mf_bounds"])
+    def test_input_bounds_finite(self, name):
+        with pytest.raises(ValueError):
+            MpcConfig(**{name: (0.0, float("inf"))})
+
+    def test_qp_max_iter_at_least_one(self):
+        with pytest.raises(ValueError):
+            MpcConfig(qp_max_iter=0)
+        assert MpcConfig(qp_max_iter=1).qp_max_iter == 1
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+    def test_qp_tol_positive(self, tol):
+        with pytest.raises(ValueError):
+            MpcConfig(qp_tol=tol)
+
+    @pytest.mark.parametrize("weight", [-1.0, float("nan")])
+    def test_soft_weight_non_negative(self, weight):
+        with pytest.raises(ValueError):
+            MpcConfig(soft_weight=weight)
+        assert MpcConfig(soft_weight=0.0).soft_weight == 0.0

@@ -13,7 +13,7 @@ from dflsim.networks import (ElmanModel, MlpModel, RbfModel,
                              mlp_forward, rbf_fit_centers, rbf_forward,
                              rbf_train_weights, save_model, train_elman,
                              train_mlp, train_rbf)
-from dflsim.tables import load_blocks, save_blocks
+from dflsim.tables import FileFormatError, load_blocks, save_blocks
 
 
 def toy_stats():
@@ -475,3 +475,28 @@ class TestModelFiles:
         save_model(models["mlp"], path)
         with pytest.raises(ValueError, match="mlp_model.txt"):
             load_rbf(path)
+
+    @pytest.mark.parametrize("kind, block, alter", [
+        ("rbf", "STATS", lambda m: np.vstack([m, m[:1]])),
+        ("rbf", "STATS", lambda m: m[:, :-1]),
+        ("mlp", "STATS", lambda m: np.hstack([m, m[:, :1]])),
+        ("rbf", "LW", lambda m: np.hstack([m, m[:, :1]])),
+        ("rbf", "RADII", lambda m: np.hstack([m, m[:, :1]])),
+        ("rbf", "CENTERS", lambda m: m[:-1]),
+        ("mlp", "LW", lambda m: m[:, :-1]),
+        ("mlp", "B1", lambda m: m[:, :-1]),
+        ("mlp", "B2", lambda m: np.vstack([m, m])),
+        ("elman", "LW1", lambda m: m[:, :-1]),
+        ("elman", "LW2", lambda m: m[:, :-1]),
+        ("elman", "B1", lambda m: np.hstack([m, m[:, :1]])),
+    ])
+    def test_blocks_that_do_not_chain_rejected(self, kind, block, alter,
+                                               tmp_path):
+        _, models = trained_models()
+        path = tmp_path / f"{kind}_model.txt"
+        save_model(models[kind], path)
+        blocks = load_blocks(path)
+        blocks[block] = alter(blocks[block])
+        save_blocks(path, blocks)
+        with pytest.raises(FileFormatError, match=f"{kind}_model.txt"):
+            load_model(path)

@@ -370,6 +370,30 @@ class TestCli:
         assert cli_main(["gen-data", "--config", str(bad),
                          "--out", str(tmp_path / "o")]) == 2
 
+    def test_reversed_mpc_bounds_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[mpc]\ntps_bounds = 90,5\n")
+        assert cli_main(["simulate", "--controller", "open-loop", "--config",
+                         str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("lw_rows, stats_rows", [
+        # a third STATS row
+        (["0.5", "0.5", "0.5"], ["-1 -1 -1 -1 -1 -1 -1", "1 1 1 1 1 1 1",
+                                 "1 1 1 1 1 1 1"]),
+        # LW with a column for a second center the file does not have
+        (["0.5 0.5", "0.5 0.5", "0.5 0.5"],
+         ["-1 -1 -1 -1 -1 -1 -1", "1 1 1 1 1 1 1"]),
+    ])
+    def test_simulate_on_misshapen_rbf_file_exit_code(self, tmp_path, lw_rows,
+                                                      stats_rows):
+        path = tmp_path / "rbf_model.txt"
+        path.write_text("\n".join(
+            ["# CENTERS 1 4", "0 0 0 0", "# RADII 1 1", "1",
+             f"# LW 3 {len(lw_rows[0].split())}", *lw_rows,
+             f"# STATS {len(stats_rows)} 7", *stats_rows]) + "\n")
+        assert cli_main(["simulate", "--controller", "ampc", "--model-file",
+                         str(path), "--out", str(tmp_path / "o")]) == 5
+
     def test_lpv_dump(self, small_ini, tmp_path):
         out = tmp_path / "out"
         cli_main(["gen-data", "--config", str(small_ini), "--out", str(out)])
