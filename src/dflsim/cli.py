@@ -24,7 +24,7 @@ from .lpv import assoc_jacobian
 from .networks import (compare_models, init_elman, init_mlp, load_model,
                        load_rbf, rbf_forward, save_model, train_elman,
                        train_mlp, train_rbf)
-from .scenario import (ScenarioStallError, compute_metrics,
+from .scenario import (CONTROLLER_KINDS, ScenarioStallError, compute_metrics,
                        load_trajectory_csv, relative_error, run_scenario,
                        save_lpv_trace, save_trajectory_csv)
 from .tables import FileFormatError, write_table
@@ -253,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("simulate", help="run the takeoff-preparation scenario")
     _common_flags(sub)
-    sub.add_argument("--controller", choices=("ampc", "linear-mpc", "open-loop"),
-                     default="ampc")
+    sub.add_argument("--controller", choices=CONTROLLER_KINDS, default="ampc")
     sub.add_argument("--model-file", type=Path, default=None,
                      help="trained RBF block file (default: <out>/rbf_model.txt)")
     sub.add_argument("--data", type=Path, default=None)

@@ -13,7 +13,8 @@ import configparser
 import dataclasses
 from dataclasses import dataclass
 
-from .engine import EngineParams
+from .dataset import CONTROL_DT
+from .engine import EngineParams, substeps
 from .fan import FanGeometry
 from .mpc import MpcConfig
 from .scenario import ScenarioConfig
@@ -99,10 +100,13 @@ def load_bundle(path=None, overrides: dict | None = None) -> SimBundle:
         section, key = dotted.split(".", 1)
         values[section][key] = value
     try:
-        return SimBundle(plant=EngineParams(**values["plant"]),
-                         fan=FanGeometry(**values["fan"]),
-                         training=TrainingConfig(**values["training"]),
-                         mpc=MpcConfig(**values["mpc"]),
-                         scenario=ScenarioConfig(**values["scenario"]))
+        bundle = SimBundle(plant=EngineParams(**values["plant"]),
+                           fan=FanGeometry(**values["fan"]),
+                           training=TrainingConfig(**values["training"]),
+                           mpc=MpcConfig(**values["mpc"]),
+                           scenario=ScenarioConfig(**values["scenario"]))
+        substeps(bundle.plant, bundle.scenario.dt)
+        substeps(bundle.plant, CONTROL_DT)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    return bundle

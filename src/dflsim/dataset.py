@@ -44,7 +44,6 @@ class NormStats:
 class Dataset:
     inputs: np.ndarray          # (N, 4): tps %, m_fi kg/s, n rev/s, lambda
     targets: np.ndarray         # (N, 3): Q N*m, n rev/s, lambda (train rows noisy)
-    targets_clean: np.ndarray   # (N, 3): noiseless plant outputs
     n_train: int
     stats: NormStats
 
@@ -101,14 +100,15 @@ def _tps_for_lambda(lam: float, m_fi: float, n: float, params: EngineParams) -> 
     return min(max(tps, TPS_RANGE[0]), TPS_RANGE[1])
 
 
-def _settled_initial_state(params: EngineParams, geom: FanGeometry,
-                           tps: float = 20.0, m_fi: float = 0.00125,
-                           warmup_steps: int = 150):
-    state = make_initial_state(params, n=40.0, manifold_pressure=6.0e4, m_fi=m_fi)
-    u = ControlInput(tps=tps, m_fi=m_fi)
-    for _ in range(warmup_steps):
-        state = step_engine(state, u, fan_load_power(state.n, geom), params,
-                            CONTROL_DT)
+def settled_state(params: EngineParams, geom: FanGeometry, u0: ControlInput,
+                  n: float, manifold_pressure: float, steps: int, dt: float):
+    """The coupled plant after ``steps`` intervals of ``dt`` under ``u0`` held,
+    from speed ``n`` and ``manifold_pressure`` with the delay line full of
+    ``u0.m_fi``.  A stall raises EngineStallError."""
+    state = make_initial_state(params, n=n, manifold_pressure=manifold_pressure,
+                               m_fi=u0.m_fi)
+    for _ in range(steps):
+        state = step_engine(state, u0, fan_load_power(state.n, geom), params, dt)
     return state
 
 
@@ -130,7 +130,9 @@ def generate_dataset(params: EngineParams, geom: FanGeometry,
     if n_train is None:
         n_train = max(1, sample_count - sample_count // 20)
     rng = np.random.default_rng(seed)
-    state = _settled_initial_state(params, geom)
+    state = settled_state(params, geom, ControlInput(tps=20.0, m_fi=0.00125),
+                          n=40.0, manifold_pressure=6.0e4, steps=150,
+                          dt=CONTROL_DT)
 
     inputs = np.empty((sample_count, 4))
     targets = np.empty((sample_count, 3))
@@ -203,15 +205,12 @@ def generate_dataset(params: EngineParams, geom: FanGeometry,
                 raise
             continue
 
-    targets_clean = targets.copy()
     if np.isfinite(snr_db):
         noise_std = targets[:n_train].std(axis=0) / 10.0 ** (snr_db / 20.0)
-        targets = targets.copy()
         targets[:n_train] += rng.normal(size=(n_train, 3)) * noise_std
 
     stats = compute_stats(inputs, targets, n_train)
-    return Dataset(inputs=inputs, targets=targets, targets_clean=targets_clean,
-                   n_train=n_train, stats=stats)
+    return Dataset(inputs=inputs, targets=targets, n_train=n_train, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -230,5 +229,4 @@ def load_dataset_csv(path, n_train: int | None = None) -> Dataset:
     if n_train is None:
         n_train = max(1, len(inputs) - len(inputs) // 20)
     stats = compute_stats(inputs, targets, n_train)
-    return Dataset(inputs=inputs, targets=targets, targets_clean=targets.copy(),
-                   n_train=n_train, stats=stats)
+    return Dataset(inputs=inputs, targets=targets, n_train=n_train, stats=stats)

@@ -261,6 +261,14 @@ def _outputs(n: float, omega: float, p_man: float, m_fi: float,
 # time stepping
 # ---------------------------------------------------------------------------
 
+def substeps(params: EngineParams, dt: float) -> int:
+    """RK4 substeps per control interval ``dt``; ValueError unless dt_int divides it."""
+    n_sub = int(round(dt / params.dt_int))
+    if n_sub < 1 or abs(n_sub * params.dt_int - dt) > 1e-9 * dt:
+        raise ValueError("dt_int must divide the control interval")
+    return n_sub
+
+
 def step_engine(state: EngineState, u: ControlInput, load_power: float,
                 params: EngineParams, dt: float) -> EngineState:
     """Advance the engine by one control interval under a held input.
@@ -273,10 +281,7 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
     Inputs are converted to Python floats once, so the whole interval runs
     in float arithmetic and the returned state holds floats.
     """
-    n_sub = int(round(dt / params.dt_int))
-    if n_sub < 1 or abs(n_sub * params.dt_int - dt) > 1e-9 * dt:
-        raise ValueError("dt_int must divide the control interval")
-
+    n_sub = substeps(params, dt)
     m_fi = float(u.m_fi)
     load_power = float(load_power)
     m_at = _throttle_flow(float(u.tps), params)

@@ -284,29 +284,22 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
                            kkt_residual=kkt, active=active, capped=capped)
 
 
-def _apply_first_move(u_prev: np.ndarray, solution: HorizonSolution,
-                      config: MpcConfig) -> ControlInput:
+def mpc_step(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
+             u_prev: np.ndarray, config: MpcConfig):
+    """Optimize on ``lpv``: (input to apply, horizon solution).  Only the
+    first increment ever reaches the plant, clipped to the input box."""
+    solution = solve_qp(lpv, meas, refs, u_prev, config)
     layout = horizon_layout(config)
-    u = u_prev + solution.du[0]
-    u = np.minimum(np.maximum(u, layout.u_lower), layout.u_upper)
-    return ControlInput(tps=float(u[0]), m_fi=float(u[1]))
+    u = np.minimum(np.maximum(u_prev + solution.du[0], layout.u_lower), layout.u_upper)
+    return ControlInput(tps=float(u[0]), m_fi=float(u[1])), solution
 
 
 def ampc_step(meas: Measurement, refs: np.ndarray, rbf: RbfModel,
               geom: FanGeometry, config: MpcConfig, u_prev: np.ndarray,
               t: float = 0.0):
-    """One adaptive step: relinearize at the measurement, optimize, apply.
+    """One adaptive step: relinearize at the measurement, then ``mpc_step``.
 
-    Returns (input to apply, horizon solution, the LPV model used).  Only
-    the first increment of the optimal sequence ever reaches the plant.
+    Returns (input to apply, horizon solution, the LPV model used).
     """
     lpv = build_lpv(rbf, geom, np.asarray(meas.state, dtype=float), u_prev, t=t)
-    solution = solve_qp(lpv, meas, refs, u_prev, config)
-    return _apply_first_move(u_prev, solution, config), solution, lpv
-
-
-def linear_mpc_step(fixed_lpv: LpvModel, meas: Measurement, refs: np.ndarray,
-                    config: MpcConfig, u_prev: np.ndarray):
-    """Baseline with the prediction model frozen at its initial point."""
-    solution = solve_qp(fixed_lpv, meas, refs, u_prev, config)
-    return _apply_first_move(u_prev, solution, config), solution
+    return (*mpc_step(lpv, meas, refs, u_prev, config), lpv)

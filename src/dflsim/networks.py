@@ -313,7 +313,7 @@ def compare_models(dataset: Dataset, mlp: MlpModel, elman: ElmanModel,
     """
     stats = dataset.stats
     val_in = normalize(dataset.val_inputs, stats.in_min, stats.in_max)
-    val_targets = dataset.targets_clean[dataset.n_train:]
+    val_targets = dataset.val_targets
 
     train_in = normalize(dataset.train_inputs, stats.in_min, stats.in_max)
     context = elman_sequence_outputs(elman, train_in)[1]

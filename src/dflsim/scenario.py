@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (ControlInput, EngineParams, EngineStallError,
-                     make_initial_state, step_engine)
+from .dataset import settled_state
+from .engine import ControlInput, EngineParams, EngineStallError, step_engine
 from .fan import KGF, FanGeometry, ducted_thrust_at_crank_speed, fan_load_power
 from .lpv import LPV_CSV_HEADER, build_lpv, lpv_csv_row
-from .mpc import Measurement, MpcConfig, ampc_step, linear_mpc_step
+from .mpc import Measurement, MpcConfig, ampc_step, mpc_step
 from .networks import RbfModel
 from .tables import read_table, write_table
 
@@ -105,14 +105,32 @@ def relative_error(actual, reference):
     return (actual - reference) / reference * 100.0
 
 
+def _step_function(controller, rbf, geom, mpc, state, u0, lpv_trace):
+    """The per-step controller ``(meas, refs, u_prev, t) -> (input, solution,
+    lpv)``.  ``ampc_step`` is looked up at each call, so rebinding it in this
+    module reaches the loop; linear MPC's one model is its only trace row."""
+    if controller == "ampc":
+        return lambda meas, refs, u_prev, t: ampc_step(
+            meas, refs, rbf, geom, mpc, u_prev, t=t)
+    if controller == "linear-mpc":
+        frozen = build_lpv(rbf, geom, state.as_vector(), u0)
+        if lpv_trace is not None:
+            lpv_trace.append(frozen)
+        return lambda meas, refs, u_prev, t: (
+            *mpc_step(frozen, meas, refs, u_prev, mpc), None)
+    return lambda meas, refs, u_prev, t: (
+        ControlInput(tps=u_prev[0], m_fi=u_prev[1]), None, None)
+
+
 def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
                  scenario: ScenarioConfig, controller: str = "ampc",
                  rbf: RbfModel | None = None, lpv_trace: list | None = None):
     """Run the takeoff-preparation scenario and return (records, metrics).
 
-    ``controller`` is one of ampc / linear-mpc / open-loop; the network model
-    is required for the first two.  A plant stall raises ScenarioStallError
-    with the partial trajectory attached.
+    ``controller`` is one of ``CONTROLLER_KINDS``; the MPC kinds need the
+    network model.  ``lpv_trace`` gets one model per AMPC step, the frozen
+    model once under linear MPC, none open loop.  A plant stall raises
+    ScenarioStallError with the partial trajectory attached.
     """
     if controller not in CONTROLLER_KINDS:
         raise ValueError(f"unknown controller kind {controller!r}")
@@ -127,25 +145,15 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
         mpc.lambda_bounds[1] - mpc.lambda_bounds[0]])
     state_noise = scenario.noise_std * np.array([scenario.q_span, scenario.n_span])
 
-    state = make_initial_state(params, n=scenario.init_n,
-                               manifold_pressure=scenario.init_manifold,
-                               m_fi=scenario.init_m_fi)
-    u = ControlInput(tps=scenario.init_tps, m_fi=scenario.init_m_fi)
+    u0 = ControlInput(tps=scenario.init_tps, m_fi=scenario.init_m_fi)
     try:
-        for _ in range(scenario.warmup_steps):
-            state = step_engine(state, u, fan_load_power(state.n, geom),
-                                params, scenario.dt)
+        state = settled_state(params, geom, u0, scenario.init_n, scenario.init_manifold,
+                              scenario.warmup_steps, scenario.dt)
     except EngineStallError as exc:
         raise ScenarioStallError(f"plant stalled during warmup: {exc}",
                                  []) from exc
-    u_prev = np.array([u.tps, u.m_fi])
-
-    fixed_lpv = None
-    if controller == "linear-mpc":
-        x0 = np.array([state.q_eng, state.n, state.lam])
-        fixed_lpv = build_lpv(rbf, geom, x0, u_prev)
-        if lpv_trace is not None:
-            lpv_trace.append(fixed_lpv)
+    u_prev = np.array([u0.tps, u0.m_fi])
+    step = _step_function(controller, rbf, geom, mpc, state, u_prev, lpv_trace)
 
     records = []
     for k in range(scenario.steps):
@@ -162,18 +170,10 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
         idx = np.minimum(np.arange(k + 1, k + 1 + mpc.n2), scenario.steps - 1)
         refs = np.stack([t_ref[idx], l_ref[idx]], axis=1)
 
-        if controller == "ampc":
-            u_cmd, sol, lpv = ampc_step(meas, refs, rbf, geom, mpc, u_prev,
-                                        t=t_now)
-            if lpv_trace is not None:
-                lpv_trace.append(lpv)
-            cost_val, iters = sol.cost, sol.iterations
-        elif controller == "linear-mpc":
-            u_cmd, sol = linear_mpc_step(fixed_lpv, meas, refs, mpc, u_prev)
-            cost_val, iters = sol.cost, sol.iterations
-        else:
-            u_cmd = ControlInput(tps=u_prev[0], m_fi=u_prev[1])
-            cost_val, iters = 0.0, 0
+        u_cmd, sol, lpv = step(meas, refs, u_prev, t_now)
+        if lpv is not None and lpv_trace is not None:
+            lpv_trace.append(lpv)
+        cost_val, iters = (0.0, 0) if sol is None else (sol.cost, sol.iterations)
         if not np.isfinite(cost_val):
             raise RuntimeError(f"solver produced a non-finite cost at step {k}")
 

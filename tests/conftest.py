@@ -15,8 +15,7 @@ from dflsim.fan import FanGeometry
 
 def _read_only(ds):
     s = ds.stats
-    for arr in (ds.inputs, ds.targets, ds.targets_clean,
-                s.in_min, s.in_max, s.out_min, s.out_max):
+    for arr in (ds.inputs, ds.targets, s.in_min, s.in_max, s.out_min, s.out_max):
         arr.flags.writeable = False
     return ds
 

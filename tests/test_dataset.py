@@ -18,6 +18,13 @@ def small_dataset():
     return generate_dataset(P, G, sample_count=400, seed=11, snr_db=5.0)
 
 
+@pytest.fixture(scope="module")
+def small_clean():
+    """``small_dataset`` without noise: the excitation draws come before the
+    noise draw, so the plant path is the same."""
+    return generate_dataset(P, G, sample_count=400, seed=11, snr_db=np.inf)
+
+
 class TestNormalize:
     def test_column_min_maps_to_minus_one(self):
         x = np.array([[2.0, 10.0], [4.0, 30.0], [3.0, 20.0]])
@@ -62,9 +69,11 @@ class TestGenerateDataset:
         y = normalize(ds.train_inputs, ds.stats.in_min, ds.stats.in_max)
         assert y.min() >= -1.0 - 1e-12 and y.max() <= 1.0 + 1e-12
 
-    def test_infinite_snr_means_clean_targets(self):
-        ds = generate_dataset(P, G, sample_count=200, seed=9, snr_db=np.inf)
-        assert np.array_equal(ds.targets, ds.targets_clean)
+    def test_infinite_snr_means_clean_targets(self, small_clean):
+        # every target row, training rows included, is the plant state the
+        # next input row starts from
+        ds = small_clean
+        assert np.array_equal(ds.targets[:-1, 1:], ds.inputs[1:, 2:])
 
     def test_same_seed_identical(self):
         a = generate_dataset(P, G, sample_count=200, seed=17, snr_db=5.0)
@@ -74,24 +83,24 @@ class TestGenerateDataset:
 
     def test_noise_snr_within_half_db(self, stock_dataset):
         ds = stock_dataset
-        noise = ds.targets[:950] - ds.targets_clean[:950]
-        snr = 10.0 * np.log10(ds.targets_clean[:950].var(axis=0)
-                              / noise.var(axis=0))
+        clean = generate_dataset(P, G, sample_count=1000, seed=123,
+                                 snr_db=np.inf).train_targets
+        noise = ds.train_targets - clean
+        snr = 10.0 * np.log10(clean.var(axis=0) / noise.var(axis=0))
         assert np.all(np.abs(snr - 5.0) < 0.5)
 
-    def test_noise_only_on_training_rows(self, small_dataset):
+    def test_noise_only_on_training_rows(self, small_dataset, small_clean):
         ds = small_dataset
-        assert np.array_equal(ds.targets[ds.n_train:],
-                              ds.targets_clean[ds.n_train:])
-        assert not np.array_equal(ds.targets[:ds.n_train],
-                                  ds.targets_clean[:ds.n_train])
+        assert np.array_equal(ds.inputs, small_clean.inputs)
+        assert np.array_equal(ds.val_targets, small_clean.val_targets)
+        assert not np.any(ds.train_targets == small_clean.train_targets)
 
-    def test_targets_are_one_step_ahead(self, small_dataset):
+    def test_targets_are_one_step_ahead(self, small_dataset, small_clean):
         # consecutive samples chain: state columns of the next input row
         # equal the previous clean target's speed and lambda
         ds = small_dataset
-        n_next = ds.targets_clean[:-1, 1]
-        lam_next = ds.targets_clean[:-1, 2]
+        n_next = small_clean.targets[:-1, 1]
+        lam_next = small_clean.targets[:-1, 2]
         assert np.allclose(ds.inputs[1:, 2], n_next, rtol=0, atol=1e-12)
         assert np.allclose(ds.inputs[1:, 3], lam_next, rtol=0, atol=1e-12)
 

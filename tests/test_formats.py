@@ -40,8 +40,7 @@ def tiny_dataset():
     inputs = np.array([[20.0, 0.00125, 37.5, 0.82],
                        [45.5, 0.0031, 60.25, 1.0000000000000002]])
     targets = np.array([[12.5, 40.125, 0.9], [-0.1, 61.0, 1e-05]])
-    return Dataset(inputs=inputs, targets=targets,
-                   targets_clean=targets.copy(), n_train=1,
+    return Dataset(inputs=inputs, targets=targets, n_train=1,
                    stats=compute_stats(inputs, targets, 1))
 
 

@@ -7,7 +7,7 @@ import dflsim.mpc as mpc
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
 from dflsim.lpv import LpvModel, build_lpv
 from dflsim.mpc import (Measurement, MpcConfig, ampc_step, condensed_map, cost,
-                        hildreth, horizon_layout, linear_mpc_step, solve_qp)
+                        hildreth, horizon_layout, mpc_step, solve_qp)
 from dflsim.networks import train_rbf
 
 G = FanGeometry()
@@ -396,10 +396,13 @@ class TestControllerSteps:
         meas = Measurement(np.array([25.0, 90.0, 1.0]),
                            np.array([700.0, 1.0]))
         refs = np.tile([720.0, 1.0], (CFG.n2, 1))
-        u1, s1 = linear_mpc_step(frozen, meas, refs, CFG, u_prev)
-        u2, s2, _ = ampc_step(meas, refs, trained_rbf, G, CFG, u_prev)
+        u1, s1 = mpc_step(frozen, meas, refs, u_prev, CFG)
+        u2, s2, relinearized = ampc_step(meas, refs, trained_rbf, G, CFG, u_prev)
         # frozen gains differ from the relinearized ones
         assert not np.allclose(s1.du, s2.du)
+        # on the model ampc_step built, mpc_step is the same step
+        u3, s3 = mpc_step(relinearized, meas, refs, u_prev, CFG)
+        assert u3 == u2 and np.array_equal(s3.du, s2.du)
 
     def test_determinism(self, trained_rbf):
         x0 = np.array([15.0, 70.0, 0.9])

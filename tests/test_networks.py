@@ -33,8 +33,7 @@ def make_dataset(inputs, targets, n_train=None):
     if n_train is None:
         n_train = len(inputs)
     stats = compute_stats(inputs, targets, n_train)
-    return Dataset(inputs=inputs, targets=targets, targets_clean=targets.copy(),
-                   n_train=n_train, stats=stats)
+    return Dataset(inputs=inputs, targets=targets, n_train=n_train, stats=stats)
 
 
 class TestMlpForward:
@@ -336,8 +335,7 @@ class TestRbfFitting:
         targets = phi @ w_true.T
         stats = NormStats(in_min=-np.ones(4), in_max=np.ones(4),
                           out_min=-np.ones(3), out_max=np.ones(3))
-        ds = Dataset(inputs=inputs, targets=targets,
-                     targets_clean=targets.copy(), n_train=200, stats=stats)
+        ds = Dataset(inputs=inputs, targets=targets, n_train=200, stats=stats)
         model = RbfModel(centers, radii, np.zeros((3, 10)), stats)
         lw = rbf_train_weights(model, ds, lms_passes=1)
         assert np.max(np.abs(lw - w_true)) < 1e-6

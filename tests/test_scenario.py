@@ -5,18 +5,23 @@ import json
 import numpy as np
 import pytest
 
+import dflsim.dataset
+import dflsim.mpc as mpc
+import dflsim.scenario as scenario
 from dflsim.cli import main as cli_main
 from dflsim.config import ConfigError, load_bundle
-from dflsim.dataset import NormStats, denormalize, load_dataset_csv, normalize
-from dflsim.engine import EngineParams
+from dflsim.dataset import (NormStats, denormalize, load_dataset_csv,
+                            normalize, settled_state)
+from dflsim.engine import ControlInput, EngineParams, step_engine
 from dflsim.fan import (KGF, FanGeometry, fan_power, solve_operating_point,
                         thrust_from_power)
+from dflsim.lpv import build_lpv, lpv_csv_row
 from dflsim.mpc import MpcConfig
 from dflsim.networks import (init_mlp, load_rbf, mape, rbf_forward,
                              save_blocks, save_model, train_rbf)
-from dflsim.scenario import (ScenarioConfig, compute_metrics,
-                             load_trajectory_csv, relative_error,
-                             run_scenario, save_trajectory_csv)
+from dflsim.scenario import (CONTROLLER_KINDS, ScenarioConfig,
+                             compute_metrics, load_trajectory_csv,
+                             relative_error, run_scenario, save_trajectory_csv)
 
 P = EngineParams()
 G = FanGeometry()
@@ -25,6 +30,20 @@ G = FanGeometry()
 @pytest.fixture(scope="module")
 def trained_rbf(stock_dataset):
     return train_rbf(stock_dataset, seed=1)
+
+
+@pytest.fixture
+def plant_calls(monkeypatch):
+    """Every plant interval the warm-up or the closed loop runs, recorded."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return step_engine(*args)
+
+    monkeypatch.setattr(dflsim.dataset, "step_engine", counting)
+    monkeypatch.setattr(scenario, "step_engine", counting)
+    return calls
 
 
 class TestRelativeError:
@@ -85,10 +104,11 @@ class TestClosedLoopShort:
             assert cfg.tps_bounds[0] <= r.tps <= cfg.tps_bounds[1]
             assert cfg.mf_bounds[0] <= r.m_fi <= cfg.mf_bounds[1]
 
-    def test_rbf_required_for_closed_loop(self):
+    def test_rbf_required_for_closed_loop(self, plant_calls):
         with pytest.raises(ValueError):
             run_scenario(P, G, MpcConfig(), ScenarioConfig(steps=5),
                          controller="ampc")
+        assert plant_calls == []
 
     def test_warmup_stall_raises_scenario_error(self):
         from dflsim.scenario import ScenarioStallError
@@ -97,10 +117,56 @@ class TestClosedLoopShort:
         with pytest.raises(ScenarioStallError):
             run_scenario(P, G, MpcConfig(), scen, controller="open-loop")
 
-    def test_unknown_controller_rejected(self):
+    def test_unknown_controller_rejected(self, plant_calls):
         with pytest.raises(ValueError):
             run_scenario(P, G, MpcConfig(), ScenarioConfig(steps=5),
                          controller="pid")
+        assert plant_calls == []
+
+
+SHORT = ScenarioConfig(steps=12, ramp_start=2, ramp_end=8, lam_step_at=10,
+                       warmup_steps=150)
+
+
+class TestControllerPath:
+    """One per-step function per run, chosen from ``CONTROLLER_KINDS``."""
+
+    def test_ampc_step_bound_at_call_time(self, trained_rbf, monkeypatch):
+        # the benchmark times the control step by rebinding
+        # dflsim.scenario.ampc_step; a step captured at import would miss it
+        plain, _ = run_scenario(P, G, MpcConfig(), SHORT, rbf=trained_rbf)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["t"])
+            return mpc.ampc_step(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "ampc_step", counting)
+        wrapped, _ = run_scenario(P, G, MpcConfig(), SHORT, rbf=trained_rbf)
+        assert calls == [k * SHORT.dt for k in range(SHORT.steps)]
+        assert wrapped == plain
+
+    @pytest.mark.parametrize("controller", CONTROLLER_KINDS)
+    def test_lpv_trace_and_solver_fields(self, trained_rbf, controller):
+        trace = []
+        records, _ = run_scenario(P, G, MpcConfig(), SHORT,
+                                  controller=controller, rbf=trained_rbf,
+                                  lpv_trace=trace)
+        assert len(records) == SHORT.steps
+        if controller == "ampc":
+            assert [m.t for m in trace] == [r.time for r in records]
+        elif controller == "linear-mpc":
+            u0 = ControlInput(SHORT.init_tps, SHORT.init_m_fi)
+            state = settled_state(P, G, u0, SHORT.init_n, SHORT.init_manifold,
+                                  SHORT.warmup_steps, SHORT.dt)
+            frozen = build_lpv(trained_rbf, G, state.as_vector(),
+                               np.array([u0.tps, u0.m_fi]))
+            assert len(trace) == 1
+            assert np.array_equal(lpv_csv_row(trace[0]), lpv_csv_row(frozen))
+        else:
+            assert trace == []
+            assert all(r.cost == 0.0 and r.qp_iterations == 0
+                       for r in records)
 
 
 class TestNoiseAudit:
@@ -285,7 +351,7 @@ class TestCli:
         val_in = normalize(ds.val_inputs, stats.in_min, stats.in_max)
         pred = denormalize(np.array([rbf_forward(model, p) for p in val_in]),
                            stats.out_min, stats.out_max)
-        trained = mape(pred, ds.targets_clean[ds.n_train:])
+        trained = mape(pred, ds.val_targets)
         assert np.allclose(reported, trained, rtol=1e-12, atol=0.0)
         lines = (out / "prediction_errors.csv").read_text().splitlines()
         assert lines[0] == "sample," + ",".join(
@@ -369,6 +435,17 @@ class TestCli:
         bad.write_text("[plant]\nbogus = 1\n")
         assert cli_main(["gen-data", "--config", str(bad),
                          "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command, ini_text", [
+        (["simulate", "--controller", "open-loop"], "[scenario]\ndt = 0.1005\n"),
+        (["gen-data"], "[plant]\ndt_int = 0.003\n"),
+    ])
+    def test_control_interval_not_whole_substeps_exit_code(self, tmp_path,
+                                                           command, ini_text):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(ini_text)
+        assert cli_main(command + ["--config", str(bad),
+                                   "--out", str(tmp_path / "o")]) == 2
 
     def test_reversed_mpc_bounds_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
