@@ -45,6 +45,15 @@ class TrainingConfig:
     elman_epochs: int = 1000
     mse_target: float = 1.0e-4
 
+    def __post_init__(self):
+        if not 1 <= self.n_train < self.sample_count:
+            raise ValueError("training needs 1 <= n_train < sample_count, so that "
+                             "at least one validation row is left")
+        if min(self.rbf_centers, self.rbf_neighbors, self.mlp_hidden,
+               self.elman_hidden, self.mlp_epochs, self.elman_epochs) < 1:
+            raise ValueError("center, neighbor, hidden-size and epoch counts "
+                             "must be positive")
+
 
 @dataclass(frozen=True)
 class SimBundle:

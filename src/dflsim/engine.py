@@ -9,10 +9,12 @@ each control interval.
 
 One interval is 4 * dt/dt_int right-hand-side evaluations (400 at the stock
 0.1 s / 1 ms), so ``step_engine`` runs it on Python floats: the fuel delay
-line holds floats, inputs are converted once, and every constant that is
-fixed while the throttle is held (orifice constants, throttle area, speed-
-density factor, manifold gain, efficiency and friction coefficients) is
-computed once per interval by the sub-model factories below.
+line holds floats, inputs are converted once, every constant that is fixed
+while the throttle is held (orifice constants, throttle area, speed-density
+factor, manifold gain, efficiency and friction coefficients) is computed
+once per interval, and one loop over the four RK4 stages evaluates the
+right-hand side inline, with no function call inside a substep.  The public
+sub-model functions evaluate the same formulas directly at a single point.
 
 All internal math is SI (rad/s, Pa, W, N*m); crankshaft speed crosses the
 module boundary in rev/s because that is the unit the rest of the pipeline
@@ -122,96 +124,28 @@ def make_initial_state(params: EngineParams, n: float, manifold_pressure: float,
 # ---------------------------------------------------------------------------
 # sub-models
 #
-# Each formula is written once, in a factory that computes its constants from
-# the parameters and returns a plain-float function closing over them.  The
-# public functions evaluate a factory once; ``step_engine`` builds each
-# factory once per control interval and calls the result 400 times.  The
-# clamps are comparisons written to return what max()/min() would (NaN
-# included) because a builtin call costs more than the arithmetic here.
+# Each public function below evaluates one sub-model at a single point.
+# ``step_engine`` spells the same formulas inline, in the same operation
+# order, because an interval evaluates them 400 times and a Python call costs
+# more than the arithmetic; ``tests/test_engine.py`` compares the interval
+# with an independently written reference step by ``==``.  The clamps are
+# comparisons written to return what max()/min() would (NaN included) for the
+# same reason.
 # ---------------------------------------------------------------------------
 
-def _throttle_flow(tps: float, params: EngineParams):
-    """m_at(p_manifold): air mass flow (kg/s) past the throttle held at ``tps``.
-
-    Compressible orifice from ambient into the manifold, choked below the
-    critical pressure ratio, with a smooth 1 - cos effective area (Cd*A):
-    zero at 0 %, full at 90 %.
-    """
+def _orifice(tps: float, params: EngineParams):
+    """Constants of the throttle held at ``tps``, a compressible orifice from
+    ambient into the manifold with a 1 - cos effective area Cd*A (zero at 0 %,
+    full at 90 %): (Cd*A * p_amb/sqrt(R*T_amb), the critical pressure ratio
+    below which it chokes, the choked flow function, 2/gamma, (gamma+1)/gamma,
+    2*gamma/(gamma-1))."""
     gamma = params.gamma
-    p_amb = params.ambient_pressure
-    pr_crit = (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0))
-    psi_choked = math.sqrt(gamma * (2.0 / (gamma + 1.0)) ** ((gamma + 1.0) / (gamma - 1.0)))
-    exp_a = 2.0 / gamma
-    exp_b = (gamma + 1.0) / gamma
-    psi_gain = 2.0 * gamma / (gamma - 1.0)
     frac = min(max(tps, 0.0), 100.0) / 90.0
     area = params.throttle_area_max * (1.0 - math.cos(0.5 * math.pi * min(frac, 1.0)))
-    area_density = area * (p_amb / math.sqrt(params.gas_constant * params.ambient_temp))
-
-    def m_at(p_man):
-        if p_man <= 0.0:
-            raise ValueError("manifold pressure must be positive")
-        pr = p_man / p_amb
-        if pr >= 1.0:
-            psi = 0.0
-        elif pr <= pr_crit:
-            psi = psi_choked
-        else:
-            psi = math.sqrt(psi_gain * (pr ** exp_a - pr ** exp_b))
-        return area_density * psi
-    return m_at
-
-
-def _cylinder_flow(params: EngineParams):
-    """m_as(p_manifold, n): speed-density induction flow (kg/s) into the cylinder."""
-    swept = params.volumetric_eff * params.displacement
-    rt_man = params.gas_constant * params.manifold_temp
-
-    def m_as(p_man, n):
-        return swept * (0.0 if n < 0.0 else n) * (p_man / rt_man)
-    return m_as
-
-
-def _friction(params: EngineParams):
-    """p_f(n): friction loss (W), quadratic in crankshaft speed (rev/s)."""
-    lin, quad = params.friction_lin, params.friction_quad
-
-    def p_f(n):
-        if n < 0.0:
-            n = 0.0
-        return lin * n + quad * n * n
-    return p_f
-
-
-def _efficiency(params: EngineParams):
-    """eta(lam, n): indicated thermal efficiency, concave in lambda with a
-    mild speed trend, clamped at zero."""
-    peak, lam_opt, curv = params.eta_peak, params.eta_lambda_opt, params.eta_lambda_curv
-    gain, n_ref, floor = params.eta_speed_gain, params.eta_speed_ref, params.eta_speed_floor
-
-    def eta(lam, n):
-        lam_factor = 1.0 - curv * (lam - lam_opt) ** 2
-        speed_factor = 1.0 + gain * (n / n_ref - 1.0)
-        if speed_factor < floor:
-            speed_factor = floor
-        value = peak * lam_factor * speed_factor
-        return 0.0 if value < 0.0 else value
-    return eta
-
-
-def _combustion(params: EngineParams):
-    """p_comb(m_f, m_as, n): indicated power Hu * eta_i * (1 - kf) * m_f (W)
-    of the delayed fuel rate m_f burning in the air flow m_as, with the
-    efficiency at that mixture; zero without fuel."""
-    eta = _efficiency(params)
-    hu, kept = params.lower_heating_value, 1.0 - params.fuel_loss_coeff
-    stoich = params.stoich_afr
-
-    def p_comb(m_f, m_as, n):
-        if m_f <= 0.0:
-            return 0.0
-        return hu * eta(normalized_afr(m_as, m_f, stoich), n) * kept * m_f
-    return p_comb
+    density = params.ambient_pressure / math.sqrt(params.gas_constant * params.ambient_temp)
+    return (area * density, (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0)),
+            math.sqrt(gamma * (2.0 / (gamma + 1.0)) ** ((gamma + 1.0) / (gamma - 1.0))),
+            2.0 / gamma, (gamma + 1.0) / gamma, 2.0 * gamma / (gamma - 1.0))
 
 
 def air_mass_flow(tps: float, manifold_pressure: float, n: float,
@@ -222,17 +156,29 @@ def air_mass_flow(tps: float, manifold_pressure: float, n: float,
     is accepted for interface symmetry (the orifice itself is speed-free;
     speed enters through the manifold pressure it helps set).
     """
-    return _throttle_flow(tps, params)(manifold_pressure)
+    area_density, pr_crit, psi_choked, exp_a, exp_b, psi_gain = _orifice(tps, params)
+    if manifold_pressure <= 0.0:
+        raise ValueError("manifold pressure must be positive")
+    pr = manifold_pressure / params.ambient_pressure
+    if pr >= 1.0:
+        psi = 0.0
+    elif pr <= pr_crit:
+        psi = psi_choked
+    else:
+        psi = math.sqrt(psi_gain * (pr ** exp_a - pr ** exp_b))
+    return area_density * psi
 
 
 def cylinder_air_flow(manifold_pressure: float, n: float, params: EngineParams) -> float:
     """Speed-density induction flow (kg/s) out of the manifold into the cylinder."""
-    return _cylinder_flow(params)(manifold_pressure, n)
+    return (params.volumetric_eff * params.displacement * (0.0 if n < 0.0 else n)
+            * (manifold_pressure / (params.gas_constant * params.manifold_temp)))
 
 
 def friction_power(n: float, params: EngineParams) -> float:
     """Friction loss P_f (W), quadratic in crankshaft speed (rev/s)."""
-    return _friction(params)(n)
+    n = 0.0 if n < 0.0 else n
+    return params.friction_lin * n + params.friction_quad * n * n
 
 
 def normalized_afr(m_as: float, m_f: float, stoich_afr: float) -> float:
@@ -243,17 +189,29 @@ def normalized_afr(m_as: float, m_f: float, stoich_afr: float) -> float:
 
 
 def thermal_efficiency(lam: float, n: float, params: EngineParams) -> float:
-    """Indicated thermal efficiency: concave in lambda, mild speed trend."""
-    return _efficiency(params)(lam, n)
+    """Indicated thermal efficiency: concave in lambda, mild speed trend, >= 0."""
+    lam_factor = 1.0 - params.eta_lambda_curv * (lam - params.eta_lambda_opt) ** 2
+    speed_factor = 1.0 + params.eta_speed_gain * (n / params.eta_speed_ref - 1.0)
+    if speed_factor < params.eta_speed_floor:
+        speed_factor = params.eta_speed_floor
+    eta = params.eta_peak * lam_factor * speed_factor
+    return 0.0 if eta < 0.0 else eta
 
 
 def _outputs(n: float, omega: float, p_man: float, m_fi: float,
              m_f_delayed: float, params: EngineParams):
     """(brake torque N*m, lambda of the command m_fi) at a state whose
-    cylinder burns the delayed fuel rate."""
+    cylinder burns the delayed fuel rate at its own mixture; the indicated
+    power is Hu * eta_i * (1 - kf) * m_f, zero without fuel."""
     m_as = cylinder_air_flow(p_man, n, params)
     lam = normalized_afr(m_as, m_fi, params.stoich_afr)
-    p_comb = _combustion(params)(m_f_delayed, m_as, n)
+    if m_f_delayed <= 0.0:
+        p_comb = 0.0
+    else:
+        eta = thermal_efficiency(normalized_afr(m_as, m_f_delayed, params.stoich_afr),
+                                 n, params)
+        p_comb = (params.lower_heating_value * eta * (1.0 - params.fuel_loss_coeff)
+                  * m_f_delayed)
     return (p_comb - friction_power(n, params)) / omega, lam
 
 
@@ -279,49 +237,81 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
     (infeasible load / fuel starvation) if speed falls through the floor.
 
     Inputs are converted to Python floats once, so the whole interval runs
-    in float arithmetic and the returned state holds floats.
+    in float arithmetic and the returned state holds floats.  The constants
+    of the held throttle and of every sub-model are computed once; each pass
+    of the stage loop evaluates the right-hand side inline.
     """
     n_sub = substeps(params, dt)
     m_fi = float(u.m_fi)
     load_power = float(load_power)
-    m_at = _throttle_flow(float(u.tps), params)
-    m_as = _cylinder_flow(params)
-    p_comb = _combustion(params)
-    p_fric = _friction(params)
-    inertia = params.inertia
-    manifold_gain = params.gas_constant * params.manifold_temp / params.manifold_volume
-
-    def rhs(omega, p_man, m_f_delayed):
-        """Right-hand side for [omega, p_manifold]."""
-        n = omega / TWO_PI
-        m_throttle = m_at(p_man)
-        m_cyl = m_as(p_man, n)
-        domega = (p_comb(m_f_delayed, m_cyl, n) - p_fric(n) - load_power) / (inertia * omega)
-        return domega, manifold_gain * (m_throttle - m_cyl)
+    area_density, pr_crit, psi_choked, exp_a, exp_b, psi_gain = _orifice(float(u.tps), params)
+    p_amb = params.ambient_pressure
+    swept = params.volumetric_eff * params.displacement
+    rt_man = params.gas_constant * params.manifold_temp
+    manifold_gain = rt_man / params.manifold_volume
+    peak, lam_opt, curv = params.eta_peak, params.eta_lambda_opt, params.eta_lambda_curv
+    gain, n_ref, floor = params.eta_speed_gain, params.eta_speed_ref, params.eta_speed_floor
+    hu, kept = params.lower_heating_value, 1.0 - params.fuel_loss_coeff
+    stoich = params.stoich_afr
+    lin, quad, inertia = params.friction_lin, params.friction_quad, params.inertia
+    h, sixth_h = params.dt_int, params.dt_int / 6.0
+    # per stage: (step from its slope to the next stage's point, weight in the sum)
+    stages = ((0.5 * h, 1.0), (0.5 * h, 2.0), (h, 2.0), (0.0, 1.0))
+    omega_floor = TWO_PI * params.stall_speed
 
     omega = TWO_PI * float(state.n)
     p_man = float(state.manifold_pressure)
     buf = list(state.fuel_buffer)
     idx = state.buffer_index
     buf_len = len(buf)
-    h = params.dt_int
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
-    p_amb = params.ambient_pressure
-    omega_floor = TWO_PI * params.stall_speed
 
     for _ in range(n_sub):
         # consume the delayed slot, then overwrite it with the current command
         m_f_delayed = buf[idx]
         buf[idx] = m_fi
         idx = (idx + 1) % buf_len
+        no_fuel = m_f_delayed <= 0.0
+        fuel_air = m_f_delayed * stoich
 
-        w1, p1 = rhs(omega, p_man, m_f_delayed)
-        w2, p2 = rhs(omega + half_h * w1, p_man + half_h * p1, m_f_delayed)
-        w3, p3 = rhs(omega + half_h * w2, p_man + half_h * p2, m_f_delayed)
-        w4, p4 = rhs(omega + h * w3, p_man + h * p3, m_f_delayed)
-        omega += sixth_h * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
-        p_man += sixth_h * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+        # -0.0 is the exact additive identity, so the sums are the
+        # left-to-right w1 + 2*w2 + 2*w3 + w4 bit for bit
+        w_sum = p_sum = -0.0
+        w_at, p_at = omega, p_man
+        for step, weight in stages:
+            n = w_at / TWO_PI
+            n_pos = 0.0 if n < 0.0 else n
+            # throttle orifice
+            if p_at <= 0.0:
+                raise ValueError("manifold pressure must be positive")
+            pr = p_at / p_amb
+            if pr >= 1.0:
+                psi = 0.0
+            elif pr <= pr_crit:
+                psi = psi_choked
+            else:
+                psi = math.sqrt(psi_gain * (pr ** exp_a - pr ** exp_b))
+            # speed-density induction
+            m_cyl = swept * n_pos * (p_at / rt_man)
+            # the delayed charge burning at its own mixture
+            if no_fuel:
+                p_comb = 0.0
+            else:
+                lam_factor = 1.0 - curv * (m_cyl / fuel_air - lam_opt) ** 2
+                speed_factor = 1.0 + gain * (n / n_ref - 1.0)
+                if speed_factor < floor:
+                    speed_factor = floor
+                eta = peak * lam_factor * speed_factor
+                p_comb = hu * (0.0 if eta < 0.0 else eta) * kept * m_f_delayed
+            # friction, then the crankshaft power balance and manifold filling
+            p_fric = lin * n_pos + quad * n_pos * n_pos
+            w = (p_comb - p_fric - load_power) / (inertia * w_at)
+            p = manifold_gain * (area_density * psi - m_cyl)
+            w_sum += weight * w
+            p_sum += weight * p
+            w_at = omega + step * w
+            p_at = p_man + step * p
+        omega += sixth_h * w_sum
+        p_man += sixth_h * p_sum
         if p_man < 1.0:
             p_man = 1.0
         if p_amb < p_man:

@@ -104,6 +104,27 @@ class TestGenerateDataset:
         assert np.allclose(ds.inputs[1:, 2], n_next, rtol=0, atol=1e-12)
         assert np.allclose(ds.inputs[1:, 3], lam_next, rtol=0, atol=1e-12)
 
+    # rows of the stock ``gen-data`` set (seed 123, 5 dB on rows 0..949);
+    # they guard the whole excitation loop, warm-up and noise draw included
+    STOCK_ROWS = {
+        0: ([20.132493348124985, 0.00125, 38.00755580209227, 0.8513732715481481],
+            [-7.35859271727562, 33.730634745774736, 0.8483586175401083]),
+        1: ([18.246838160941913, 0.00125, 38.01073960817894, 0.8574801330468583],
+            [2.0076308197571975, 37.19901240068233, 0.7415780185147528]),
+        499: ([88.71300617266174, 0.004755768218840189, 95.83780979912612,
+               0.9571343517335169],
+              [36.278783056286315, 93.4929255956155, 0.9594513651855646]),
+        999: ([39.90715083525529, 0.003883502883822216, 109.19823358119791,
+               0.9019002024084042],
+              [15.90403329821558, 108.40038795019318, 0.9730190333499096]),
+    }
+
+    @pytest.mark.parametrize("row", sorted(STOCK_ROWS))
+    def test_stock_dataset_rows_frozen(self, stock_dataset, row):
+        inputs, targets = self.STOCK_ROWS[row]
+        assert stock_dataset.inputs[row] == pytest.approx(inputs, rel=1e-12, abs=0)
+        assert stock_dataset.targets[row] == pytest.approx(targets, rel=1e-12, abs=0)
+
 
 class TestCsvRoundTrip:
     def test_header_and_reload(self, small_dataset, tmp_path):

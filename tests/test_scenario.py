@@ -389,7 +389,7 @@ class TestCli:
     def test_gen_data_stall_exit_code(self, tmp_path):
         ini = tmp_path / "stall.ini"
         ini.write_text("[plant]\nstall_speed = 1000.0\n"
-                       "[training]\nsample_count = 50\n")
+                       "[training]\nsample_count = 50\nn_train = 45\n")
         assert cli_main(["gen-data", "--config", str(ini),
                          "--out", str(tmp_path / "o")]) == 3
 
@@ -446,6 +446,21 @@ class TestCli:
         bad.write_text(ini_text)
         assert cli_main(command + ["--config", str(bad),
                                    "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("training", [
+        "sample_count = 0",
+        "sample_count = 60\nn_train = 0",
+        "sample_count = 60\nn_train = 60",      # no validation row left
+        "rbf_neighbors = 0",                    # NaN radii
+        "mlp_hidden = 0",
+        "elman_epochs = 0",
+    ])
+    def test_bad_training_sizes_exit_code(self, tmp_path, training):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[training]\n{training}\n")
+        assert cli_main(["gen-data", "--config", str(bad),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "dataset.csv").exists()
 
     def test_reversed_mpc_bounds_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
