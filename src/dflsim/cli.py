@@ -21,9 +21,8 @@ from .config import ConfigError, load_bundle
 from .dataset import generate_dataset, load_dataset_csv, save_dataset_csv
 from .engine import EngineStallError
 from .lpv import assoc_jacobian
-from .networks import (compare_models, init_elman, init_mlp, load_model,
-                       load_rbf, rbf_forward, save_model, train_elman,
-                       train_mlp, train_rbf)
+from .networks import (compare_models, load_model, load_rbf, rbf_forward,
+                       save_model, train_elman, train_mlp, train_rbf)
 from .scenario import (CONTROLLER_KINDS, ScenarioStallError, compute_metrics,
                        load_trajectory_csv, relative_error, run_scenario,
                        save_lpv_trace, save_trajectory_csv)
@@ -57,42 +56,10 @@ def _ensure_out(args) -> Path:
     return args.out
 
 
-def dataset_from_config(bundle):
-    """Excite the plant as the [training] section configures."""
-    tr = bundle.training
-    return generate_dataset(bundle.plant, bundle.fan,
-                            sample_count=tr.sample_count, seed=tr.seed,
-                            snr_db=tr.snr_db, n_train=tr.n_train)
-
-
-def rbf_from_config(dataset, tr):
-    """Train the RBF model with every [training] RBF setting."""
-    return train_rbf(dataset, k=tr.rbf_centers, neighbors=tr.rbf_neighbors,
-                     seed=tr.model_seed + 1, overlap=tr.rbf_overlap,
-                     ridge=tr.ridge, lms_passes=tr.lms_passes,
-                     lms_rate=tr.lms_rate)
-
-
-def mlp_from_config(dataset, tr):
-    """Train the MLP with every [training] MLP setting: (model, losses)."""
-    return train_mlp(init_mlp(dataset.stats, hidden=tr.mlp_hidden,
-                              seed=tr.model_seed),
-                     dataset, lr=tr.mlp_lr, max_epochs=tr.mlp_epochs,
-                     mse_target=tr.mse_target)
-
-
-def elman_from_config(dataset, tr):
-    """Train the Elman net with every [training] Elman setting: (model, losses)."""
-    return train_elman(init_elman(dataset.stats, hidden=tr.elman_hidden,
-                                  seed=tr.model_seed),
-                       dataset, lr=tr.elman_lr, max_epochs=tr.elman_epochs,
-                       mse_target=tr.mse_target)
-
-
 def cmd_gen_data(args) -> int:
     bundle = _load(args, "training.seed")
     tr = bundle.training
-    dataset = dataset_from_config(bundle)
+    dataset = generate_dataset(bundle.plant, bundle.fan, tr)
     out = _ensure_out(args) / "dataset.csv"
     save_dataset_csv(dataset, out)
     print(f"wrote {tr.sample_count} samples ({tr.n_train} train) to {out}")
@@ -102,15 +69,15 @@ def cmd_gen_data(args) -> int:
 def _dataset_for(args, bundle):
     path = args.data if args.data else args.out / "dataset.csv"
     if Path(path).exists():
-        return load_dataset_csv(path, n_train=bundle.training.n_train)
-    return dataset_from_config(bundle)
+        return load_dataset_csv(path, bundle.training.n_train)
+    return generate_dataset(bundle.plant, bundle.fan, bundle.training)
 
 
 def _train(kind, dataset, tr):
     """Train one model from the [training] section: (model, summary)."""
     if kind == "rbf":
-        return rbf_from_config(dataset, tr), f"{tr.rbf_centers} centers"
-    model, losses = (mlp_from_config if kind == "mlp" else elman_from_config)(dataset, tr)
+        return train_rbf(dataset, tr), f"{tr.rbf_centers} centers"
+    model, losses = (train_mlp if kind == "mlp" else train_elman)(dataset, tr)
     return model, f"{len(losses)} epochs, final MSE {losses[-1]:.6f}"
 
 

@@ -4,7 +4,8 @@ INI-style sections [plant], [fan], [training], [mpc], [scenario]; every key
 matches a field of the corresponding dataclass, every value overrides an
 embedded default, so an empty (or absent) file reproduces the stock setup.
 Angles are radians, pressures pascals, thrust bounds newtons; pair-valued
-fields take two comma-separated numbers.
+fields take two comma-separated numbers.  Each section's dataclass lives with
+the code that takes it whole; this module only fills them from the file.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import configparser
 import dataclasses
 from dataclasses import dataclass
 
-from .dataset import CONTROL_DT
+from .dataset import CONTROL_DT, TrainingConfig
 from .engine import EngineParams, substeps
 from .fan import FanGeometry
 from .mpc import MpcConfig
@@ -22,37 +23,6 @@ from .scenario import ScenarioConfig
 
 class ConfigError(ValueError):
     """Bad section, key, or value in a configuration file."""
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    sample_count: int = 1000
-    n_train: int = 950
-    snr_db: float = 5.0
-    seed: int = 123                 # dataset excitation seed
-    model_seed: int = 0             # network initialization seed
-    rbf_centers: int = 25
-    rbf_neighbors: int = 2
-    rbf_overlap: float = 4.0
-    ridge: float = 1.0e-8
-    lms_passes: int = 1
-    lms_rate: float = 0.005
-    mlp_hidden: int = 26
-    mlp_lr: float = 0.1
-    mlp_epochs: int = 5000
-    elman_hidden: int = 12
-    elman_lr: float = 0.01
-    elman_epochs: int = 1000
-    mse_target: float = 1.0e-4
-
-    def __post_init__(self):
-        if not 1 <= self.n_train < self.sample_count:
-            raise ValueError("training needs 1 <= n_train < sample_count, so that "
-                             "at least one validation row is left")
-        if min(self.rbf_centers, self.rbf_neighbors, self.mlp_hidden,
-               self.elman_hidden, self.mlp_epochs, self.elman_epochs) < 1:
-            raise ValueError("center, neighbor, hidden-size and epoch counts "
-                             "must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,7 +84,8 @@ def load_bundle(path=None, overrides: dict | None = None) -> SimBundle:
                            training=TrainingConfig(**values["training"]),
                            mpc=MpcConfig(**values["mpc"]),
                            scenario=ScenarioConfig(**values["scenario"]))
-        substeps(bundle.plant, bundle.scenario.dt)
+        if bundle.scenario.dt != CONTROL_DT:
+            raise ValueError(f"scenario dt must be {CONTROL_DT} s, the models' step")
         substeps(bundle.plant, CONTROL_DT)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -5,7 +5,8 @@ steps, records one-step (input, state) -> next-state pairs at the 0.1 s
 control rate, and adds Gaussian noise of a prescribed SNR to the training
 targets.  Columns are min/max normalized to [-1, 1] using training-split
 statistics only.  The dataset CSV is a ``tables`` table with the
-``CSV_HEADER`` columns.
+``CSV_HEADER`` columns.  ``TrainingConfig``, the [training] section, lives
+here so that the excitation and the ``networks`` trainers take it whole.
 """
 
 from __future__ import annotations
@@ -21,13 +22,45 @@ from .engine import (TWO_PI, ControlInput, EngineParams, EngineStallError,
 from .fan import FanGeometry, fan_load_power
 from .tables import read_table, write_table
 
-INPUT_COLUMNS = ("tps", "m_fi", "n", "lambda")
-TARGET_COLUMNS = ("Q_next", "n_next", "lambda_next")
 CSV_HEADER = "tps,m_fi,n,lambda,Q_next,n_next,lambda_next"
 
 TPS_RANGE = (5.0, 90.0)
 MF_RANGE = (0.0011, 0.0055)
 CONTROL_DT = 0.1
+MAX_SEGMENT_RETRIES = 400     # stalled segments redrawn before a stall is raised
+
+
+@dataclass(frozen=True)
+class TrainingConfig:
+    sample_count: int = 1000
+    n_train: int = 950
+    snr_db: float = 5.0
+    seed: int = 123                 # dataset excitation seed
+    model_seed: int = 0             # network initialization seed
+    rbf_centers: int = 25
+    rbf_neighbors: int = 2
+    rbf_overlap: float = 4.0
+    ridge: float = 1.0e-8
+    lms_passes: int = 1
+    lms_rate: float = 0.005
+    mlp_hidden: int = 26
+    mlp_lr: float = 0.1
+    mlp_epochs: int = 5000
+    elman_hidden: int = 12
+    elman_lr: float = 0.01
+    elman_epochs: int = 1000
+    mse_target: float = 1.0e-4
+
+    def __post_init__(self):
+        if not 1 <= self.n_train < self.sample_count:
+            raise ValueError("training needs 1 <= n_train < sample_count, so that "
+                             "at least one validation row is left")
+        if min(self.rbf_centers, self.rbf_neighbors, self.mlp_hidden,
+               self.elman_hidden, self.mlp_epochs, self.elman_epochs) < 1:
+            raise ValueError("center, neighbor, hidden-size and epoch counts "
+                             "must be positive")
+        if min(self.seed, self.model_seed) < 0:
+            raise ValueError("seed and model_seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -113,10 +146,9 @@ def settled_state(params: EngineParams, geom: FanGeometry, u0: ControlInput,
 
 
 def generate_dataset(params: EngineParams, geom: FanGeometry,
-                     sample_count: int = 1000, seed: int = 0,
-                     snr_db: float = 5.0, n_train: int | None = None,
-                     max_segment_retries: int = 400) -> Dataset:
-    """Excite the coupled plant and assemble the identification dataset.
+                     tr: TrainingConfig) -> Dataset:
+    """Excite the coupled plant and assemble the ``tr.sample_count``-row
+    identification dataset from ``tr.seed``.
 
     Input levels hold 0.5 to 3 s.  The fuel rate performs a reflected random
     walk over its box (with occasional jumps) and each segment draws a fresh
@@ -124,12 +156,11 @@ def generate_dataset(params: EngineParams, geom: FanGeometry,
     air-path inverse with per-step dither, which keeps the mixture
     combustible while still covering the admissible input region.  Segments
     that stall the engine are rolled back and redrawn.  Gaussian white noise
-    at ``snr_db`` (per-column signal variance over noise variance) is added
-    to the training targets.
+    at ``tr.snr_db`` (per-column signal variance over noise variance) is
+    added to the first ``tr.n_train`` (training) targets.
     """
-    if n_train is None:
-        n_train = max(1, sample_count - sample_count // 20)
-    rng = np.random.default_rng(seed)
+    sample_count, n_train, snr_db = tr.sample_count, tr.n_train, tr.snr_db
+    rng = np.random.default_rng(tr.seed)
     state = settled_state(params, geom, ControlInput(tps=20.0, m_fi=0.00125),
                           n=40.0, manifold_pressure=6.0e4, steps=150,
                           dt=CONTROL_DT)
@@ -201,7 +232,7 @@ def generate_dataset(params: EngineParams, geom: FanGeometry,
         except EngineStallError:
             state, filled, m_fi = checkpoint
             retries += 1
-            if retries > max_segment_retries:
+            if retries > MAX_SEGMENT_RETRIES:
                 raise
             continue
 
@@ -222,11 +253,10 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
     write_table(path, CSV_HEADER, np.hstack([dataset.inputs, dataset.targets]))
 
 
-def load_dataset_csv(path, n_train: int | None = None) -> Dataset:
-    """Read a dataset CSV; normalization stats are rebuilt from the train split."""
+def load_dataset_csv(path, n_train: int) -> Dataset:
+    """Read a dataset CSV; normalization stats are rebuilt from the first
+    ``n_train`` (training) rows."""
     data = read_table(path, CSV_HEADER)
     inputs, targets = data[:, :4], data[:, 4:]
-    if n_train is None:
-        n_train = max(1, len(inputs) - len(inputs) // 20)
     stats = compute_stats(inputs, targets, n_train)
     return Dataset(inputs=inputs, targets=targets, n_train=n_train, stats=stats)

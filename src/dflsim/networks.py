@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dataset import Dataset, NormStats, denormalize, normalize
+from .dataset import Dataset, NormStats, TrainingConfig, denormalize, normalize
 from .tables import FileFormatError, load_blocks, save_blocks
 
 
@@ -38,7 +38,7 @@ class MlpModel:
     stats: NormStats
 
 
-def init_mlp(stats: NormStats, hidden: int = 26, seed: int = 0) -> MlpModel:
+def init_mlp(stats: NormStats, hidden: int, seed: int) -> MlpModel:
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(4.0)
     return MlpModel(iw=rng.uniform(-scale, scale, (hidden, 4)),
@@ -70,20 +70,22 @@ def _mlp_gradients(model: MlpModel, p: np.ndarray, y: np.ndarray):
     return g_iw, g_lw, g_b1, g_b2, mse
 
 
-def train_mlp(model: MlpModel, dataset: Dataset, lr: float = 0.1,
-              max_epochs: int = 5000, mse_target: float = 1e-4):
-    """Full-batch gradient descent; returns (trained model, per-epoch MSE)."""
+def train_mlp(dataset: Dataset, tr: TrainingConfig):
+    """Full-batch gradient descent from ``init_mlp(tr.mlp_hidden,
+    tr.model_seed)``; returns (trained model, per-epoch MSE)."""
+    model = init_mlp(dataset.stats, tr.mlp_hidden, tr.model_seed)
+    lr = tr.mlp_lr
     p = normalize(dataset.train_inputs, dataset.stats.in_min, dataset.stats.in_max)
     y = normalize(dataset.train_targets, dataset.stats.out_min, dataset.stats.out_max)
-    iw, lw, b1, b2 = model.iw.copy(), model.lw.copy(), model.b1.copy(), model.b2.copy()
+    iw, lw, b1, b2 = model.iw, model.lw, model.b1, model.b2
     losses = []
-    for _ in range(max_epochs):
+    for _ in range(tr.mlp_epochs):
         cur = MlpModel(iw, lw, b1, b2, model.stats)
         g_iw, g_lw, g_b1, g_b2, mse = _mlp_gradients(cur, p, y)
         losses.append(mse)
         if mse > 1e3 or not np.isfinite(mse):
             raise TrainingDivergedError(f"MLP loss diverged: {mse}")
-        if mse <= mse_target:
+        if mse <= tr.mse_target:
             break
         iw = iw - lr * g_iw
         lw = lw - lr * g_lw
@@ -110,7 +112,7 @@ class ElmanModel:
         return self.iw.shape[0]
 
 
-def init_elman(stats: NormStats, hidden: int = 12, seed: int = 0) -> ElmanModel:
+def init_elman(stats: NormStats, hidden: int, seed: int) -> ElmanModel:
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(4.0 + hidden)
     return ElmanModel(iw=rng.uniform(-scale, scale, (hidden, 4)),
@@ -126,21 +128,23 @@ def elman_forward(model: ElmanModel, p: np.ndarray, context: np.ndarray):
     return model.lw2 @ a + model.b2, a
 
 
-def train_elman(model: ElmanModel, dataset: Dataset, lr: float = 0.01,
-                max_epochs: int = 1000, mse_target: float = 1e-4):
-    """Sequential gradient training, context truncated at one step.
+def train_elman(dataset: Dataset, tr: TrainingConfig):
+    """Sequential gradient training from ``init_elman(tr.elman_hidden,
+    tr.model_seed)``, context truncated at one step.
 
     The stored context enters each update as a constant input (classical
     Elman training); samples are visited in time order so the context
     threads through the excitation sequence.  Returns (model, MSE curve).
     """
+    model = init_elman(dataset.stats, tr.elman_hidden, tr.model_seed)
+    lr = tr.elman_lr
     p_all = normalize(dataset.train_inputs, dataset.stats.in_min, dataset.stats.in_max)
     y_all = normalize(dataset.train_targets, dataset.stats.out_min, dataset.stats.out_max)
-    iw, lw1, lw2 = model.iw.copy(), model.lw1.copy(), model.lw2.copy()
-    b1, b2 = model.b1.copy(), model.b2.copy()
+    # the fresh model's arrays are trained in place
+    iw, lw1, lw2, b1, b2 = model.iw, model.lw1, model.lw2, model.b1, model.b2
     n_out = y_all.shape[1]
     losses = []
-    for _ in range(max_epochs):
+    for _ in range(tr.elman_epochs):
         context = np.zeros(model.hidden)
         sq_sum = 0.0
         for p, y in zip(p_all, y_all):
@@ -159,9 +163,9 @@ def train_elman(model: ElmanModel, dataset: Dataset, lr: float = 0.01,
         losses.append(mse)
         if mse > 1e3 or not np.isfinite(mse):
             raise TrainingDivergedError(f"Elman loss diverged: {mse}")
-        if mse <= mse_target:
+        if mse <= tr.mse_target:
             break
-    return ElmanModel(iw, lw1, lw2, b1, b2, model.stats), np.asarray(losses)
+    return model, np.asarray(losses)
 
 
 def elman_sequence_outputs(model: ElmanModel, inputs_norm: np.ndarray,
@@ -234,8 +238,8 @@ def _kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100):
     return centers, dist.argmin(axis=1)
 
 
-def rbf_fit_centers(dataset: Dataset, k: int = 25, neighbors: int = 2,
-                    seed: int = 0, overlap: float = 4.0):
+def rbf_fit_centers(dataset: Dataset, k: int, neighbors: int, seed: int,
+                    overlap: float):
     """Place centers by k-means on normalized training inputs; radius of each
     center is the mean distance to its ``neighbors`` nearest co-centers,
     widened by the ``overlap`` factor so neighboring kernels blend."""
@@ -254,8 +258,8 @@ def rbf_fit_centers(dataset: Dataset, k: int = 25, neighbors: int = 2,
     return centers, radii
 
 
-def rbf_train_weights(model: RbfModel, dataset: Dataset, ridge: float = 1e-8,
-                      lms_passes: int = 1, lms_rate: float = 0.05) -> np.ndarray:
+def rbf_train_weights(model: RbfModel, dataset: Dataset, ridge: float,
+                      lms_passes: int, lms_rate: float) -> np.ndarray:
     """Solve the output weights.
 
     Batch ridge-regularized normal equations give the least-squares optimum;
@@ -274,16 +278,14 @@ def rbf_train_weights(model: RbfModel, dataset: Dataset, ridge: float = 1e-8,
     return lw
 
 
-def train_rbf(dataset: Dataset, k: int = 25, neighbors: int = 2, seed: int = 0,
-              overlap: float = 4.0, ridge: float = 1e-8, lms_passes: int = 1,
-              lms_rate: float = 0.005) -> RbfModel:
-    """Full RBF pipeline: centers, radii, then output weights."""
-    centers, radii = rbf_fit_centers(dataset, k=k, neighbors=neighbors,
-                                     seed=seed, overlap=overlap)
+def train_rbf(dataset: Dataset, tr: TrainingConfig) -> RbfModel:
+    """Full RBF pipeline: centers, radii, then output weights; the k-means
+    seed is ``tr.model_seed + 1``."""
+    centers, radii = rbf_fit_centers(dataset, tr.rbf_centers, tr.rbf_neighbors,
+                                     tr.model_seed + 1, tr.rbf_overlap)
     model = RbfModel(centers=centers, radii=radii,
                      lw=np.zeros((3, len(centers))), stats=dataset.stats)
-    lw = rbf_train_weights(model, dataset, ridge=ridge, lms_passes=lms_passes,
-                           lms_rate=lms_rate)
+    lw = rbf_train_weights(model, dataset, tr.ridge, tr.lms_passes, tr.lms_rate)
     return replace(model, lw=lw)
 
 

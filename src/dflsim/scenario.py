@@ -55,6 +55,10 @@ class ScenarioConfig:
     init_manifold: float = 5.7e4          # Pa
     warmup_steps: int = 200
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("scenario seed must be non-negative")
+
     def thrust_reference(self) -> np.ndarray:
         """Per-step thrust reference in newtons."""
         ref = np.empty(self.steps)

@@ -6,9 +6,8 @@ of changing what the next test reads.
 
 import pytest
 
-from dflsim.cli import dataset_from_config
 from dflsim.config import load_bundle
-from dflsim.dataset import generate_dataset
+from dflsim.dataset import TrainingConfig, generate_dataset
 from dflsim.engine import EngineParams
 from dflsim.fan import FanGeometry
 
@@ -24,12 +23,15 @@ def _read_only(ds):
 def stock_dataset():
     """The dataset ``gen-data`` writes at the stock config: 1000 samples,
     seed 123, 5 dB SNR on the 950 training rows."""
-    return _read_only(dataset_from_config(load_bundle(None)))
+    bundle = load_bundle(None)
+    return _read_only(generate_dataset(bundle.plant, bundle.fan,
+                                       bundle.training))
 
 
 @pytest.fixture(scope="session")
 def seed19_dataset():
     """600 samples at seed 19 and 5 dB SNR, for the derivative-network and
     MPC tests."""
-    return _read_only(generate_dataset(EngineParams(), FanGeometry(),
-                                       sample_count=600, seed=19, snr_db=5.0))
+    return _read_only(generate_dataset(
+        EngineParams(), FanGeometry(),
+        TrainingConfig(sample_count=600, n_train=570, seed=19, snr_db=5.0)))

@@ -8,8 +8,7 @@ models, and runs the closed-loop scenarios, so it takes a few minutes.
 import numpy as np
 import pytest
 
-from dflsim.cli import (elman_from_config, main as cli_main, mlp_from_config,
-                        rbf_from_config)
+from dflsim.cli import main as cli_main
 from dflsim.config import load_bundle
 from dflsim.dataset import normalize
 from dflsim.engine import ControlInput, EngineParams, make_initial_state, \
@@ -18,7 +17,8 @@ from dflsim.fan import (FanGeometry, duct_ratio, solve_operating_point,
                         thrust_from_power)
 from dflsim.lpv import assoc_jacobian, build_lpv
 from dflsim.mpc import hildreth
-from dflsim.networks import compare_models, rbf_forward
+from dflsim.networks import (compare_models, rbf_forward, train_elman,
+                             train_mlp, train_rbf)
 from dflsim.scenario import run_scenario
 from test_engine import combustion_power
 
@@ -41,7 +41,7 @@ def dataset(stock_dataset):
 
 @pytest.fixture(scope="module")
 def rbf(bundle, dataset):
-    return rbf_from_config(dataset, bundle.training)
+    return train_rbf(dataset, bundle.training)
 
 
 @pytest.fixture(scope="module")
@@ -126,8 +126,8 @@ def test_criterion_3_first_order_validity(bundle, rbf):
 
 def test_criterion_4_model_comparison(bundle, dataset, rbf):
     tr = bundle.training
-    report = compare_models(dataset, mlp_from_config(dataset, tr)[0],
-                            elman_from_config(dataset, tr)[0], rbf)
+    report = compare_models(dataset, train_mlp(dataset, tr)[0],
+                            train_elman(dataset, tr)[0], rbf)
     rbf_mape = report.mape_table["rbf"]
     elman_mape = report.mape_table["elman"]
     within = bool(np.all(rbf_mape <= 2.5))

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from dflsim.dataset import (CSV_HEADER, MF_RANGE, TPS_RANGE, _tps_for_lambda,
-                            compute_stats, denormalize, generate_dataset,
-                            load_dataset_csv, normalize, save_dataset_csv)
+from dflsim.dataset import (CSV_HEADER, MF_RANGE, TPS_RANGE, TrainingConfig,
+                            _tps_for_lambda, compute_stats, denormalize,
+                            generate_dataset, load_dataset_csv, normalize,
+                            save_dataset_csv)
 from dflsim.engine import EngineParams, air_mass_flow
 from dflsim.fan import FanGeometry
 
@@ -15,14 +16,16 @@ G = FanGeometry()
 
 @pytest.fixture(scope="module")
 def small_dataset():
-    return generate_dataset(P, G, sample_count=400, seed=11, snr_db=5.0)
+    return generate_dataset(P, G, TrainingConfig(sample_count=400, n_train=380,
+                                                 seed=11, snr_db=5.0))
 
 
 @pytest.fixture(scope="module")
 def small_clean():
     """``small_dataset`` without noise: the excitation draws come before the
     noise draw, so the plant path is the same."""
-    return generate_dataset(P, G, sample_count=400, seed=11, snr_db=np.inf)
+    return generate_dataset(P, G, TrainingConfig(sample_count=400, n_train=380,
+                                                 seed=11, snr_db=np.inf))
 
 
 class TestNormalize:
@@ -53,7 +56,7 @@ class TestGenerateDataset:
         assert ds.n_train == 380
 
     def test_default_split_is_950_50(self):
-        ds = generate_dataset(P, G, sample_count=1000, seed=5, snr_db=np.inf)
+        ds = generate_dataset(P, G, TrainingConfig(seed=5, snr_db=np.inf))
         assert ds.n_train == 950
         assert len(ds.val_inputs) == 50
 
@@ -76,15 +79,16 @@ class TestGenerateDataset:
         assert np.array_equal(ds.targets[:-1, 1:], ds.inputs[1:, 2:])
 
     def test_same_seed_identical(self):
-        a = generate_dataset(P, G, sample_count=200, seed=17, snr_db=5.0)
-        b = generate_dataset(P, G, sample_count=200, seed=17, snr_db=5.0)
+        tr = TrainingConfig(sample_count=200, n_train=190, seed=17, snr_db=5.0)
+        a = generate_dataset(P, G, tr)
+        b = generate_dataset(P, G, tr)
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.targets, b.targets)
 
     def test_noise_snr_within_half_db(self, stock_dataset):
         ds = stock_dataset
-        clean = generate_dataset(P, G, sample_count=1000, seed=123,
-                                 snr_db=np.inf).train_targets
+        clean = generate_dataset(P, G, TrainingConfig(seed=123, snr_db=np.inf)
+                                 ).train_targets
         noise = ds.train_targets - clean
         snr = 10.0 * np.log10(clean.var(axis=0) / noise.var(axis=0))
         assert np.all(np.abs(snr - 5.0) < 0.5)

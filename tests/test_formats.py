@@ -5,6 +5,8 @@ stages read what earlier ones wrote, so each writer is frozen against a
 literal here.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,8 @@ LPV_TEXT = (
     "1.5,12.0,65.0,0.9,30.0,0.0028,0.0,0.5,-0.25,0.0,0.75,0.125,0.0,0.001,"
     "0.5,0.2,1500.0,0.05,9000.0,-0.001,-40.0,12.0,3.5,0.0,0.0,0.0,1.0,"
     "0.0,0.0,0.0,0.0\n")
+
+load_dataset = partial(load_dataset_csv, n_train=1)
 
 
 def tiny_dataset():
@@ -88,7 +92,7 @@ def test_dataset_rejects_wrong_header(tmp_path):
     path = tmp_path / "dataset.csv"
     path.write_text(DATASET_TEXT.replace("Q_next", "torque_next"))
     with pytest.raises(ValueError):
-        load_dataset_csv(path)
+        load_dataset_csv(path, n_train=1)
 
 
 def test_trajectory_rejects_wrong_header(tmp_path):
@@ -100,9 +104,9 @@ def test_trajectory_rejects_wrong_header(tmp_path):
 
 @pytest.mark.parametrize("name, text, load", [
     ("dataset.csv", DATASET_TEXT.replace("Q_next", "torque_next"),
-     load_dataset_csv),
-    ("dataset.csv", DATASET_TEXT.replace("12.5,", "twelve,"), load_dataset_csv),
-    ("dataset.csv", DATASET_TEXT.replace(",0.9\n", "\n"), load_dataset_csv),
+     load_dataset),
+    ("dataset.csv", DATASET_TEXT.replace("12.5,", "twelve,"), load_dataset),
+    ("dataset.csv", DATASET_TEXT.replace(",0.9\n", "\n"), load_dataset),
     ("trajectory.csv", TRAJECTORY_TEXT.replace("cost", "objective"),
      load_trajectory_csv),
     ("rbf_model.txt", "# CENTERS 2 4\n1.0 2.0 3.0 4.0\n", load_blocks),

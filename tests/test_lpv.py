@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dflsim.dataset import NormStats
+from dflsim.dataset import NormStats, TrainingConfig
 from dflsim.engine import ControlInput
 from dflsim.fan import FanGeometry
 from dflsim.lpv import (LPV_CSV_HEADER, assoc_jacobian, build_lpv,
@@ -24,7 +24,7 @@ def random_rbf(seed=0, centers=12):
 
 @pytest.fixture(scope="module")
 def trained_rbf(seed19_dataset):
-    return train_rbf(seed19_dataset, seed=1)
+    return train_rbf(seed19_dataset, TrainingConfig())
 
 
 def fd_jacobian(model, p, step=1e-5):

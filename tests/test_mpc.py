@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dflsim.mpc as mpc
+from dflsim.dataset import TrainingConfig
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
 from dflsim.lpv import LpvModel, build_lpv
 from dflsim.mpc import (Measurement, MpcConfig, ampc_step, condensed_map, cost,
@@ -72,7 +73,7 @@ def output_violation(predicted, config=CFG):
 
 @pytest.fixture(scope="module")
 def trained_rbf(seed19_dataset):
-    return train_rbf(seed19_dataset, seed=1)
+    return train_rbf(seed19_dataset, TrainingConfig())
 
 
 class TestPredictHorizon:

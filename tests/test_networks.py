@@ -5,7 +5,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from dflsim.dataset import Dataset, NormStats, compute_stats, normalize
+from dflsim.dataset import (Dataset, NormStats, TrainingConfig, compute_stats,
+                            normalize)
 from dflsim.networks import (ElmanModel, MlpModel, RbfModel,
                              TrainingDivergedError, _kmeans, _mlp_gradients,
                              _phi_matrix, elman_forward, elman_sequence_outputs,
@@ -98,22 +99,14 @@ class TestMlpTraining:
                 fd = (up - dn) / (2 * h)
                 assert grad[idx] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
-    def test_zero_epochs_returns_model_unchanged(self):
-        model = init_mlp(toy_stats(), hidden=4, seed=1)
-        ds = make_dataset(np.random.default_rng(0).uniform(-1, 1, (10, 4)),
-                          np.zeros((10, 3)))
-        trained, losses = train_mlp(model, ds, max_epochs=0)
-        assert np.array_equal(trained.iw, model.iw)
-        assert len(losses) == 0
-
     def test_converges_on_linear_toy_problem(self):
         rng = np.random.default_rng(4)
         inputs = rng.uniform(-1, 1, (60, 4))
         w_true = rng.uniform(-0.4, 0.4, (3, 4))
         targets = inputs @ w_true.T
         ds = make_dataset(inputs, targets)
-        model = init_mlp(ds.stats, hidden=8, seed=3)
-        trained, losses = train_mlp(model, ds, lr=0.5, max_epochs=6000)
+        trained, losses = train_mlp(ds, TrainingConfig(
+            mlp_hidden=8, model_seed=3, mlp_lr=0.5, mlp_epochs=6000))
         assert losses[-1] <= 1e-4
 
     def test_loss_trend_nonincreasing_by_windows(self):
@@ -121,8 +114,8 @@ class TestMlpTraining:
         inputs = rng.uniform(-1, 1, (80, 4))
         targets = np.tanh(inputs[:, :3]) * 0.5
         ds = make_dataset(inputs, targets)
-        _, losses = train_mlp(init_mlp(ds.stats, hidden=8, seed=0), ds,
-                              max_epochs=600)
+        _, losses = train_mlp(ds, TrainingConfig(mlp_hidden=8, model_seed=0,
+                                                 mlp_epochs=600))
         # averaged over 50-epoch windows the loss must not increase
         w = 50
         means = [losses[i:i + w].mean() for i in range(0, len(losses) - w, w)]
@@ -132,9 +125,9 @@ class TestMlpTraining:
         rng = np.random.default_rng(1)
         inputs = rng.uniform(-1, 1, (20, 4))
         ds = make_dataset(inputs, rng.uniform(-1, 1, (20, 3)))
-        model = init_mlp(ds.stats, hidden=6, seed=0)
         with pytest.raises(TrainingDivergedError):
-            train_mlp(model, ds, lr=500.0, max_epochs=500)
+            train_mlp(ds, TrainingConfig(mlp_hidden=6, model_seed=0,
+                                         mlp_lr=500.0, mlp_epochs=500))
 
 
 class TestElman:
@@ -221,8 +214,8 @@ class TestElman:
         inputs = rng.uniform(-1, 1, (80, 4))
         targets = 0.5 * inputs[:, :3]
         ds = make_dataset(inputs, targets)
-        model = init_elman(ds.stats, hidden=6, seed=1)
-        trained, losses = train_elman(model, ds, lr=0.01, max_epochs=60)
+        trained, losses = train_elman(ds, TrainingConfig(
+            elman_hidden=6, model_seed=1, elman_lr=0.01, elman_epochs=60))
         assert losses[-1] < losses[0]
 
 
@@ -310,7 +303,8 @@ class TestRbfFitting:
         rng = np.random.default_rng(22)
         inputs = rng.uniform(-1, 1, (30, 4))
         ds = make_dataset(inputs, np.zeros((30, 3)))
-        centers, radii = rbf_fit_centers(ds, k=30, seed=0, overlap=1.0)
+        centers, radii = rbf_fit_centers(ds, k=30, neighbors=2, seed=0,
+                                         overlap=1.0)
         points = normalize(ds.train_inputs, ds.stats.in_min, ds.stats.in_max)
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assert np.max(d2.min(axis=1)) < 1e-16
@@ -320,8 +314,8 @@ class TestRbfFitting:
         rng = np.random.default_rng(23)
         inputs = rng.uniform(-1, 1, (60, 4))
         ds = make_dataset(inputs, np.zeros((60, 3)))
-        c1, r1 = rbf_fit_centers(ds, k=8, seed=5)
-        c2, r2 = rbf_fit_centers(ds, k=8, seed=5)
+        c1, r1 = rbf_fit_centers(ds, k=8, neighbors=2, seed=5, overlap=4.0)
+        c2, r2 = rbf_fit_centers(ds, k=8, neighbors=2, seed=5, overlap=4.0)
         assert np.array_equal(c1, c2) and np.array_equal(r1, r2)
 
     def test_synthesize_and_recover_weights(self):
@@ -337,7 +331,8 @@ class TestRbfFitting:
                           out_min=-np.ones(3), out_max=np.ones(3))
         ds = Dataset(inputs=inputs, targets=targets, n_train=200, stats=stats)
         model = RbfModel(centers, radii, np.zeros((3, 10)), stats)
-        lw = rbf_train_weights(model, ds, lms_passes=1)
+        lw = rbf_train_weights(model, ds, ridge=1e-8, lms_passes=1,
+                               lms_rate=0.05)
         assert np.max(np.abs(lw - w_true)) < 1e-6
         mse = float(np.mean((phi @ lw.T - targets) ** 2))
         assert mse <= 1e-12
@@ -346,9 +341,11 @@ class TestRbfFitting:
         rng = np.random.default_rng(32)
         inputs = rng.uniform(-1, 1, (50, 4))
         ds = make_dataset(inputs, np.zeros((50, 3)))
-        centers, radii = rbf_fit_centers(ds, k=8, seed=0)
+        centers, radii = rbf_fit_centers(ds, k=8, neighbors=2, seed=0,
+                                         overlap=4.0)
         model = RbfModel(centers, radii, np.zeros((3, 8)), ds.stats)
-        lw = rbf_train_weights(model, ds, lms_passes=0)
+        lw = rbf_train_weights(model, ds, ridge=1e-8, lms_passes=0,
+                               lms_rate=0.05)
         assert np.max(np.abs(lw)) < 1e-12
 
     def test_normal_equations_residual_orthogonality(self):
@@ -356,9 +353,11 @@ class TestRbfFitting:
         inputs = rng.uniform(-1, 1, (120, 4))
         targets = rng.normal(size=(120, 3))
         ds = make_dataset(inputs, targets)
-        centers, radii = rbf_fit_centers(ds, k=10, seed=0)
+        centers, radii = rbf_fit_centers(ds, k=10, neighbors=2, seed=0,
+                                         overlap=4.0)
         model = RbfModel(centers, radii, np.zeros((3, 10)), ds.stats)
-        lw = rbf_train_weights(model, ds, lms_passes=0)
+        lw = rbf_train_weights(model, ds, ridge=1e-8, lms_passes=0,
+                               lms_rate=0.05)
         p = normalize(ds.train_inputs, ds.stats.in_min, ds.stats.in_max)
         y = normalize(ds.train_targets, ds.stats.out_min, ds.stats.out_max)
         phi = _phi_matrix(p, centers, radii)
@@ -370,7 +369,8 @@ class TestRbfFitting:
         inputs = rng.uniform(-1, 1, (100, 4))
         targets = rng.normal(size=(100, 3))
         ds = make_dataset(inputs, targets)
-        model = train_rbf(ds, k=10, seed=0)
+        # k-means seed model_seed + 1 = 1 (seed 0 would need model_seed -1)
+        model = train_rbf(ds, TrainingConfig(rbf_centers=10, model_seed=0))
         p = normalize(ds.train_inputs, ds.stats.in_min, ds.stats.in_max)
         y = normalize(ds.train_targets, ds.stats.out_min, ds.stats.out_max)
         phi = _phi_matrix(p, model.centers, model.radii)
@@ -402,7 +402,7 @@ class TestPersistence:
         inputs = rng.uniform(-1, 1, (80, 4))
         targets = rng.normal(size=(80, 3))
         ds = make_dataset(inputs, targets)
-        model = train_rbf(ds, k=7, seed=2)
+        model = train_rbf(ds, TrainingConfig(rbf_centers=7, model_seed=1))
         path = tmp_path / "rbf.txt"
         save_model(model, path)
         back = load_rbf(path)
@@ -418,10 +418,10 @@ def trained_models():
     rng = np.random.default_rng(43)
     ds = make_dataset(rng.uniform(-2, 3, (60, 4)), rng.normal(size=(60, 3)),
                       n_train=50)
-    mlp, _ = train_mlp(init_mlp(ds.stats, hidden=5, seed=1), ds, max_epochs=3)
-    elman, _ = train_elman(init_elman(ds.stats, hidden=4, seed=1), ds,
-                           max_epochs=2)
-    return ds, {"rbf": train_rbf(ds, k=6, seed=2), "mlp": mlp, "elman": elman}
+    tr = TrainingConfig(model_seed=1, rbf_centers=6, mlp_hidden=5,
+                        mlp_epochs=3, elman_hidden=4, elman_epochs=2)
+    return ds, {"rbf": train_rbf(ds, tr), "mlp": train_mlp(ds, tr)[0],
+                "elman": train_elman(ds, tr)[0]}
 
 
 def forward(model, p):

@@ -10,8 +10,9 @@ import dflsim.mpc as mpc
 import dflsim.scenario as scenario
 from dflsim.cli import main as cli_main
 from dflsim.config import ConfigError, load_bundle
-from dflsim.dataset import (NormStats, denormalize, load_dataset_csv,
-                            normalize, settled_state)
+from dflsim.dataset import (NormStats, TrainingConfig, denormalize,
+                            load_dataset_csv, normalize, save_dataset_csv,
+                            settled_state)
 from dflsim.engine import ControlInput, EngineParams, step_engine
 from dflsim.fan import (KGF, FanGeometry, fan_power, solve_operating_point,
                         thrust_from_power)
@@ -29,7 +30,7 @@ G = FanGeometry()
 
 @pytest.fixture(scope="module")
 def trained_rbf(stock_dataset):
-    return train_rbf(stock_dataset, seed=1)
+    return train_rbf(stock_dataset, TrainingConfig())
 
 
 @pytest.fixture
@@ -334,6 +335,17 @@ class TestCli:
         assert cli_main(["check-jacobian", "--config", str(small_ini),
                          "--out", str(out), "--points", "20"]) == 0
 
+    def test_train_uses_the_loaded_config(self, stock_dataset, tmp_path):
+        data = tmp_path / "dataset.csv"
+        save_dataset_csv(stock_dataset, data)
+        out = tmp_path / "out"
+        assert cli_main(["train", "--model", "rbf", "--data", str(data),
+                         "--out", str(out)]) == 0
+        expected = tmp_path / "expected_rbf.txt"
+        save_model(train_rbf(stock_dataset, load_bundle(None).training),
+                   expected)
+        assert (out / "rbf_model.txt").read_bytes() == expected.read_bytes()
+
     def test_compare_models_honours_training_config(self, tmp_path):
         ini = tmp_path / "overlap.ini"
         ini.write_text("[training]\nsample_count = 300\nn_train = 285\n"
@@ -422,8 +434,8 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["gen-data", "--config", str(ini),
                          "--out", str(out)]) == 0
-        m = init_mlp(load_dataset_csv(out / "dataset.csv").stats, hidden=4,
-                     seed=0)
+        m = init_mlp(load_dataset_csv(out / "dataset.csv", n_train=57).stats,
+                     hidden=4, seed=0)
         # the block set an MLP file had before the STATS block existed
         save_blocks(out / "mlp_model.txt",
                     {"IW": m.iw, "LW": m.lw, "B1": m.b1, "B2": m.b2})
@@ -439,12 +451,25 @@ class TestCli:
     @pytest.mark.parametrize("command, ini_text", [
         (["simulate", "--controller", "open-loop"], "[scenario]\ndt = 0.1005\n"),
         (["gen-data"], "[plant]\ndt_int = 0.003\n"),
+        # whole substeps, but not the interval the RBF is identified at
+        (["simulate", "--controller", "ampc"], "[scenario]\ndt = 0.2\n"),
     ])
     def test_control_interval_not_whole_substeps_exit_code(self, tmp_path,
                                                            command, ini_text):
         bad = tmp_path / "bad.ini"
         bad.write_text(ini_text)
         assert cli_main(command + ["--config", str(bad),
+                                   "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command, ini_text", [
+        (["gen-data", "--seed", "-1"], ""),
+        (["train", "--model", "mlp"], "[training]\nmodel_seed = -1\n"),
+        (["simulate", "--controller", "open-loop"], "[scenario]\nseed = -3\n"),
+    ])
+    def test_negative_seed_exit_code(self, tmp_path, command, ini_text):
+        ini = tmp_path / "seed.ini"
+        ini.write_text(ini_text)
+        assert cli_main(command + ["--config", str(ini),
                                    "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("training", [
