@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (TWO_PI, ControlInput, EngineParams, EngineStallError,
-                     air_mass_flow, friction_power, make_initial_state,
-                     step_engine, thermal_efficiency)
+                     _outputs, air_mass_flow, cylinder_air_flow, friction_power,
+                     make_initial_state, step_engine, thermal_efficiency)
 from .fan import FanGeometry, fan_load_power
-from .tables import read_table, write_table
+from .tables import FileFormatError, read_table, write_table
 
 CSV_HEADER = "tps,m_fi,n,lambda,Q_next,n_next,lambda_next"
 
@@ -28,6 +28,7 @@ TPS_RANGE = (5.0, 90.0)
 MF_RANGE = (0.0011, 0.0055)
 CONTROL_DT = 0.1
 MAX_SEGMENT_RETRIES = 400     # stalled segments redrawn before a stall is raised
+SETTLE_START = (37.0, 5.7e4)  # rev/s, Pa: where every equilibrium search starts
 
 
 @dataclass(frozen=True)
@@ -128,21 +129,49 @@ def _tps_for_lambda(lam: float, m_fi: float, n: float, params: EngineParams) -> 
     p_m = (m_as * params.gas_constant * params.manifold_temp
            / (params.volumetric_eff * params.displacement * max(n, 1.0)))
     p_m = min(p_m, 0.985 * params.ambient_pressure)
-    ratio = min(m_as / air_mass_flow(90.0, p_m, n, params), 1.0)  # 1: full open
+    ratio = min(m_as / air_mass_flow(90.0, p_m, params), 1.0)  # 1: full open
     tps = 90.0 * (2.0 / math.pi) * math.acos(1.0 - ratio)
     return min(max(tps, TPS_RANGE[0]), TPS_RANGE[1])
 
 
-def settled_state(params: EngineParams, geom: FanGeometry, u0: ControlInput,
-                  n: float, manifold_pressure: float, steps: int, dt: float):
-    """The coupled plant after ``steps`` intervals of ``dt`` under ``u0`` held,
-    from speed ``n`` and ``manifold_pressure`` with the delay line full of
-    ``u0.m_fi``.  A stall raises EngineStallError."""
-    state = make_initial_state(params, n=n, manifold_pressure=manifold_pressure,
-                               m_fi=u0.m_fi)
-    for _ in range(steps):
-        state = step_engine(state, u0, fan_load_power(state.n, geom), params, dt)
-    return state
+def settled_state(params: EngineParams, geom: FanGeometry, u0: ControlInput):
+    """The plant at rest under ``u0`` held, delay line full of ``u0.m_fi``: the
+    zero of the speed and manifold-pressure rates, by Newton's method from
+    ``SETTLE_START`` with each step halved until speed stays above the stall
+    floor and pressure inside (1 Pa, ambient).  A singular Jacobian, a step
+    that cannot stay inside, or no converged full step at a stable root (a
+    negative trace and positive determinant put both eigenvalues of the 2x2
+    Jacobian in the left half-plane) raises EngineStallError."""
+    if not u0.m_fi > 0.0:
+        raise EngineStallError(f"no operating point without fuel under {u0}")
+    gain = params.gas_constant * params.manifold_temp / params.manifold_volume
+
+    def rates(x):
+        n, p_man, omega = x[0], x[1], TWO_PI * x[0]
+        q_eng = _outputs(n, omega, p_man, u0.m_fi, u0.m_fi, params)[0]
+        return np.array([(q_eng * omega - fan_load_power(n, geom))
+                         / (params.inertia * omega * TWO_PI),
+                         gain * (air_mass_flow(u0.tps, p_man, params)
+                                 - cylinder_air_flow(p_man, n, params))])
+
+    x = np.array(SETTLE_START)
+    for _ in range(50):
+        f = rates(x)
+        jac = np.column_stack([(rates(x + d) - f) / d[i]
+                               for i, d in enumerate(np.diag(1.5e-8 * x))])
+        det = np.linalg.det(jac)
+        if not abs(det) > 0.0:
+            raise EngineStallError(f"singular rate Jacobian under {u0}")
+        step, t = np.linalg.solve(jac, -f), 1.0
+        while not (params.stall_speed < x[0] + t * step[0]
+                   and 1.0 < x[1] + t * step[1] < params.ambient_pressure):
+            t *= 0.5
+            if t < 1e-9:
+                raise EngineStallError(f"no operating point above stall under {u0}")
+        x = x + t * step
+        if np.all(abs(step) <= 1e-10 * x) and np.trace(jac) < 0.0 < det:
+            return make_initial_state(params, x[0], x[1], u0.m_fi)
+    raise EngineStallError(f"no stable operating point under {u0}")
 
 
 def generate_dataset(params: EngineParams, geom: FanGeometry,
@@ -161,9 +190,7 @@ def generate_dataset(params: EngineParams, geom: FanGeometry,
     """
     sample_count, n_train, snr_db = tr.sample_count, tr.n_train, tr.snr_db
     rng = np.random.default_rng(tr.seed)
-    state = settled_state(params, geom, ControlInput(tps=20.0, m_fi=0.00125),
-                          n=40.0, manifold_pressure=6.0e4, steps=150,
-                          dt=CONTROL_DT)
+    state = settled_state(params, geom, ControlInput(tps=20.0, m_fi=0.00125))
 
     inputs = np.empty((sample_count, 4))
     targets = np.empty((sample_count, 3))
@@ -254,9 +281,12 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def load_dataset_csv(path, n_train: int) -> Dataset:
-    """Read a dataset CSV; normalization stats are rebuilt from the first
-    ``n_train`` (training) rows."""
+    """Read a dataset CSV that has rows after the first ``n_train`` (training)
+    ones; normalization stats are rebuilt from the training rows."""
     data = read_table(path, CSV_HEADER)
+    if len(data) <= n_train:
+        raise FileFormatError(f"{path}: {len(data)} rows leave no validation "
+                              f"row after n_train = {n_train}")
     inputs, targets = data[:, :4], data[:, 4:]
     stats = compute_stats(inputs, targets, n_train)
     return Dataset(inputs=inputs, targets=targets, n_train=n_train, stats=stats)

@@ -148,13 +148,11 @@ def _orifice(tps: float, params: EngineParams):
             2.0 / gamma, (gamma + 1.0) / gamma, 2.0 * gamma / (gamma - 1.0))
 
 
-def air_mass_flow(tps: float, manifold_pressure: float, n: float,
+def air_mass_flow(tps: float, manifold_pressure: float,
                   params: EngineParams) -> float:
     """Air mass flow (kg/s) past the throttle into the intake path.
 
-    Monotone nondecreasing in throttle position at fixed conditions.  ``n``
-    is accepted for interface symmetry (the orifice itself is speed-free;
-    speed enters through the manifold pressure it helps set).
+    Monotone nondecreasing in throttle position at fixed conditions.
     """
     area_density, pr_crit, psi_choked, exp_a, exp_b, psi_gain = _orifice(tps, params)
     if manifold_pressure <= 0.0:

@@ -1,11 +1,12 @@
 """Receding-horizon controller on the LPV prediction model.
 
 The optimizer works in velocity form: decision variables are the input
-increments over the control horizon, the predicted output trail starts at
-the measured output, and state differences propagate through the frozen
-per-step matrices.  The trail is linear in the increments through one
-block lower-triangular Toeplitz map whose blocks are the step responses,
-the cumulative sums of the Markov parameters C*A^i*B (L. Wang, Model
+increments over the control horizon, and the predicted output trail is
+y0 + G*du from the measured output y0, with no free-response term
+C*sum(A^m)*dx: adding one, with dx taken from consecutive measured
+states, raised the ramp MAE from 8.6-12 % to 46-77 %.  G is one block
+lower-triangular Toeplitz map whose blocks are the step responses, the
+cumulative sums of the Markov parameters C*A^i*B (L. Wang, Model
 Predictive Control System Design and Implementation Using MATLAB, 2009,
 ch. 1-3).  Tracking and move terms are scaled per channel by the
 constraint spans so the weighting factors compare like with like.  The
@@ -44,8 +45,6 @@ class MpcConfig:
     thrust_bounds: tuple = (0.0, 150.0 * KGF)  # N
     lambda_bounds: tuple = (0.68, 1.26)
     soft_weight: float = 1.0e3        # output-violation penalty, times eps
-    qp_max_iter: int = 500
-    qp_tol: float = 1.0e-8
 
     def __post_init__(self):
         if not (1 <= self.n1 <= self.n2 and 1 <= self.nc <= self.n2):
@@ -63,10 +62,6 @@ class MpcConfig:
         # input box is a hard constraint with a move penalty per unit span
         if not all(map(math.isfinite, self.tps_bounds + self.mf_bounds)):
             raise ValueError("input bounds must be finite")
-        if self.qp_max_iter < 1:
-            raise ValueError("qp_max_iter must be at least 1")
-        if not self.qp_tol > 0:
-            raise ValueError("qp_tol must be positive")
         if not self.soft_weight >= 0:
             raise ValueError("soft_weight must be non-negative")
 
@@ -264,8 +259,7 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
         weight = q_diag + rho * over + rho * under
         e_mat = 2.0 * (g_s.T @ (weight[:, None] * g_s) + r_mat)
         f_vec = 2.0 * g_s.T @ (q_diag * (y0_s - ref_s) + rho * pull)
-        z, _, iterations, kkt, capped = hildreth(
-            e_mat, f_vec, m_mat, gamma, config.qp_max_iter, config.qp_tol)
+        z, _, iterations, kkt, capped = hildreth(e_mat, f_vec, m_mat, gamma)
         y_pred = y0_s + g_s @ z
         new_over = over | (y_pred > y_hi + 1e-12)
         new_under = under | (y_pred < y_lo - 1e-12)

@@ -51,13 +51,12 @@ class ScenarioConfig:
     n_span: float = 150.0                 # rev/s, scales state-measurement noise
     init_tps: float = 19.5                # %
     init_m_fi: float = 0.00124            # kg/s
-    init_n: float = 37.0                  # rev/s
-    init_manifold: float = 5.7e4          # Pa
-    warmup_steps: int = 200
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("scenario seed must be non-negative")
+        if not self.init_m_fi > 0:
+            raise ValueError("init_m_fi must be positive")
 
     def thrust_reference(self) -> np.ndarray:
         """Per-step thrust reference in newtons."""
@@ -151,11 +150,9 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
 
     u0 = ControlInput(tps=scenario.init_tps, m_fi=scenario.init_m_fi)
     try:
-        state = settled_state(params, geom, u0, scenario.init_n, scenario.init_manifold,
-                              scenario.warmup_steps, scenario.dt)
+        state = settled_state(params, geom, u0)
     except EngineStallError as exc:
-        raise ScenarioStallError(f"plant stalled during warmup: {exc}",
-                                 []) from exc
+        raise ScenarioStallError(f"no stable start: {exc}", []) from exc
     u_prev = np.array([u0.tps, u0.m_fi])
     step = _step_function(controller, rbf, geom, mpc, state, u_prev, lpv_trace)
 

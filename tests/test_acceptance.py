@@ -235,33 +235,33 @@ def test_criterion_8_solver_audit():
 # commits.  A change that moves them on purpose re-freezes them and records
 # the largest shift in CHANGES.md.
 FROZEN_AMPC = {
-    0: (19.507917799652894, 0.0012402424140224408, 10.03709212852112,
-        0.8188458919023521),
-    25: (28.68375957106608, 0.0021593267655188046, 15.83555722367561,
-         0.8580070891611481),
-    50: (44.84912865842967, 0.004223647620778605, 49.71989467797154,
-         0.8434060827225616),
-    75: (53.476643116037295, 0.004840048788355137, 56.56074884138728,
-         0.8203119934180676),
-    100: (43.996787489889535, 0.0049904557728929445, 81.09811809851207,
-          0.8155273702561137),
-    125: (45.92056571753887, 0.005095490895845277, 80.18359470105906,
-          0.8236599949456148),
-    150: (55.12957058907328, 0.004601422576908193, 79.1114756942277,
-          0.9858270171895652),
-    175: (70.63459786871616, 0.004859006228999892, 79.74658657637993,
-          1.0015669552778967),
-    200: (63.783226174675285, 0.004794883369921149, 80.46704652925855,
-          0.9994979393803206),
-    225: (65.49776436959553, 0.004824019937372241, 79.80316725541398,
-          1.0018850768026424),
+    0: (19.507917817356493, 0.0012402424121290383, 10.037092158518412,
+        0.8188458918968433),
+    25: (28.68307029920112, 0.00215922517324275, 15.835426672342857,
+         0.8580026723575944),
+    50: (44.85783751571547, 0.00422396319175258, 49.718946075222426,
+         0.8434118056832197),
+    75: (53.471262265221185, 0.004839885210823741, 56.55918087132017,
+         0.820306652609084),
+    100: (43.99736056513989, 0.004990532186572994, 81.099418601309,
+          0.8155274598816279),
+    125: (45.9215629781311, 0.005095559924468183, 80.18332482467731,
+          0.823660448902788),
+    150: (55.12932334304345, 0.004601408885100309, 79.11119611518613,
+          0.9858276026457952),
+    175: (70.63518814908404, 0.0048590140354180114, 79.74667008965685,
+          1.0015670683947606),
+    200: (63.78283176222075, 0.004794877125317566, 80.46704127683726,
+          0.9994978693336374),
+    225: (65.49800224284562, 0.00482402284460786, 79.8031547488011,
+          1.0018851009897696),
 }
 # criterion 5's segment statistics, percent: (min, max, mae)
 FROZEN_SEGMENTS = {
-    "thrust_steady": (-2.1644498107012744, 1.0877405014311137,
-                      0.6407086246633896),
-    "lambda_steady": (-0.482173954135523, 0.5256181601169363,
-                      0.1827510301831465),
+    "thrust_steady": (-2.1646916185054366, 1.0878164715889937,
+                      0.640811937262867),
+    "lambda_steady": (-0.48217422326497505, 0.5256123053579476,
+                      0.18274977027913827),
 }
 
 

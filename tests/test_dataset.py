@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import dflsim.dataset
 from dflsim.dataset import (CSV_HEADER, MF_RANGE, TPS_RANGE, TrainingConfig,
                             _tps_for_lambda, compute_stats, denormalize,
                             generate_dataset, load_dataset_csv, normalize,
-                            save_dataset_csv)
-from dflsim.engine import EngineParams, air_mass_flow
-from dflsim.fan import FanGeometry
+                            save_dataset_csv, settled_state)
+from dflsim.engine import (ControlInput, EngineParams, EngineStallError,
+                           air_mass_flow, make_initial_state, step_engine)
+from dflsim.fan import FanGeometry, fan_load_power
 
 P = EngineParams()
 G = FanGeometry()
@@ -109,15 +111,15 @@ class TestGenerateDataset:
         assert np.allclose(ds.inputs[1:, 3], lam_next, rtol=0, atol=1e-12)
 
     # rows of the stock ``gen-data`` set (seed 123, 5 dB on rows 0..949);
-    # they guard the whole excitation loop, warm-up and noise draw included
+    # they guard the whole excitation loop, start and noise draw included
     STOCK_ROWS = {
-        0: ([20.132493348124985, 0.00125, 38.00755580209227, 0.8513732715481481],
-            [-7.35859271727562, 33.730634745774736, 0.8483586175401083]),
-        1: ([18.246838160941913, 0.00125, 38.01073960817894, 0.8574801330468583],
-            [2.0076308197571975, 37.19901240068233, 0.7415780185147528]),
+        0: ([20.13249380716609, 0.00125, 38.00753249572613, 0.8513732494607028],
+            [-7.358573778777713, 33.73061288382562, 0.8483586138384678]),
+        1: ([18.246838585433512, 0.00125, 38.01071801886416, 0.8574801292821677],
+            [2.0076482977380365, 37.19899238144946, 0.7415780751357134]),
         499: ([88.71300617266174, 0.004755768218840189, 95.83780979912612,
                0.9571343517335169],
-              [36.278783056286315, 93.4929255956155, 0.9594513651855646]),
+              [36.27878291429728, 93.49292540423288, 0.9594513652087219]),
         999: ([39.90715083525529, 0.003883502883822216, 109.19823358119791,
                0.9019002024084042],
               [15.90403329821558, 108.40038795019318, 0.9730190333499096]),
@@ -128,6 +130,51 @@ class TestGenerateDataset:
         inputs, targets = self.STOCK_ROWS[row]
         assert stock_dataset.inputs[row] == pytest.approx(inputs, rel=1e-12, abs=0)
         assert stock_dataset.targets[row] == pytest.approx(targets, rel=1e-12, abs=0)
+
+
+def held_open_loop(u, steps=600):
+    """Oracle: ``steps`` plant intervals under ``u`` held, from 37 rev/s and
+    57 kPa with the delay line full of ``u.m_fi``."""
+    state = make_initial_state(P, n=37.0, manifold_pressure=5.7e4, m_fi=u.m_fi)
+    for _ in range(steps):
+        state = step_engine(state, u, fan_load_power(state.n, G), P, 0.1)
+    return state
+
+
+class TestSettledState:
+    @pytest.mark.parametrize("u", [
+        ControlInput(19.5, 0.00124), ControlInput(20.0, 0.00125),
+        ControlInput(90.0, 0.0055), ControlInput(90.0, 0.0011),
+    ], ids=["scenario-start", "gen-data-start", "full-fuel", "lean"])
+    def test_matches_held_open_loop(self, u):
+        oracle, root = held_open_loop(u), settled_state(P, G, u)
+        assert (root.n, root.manifold_pressure, root.q_eng, root.lam) == \
+            pytest.approx((oracle.n, oracle.manifold_pressure, oracle.q_eng,
+                           oracle.lam), rel=1e-11, abs=0)
+
+    def test_stall_raises_on_both_paths(self):
+        u = ControlInput(5.0, 0.0055)   # too little air to burn the fuel
+        with pytest.raises(EngineStallError):
+            held_open_loop(u)
+        with pytest.raises(EngineStallError):
+            settled_state(P, G, u)
+
+    def test_singular_jacobian_raises_stall(self, monkeypatch):
+        # no air path at all: the pressure rate is zero everywhere
+        for name in ("air_mass_flow", "cylinder_air_flow"):
+            monkeypatch.setattr(dflsim.dataset, name, lambda *args: 0.0)
+        with pytest.raises(EngineStallError, match="singular"):
+            settled_state(P, G, ControlInput(20.0, 0.00125))
+
+    def test_unstable_root_raises_stall(self, monkeypatch):
+        # a load that falls steeply with speed keeps the root but makes it
+        # repel: there the speed rate grows with speed
+        u = ControlInput(20.0, 0.00125)
+        n0 = settled_state(P, G, u).n
+        monkeypatch.setattr(dflsim.dataset, "fan_load_power", lambda n, geom:
+                            fan_load_power(n0, geom) * (11.0 - 10.0 * n / n0))
+        with pytest.raises(EngineStallError, match="no stable"):
+            settled_state(P, G, u)
 
 
 class TestCsvRoundTrip:
@@ -164,11 +211,11 @@ def tps_for_lambda_bisection(lam, m_fi, n, params):
            / (params.volumetric_eff * params.displacement * max(n, 1.0)))
     p_m = min(p_m, 0.985 * params.ambient_pressure)
     lo, hi = 0.0, 100.0
-    if air_mass_flow(hi, p_m, n, params) <= m_as:
+    if air_mass_flow(hi, p_m, params) <= m_as:
         return TPS_RANGE[1]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if air_mass_flow(mid, p_m, n, params) < m_as:
+        if air_mass_flow(mid, p_m, params) < m_as:
             lo = mid
         else:
             hi = mid

@@ -156,10 +156,10 @@ def settle(params, u, load, steps=400, n0=60.0, pm0=7.0e4):
 
 class TestAirMassFlow:
     def test_closed_throttle_passes_no_air(self):
-        assert air_mass_flow(0.0, 7.0e4, 50.0, P) == 0.0
+        assert air_mass_flow(0.0, 7.0e4, P) == 0.0
 
     def test_monotone_in_throttle(self):
-        flows = [air_mass_flow(tps, 7.0e4, 50.0, P)
+        flows = [air_mass_flow(tps, 7.0e4, P)
                  for tps in (5.0, 20.0, 45.0, 70.0, 90.0)]
         assert all(b >= a for a, b in zip(flows, flows[1:]))
 
@@ -170,16 +170,16 @@ class TestAirMassFlow:
         pr = 72000.0 / 101325.0
         psi = math.sqrt(2.0 * 1.4 / 0.4 * (pr ** (2.0 / 1.4) - pr ** (2.4 / 1.4)))
         expected = area * 101325.0 / math.sqrt(287.0 * 298.0) * psi
-        assert air_mass_flow(40.0, 72000.0, 70.0, P) == pytest.approx(
+        assert air_mass_flow(40.0, 72000.0, P) == pytest.approx(
             expected, rel=1e-12)
         assert expected == pytest.approx(0.05636491100433226, rel=1e-12)
 
     def test_no_backflow_above_ambient(self):
-        assert air_mass_flow(50.0, P.ambient_pressure, 50.0, P) == 0.0
+        assert air_mass_flow(50.0, P.ambient_pressure, P) == 0.0
 
     def test_rejects_nonpositive_pressure(self):
         with pytest.raises(ValueError):
-            air_mass_flow(50.0, 0.0, 50.0, P)
+            air_mass_flow(50.0, 0.0, P)
 
 
 class TestFrictionPower:

@@ -469,16 +469,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MpcConfig(**{name: (0.0, float("inf"))})
 
-    def test_qp_max_iter_at_least_one(self):
-        with pytest.raises(ValueError):
-            MpcConfig(qp_max_iter=0)
-        assert MpcConfig(qp_max_iter=1).qp_max_iter == 1
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
-    def test_qp_tol_positive(self, tol):
-        with pytest.raises(ValueError):
-            MpcConfig(qp_tol=tol)
-
     @pytest.mark.parametrize("weight", [-1.0, float("nan")])
     def test_soft_weight_non_negative(self, weight):
         with pytest.raises(ValueError):

@@ -35,7 +35,7 @@ def trained_rbf(stock_dataset):
 
 @pytest.fixture
 def plant_calls(monkeypatch):
-    """Every plant interval the warm-up or the closed loop runs, recorded."""
+    """Every plant interval the excitation or the closed loop runs, recorded."""
     calls = []
 
     def counting(*args):
@@ -65,9 +65,8 @@ class TestOpenLoop:
     def test_settles_to_equilibrium_matching_power_route(self):
         # constant feasible input; the settled thrust must agree with the
         # power-matching route through thrust_from_power within 0.1 %
-        scen = ScenarioConfig(steps=60, noise_std=0.0, warmup_steps=400,
-                              init_tps=35.0, init_m_fi=0.0032, init_n=70.0,
-                              init_manifold=7.2e4)
+        scen = ScenarioConfig(steps=60, noise_std=0.0, init_tps=35.0,
+                              init_m_fi=0.0032)
         records, _ = run_scenario(P, G, MpcConfig(), scen,
                                   controller="open-loop")
         last = records[-1]
@@ -85,8 +84,7 @@ class TestClosedLoopShort:
         # constant references equal to the settled outputs: errors stay ~0
         scen = ScenarioConfig(steps=40, noise_std=0.0, thrust_idle=10.0,
                               thrust_hover=10.0, ramp_start=1, ramp_end=2,
-                              lam_rich=0.82, lam_eff=0.82, lam_step_at=9999,
-                              warmup_steps=300)
+                              lam_rich=0.82, lam_eff=0.82, lam_step_at=9999)
         records, _ = run_scenario(P, G, MpcConfig(), scen, controller="ampc",
                                   rbf=trained_rbf)
         t_err = relative_error(np.array([r.thrust_true for r in records[5:]]),
@@ -113,8 +111,7 @@ class TestClosedLoopShort:
 
     def test_warmup_stall_raises_scenario_error(self):
         from dflsim.scenario import ScenarioStallError
-        scen = ScenarioConfig(steps=10, init_tps=5.0, init_m_fi=0.0055,
-                              warmup_steps=100)
+        scen = ScenarioConfig(steps=10, init_tps=5.0, init_m_fi=0.0055)
         with pytest.raises(ScenarioStallError):
             run_scenario(P, G, MpcConfig(), scen, controller="open-loop")
 
@@ -125,8 +122,7 @@ class TestClosedLoopShort:
         assert plant_calls == []
 
 
-SHORT = ScenarioConfig(steps=12, ramp_start=2, ramp_end=8, lam_step_at=10,
-                       warmup_steps=150)
+SHORT = ScenarioConfig(steps=12, ramp_start=2, ramp_end=8, lam_step_at=10)
 
 
 class TestControllerPath:
@@ -158,8 +154,7 @@ class TestControllerPath:
             assert [m.t for m in trace] == [r.time for r in records]
         elif controller == "linear-mpc":
             u0 = ControlInput(SHORT.init_tps, SHORT.init_m_fi)
-            state = settled_state(P, G, u0, SHORT.init_n, SHORT.init_manifold,
-                                  SHORT.warmup_steps, SHORT.dt)
+            state = settled_state(P, G, u0)
             frozen = build_lpv(trained_rbf, G, state.as_vector(),
                                np.array([u0.tps, u0.m_fi]))
             assert len(trace) == 1
@@ -174,7 +169,7 @@ class TestNoiseAudit:
     def test_injected_variance_matches_configured_level(self):
         # 1000 open-loop steps: sample variance of the injected output noise
         # within 10 % of (0.005 * span)^2 per channel
-        scen = ScenarioConfig(steps=1000, seed=42, warmup_steps=100)
+        scen = ScenarioConfig(steps=1000, seed=42)
         cfg = MpcConfig()
         records, _ = run_scenario(P, G, cfg, scen, controller="open-loop")
         noise_t = np.array([r.thrust_meas - r.thrust_true for r in records]) * KGF
@@ -290,7 +285,7 @@ def small_ini(tmp_path_factory):
         "[training]\nsample_count = 300\nn_train = 285\nseed = 11\n"
         "mlp_epochs = 50\nelman_epochs = 10\n"
         "[scenario]\nsteps = 40\nramp_start = 4\nramp_end = 24\n"
-        "lam_step_at = 32\nsettle_margin = 4\nwarmup_steps = 120\n")
+        "lam_step_at = 32\nsettle_margin = 4\n")
     return path
 
 
@@ -412,10 +407,32 @@ class TestCli:
         assert cli_main(["train", "--model", "mlp", "--config", str(ini),
                          "--out", str(tmp_path / "o")]) == 4
 
+    def test_plant_runs_only_recorded_intervals(self, plant_calls, tmp_path):
+        # both starts are solved for, not integrated
+        assert cli_main(["gen-data", "--out", str(tmp_path / "o")]) == 0
+        assert len(plant_calls) == TrainingConfig().sample_count
+        del plant_calls[:]
+        run_scenario(P, G, MpcConfig(), SHORT, controller="open-loop")
+        assert len(plant_calls) == SHORT.steps
+
+    @pytest.mark.parametrize("command", [["train", "--model", "rbf"],
+                                         ["compare-models"]])
+    def test_data_without_validation_rows_exit_code(self, small_ini, tmp_path,
+                                                    command, capsys):
+        # a 300-row file read at the stock n_train = 950
+        short = tmp_path / "short"
+        assert cli_main(["gen-data", "--config", str(small_ini),
+                         "--out", str(short)]) == 0
+        data = short / "dataset.csv"
+        assert cli_main(command + ["--data", str(data),
+                                   "--out", str(tmp_path / "o")]) == 5
+        assert f"{data}: 300 rows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_stall_exit_code(self, tmp_path):
         ini = tmp_path / "stall.ini"
         ini.write_text("[scenario]\nsteps = 10\ninit_tps = 5.0\n"
-                       "init_m_fi = 0.0055\nwarmup_steps = 100\n")
+                       "init_m_fi = 0.0055\n")
         assert cli_main(["simulate", "--controller", "open-loop", "--config",
                          str(ini), "--out", str(tmp_path / "o")]) == 3
 
@@ -465,6 +482,7 @@ class TestCli:
         (["gen-data", "--seed", "-1"], ""),
         (["train", "--model", "mlp"], "[training]\nmodel_seed = -1\n"),
         (["simulate", "--controller", "open-loop"], "[scenario]\nseed = -3\n"),
+        (["simulate", "--controller", "open-loop"], "[scenario]\ninit_m_fi = 0\n"),
     ])
     def test_negative_seed_exit_code(self, tmp_path, command, ini_text):
         ini = tmp_path / "seed.ini"
@@ -486,6 +504,15 @@ class TestCli:
         assert cli_main(["gen-data", "--config", str(bad),
                          "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o" / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("key", ["init_n = 37.0", "init_manifold = 5.7e4",
+                                     "warmup_steps = 200"])
+    def test_removed_start_keys_exit_code(self, tmp_path, key):
+        # the start is solved from the held input; no key sets its state
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[scenario]\n{key}\n")
+        assert cli_main(["simulate", "--controller", "open-loop", "--config",
+                         str(bad), "--out", str(tmp_path / "o")]) == 2
 
     def test_reversed_mpc_bounds_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
