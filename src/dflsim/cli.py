@@ -136,8 +136,9 @@ def cmd_simulate(args) -> int:
                                         bundle.scenario, controller=args.controller,
                                         rbf=rbf, lpv_trace=trace)
     except ScenarioStallError as exc:
-        save_trajectory_csv(exc.records, path)
-        print(f"partial trajectory in {path}", file=sys.stderr)
+        if exc.records:     # none when the start input has no stable point
+            save_trajectory_csv(exc.records, path)
+            print(f"partial trajectory in {path}", file=sys.stderr)
         raise
     save_trajectory_csv(records, path)
     if trace is not None:

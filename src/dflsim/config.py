@@ -1,17 +1,18 @@
 """Single-file configuration for the whole pipeline.
 
-INI-style sections [plant], [fan], [training], [mpc], [scenario]; every key
-matches a field of the corresponding dataclass, every value overrides an
-embedded default, so an empty (or absent) file reproduces the stock setup.
-Angles are radians, pressures pascals, thrust bounds newtons; pair-valued
-fields take two comma-separated numbers.  Each section's dataclass lives with
-the code that takes it whole; this module only fills them from the file.
+One INI section per field of ``SimBundle``; every key matches a field of
+that section's dataclass, every value overrides an embedded default, so an
+empty (or absent) file reproduces the stock setup.  Angles are radians,
+pressures pascals, thrust bounds newtons; pair-valued fields take two
+comma-separated numbers.  Each section's dataclass lives with the code that
+takes it whole; this module only fills them from the file.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import typing
 from dataclasses import dataclass
 
 from .dataset import CONTROL_DT, TrainingConfig
@@ -34,13 +35,7 @@ class SimBundle:
     scenario: ScenarioConfig
 
 
-_SECTIONS = {
-    "plant": EngineParams,
-    "fan": FanGeometry,
-    "training": TrainingConfig,
-    "mpc": MpcConfig,
-    "scenario": ScenarioConfig,
-}
+_SECTIONS = typing.get_type_hints(SimBundle)
 
 
 def _convert(raw: str, kind, key: str):
@@ -68,10 +63,10 @@ def load_bundle(path=None, overrides: dict | None = None) -> SimBundle:
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")
             cls = _SECTIONS[section]
-            field_types = {f.name: f.type for f in dataclasses.fields(cls)}
+            keys = {f.name for f in dataclasses.fields(cls)}
             defaults = cls()
             for key, raw in parser.items(section):
-                if key not in field_types:
+                if key not in keys:
                     raise ConfigError(f"unknown key {key!r} in [{section}]")
                 kind = type(getattr(defaults, key))
                 values[section][key] = _convert(raw, kind, f"{section}.{key}")
@@ -79,13 +74,8 @@ def load_bundle(path=None, overrides: dict | None = None) -> SimBundle:
         section, key = dotted.split(".", 1)
         values[section][key] = value
     try:
-        bundle = SimBundle(plant=EngineParams(**values["plant"]),
-                           fan=FanGeometry(**values["fan"]),
-                           training=TrainingConfig(**values["training"]),
-                           mpc=MpcConfig(**values["mpc"]),
-                           scenario=ScenarioConfig(**values["scenario"]))
-        if bundle.scenario.dt != CONTROL_DT:
-            raise ValueError(f"scenario dt must be {CONTROL_DT} s, the models' step")
+        bundle = SimBundle(**{name: cls(**values[name])
+                              for name, cls in _SECTIONS.items()})
         substeps(bundle.plant, CONTROL_DT)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -7,7 +7,8 @@ scales with the fan speed and every inflow angle is speed-invariant: thrust
 is k_T*n^2 and absorbed power k_P*n^3 exactly (the constant-C_T/C_P hover
 result).  One converged operating point per geometry fixes k_T and k_P; the
 power map, its inverse and its thrust sensitivities are closed forms on top
-of them, with ``solve_operating_point`` kept as the iterative oracle.
+of them, valid at every fan speed, with ``solve_operating_point`` kept as the
+iterative oracle.  The momentum disc is the blade annulus.
 
 Everything here is a pure function of (speed, geometry): no stored state
 beyond the per-geometry coefficient cache, safe to call from anywhere.
@@ -29,10 +30,6 @@ class InflowConvergenceError(RuntimeError):
     """Momentum/blade-element inflow iteration failed to converge."""
 
 
-class PowerBracketError(RuntimeError):
-    """Requested shaft power exceeds the configured fan speed range."""
-
-
 @dataclass(frozen=True)
 class FanGeometry:
     """Blade and duct geometry plus the airfoil polar and drive coupling."""
@@ -45,8 +42,7 @@ class FanGeometry:
     twist_root: float = math.radians(30.0)   # rad
     twist_tip: float = math.radians(10.0)    # rad
     element_count: int = 32
-    disc_area: float = 0.0            # S2, m^2; 0 -> annulus pi*(R^2 - r0^2)
-    outlet_area_ratio: float = 1.0    # S3/S2
+    outlet_area_ratio: float = 1.0    # S3/S2, S2 the blade annulus
     lift_slope: float = 0.9 * TWO_PI  # 1/rad
     alpha_zero_lift: float = 0.0      # rad
     cl_max: float = 1.2
@@ -54,7 +50,6 @@ class FanGeometry:
     air_density: float = 1.225        # kg/m^3
     pulley_ratio: float = 1.0         # n_fan / n_crankshaft
     transmission_eff: float = 0.97
-    n_fan_max: float = 250.0          # rev/s, top of the power map's range
 
     def __post_init__(self):
         if not 0.0 <= self.root_cutout < self.blade_radius:
@@ -66,8 +61,6 @@ class FanGeometry:
 
     @property
     def s2(self) -> float:
-        if self.disc_area > 0.0:
-            return self.disc_area
         return math.pi * (self.blade_radius ** 2 - self.root_cutout ** 2)
 
     @property
@@ -130,29 +123,27 @@ def _element_loads(n_fan: float, vi: float, geom: FanGeometry):
     return d_thrust, d_torque
 
 
-def solve_operating_point(n_fan: float, geom: FanGeometry,
-                          max_iter: int = 50, tol: float = 1e-8,
-                          relax: float = 0.5) -> FanOperatingPoint:
+def solve_operating_point(n_fan: float, geom: FanGeometry) -> FanOperatingPoint:
     """Converge the uniform induced velocity and evaluate thrust/torque/power.
 
-    Fixed point of v = sqrt(T(v) / (2*rho*S2)) under 0.5 relaxation; the
-    static-thrust map is contractive here and typically converges in ~20
-    iterations.
+    Fixed point of v = sqrt(T(v) / (2*rho*S2)) under 0.5 relaxation, to a
+    relative step of 1e-8 within 50 iterations; the static-thrust map is
+    contractive here and typically converges in ~20 iterations.
     """
     if n_fan <= 0.0:
         return FanOperatingPoint(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     vi = 0.0
     denom = 2.0 * geom.air_density * geom.s2
     converged = False
-    for _ in range(max_iter):
+    for _ in range(50):
         d_thrust, _ = _element_loads(n_fan, vi, geom)
         thrust = max(float(np.sum(d_thrust)), 0.0)
         vi_new = math.sqrt(thrust / denom)
-        if abs(vi_new - vi) <= tol * max(1.0, vi):
+        if abs(vi_new - vi) <= 1e-8 * max(1.0, vi):
             vi = vi_new
             converged = True
             break
-        vi += relax * (vi_new - vi)
+        vi += 0.5 * (vi_new - vi)
     if not converged:
         raise InflowConvergenceError(
             f"inflow iteration did not converge at n_fan={n_fan:.3f} rev/s")
@@ -190,17 +181,12 @@ def thrust_from_power(p_b: float, geom: FanGeometry):
     """Invert the fan power curve: engine brake power -> (T_DF, n_fan).
 
     The fan absorbs p_b scaled by the transmission efficiency, so
-    n_fan = (eta*p_b/k_P)^(1/3) and T_DF = duct_ratio*k_T*n_fan^2.  Raises
-    PowerBracketError when n_fan would exceed the configured n_fan_max.
+    n_fan = (eta*p_b/k_P)^(1/3) and T_DF = duct_ratio*k_T*n_fan^2.
     """
     if p_b <= 0.0:
         return 0.0, 0.0
     k_t, k_p = _hover_coeffs(geom)
     n_fan = (p_b * geom.transmission_eff / k_p) ** (1.0 / 3.0)
-    if n_fan > geom.n_fan_max:
-        raise PowerBracketError(
-            f"power {p_b:.0f} W exceeds fan capability "
-            f"{k_p * geom.n_fan_max ** 3:.0f} W at {geom.n_fan_max} rev/s")
     return duct_ratio(geom) * k_t * n_fan * n_fan, n_fan
 
 
@@ -233,8 +219,7 @@ def thrust_jacobian(q_eng: float, n: float, geom: FanGeometry):
 
     T_DF grows as P_b^(2/3) in brake power P_b = Q_eng*2*pi*n, so
     dT_DF/dP_b = (2/3)*T_DF/P_b and the chain rule through P_b gives both
-    entries.  Zero when P_b <= 0 (no power, no thrust to differentiate);
-    raises PowerBracketError when the demand exceeds n_fan_max.
+    entries.  Zero when P_b <= 0 (no power, no thrust to differentiate).
     """
     p_b = q_eng * TWO_PI * n
     if p_b <= 0.0:

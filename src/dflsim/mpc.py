@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import MF_RANGE, TPS_RANGE
 from .engine import ControlInput
 from .fan import KGF, FanGeometry
 from .lpv import LpvModel, build_lpv
@@ -40,8 +41,8 @@ class MpcConfig:
     nc: int = 3
     eps: float = 0.8                  # tracking weight
     xi: float = 0.5                   # move-suppression weight
-    tps_bounds: tuple = (5.0, 90.0)            # %
-    mf_bounds: tuple = (0.0011, 0.0055)        # kg/s
+    tps_bounds: tuple = TPS_RANGE              # %
+    mf_bounds: tuple = MF_RANGE                # kg/s
     thrust_bounds: tuple = (0.0, 150.0 * KGF)  # N
     lambda_bounds: tuple = (0.68, 1.26)
     soft_weight: float = 1.0e3        # output-violation penalty, times eps
@@ -59,9 +60,12 @@ class MpcConfig:
                 raise ValueError(f"{name} must be two numbers, lower < upper: {pair}")
             object.__setattr__(self, name, pair)
         # output limits may be infinite (solve_qp keeps them inert); the
-        # input box is a hard constraint with a move penalty per unit span
+        # input box is a hard constraint with a move penalty per unit span,
+        # and its fuel floor keeps lambda defined
         if not all(map(math.isfinite, self.tps_bounds + self.mf_bounds)):
             raise ValueError("input bounds must be finite")
+        if not self.mf_bounds[0] > 0:
+            raise ValueError(f"mf_bounds lower bound must be positive: {self.mf_bounds}")
         if not self.soft_weight >= 0:
             raise ValueError("soft_weight must be non-negative")
 

@@ -205,8 +205,8 @@ def rbf_forward(model: RbfModel, p: np.ndarray) -> np.ndarray:
     return out[0] if np.ndim(p) == 1 else out
 
 
-def _kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100):
-    """Lloyd iteration with greedy farthest-point seeding.
+def _kmeans(points: np.ndarray, k: int, seed: int):
+    """At most 100 Lloyd iterations after greedy farthest-point seeding.
 
     Empty clusters are re-seeded from the point farthest from its assigned
     center.  Deterministic for a given seed.
@@ -219,7 +219,7 @@ def _kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100):
     for j in range(1, k):
         centers[j] = points[int(np.argmax(d2))]
         d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
-    for _ in range(max_iter):
+    for _ in range(100):
         dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = dist.argmin(axis=1)
         new_centers = centers.copy()

@@ -11,10 +11,11 @@ one ``TrajectoryRecord`` or one flattened ``LpvModel`` per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .dataset import settled_state
+from .dataset import CONTROL_DT, settled_state
 from .engine import ControlInput, EngineParams, EngineStallError, step_engine
 from .fan import KGF, FanGeometry, ducted_thrust_at_crank_speed, fan_load_power
 from .lpv import LPV_CSV_HEADER, build_lpv, lpv_csv_row
@@ -35,8 +36,8 @@ class ScenarioStallError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    dt: ClassVar[float] = CONTROL_DT      # s, control interval, not a key
     steps: int = 250
-    dt: float = 0.1                       # s, control interval
     thrust_idle: float = 10.0             # kgf
     thrust_hover: float = 80.0            # kgf
     ramp_start: int = 10                  # step index

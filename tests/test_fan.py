@@ -9,15 +9,16 @@ import math
 import numpy as np
 import pytest
 
-from dflsim.fan import (FanGeometry, PowerBracketError, _element_loads,
-                        duct_ratio, ducted_thrust_at_crank_speed,
-                        fan_load_power, fan_power, solve_operating_point,
-                        thrust_from_power, thrust_jacobian)
+from dflsim.fan import (FanGeometry, _element_loads, duct_ratio,
+                        ducted_thrust_at_crank_speed, fan_load_power,
+                        fan_power, solve_operating_point, thrust_from_power,
+                        thrust_jacobian)
 
 G = FanGeometry()
 # 33 elements put the middle one's midpoint at r = 0.21 m
 G33 = FanGeometry(element_count=33)
 MID = 16
+N_FAN_TOP = 250.0  # rev/s, top of the oracle's bisection bracket
 
 
 def element_coeffs(n_fan, vi):
@@ -33,7 +34,7 @@ def element_coeffs(n_fan, vi):
 def _oracle_thrust_from_power(p_b, geom):
     """(T_DF, n_fan) by bisecting the iterative power curve to the last bit."""
     target = p_b * geom.transmission_eff
-    lo, hi = 0.0, geom.n_fan_max
+    lo, hi = 0.0, N_FAN_TOP
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
         if solve_operating_point(mid, geom).power < target:
@@ -186,11 +187,6 @@ class TestThrustFromPower:
                    for p in (1e3, 5e3, 1e4, 2e4, 4e4)]
         assert all(b > a for a, b in zip(thrusts, thrusts[1:]))
 
-    def test_bracket_failure(self):
-        small = FanGeometry(n_fan_max=30.0)
-        with pytest.raises(PowerBracketError):
-            thrust_from_power(1.0e5, small)
-
 
 class TestFanLoadPower:
     def test_zero_speed(self):
@@ -227,10 +223,6 @@ class TestThrustJacobian:
     @pytest.mark.parametrize("q0, n0", [(0.0, 50.0), (-3.0, 50.0), (20.0, 0.0)])
     def test_no_brake_power_gives_exact_zeros(self, q0, n0):
         assert thrust_jacobian(q0, n0, G) == (0.0, 0.0)
-
-    def test_bracket_failure(self):
-        with pytest.raises(PowerBracketError):
-            thrust_jacobian(200.0, 80.0, FanGeometry(n_fan_max=30.0))
 
     def test_matches_chain_rule_through_power(self):
         # T_DF depends on (Q, n) only through P_b = 2*pi*n*Q, so the entries

@@ -13,7 +13,8 @@ from dflsim.config import ConfigError, load_bundle
 from dflsim.dataset import (NormStats, TrainingConfig, denormalize,
                             load_dataset_csv, normalize, save_dataset_csv,
                             settled_state)
-from dflsim.engine import ControlInput, EngineParams, step_engine
+from dflsim.engine import (ControlInput, EngineParams, EngineStallError,
+                           step_engine)
 from dflsim.fan import (KGF, FanGeometry, fan_power, solve_operating_point,
                         thrust_from_power)
 from dflsim.lpv import build_lpv, lpv_csv_row
@@ -429,12 +430,33 @@ class TestCli:
         assert f"{data}: 300 rows" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_stall_exit_code(self, tmp_path):
+    def test_stall_exit_code(self, tmp_path, capsys):
         ini = tmp_path / "stall.ini"
         ini.write_text("[scenario]\nsteps = 10\ninit_tps = 5.0\n"
                        "init_m_fi = 0.0055\n")
+        out = tmp_path / "o"
         assert cli_main(["simulate", "--controller", "open-loop", "--config",
-                         str(ini), "--out", str(tmp_path / "o")]) == 3
+                         str(ini), "--out", str(out)]) == 3
+        # no stable start, so no step ran and there is no trajectory to keep
+        assert not (out / "trajectory_open-loop.csv").exists()
+        assert "partial trajectory" not in capsys.readouterr().err
+
+    def test_mid_run_stall_writes_partial_trajectory(self, tmp_path,
+                                                     monkeypatch):
+        def stall_at_step_3(state, *args):
+            if len(calls) == 3:
+                raise EngineStallError("stalled")
+            calls.append(state)
+            return step_engine(state, *args)
+
+        calls = []
+        monkeypatch.setattr(scenario, "step_engine", stall_at_step_3)
+        ini = tmp_path / "short.ini"
+        ini.write_text("[scenario]\nsteps = 10\n")
+        out = tmp_path / "o"
+        assert cli_main(["simulate", "--controller", "open-loop", "--config",
+                         str(ini), "--out", str(out)]) == 3
+        assert len(load_trajectory_csv(out / "trajectory_open-loop.csv")) == 3
 
     def test_simulate_on_mlp_model_file_exit_code(self, tmp_path):
         stats = NormStats(in_min=-np.ones(4), in_max=np.ones(4),
@@ -466,10 +488,7 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("command, ini_text", [
-        (["simulate", "--controller", "open-loop"], "[scenario]\ndt = 0.1005\n"),
         (["gen-data"], "[plant]\ndt_int = 0.003\n"),
-        # whole substeps, but not the interval the RBF is identified at
-        (["simulate", "--controller", "ampc"], "[scenario]\ndt = 0.2\n"),
     ])
     def test_control_interval_not_whole_substeps_exit_code(self, tmp_path,
                                                            command, ini_text):
@@ -483,6 +502,9 @@ class TestCli:
         (["train", "--model", "mlp"], "[training]\nmodel_seed = -1\n"),
         (["simulate", "--controller", "open-loop"], "[scenario]\nseed = -3\n"),
         (["simulate", "--controller", "open-loop"], "[scenario]\ninit_m_fi = 0\n"),
+        # lambda is undefined at zero fuel, so the box keeps the fuel positive
+        (["simulate", "--controller", "ampc"],
+         "[mpc]\nmf_bounds = -0.001,0.0055\n[scenario]\nthrust_hover = 2.0\n"),
     ])
     def test_negative_seed_exit_code(self, tmp_path, command, ini_text):
         ini = tmp_path / "seed.ini"
@@ -511,6 +533,22 @@ class TestCli:
         # the start is solved from the held input; no key sets its state
         bad = tmp_path / "bad.ini"
         bad.write_text(f"[scenario]\n{key}\n")
+        assert cli_main(["simulate", "--controller", "open-loop", "--config",
+                         str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("section, key", [
+        # the control interval is fixed at the models' step
+        ("scenario", "dt = 0.1"),
+        ("scenario", "dt = 0.1005"),
+        ("scenario", "dt = 0.2"),
+        # the closed-form power map holds at every fan speed
+        ("fan", "n_fan_max = 250"),
+        # the momentum disc is always the blade annulus
+        ("fan", "disc_area = 0.3"),
+    ])
+    def test_removed_fixed_keys_exit_code(self, tmp_path, section, key):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[{section}]\n{key}\n")
         assert cli_main(["simulate", "--controller", "open-loop", "--config",
                          str(bad), "--out", str(tmp_path / "o")]) == 2
 
