@@ -35,19 +35,18 @@ EXIT_SOLVER = 4
 EXIT_BAD_FILE = 5
 
 
-def _common_flags(sub):
+def _common_flags(sub, seed=True):
     sub.add_argument("--config", type=Path, default=None,
                      help="INI configuration file (defaults embedded)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the relevant RNG seed")
+    if seed:
+        sub.add_argument("--seed", type=int, default=None,
+                         help="override the relevant RNG seed")
     sub.add_argument("--out", type=Path, default=Path("out"),
                      help="output directory")
 
 
-def _load(args, seed_key=None):
-    overrides = {}
-    if args.seed is not None and seed_key is not None:
-        overrides[seed_key] = args.seed
+def _load(args, seed_key):
+    overrides = {} if args.seed is None else {seed_key: args.seed}
     return load_bundle(args.config, overrides)
 
 
@@ -179,7 +178,7 @@ def cmd_check_jacobian(args) -> int:
 
 
 def cmd_report(args) -> int:
-    bundle = _load(args)
+    bundle = load_bundle(args.config)
     records = load_trajectory_csv(args.trajectory)
     metrics = compute_metrics(records, bundle.mpc, bundle.scenario)
     out_dir = _ensure_out(args)
@@ -238,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_check_jacobian)
 
     sub = subs.add_parser("report", help="recompute metrics from a trajectory CSV")
-    _common_flags(sub)
+    _common_flags(sub, seed=False)
     sub.add_argument("trajectory", type=Path)
     sub.set_defaults(func=cmd_report)
     return parser

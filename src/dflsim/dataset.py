@@ -135,7 +135,7 @@ def _tps_for_lambda(lam: float, m_fi: float, n: float, params: EngineParams) -> 
 
 
 def settled_state(params: EngineParams, geom: FanGeometry, u0: ControlInput):
-    """The plant at rest under ``u0`` held, delay line full of ``u0.m_fi``: the
+    """The plant at rest under ``u0`` held, ``u0.m_fi`` in transit: the
     zero of the speed and manifold-pressure rates, by Newton's method from
     ``SETTLE_START`` with each step halved until speed stays above the stall
     floor and pressure inside (1 Pa, ambient).  A singular Jacobian, a step
@@ -200,9 +200,8 @@ def generate_dataset(params: EngineParams, geom: FanGeometry,
     retries = 0
 
     def run_segment(hold, lam_target, m_fi, dither):
-        """Advance one held segment, returning how many samples were taken."""
+        """Advance one held segment, one sample per control interval."""
         nonlocal state, filled
-        taken = 0
         for j in range(hold):
             if filled >= sample_count:
                 break
@@ -215,8 +214,6 @@ def generate_dataset(params: EngineParams, geom: FanGeometry,
             inputs[filled] = (u.tps, u.m_fi, x_now[1], x_now[2])
             targets[filled] = state.as_vector()
             filled += 1
-            taken += 1
-        return taken
 
     # coverage prologue: a deterministic bottom-up sweep of fuel levels and
     # mixture targets, guaranteeing support along the whole trim manifold

@@ -7,9 +7,12 @@ induction, and a pure transport delay between fuel injection and torque
 production.  States are advanced with fixed-step RK4 at ``dt_int`` inside
 each control interval.
 
+tau_d may not exceed the control interval, so the one rate in transit when
+an interval starts is the previous command, which the state carries.
+
 One interval is 4 * dt/dt_int right-hand-side evaluations (400 at the stock
-0.1 s / 1 ms), so ``step_engine`` runs it on Python floats: the fuel delay
-line holds floats, inputs are converted once, every constant that is fixed
+0.1 s / 1 ms), so ``step_engine`` runs it on Python floats: inputs and the
+fuel in transit are converted once, every constant that is fixed
 while the throttle is held (orifice constants, throttle area, speed-density
 factor, manifold gain, efficiency and friction coefficients) is computed
 once per interval, and one loop over the four RK4 stages evaluates the
@@ -24,7 +27,7 @@ works in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,15 +99,15 @@ class EngineState:
     """Engine state exposed to the controller plus internal carriers.
 
     ``q_eng``/``n``/``lam`` are the controller-visible triple; manifold
-    pressure and the fuel transport buffer are internal to the plant.
+    pressure and the previous fuel command, still in transit to the
+    cylinder, are internal to the plant.
     """
 
     q_eng: float                 # N*m
     n: float                     # rev/s
     lam: float                   # normalized AFR, dimensionless
     manifold_pressure: float     # Pa
-    fuel_buffer: tuple = field(repr=False)   # kg/s ring of past commands, read at buffer_index
-    buffer_index: int = 0
+    m_fi_prev: float             # kg/s, the previous command, burnt for tau_d
 
     def as_vector(self) -> np.ndarray:
         """State triple [Q_eng, n, lambda] used by the prediction model."""
@@ -113,12 +116,11 @@ class EngineState:
 
 def make_initial_state(params: EngineParams, n: float, manifold_pressure: float,
                        m_fi: float) -> EngineState:
-    """Build a state with the delay line pre-filled at a constant fuel rate."""
+    """Build a state with ``m_fi`` held long enough to fill the delay."""
     n, manifold_pressure, m_fi = float(n), float(manifold_pressure), float(m_fi)
-    buf_len = max(1, math.ceil(params.injection_delay / params.dt_int))
     q, lam = _outputs(n, TWO_PI * n, manifold_pressure, m_fi, m_fi, params)
     return EngineState(q_eng=q, n=n, lam=lam, manifold_pressure=manifold_pressure,
-                       fuel_buffer=(m_fi,) * buf_len, buffer_index=0)
+                       m_fi_prev=m_fi)
 
 
 # ---------------------------------------------------------------------------
@@ -217,30 +219,36 @@ def _outputs(n: float, omega: float, p_man: float, m_fi: float,
 # time stepping
 # ---------------------------------------------------------------------------
 
-def substeps(params: EngineParams, dt: float) -> int:
-    """RK4 substeps per control interval ``dt``; ValueError unless dt_int divides it."""
+def substeps(params: EngineParams, dt: float):
+    """(RK4 substeps per control interval ``dt``, substeps of fuel delay
+    max(1, ceil(tau_d/dt_int))); ValueError unless dt_int divides dt and
+    the delay fits in it."""
     n_sub = int(round(dt / params.dt_int))
     if n_sub < 1 or abs(n_sub * params.dt_int - dt) > 1e-9 * dt:
         raise ValueError("dt_int must divide the control interval")
-    return n_sub
+    n_delay = max(1, math.ceil(params.injection_delay / params.dt_int))
+    if n_delay > n_sub:
+        raise ValueError("injection_delay must not exceed the control interval")
+    return n_sub, n_delay
 
 
 def step_engine(state: EngineState, u: ControlInput, load_power: float,
                 params: EngineParams, dt: float) -> EngineState:
     """Advance the engine by one control interval under a held input.
 
-    RK4 at ``params.dt_int`` on [omega, p_manifold]; the fuel delay line is
-    advanced one slot per substep, so the commanded rate reaches the torque
-    term exactly ceil(tau_d/dt_int) substeps later.  Raises EngineStallError
-    (infeasible load / fuel starvation) if speed falls through the floor.
+    RK4 at ``params.dt_int`` on [omega, p_manifold]; the first n_delay
+    substeps (see ``substeps``) burn ``state.m_fi_prev`` and the rest
+    ``u.m_fi``, which the returned state carries in transit.  Raises
+    EngineStallError (infeasible load / fuel starvation) if speed falls
+    through the floor.
 
     Inputs are converted to Python floats once, so the whole interval runs
     in float arithmetic and the returned state holds floats.  The constants
     of the held throttle and of every sub-model are computed once; each pass
     of the stage loop evaluates the right-hand side inline.
     """
-    n_sub = substeps(params, dt)
-    m_fi = float(u.m_fi)
+    n_sub, n_delay = substeps(params, dt)
+    m_fi, m_fi_prev = float(u.m_fi), float(state.m_fi_prev)
     load_power = float(load_power)
     area_density, pr_crit, psi_choked, exp_a, exp_b, psi_gain = _orifice(float(u.tps), params)
     p_amb = params.ambient_pressure
@@ -259,15 +267,9 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
 
     omega = TWO_PI * float(state.n)
     p_man = float(state.manifold_pressure)
-    buf = list(state.fuel_buffer)
-    idx = state.buffer_index
-    buf_len = len(buf)
 
-    for _ in range(n_sub):
-        # consume the delayed slot, then overwrite it with the current command
-        m_f_delayed = buf[idx]
-        buf[idx] = m_fi
-        idx = (idx + 1) % buf_len
+    for j in range(n_sub):
+        m_f_delayed = m_fi_prev if j < n_delay else m_fi
         no_fuel = m_f_delayed <= 0.0
         fuel_air = m_f_delayed * stoich
 
@@ -322,4 +324,4 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
     n = omega / TWO_PI
     q_eng, lam = _outputs(n, omega, p_man, m_fi, m_f_delayed, params)
     return replace(state, q_eng=q_eng, n=n, lam=lam, manifold_pressure=p_man,
-                   fuel_buffer=tuple(buf), buffer_index=idx)
+                   m_fi_prev=m_fi)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import NormStats
-from .engine import ControlInput
 from .fan import FanGeometry, thrust_jacobian
 from .networks import RbfModel
 
@@ -63,7 +62,7 @@ def rescale_jacobian(j_norm: np.ndarray, stats: NormStats) -> np.ndarray:
 
 
 def build_lpv(rbf: RbfModel, geom: FanGeometry, x0: np.ndarray,
-              u0: ControlInput | np.ndarray, t: float = 0.0) -> LpvModel:
+              u0: np.ndarray, t: float = 0.0) -> LpvModel:
     """Assemble the discrete LPV matrices at a measured operating point.
 
     The network input order is [tps, m_fi, n, lambda]; its Jacobian columns
@@ -72,10 +71,7 @@ def build_lpv(rbf: RbfModel, geom: FanGeometry, x0: np.ndarray,
     fan map's closed-form sensitivities at (Q_eng, n).
     """
     x0 = np.asarray(x0, dtype=float)
-    if isinstance(u0, ControlInput):
-        u0 = np.array([u0.tps, u0.m_fi])
-    else:
-        u0 = np.asarray(u0, dtype=float)
+    u0 = np.asarray(u0, dtype=float)
 
     p_phys = np.array([u0[0], u0[1], x0[1], x0[2]])
     p_norm = 2.0 * (p_phys - rbf.stats.in_min) / (rbf.stats.in_max

@@ -238,7 +238,8 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     limits are enforced softly: rows predicted beyond a limit add quadratic
     pull-back terms toward it and the QP is re-solved, at most three
     refinement rounds.  The returned increments always satisfy the input
-    box.
+    box; ``iterations`` sums the Hildreth sweeps of every round, and
+    ``capped`` is set if any round hit the sweep cap.
     """
     refs = np.atleast_2d(np.asarray(refs, dtype=float))
     u_prev = np.asarray(u_prev, dtype=float)
@@ -258,12 +259,14 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     # rows penalised toward the upper / lower limit; np.where keeps an
     # infinite limit inert instead of turning 0*inf into nan
     over = under = np.zeros(len(y0_s), dtype=bool)
+    iterations, capped = 0, False
     for _ in range(3):
         pull = np.where(over, y0_s - y_hi, 0.0) + np.where(under, y0_s - y_lo, 0.0)
         weight = q_diag + rho * over + rho * under
         e_mat = 2.0 * (g_s.T @ (weight[:, None] * g_s) + r_mat)
         f_vec = 2.0 * g_s.T @ (q_diag * (y0_s - ref_s) + rho * pull)
-        z, _, iterations, kkt, capped = hildreth(e_mat, f_vec, m_mat, gamma)
+        z, _, sweeps, kkt, round_capped = hildreth(e_mat, f_vec, m_mat, gamma)
+        iterations, capped = iterations + sweeps, capped or round_capped
         y_pred = y0_s + g_s @ z
         new_over = over | (y_pred > y_hi + 1e-12)
         new_under = under | (y_pred < y_lo - 1e-12)

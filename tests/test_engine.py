@@ -108,13 +108,17 @@ def reference_step(state, u, load_power, params, dt, hits):
     """One control interval: RK4 on ``reference_derivatives`` with numpy
     scalars through a numpy delay line, then the output map.
 
-    Returns (q_eng, n, lam, manifold_pressure, buffer list, buffer index).
+    The line holds one slot per substep of delay and starts full of the
+    state's previous command; it must end full of ``u.m_fi``, which is what
+    lets the plant carry the delay as a single rate.
+    Returns (q_eng, n, lam, manifold_pressure, the rate left in transit).
     """
     n_sub = int(round(dt / params.dt_int))
     omega = TWO_PI * state.n
     p_man = state.manifold_pressure
-    buf = np.array(state.fuel_buffer, dtype=float)
-    idx = state.buffer_index
+    buf = np.full(max(1, math.ceil(params.injection_delay / params.dt_int)),
+                  state.m_fi_prev)
+    idx = 0
     h = params.dt_int
     omega_floor = TWO_PI * params.stall_speed
 
@@ -139,12 +143,13 @@ def reference_step(state, u, load_power, params, dt, hits):
             raise EngineStallError(
                 f"engine stalled at {omega / TWO_PI:.2f} rev/s (load infeasible)")
 
+    assert np.all(buf == u.m_fi)
     n = omega / TWO_PI
     m_as = cylinder_air_flow(p_man, n, params)
     lam = normalized_afr(m_as, u.m_fi, params.stoich_afr)
     p_comb = delayed_combustion_power(m_f_delayed, m_as, n, params)
     q_eng = engine_torque_from_power(p_comb, friction_power(n, params), omega)
-    return q_eng, n, lam, p_man, [float(v) for v in buf], idx
+    return q_eng, n, lam, p_man, float(buf[0])
 
 
 def settle(params, u, load, steps=400, n0=60.0, pm0=7.0e4):
@@ -302,8 +307,9 @@ class TestStepEngine:
 
 class TestStepEngineOracle:
     # the speed-factor floor of the efficiency map lies below zero speed at
-    # the stock speed gain, so a steeper map reaches it
-    PARAMS = (P, EngineParams(eta_speed_gain=1.6))
+    # the stock speed gain, so a steeper map reaches it; tau_d = 0 still
+    # delays the command by one substep
+    PARAMS = (P, EngineParams(eta_speed_gain=1.6), EngineParams(injection_delay=0.0))
 
     def random_case(self, rng):
         params = self.PARAMS[int(rng.integers(len(self.PARAMS)))]
@@ -312,11 +318,9 @@ class TestStepEngineOracle:
                  else float(rng.uniform(2.0e4, params.ambient_pressure)))
         state = make_initial_state(params, n=n, manifold_pressure=p_man,
                                    m_fi=float(rng.uniform(5e-4, 6e-3)))
-        # a delay line of mixed past commands, some slots without fuel
-        fuel = rng.uniform(5e-4, 6e-3, len(state.fuel_buffer))
-        fuel[rng.uniform(size=fuel.size) < 0.1] = 0.0
-        state = replace(state, fuel_buffer=tuple(fuel.tolist()),
-                        buffer_index=int(rng.integers(fuel.size)))
+        # a previous command still in transit, sometimes without fuel
+        state = replace(state, m_fi_prev=(0.0 if rng.uniform() < 0.1
+                                          else float(rng.uniform(5e-4, 6e-3))))
         u = ControlInput(tps=float(rng.uniform(0.0, 100.0)),
                          m_fi=float(rng.uniform(5e-4, 6e-3)))
         return state, u, float(rng.uniform(0.0, 4.0e4)), params
@@ -325,27 +329,30 @@ class TestStepEngineOracle:
         rng = np.random.default_rng(20240611)
         hits = set()
         stalls = 0
-        for _ in range(240):
+        cases = 320
+        for case in range(cases):
+            # every fourth case is half an interval, where the stock delay
+            # spans every substep and the output burns the previous command
+            dt = 0.05 if case % 4 == 3 else 0.1
             state, u, load, params = self.random_case(rng)
             try:
-                expected = reference_step(state, u, load, params, 0.1, hits)
+                expected = reference_step(state, u, load, params, dt, hits)
             except EngineStallError as exc:
                 stalls += 1
                 with pytest.raises(EngineStallError) as info:
-                    step_engine(state, u, load, params, 0.1)
+                    step_engine(state, u, load, params, dt)
                 assert str(info.value) == str(exc)
                 continue
-            out = step_engine(state, u, load, params, 0.1)
+            out = step_engine(state, u, load, params, dt)
             assert (out.q_eng, out.n, out.lam, out.manifold_pressure,
-                    [float(v) for v in out.fuel_buffer],
-                    out.buffer_index) == expected
+                    out.m_fi_prev) == expected
         assert hits == {"orifice closed", "orifice choked", "orifice unchoked",
                         "zero delayed fuel", "speed factor floor",
                         "efficiency floor", "stall"}
-        assert 0 < stalls < 120
+        assert 0 < stalls < cases // 2
 
     def test_state_fields_are_python_floats(self):
-        # numpy scalars in the delay line or the inputs would turn every
+        # numpy scalars in the fuel in transit or the inputs would turn every
         # operation of the interval into numpy scalar arithmetic
         state = make_initial_state(P, n=np.float64(70.0),
                                    manifold_pressure=np.float64(7.2e4),
@@ -354,7 +361,7 @@ class TestStepEngineOracle:
         for state in (state, step_engine(state, u, np.float64(8000.0), P, 0.1)):
             assert {type(v) for v in (state.q_eng, state.n, state.lam,
                                       state.manifold_pressure,
-                                      *state.fuel_buffer)} == {float}
+                                      state.m_fi_prev)} == {float}
 
 
 class TestEngineInvariants:
@@ -398,6 +405,15 @@ class TestEngineInvariants:
         assert base.n != pytest.approx(
             step_engine(state, ControlInput(40.0, 0.004), 4000.0, params,
                         0.1).n, rel=1e-9)
+
+    def test_delay_must_fit_in_the_interval(self):
+        state = make_initial_state(P, n=70.0, manifold_pressure=7.2e4,
+                                   m_fi=0.003)
+        u = ControlInput(40.0, 0.003)
+        for tau_d in (0.0, 0.1):
+            step_engine(state, u, 8000.0, replace(P, injection_delay=tau_d), 0.1)
+        with pytest.raises(ValueError, match="injection_delay"):
+            step_engine(state, u, 8000.0, replace(P, injection_delay=0.15), 0.1)
 
     def test_substep_halving_converges(self):
         u = ControlInput(tps=40.0, m_fi=0.0032)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dflsim.dataset import NormStats, TrainingConfig
-from dflsim.engine import ControlInput
 from dflsim.fan import FanGeometry
 from dflsim.lpv import (LPV_CSV_HEADER, assoc_jacobian, build_lpv,
                         lpv_csv_row, rescale_jacobian)
@@ -116,8 +115,7 @@ class TestBuildLpv:
         for _ in range(25):
             x0 = np.array([rng.uniform(3, 35), rng.uniform(40, 100),
                            rng.uniform(0.8, 1.1)])
-            u0 = ControlInput(tps=rng.uniform(20, 70),
-                              m_fi=rng.uniform(0.0015, 0.005))
+            u0 = np.array([rng.uniform(20, 70), rng.uniform(0.0015, 0.005)])
             lpv = build_lpv(trained_rbf, G, x0, u0)
             assert np.array_equal(lpv.a[:, 0], np.zeros(3))
             assert np.array_equal(lpv.d, np.zeros((2, 2)))
@@ -129,7 +127,7 @@ class TestBuildLpv:
 
     def test_deterministic_and_pure(self, trained_rbf):
         x0 = np.array([15.0, 70.0, 0.9])
-        u0 = ControlInput(tps=35.0, m_fi=0.003)
+        u0 = np.array([35.0, 0.003])
         a = build_lpv(trained_rbf, G, x0, u0)
         b = build_lpv(trained_rbf, G, x0, u0)
         assert np.array_equal(a.a, b.a)

@@ -271,6 +271,32 @@ class TestSolveQp:
             <= 1e-9 * np.max(np.abs(du_frozen))
         assert sol.cost == pytest.approx(564.416850081134, rel=1e-9)
 
+    def test_iterations_count_every_round(self, monkeypatch):
+        # the first round binds a box edge and sweeps; the soft-limit
+        # re-solve is interior and takes none
+        lpv = toy_lpv(0)
+        y0 = np.array([1400.0, 0.95])
+        step = simulate_horizon(lpv, np.zeros(2), [[1.0, 0.0]], CFG.n2)
+        refs = y0 + 300.0 / step[-1, 0] * step
+        sweeps = []
+
+        def counted(*args):
+            result = hildreth(*args)
+            sweeps.append(result[2])
+            return result
+
+        meas, u_prev = Measurement(np.zeros(3), y0), np.array([88.0, 0.003])
+        monkeypatch.setattr(mpc, "hildreth", counted)
+        sol = solve_qp(lpv, meas, refs, u_prev, CFG)
+        assert sweeps == [40, 0]
+        assert sol.iterations == 40
+        assert not sol.capped
+        # a cap in the first round alone still marks the solution capped
+        flags = [True, False]
+        monkeypatch.setattr(mpc, "hildreth",
+                            lambda *args: (*hildreth(*args)[:4], flags.pop(0)))
+        assert solve_qp(lpv, meas, refs, u_prev, CFG).capped
+
 
 def old_box_constraints(config, u_prev):
     """The box rows as built on every step before the layout existed."""

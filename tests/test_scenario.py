@@ -489,6 +489,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command, ini_text", [
         (["gen-data"], "[plant]\ndt_int = 0.003\n"),
+        # the fuel in transit must be the previous command alone
+        (["gen-data"], "[plant]\ninjection_delay = 0.15\n"),
     ])
     def test_control_interval_not_whole_substeps_exit_code(self, tmp_path,
                                                            command, ini_text):
@@ -496,6 +498,14 @@ class TestCli:
         bad.write_text(ini_text)
         assert cli_main(command + ["--config", str(bad),
                                    "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
+    def test_report_takes_no_seed(self, tmp_path):
+        # report reads no seed, so it offers no --seed to ignore
+        with pytest.raises(SystemExit) as info:
+            cli_main(["report", str(tmp_path / "trajectory.csv"),
+                      "--seed", "3", "--out", str(tmp_path / "o")])
+        assert info.value.code == 2
 
     @pytest.mark.parametrize("command, ini_text", [
         (["gen-data", "--seed", "-1"], ""),
