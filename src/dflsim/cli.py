@@ -2,10 +2,12 @@
 
 Subcommands mirror the workflow: generate identification data, train the
 network models, compare them, run the closed-loop scenario, audit the
-derivative network, and post-process a trajectory into metrics.  ``main``
-alone maps errors to the exit status: 0 success, 2 configuration error,
-3 plant stall, 4 any other RuntimeError (solver failure, diverged training),
-5 a data or model file that its reader cannot parse.
+derivative network, and post-process a trajectory into metrics.  Each
+stage reads the files the stage before it wrote and never remakes them.
+``main`` alone maps errors to the exit status: 0 success, 2 configuration
+error, 3 plant stall, 4 any other RuntimeError (solver failure, diverged
+training), 5 a data, model or trajectory file that is missing or that its
+reader cannot parse.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .config import ConfigError, load_bundle
 from .dataset import generate_dataset, load_dataset_csv, save_dataset_csv
 from .engine import EngineStallError
 from .lpv import assoc_jacobian
-from .networks import (compare_models, load_model, load_rbf, rbf_forward,
-                       save_model, train_elman, train_mlp, train_rbf)
+from .networks import (MODEL_KINDS, compare_models, load_model, load_rbf,
+                       rbf_forward, save_model, train_elman, train_mlp, train_rbf)
 from .scenario import (CONTROLLER_KINDS, ScenarioStallError, compute_metrics,
                        load_trajectory_csv, relative_error, run_scenario,
                        save_lpv_trace, save_trajectory_csv)
@@ -35,18 +37,23 @@ EXIT_SOLVER = 4
 EXIT_BAD_FILE = 5
 
 
-def _common_flags(sub, seed=True):
+def _subcommand(subs, name, func, summary, seed_key=None):
+    """A subcommand with ``--config`` and ``--out``, and ``--seed`` only where
+    the command reads one: it overrides the config's ``seed_key``."""
+    sub = subs.add_parser(name, help=summary)
     sub.add_argument("--config", type=Path, default=None,
                      help="INI configuration file (defaults embedded)")
-    if seed:
+    if seed_key:
         sub.add_argument("--seed", type=int, default=None,
-                         help="override the relevant RNG seed")
+                         help=f"override the config's {seed_key}")
     sub.add_argument("--out", type=Path, default=Path("out"),
                      help="output directory")
+    sub.set_defaults(func=func, seed_key=seed_key, seed=None)
+    return sub
 
 
-def _load(args, seed_key):
-    overrides = {} if args.seed is None else {seed_key: args.seed}
+def _load(args):
+    overrides = {} if args.seed is None else {args.seed_key: args.seed}
     return load_bundle(args.config, overrides)
 
 
@@ -56,7 +63,7 @@ def _ensure_out(args) -> Path:
 
 
 def cmd_gen_data(args) -> int:
-    bundle = _load(args, "training.seed")
+    bundle = _load(args)
     tr = bundle.training
     dataset = generate_dataset(bundle.plant, bundle.fan, tr)
     out = _ensure_out(args) / "dataset.csv"
@@ -66,10 +73,14 @@ def cmd_gen_data(args) -> int:
 
 
 def _dataset_for(args, bundle):
-    path = args.data if args.data else args.out / "dataset.csv"
-    if Path(path).exists():
-        return load_dataset_csv(path, bundle.training.n_train)
-    return generate_dataset(bundle.plant, bundle.fan, bundle.training)
+    """The dataset in ``--data`` or ``<out>/dataset.csv``."""
+    return load_dataset_csv(args.data or args.out / "dataset.csv",
+                            bundle.training.n_train)
+
+
+def _rbf_for(args):
+    """The controller's RBF in ``--model-file`` or ``<out>/rbf_model.txt``."""
+    return load_rbf(args.model_file or args.out / "rbf_model.txt")
 
 
 def _train(kind, dataset, tr):
@@ -80,19 +91,8 @@ def _train(kind, dataset, tr):
     return model, f"{len(losses)} epochs, final MSE {losses[-1]:.6f}"
 
 
-def _model_for(args, bundle, kind, dataset=None):
-    """The ``kind`` model in ``--model-file`` or ``<out>/<kind>_model.txt``,
-    trained from the [training] section when that file does not exist."""
-    path = getattr(args, "model_file", None) or args.out / f"{kind}_model.txt"
-    if Path(path).exists():
-        return load_rbf(path) if kind == "rbf" else load_model(path)
-    if dataset is None:
-        dataset = _dataset_for(args, bundle)
-    return _train(kind, dataset, bundle.training)[0]
-
-
 def cmd_train(args) -> int:
-    bundle = _load(args, "training.seed")
+    bundle = _load(args)
     model, summary = _train(args.model, _dataset_for(args, bundle), bundle.training)
     path = _ensure_out(args) / f"{args.model}_model.txt"
     save_model(model, path)
@@ -101,10 +101,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare_models(args) -> int:
-    bundle = _load(args, "training.seed")
+    bundle = _load(args)
     dataset = _dataset_for(args, bundle)
-    report = compare_models(dataset, *(_model_for(args, bundle, kind, dataset)
-                                       for kind in ("mlp", "elman", "rbf")))
+    report = compare_models(dataset, *(load_model(args.out / f"{kind}_model.txt", cls)
+                                       for kind, cls in MODEL_KINDS.items()))
     out_dir = _ensure_out(args)
     names = ("torque", "speed", "afr")
     print(f"{'output':>8} | " + " | ".join(f"{m:>7}" for m in report.mape_table))
@@ -125,9 +125,9 @@ def cmd_compare_models(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    bundle = _load(args, "scenario.seed")
+    bundle = _load(args)
+    rbf = None if args.controller == "open-loop" else _rbf_for(args)
     out_dir = _ensure_out(args)
-    rbf = None if args.controller == "open-loop" else _model_for(args, bundle, "rbf")
     trace = [] if args.dump_lpv else None
     path = out_dir / f"trajectory_{args.controller}.csv"
     try:
@@ -156,8 +156,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check_jacobian(args) -> int:
-    bundle = _load(args, "training.seed")
-    rbf = _model_for(args, bundle, "rbf")
+    bundle = _load(args)
+    rbf = _rbf_for(args)
     rng = np.random.default_rng(bundle.training.seed)
     step = 1e-5
     dp = step * np.eye(4)       # one central difference per input column
@@ -178,7 +178,7 @@ def cmd_check_jacobian(args) -> int:
 
 
 def cmd_report(args) -> int:
-    bundle = load_bundle(args.config)
+    bundle = _load(args)
     records = load_trajectory_csv(args.trajectory)
     metrics = compute_metrics(records, bundle.mpc, bundle.scenario)
     out_dir = _ensure_out(args)
@@ -194,52 +194,50 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dflsim",
         description="Ducted-fan lift system simulation and adaptive MPC toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
+    data_help = "dataset CSV (default: <out>/dataset.csv)"
+    model_help = "trained RBF block file (default: <out>/rbf_model.txt)"
 
-    sub = subs.add_parser("gen-data", help="excite the plant and write the dataset CSV")
-    _common_flags(sub)
-    sub.set_defaults(func=cmd_gen_data)
+    _subcommand(subs, "gen-data", cmd_gen_data,
+                "excite the plant and write the dataset CSV", "training.seed")
 
-    sub = subs.add_parser("train", help="train one network model")
-    _common_flags(sub)
-    sub.add_argument("--model", choices=("mlp", "elman", "rbf"), required=True)
-    sub.add_argument("--data", type=Path, default=None,
-                     help="dataset CSV (default: <out>/dataset.csv, regenerated if absent)")
-    sub.set_defaults(func=cmd_train)
+    sub = _subcommand(subs, "train", cmd_train,
+                      "train one network model on the dataset CSV")
+    sub.add_argument("--model", choices=tuple(MODEL_KINDS), required=True)
+    sub.add_argument("--data", type=Path, default=None, help=data_help)
 
-    sub = subs.add_parser("compare-models",
-                          help="score the trained models in --out, training any that "
-                          "are missing, and report validation MAPE")
-    _common_flags(sub)
-    sub.add_argument("--data", type=Path, default=None)
-    sub.set_defaults(func=cmd_compare_models)
+    sub = _subcommand(subs, "compare-models", cmd_compare_models,
+                      "score the three models that train wrote to --out "
+                      "and report validation MAPE")
+    sub.add_argument("--data", type=Path, default=None, help=data_help)
 
-    sub = subs.add_parser("simulate", help="run the takeoff-preparation scenario")
-    _common_flags(sub)
+    sub = _subcommand(subs, "simulate", cmd_simulate,
+                      "run the takeoff-preparation scenario", "scenario.seed")
     sub.add_argument("--controller", choices=CONTROLLER_KINDS, default="ampc")
-    sub.add_argument("--model-file", type=Path, default=None,
-                     help="trained RBF block file (default: <out>/rbf_model.txt)")
-    sub.add_argument("--data", type=Path, default=None)
+    sub.add_argument("--model-file", type=Path, default=None, help=model_help)
     sub.add_argument("--dump-lpv", action="store_true",
                      help="also write the per-step LPV matrices to CSV")
-    sub.set_defaults(func=cmd_simulate)
 
-    sub = subs.add_parser("check-jacobian",
-                          help="audit the derivative network against finite differences")
-    _common_flags(sub)
-    sub.add_argument("--model-file", type=Path, default=None)
-    sub.add_argument("--data", type=Path, default=None)
-    sub.add_argument("--points", type=int, default=100)
-    sub.set_defaults(func=cmd_check_jacobian)
+    sub = _subcommand(subs, "check-jacobian", cmd_check_jacobian,
+                      "audit the derivative network against finite differences",
+                      "training.seed")
+    sub.add_argument("--model-file", type=Path, default=None, help=model_help)
+    sub.add_argument("--points", type=_positive_int, default=100,
+                     help="number of random operating points to audit (>= 1)")
 
-    sub = subs.add_parser("report", help="recompute metrics from a trajectory CSV")
-    _common_flags(sub, seed=False)
+    sub = _subcommand(subs, "report", cmd_report,
+                      "recompute metrics from a trajectory CSV")
     sub.add_argument("trajectory", type=Path)
-    sub.set_defaults(func=cmd_report)
     return parser
 
 
@@ -257,7 +255,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except FileFormatError as exc:
+    except (FileFormatError, FileNotFoundError) as exc:
         print(f"bad input file: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
 

@@ -334,8 +334,10 @@ def compare_models(dataset: Dataset, mlp: MlpModel, elman: ElmanModel,
 # persistence: one block file per model (``tables.save_blocks``)
 # ---------------------------------------------------------------------------
 
+# the model class of each ``train --model`` kind, in ``compare_models`` order
+MODEL_KINDS = {"mlp": MlpModel, "elman": ElmanModel, "rbf": RbfModel}
 _ARRAYS = {cls: [f.name for f in fields(cls) if f.name != "stats"]
-           for cls in (RbfModel, MlpModel, ElmanModel)}
+           for cls in MODEL_KINDS.values()}
 # each array field's axes: a shared size per name, so the blocks must chain
 _AXES = {"centers": ("hidden", "in"), "radii": ("hidden",),
          "lw": ("out", "hidden"), "iw": ("hidden", "in"),
@@ -353,17 +355,18 @@ def save_model(model, path) -> None:
     save_blocks(path, blocks)
 
 
-def load_model(path):
+def load_model(path, expected=None):
     """Read a ``save_model`` file back as the model whose blocks it holds.
 
-    Raises FileFormatError when the blocks match no model, e.g. ``STATS`` is
-    missing, or when their shapes do not chain: a layer's width differs
-    from the next layer's, a 1-D field is not one row, or ``STATS`` is not
-    two rows of one minimum and one maximum per input and output.
+    Raises FileFormatError when the blocks match no model (of the class
+    ``expected``, if given), e.g. ``STATS`` is missing, or when their
+    shapes do not chain: a layer's width differs from the next layer's, a
+    1-D field is not one row, or ``STATS`` is not two rows of one minimum
+    and one maximum per input and output.
     """
     blocks = load_blocks(path)
     for cls, names in _ARRAYS.items():
-        if set(blocks) == {n.upper() for n in names} | {"STATS"}:
+        if expected in (None, cls) and set(blocks) == {*map(str.upper, names), "STATS"}:
             sizes, arrays = {}, {}
             for n in names:
                 block, axes = blocks[n.upper()], _AXES[n]
@@ -385,12 +388,10 @@ def load_model(path):
             mins, maxs = stats
             return cls(**arrays, stats=NormStats(mins[:n_in], maxs[:n_in],
                                                  mins[n_in:], maxs[n_in:]))
-    raise FileFormatError(f"{path}: blocks {sorted(blocks)} match no model file")
+    want = "model" if expected is None else expected.__name__
+    raise FileFormatError(f"{path}: blocks {sorted(blocks)} match no {want} file")
 
 
 def load_rbf(path) -> RbfModel:
     """``load_model`` for the controller's RBF; FileFormatError for any other model."""
-    model = load_model(path)
-    if not isinstance(model, RbfModel):
-        raise FileFormatError(f"{path}: holds a {type(model).__name__}, not an RBF")
-    return model
+    return load_model(path, RbfModel)

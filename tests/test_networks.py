@@ -474,6 +474,18 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="mlp_model.txt"):
             load_rbf(path)
 
+    @pytest.mark.parametrize("kind, wanted", [("rbf", MlpModel),
+                                              ("rbf", ElmanModel),
+                                              ("mlp", ElmanModel)])
+    def test_load_model_rejects_another_kind(self, kind, wanted, tmp_path):
+        _, models = trained_models()
+        path = tmp_path / f"{kind}_model.txt"
+        save_model(models[kind], path)
+        with pytest.raises(FileFormatError,
+                           match=f"{kind}_model.txt.*no {wanted.__name__} file"):
+            load_model(path, wanted)
+        assert type(load_model(path, type(models[kind]))) is type(models[kind])
+
     @pytest.mark.parametrize("kind, block, alter", [
         ("rbf", "STATS", lambda m: np.vstack([m, m[:1]])),
         ("rbf", "STATS", lambda m: m[:, :-1]),

@@ -1,6 +1,7 @@
 """Closed-loop scenario harness, metrics, CSV round-trips, config, CLI."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from dflsim.fan import (KGF, FanGeometry, fan_power, solve_operating_point,
                         thrust_from_power)
 from dflsim.lpv import build_lpv, lpv_csv_row
 from dflsim.mpc import MpcConfig
-from dflsim.networks import (init_mlp, load_rbf, mape, rbf_forward,
+from dflsim.networks import (MODEL_KINDS, compare_models, init_mlp,
+                             load_model, load_rbf, mape, rbf_forward,
                              save_blocks, save_model, train_rbf)
 from dflsim.scenario import (CONTROLLER_KINDS, ScenarioConfig,
                              compute_metrics, load_trajectory_csv,
@@ -290,6 +292,17 @@ def small_ini(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def rbf_stage(small_ini, tmp_path_factory):
+    """``gen-data`` and ``train --model rbf`` on ``small_ini``, run once; a
+    test that reads the files copies the directory instead of writing here."""
+    out = tmp_path_factory.mktemp("stage") / "out"
+    for argv in (["gen-data"], ["train", "--model", "rbf"]):
+        assert cli_main(argv + ["--config", str(small_ini),
+                                "--out", str(out)]) == 0
+    return out
+
+
 class TestCli:
     def test_gen_data_and_train_and_simulate(self, small_ini, tmp_path):
         out = tmp_path / "out"
@@ -304,11 +317,8 @@ class TestCli:
         assert (out / "trajectory_ampc.csv").exists()
         assert (out / "metrics_ampc.json").exists()
 
-    def test_report_reproduces_metrics(self, small_ini, tmp_path):
-        out = tmp_path / "out"
-        cli_main(["gen-data", "--config", str(small_ini), "--out", str(out)])
-        cli_main(["train", "--model", "rbf", "--config", str(small_ini),
-                  "--out", str(out)])
+    def test_report_reproduces_metrics(self, small_ini, rbf_stage, tmp_path):
+        out = shutil.copytree(rbf_stage, tmp_path / "out")
         cli_main(["simulate", "--controller", "ampc", "--config",
                   str(small_ini), "--out", str(out)])
         assert cli_main(["report", str(out / "trajectory_ampc.csv"),
@@ -323,11 +333,8 @@ class TestCli:
         assert [ln.split(",")[0] for ln in lines[1:]] == \
             [str(k) for k in range(40)]
 
-    def test_check_jacobian_passes(self, small_ini, tmp_path):
-        out = tmp_path / "out"
-        cli_main(["gen-data", "--config", str(small_ini), "--out", str(out)])
-        cli_main(["train", "--model", "rbf", "--config", str(small_ini),
-                  "--out", str(out)])
+    def test_check_jacobian_passes(self, small_ini, rbf_stage, tmp_path):
+        out = shutil.copytree(rbf_stage, tmp_path / "out")
         assert cli_main(["check-jacobian", "--config", str(small_ini),
                          "--out", str(out), "--points", "20"]) == 0
 
@@ -349,6 +356,7 @@ class TestCli:
                        "elman_epochs = 2\n")
         out = tmp_path / "out"
         for argv in (["gen-data"], ["train", "--model", "rbf"],
+                     ["train", "--model", "mlp"], ["train", "--model", "elman"],
                      ["compare-models"]):
             assert cli_main(argv + ["--config", str(ini), "--out", str(out)]) == 0
         with open(out / "mape_report.json") as fh:
@@ -369,17 +377,18 @@ class TestCli:
             [str(i) for i in range(15)]
 
     def test_compare_models_scores_the_trained_models(self, tmp_path,
-                                                      monkeypatch):
+                                                      monkeypatch, capsys):
         ini = tmp_path / "tiny.ini"
         ini.write_text("[training]\nsample_count = 300\nn_train = 285\n"
                        "seed = 11\nmlp_epochs = 5\nelman_epochs = 2\n")
-        trained, fresh = tmp_path / "trained", tmp_path / "fresh"
-        for out in (trained, fresh):
-            assert cli_main(["gen-data", "--config", str(ini),
-                             "--out", str(out)]) == 0
-        # with only dataset.csv present, compare-models trains all three
+        trained = tmp_path / "trained"
+        assert cli_main(["gen-data", "--config", str(ini),
+                         "--out", str(trained)]) == 0
+        # with only dataset.csv present there is nothing to score
         assert cli_main(["compare-models", "--config", str(ini),
-                         "--out", str(fresh)]) == 0
+                         "--out", str(trained)]) == 5
+        assert "mlp_model.txt" in capsys.readouterr().err
+        assert not (trained / "mape_report.json").exists()
         for kind in ("rbf", "mlp", "elman"):
             assert cli_main(["train", "--model", kind, "--config", str(ini),
                              "--out", str(trained)]) == 0
@@ -391,8 +400,22 @@ class TestCli:
             monkeypatch.setattr(f"dflsim.cli.{name}", no_training)
         assert cli_main(["compare-models", "--config", str(ini),
                          "--out", str(trained)]) == 0
-        for name in ("mape_report.json", "prediction_errors.csv"):
-            assert (trained / name).read_bytes() == (fresh / name).read_bytes()
+        scored = compare_models(
+            load_dataset_csv(trained / "dataset.csv", n_train=285),
+            *(load_model(trained / f"{kind}_model.txt") for kind in MODEL_KINDS))
+        with open(trained / "mape_report.json") as fh:
+            assert json.load(fh) == {m: [float(v) for v in vals]
+                                     for m, vals in scored.mape_table.items()}
+
+    def test_compare_models_on_model_of_the_wrong_kind_exit_code(
+            self, small_ini, rbf_stage, tmp_path, capsys):
+        out = shutil.copytree(rbf_stage, tmp_path / "out")
+        for kind in ("mlp", "elman"):
+            shutil.copy(out / "rbf_model.txt", out / f"{kind}_model.txt")
+        assert cli_main(["compare-models", "--config", str(small_ini),
+                         "--out", str(out)]) == 5
+        assert "mlp_model.txt" in capsys.readouterr().err
+        assert not (out / "mape_report.json").exists()
 
     def test_gen_data_stall_exit_code(self, tmp_path):
         ini = tmp_path / "stall.ini"
@@ -405,6 +428,8 @@ class TestCli:
         ini = tmp_path / "diverge.ini"
         ini.write_text("[training]\nsample_count = 300\nn_train = 285\n"
                        "seed = 11\nmlp_lr = 1.0e6\nmlp_epochs = 20\n")
+        assert cli_main(["gen-data", "--config", str(ini),
+                         "--out", str(tmp_path / "o")]) == 0
         assert cli_main(["train", "--model", "mlp", "--config", str(ini),
                          "--out", str(tmp_path / "o")]) == 4
 
@@ -500,12 +525,45 @@ class TestCli:
                                    "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o" / "dataset.csv").exists()
 
-    def test_report_takes_no_seed(self, tmp_path):
-        # report reads no seed, so it offers no --seed to ignore
+    @pytest.mark.parametrize("argv", [
+        # a command offers no flag that it would ignore
+        pytest.param(["report", "trajectory.csv", "--seed", "3"],
+                     id="report --seed"),
+        # the data and the excitation seed matter only to gen-data
+        pytest.param(["train", "--model", "rbf", "--seed", "3"],
+                     id="train --seed"),
+        pytest.param(["compare-models", "--seed", "3"],
+                     id="compare-models --seed"),
+        pytest.param(["simulate", "--data", "dataset.csv"],
+                     id="simulate --data"),
+        pytest.param(["check-jacobian", "--data", "dataset.csv"],
+                     id="check-jacobian --data"),
+        # an audit of no point proves nothing
+        pytest.param(["check-jacobian", "--points", "0"],
+                     id="check-jacobian --points 0"),
+        pytest.param(["check-jacobian", "--points", "-5"],
+                     id="check-jacobian --points -5"),
+    ])
+    def test_unread_or_invalid_flag_exit_code(self, tmp_path, argv):
         with pytest.raises(SystemExit) as info:
-            cli_main(["report", str(tmp_path / "trajectory.csv"),
-                      "--seed", "3", "--out", str(tmp_path / "o")])
+            cli_main(argv + ["--out", str(tmp_path / "o")])
         assert info.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--controller", "ampc", "--model-file", "{missing}"],
+        ["check-jacobian", "--model-file", "{missing}"],
+        ["train", "--model", "rbf", "--data", "{missing}"],
+        ["compare-models", "--data", "{missing}"],
+        ["report", "{missing}"],
+    ])
+    def test_missing_input_file_exit_code(self, tmp_path, argv, capsys):
+        # a stage never remakes the file the stage before it should have written
+        missing = str(tmp_path / "typo.txt")
+        assert cli_main([a.format(missing=missing) for a in argv]
+                        + ["--out", str(tmp_path / "o")]) == 5
+        assert missing in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, ini_text", [
         (["gen-data", "--seed", "-1"], ""),
@@ -586,11 +644,8 @@ class TestCli:
         assert cli_main(["simulate", "--controller", "ampc", "--model-file",
                          str(path), "--out", str(tmp_path / "o")]) == 5
 
-    def test_lpv_dump(self, small_ini, tmp_path):
-        out = tmp_path / "out"
-        cli_main(["gen-data", "--config", str(small_ini), "--out", str(out)])
-        cli_main(["train", "--model", "rbf", "--config", str(small_ini),
-                  "--out", str(out)])
+    def test_lpv_dump(self, small_ini, rbf_stage, tmp_path):
+        out = shutil.copytree(rbf_stage, tmp_path / "out")
         assert cli_main(["simulate", "--controller", "ampc", "--config",
                          str(small_ini), "--out", str(out), "--dump-lpv"]) == 0
         trace = (out / "lpv_trace_ampc.csv").read_text().splitlines()
