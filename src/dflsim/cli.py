@@ -6,8 +6,9 @@ derivative network, and post-process a trajectory into metrics.  Each
 stage reads the files the stage before it wrote and never remakes them.
 ``main`` alone maps errors to the exit status: 0 success, 2 configuration
 error, 3 plant stall, 4 any other RuntimeError (solver failure, diverged
-training), 5 a data, model or trajectory file that is missing or that its
-reader cannot parse.
+training, a plant substep too coarse to integrate), 5 a data, model or
+trajectory file that is missing, cannot be read or that its reader cannot
+parse.
 """
 
 from __future__ import annotations

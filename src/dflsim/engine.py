@@ -10,14 +10,21 @@ each control interval.
 tau_d may not exceed the control interval, so the one rate in transit when
 an interval starts is the previous command, which the state carries.
 
-One interval is 4 * dt/dt_int right-hand-side evaluations (400 at the stock
-0.1 s / 1 ms), so ``step_engine`` runs it on Python floats: inputs and the
+One interval is 4 * dt/dt_int right-hand-side evaluations (200 at the stock
+0.1 s / 2 ms), so ``step_engine`` runs it on Python floats: inputs and the
 fuel in transit are converted once, every constant that is fixed
 while the throttle is held (orifice constants, throttle area, speed-density
 factor, manifold gain, efficiency and friction coefficients) is computed
 once per interval, and one loop over the four RK4 stages evaluates the
 right-hand side inline, with no function call inside a substep.  The public
 sub-model functions evaluate the same formulas directly at a single point.
+
+Near ambient pressure the unchoked throttle makes the manifold stiff: the
+orifice's share of d(dp_man/dt)/dp_man grows without bound as the pressure
+ratio nears 1, and RK4 is stable on the real axis only for h*|lambda| up to
+2.785.  So each substep first checks h times that share; above
+``STIFF_LIMIT`` the whole interval is redone at half the substep, at most
+``MAX_HALVINGS`` times, and every interval is plain RK4 at dt_int/2**k.
 
 All internal math is SI (rad/s, Pa, W, N*m); crankshaft speed crosses the
 module boundary in rev/s because that is the unit the rest of the pipeline
@@ -34,8 +41,22 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+# largest h * |orifice share of d(dp_man/dt)/dp_man| a substep may start at;
+# above it the interval is redone at half the substep.  Accuracy, not
+# stability, sets it: one interval from a settled start stays within 2.3e-4
+# of a 0.1 ms reference at 1.5, but is off by 3.4e-3 at 2.5.
+STIFF_LIMIT = 1.5
+# halvings after which the interval runs without the check
+MAX_HALVINGS = 4
+
+
 class EngineStallError(RuntimeError):
     """Crankshaft speed fell below the stall floor during integration."""
+
+
+class SubstepTooCoarseError(RuntimeError):
+    """An RK4 stage drove the manifold pressure to zero or below: the
+    substep ``dt_int`` is too coarse for the interval it integrates."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +95,7 @@ class EngineParams:
     volumetric_eff: float = 0.78
 
     # integration
-    dt_int: float = 1.0e-3                # s
+    dt_int: float = 2.0e-3                # s, halved where the manifold is stiff
     stall_speed: float = 10.0             # rev/s, below this we raise
 
     def __post_init__(self):
@@ -128,7 +149,7 @@ def make_initial_state(params: EngineParams, n: float, manifold_pressure: float,
 #
 # Each public function below evaluates one sub-model at a single point.
 # ``step_engine`` spells the same formulas inline, in the same operation
-# order, because an interval evaluates them 400 times and a Python call costs
+# order, because an interval evaluates them 200 times and a Python call costs
 # more than the arithmetic; ``tests/test_engine.py`` compares the interval
 # with an independently written reference step by ``==``.  The clamps are
 # comparisons written to return what max()/min() would (NaN included) for the
@@ -219,35 +240,37 @@ def _outputs(n: float, omega: float, p_man: float, m_fi: float,
 # time stepping
 # ---------------------------------------------------------------------------
 
-def substeps(params: EngineParams, dt: float):
+def substeps(params: EngineParams, dt: float, halvings: int = 0):
     """(RK4 substeps per control interval ``dt``, substeps of fuel delay
-    max(1, ceil(tau_d/dt_int))); ValueError unless dt_int divides dt and
-    the delay fits in it."""
+    max(1, ceil(tau_d/h))) at h = dt_int/2**halvings; ValueError unless
+    dt_int divides dt and the delay fits in it."""
     n_sub = int(round(dt / params.dt_int))
     if n_sub < 1 or abs(n_sub * params.dt_int - dt) > 1e-9 * dt:
         raise ValueError("dt_int must divide the control interval")
-    n_delay = max(1, math.ceil(params.injection_delay / params.dt_int))
-    if n_delay > n_sub:
+    n_delay = max(1, math.ceil(params.injection_delay * 2 ** halvings / params.dt_int))
+    if n_delay > n_sub * 2 ** halvings:
         raise ValueError("injection_delay must not exceed the control interval")
-    return n_sub, n_delay
+    return n_sub * 2 ** halvings, n_delay
 
 
 def step_engine(state: EngineState, u: ControlInput, load_power: float,
                 params: EngineParams, dt: float) -> EngineState:
     """Advance the engine by one control interval under a held input.
 
-    RK4 at ``params.dt_int`` on [omega, p_manifold]; the first n_delay
+    RK4 at h = ``params.dt_int`` on [omega, p_manifold]; the first n_delay
     substeps (see ``substeps``) burn ``state.m_fi_prev`` and the rest
-    ``u.m_fi``, which the returned state carries in transit.  Raises
-    EngineStallError (infeasible load / fuel starvation) if speed falls
-    through the floor.
+    ``u.m_fi``, which the returned state carries in transit.  A substep that
+    starts where h * |orifice share of d(dp_man/dt)/dp_man| exceeds
+    STIFF_LIMIT restarts the interval at h/2, up to MAX_HALVINGS times.
+    Raises EngineStallError (infeasible load / fuel starvation) if speed
+    falls through the floor, and SubstepTooCoarseError if an RK4 stage drives
+    the manifold pressure to zero or below.
 
     Inputs are converted to Python floats once, so the whole interval runs
     in float arithmetic and the returned state holds floats.  The constants
     of the held throttle and of every sub-model are computed once; each pass
     of the stage loop evaluates the right-hand side inline.
     """
-    n_sub, n_delay = substeps(params, dt)
     m_fi, m_fi_prev = float(u.m_fi), float(state.m_fi_prev)
     load_power = float(load_power)
     area_density, pr_crit, psi_choked, exp_a, exp_b, psi_gain = _orifice(float(u.tps), params)
@@ -260,66 +283,87 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
     hu, kept = params.lower_heating_value, 1.0 - params.fuel_loss_coeff
     stoich = params.stoich_afr
     lin, quad, inertia = params.friction_lin, params.friction_quad, params.inertia
-    h, sixth_h = params.dt_int, params.dt_int / 6.0
-    # per stage: (step from its slope to the next stage's point, weight in the sum)
-    stages = ((0.5 * h, 1.0), (0.5 * h, 2.0), (h, 2.0), (0.0, 1.0))
     omega_floor = TWO_PI * params.stall_speed
+    # the unchoked orifice adds -G*A_d*psi_gain * (a*pr**a - b*pr**b)
+    # / (2*pr*psi*p_amb) to d(dp_man/dt)/dp_man; this is its constant factor
+    stiff_gain = manifold_gain * area_density * psi_gain / (2.0 * p_amb)
 
-    omega = TWO_PI * float(state.n)
-    p_man = float(state.manifold_pressure)
+    for halvings in range(MAX_HALVINGS + 1):
+        n_sub, n_delay = substeps(params, dt, halvings)
+        h = params.dt_int / 2 ** halvings
+        sixth_h, h_stiff = h / 6.0, h * stiff_gain
+        check = halvings < MAX_HALVINGS
+        # per stage: (step from its slope to the next stage's point, weight
+        # in the sum, whether the substep's stiffness is checked there)
+        stages = ((0.5 * h, 1.0, check), (0.5 * h, 2.0, False), (h, 2.0, False),
+                  (0.0, 1.0, False))
+        stiff = False
+        omega = TWO_PI * float(state.n)
+        p_man = float(state.manifold_pressure)
 
-    for j in range(n_sub):
-        m_f_delayed = m_fi_prev if j < n_delay else m_fi
-        no_fuel = m_f_delayed <= 0.0
-        fuel_air = m_f_delayed * stoich
+        for j in range(n_sub):
+            m_f_delayed = m_fi_prev if j < n_delay else m_fi
+            no_fuel = m_f_delayed <= 0.0
+            fuel_air = m_f_delayed * stoich
 
-        # -0.0 is the exact additive identity, so the sums are the
-        # left-to-right w1 + 2*w2 + 2*w3 + w4 bit for bit
-        w_sum = p_sum = -0.0
-        w_at, p_at = omega, p_man
-        for step, weight in stages:
-            n = w_at / TWO_PI
-            n_pos = 0.0 if n < 0.0 else n
-            # throttle orifice
-            if p_at <= 0.0:
-                raise ValueError("manifold pressure must be positive")
-            pr = p_at / p_amb
-            if pr >= 1.0:
-                psi = 0.0
-            elif pr <= pr_crit:
-                psi = psi_choked
-            else:
-                psi = math.sqrt(psi_gain * (pr ** exp_a - pr ** exp_b))
-            # speed-density induction
-            m_cyl = swept * n_pos * (p_at / rt_man)
-            # the delayed charge burning at its own mixture
-            if no_fuel:
-                p_comb = 0.0
-            else:
-                lam_factor = 1.0 - curv * (m_cyl / fuel_air - lam_opt) ** 2
-                speed_factor = 1.0 + gain * (n / n_ref - 1.0)
-                if speed_factor < floor:
-                    speed_factor = floor
-                eta = peak * lam_factor * speed_factor
-                p_comb = hu * (0.0 if eta < 0.0 else eta) * kept * m_f_delayed
-            # friction, then the crankshaft power balance and manifold filling
-            p_fric = lin * n_pos + quad * n_pos * n_pos
-            w = (p_comb - p_fric - load_power) / (inertia * w_at)
-            p = manifold_gain * (area_density * psi - m_cyl)
-            w_sum += weight * w
-            p_sum += weight * p
-            w_at = omega + step * w
-            p_at = p_man + step * p
-        omega += sixth_h * w_sum
-        p_man += sixth_h * p_sum
-        if p_man < 1.0:
-            p_man = 1.0
-        if p_amb < p_man:
-            p_man = p_amb
+            # -0.0 is the exact additive identity, so the sums are the
+            # left-to-right w1 + 2*w2 + 2*w3 + w4 bit for bit
+            w_sum = p_sum = -0.0
+            w_at, p_at = omega, p_man
+            for step, weight, checked in stages:
+                n = w_at / TWO_PI
+                n_pos = 0.0 if n < 0.0 else n
+                # throttle orifice
+                if p_at <= 0.0:
+                    raise SubstepTooCoarseError(
+                        f"manifold pressure {p_at:.6g} Pa inside an RK4 substep of "
+                        f"{h:g} s: dt_int is too coarse")
+                pr = p_at / p_amb
+                if pr >= 1.0:
+                    psi = 0.0
+                elif pr <= pr_crit:
+                    psi = psi_choked
+                else:
+                    pr_a, pr_b = pr ** exp_a, pr ** exp_b
+                    psi = math.sqrt(psi_gain * (pr_a - pr_b))
+                    if checked and (h_stiff * (exp_b * pr_b - exp_a * pr_a)
+                                  > STIFF_LIMIT * pr * psi):
+                        stiff = True
+                        break
+                # speed-density induction
+                m_cyl = swept * n_pos * (p_at / rt_man)
+                # the delayed charge burning at its own mixture
+                if no_fuel:
+                    p_comb = 0.0
+                else:
+                    lam_factor = 1.0 - curv * (m_cyl / fuel_air - lam_opt) ** 2
+                    speed_factor = 1.0 + gain * (n / n_ref - 1.0)
+                    if speed_factor < floor:
+                        speed_factor = floor
+                    eta = peak * lam_factor * speed_factor
+                    p_comb = hu * (0.0 if eta < 0.0 else eta) * kept * m_f_delayed
+                # friction, then the crankshaft power balance and manifold filling
+                p_fric = lin * n_pos + quad * n_pos * n_pos
+                w = (p_comb - p_fric - load_power) / (inertia * w_at)
+                p = manifold_gain * (area_density * psi - m_cyl)
+                w_sum += weight * w
+                p_sum += weight * p
+                w_at = omega + step * w
+                p_at = p_man + step * p
+            if stiff:
+                break
+            omega += sixth_h * w_sum
+            p_man += sixth_h * p_sum
+            if p_man < 1.0:
+                p_man = 1.0
+            if p_amb < p_man:
+                p_man = p_amb
 
-        if omega < omega_floor:
-            raise EngineStallError(
-                f"engine stalled at {omega / TWO_PI:.2f} rev/s (load infeasible)")
+            if omega < omega_floor:
+                raise EngineStallError(
+                    f"engine stalled at {omega / TWO_PI:.2f} rev/s (load infeasible)")
+        if not stiff:
+            break
 
     n = omega / TWO_PI
     q_eng, lam = _outputs(n, omega, p_man, m_fi, m_f_delayed, params)

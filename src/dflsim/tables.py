@@ -4,8 +4,9 @@ Every file one stage hands to the next goes through this module.  A table
 is a header line followed by comma-joined rows; a block file is a sequence
 of ``# NAME rows cols`` headers, each followed by its matrix rows.  Integer
 cells are written with ``str`` and every other cell with ``repr(float(v))``,
-which round-trips float64 exactly.  A file that does not hold the format
-its reader expects raises ``FileFormatError`` naming the file.
+which round-trips float64 exactly.  A file that cannot be opened for
+reading (missing, a directory) or does not hold the format its reader
+expects raises ``FileFormatError`` naming the file.
 """
 
 from __future__ import annotations
@@ -23,6 +24,14 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
+def _open_to_read(path):
+    """``open(path)`` for reading, an OSError raised as FileFormatError."""
+    try:
+        return open(path)
+    except OSError as exc:
+        raise FileFormatError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+
+
 def write_table(path, header: str, rows) -> None:
     """Write ``header`` and one comma-joined line per row of cells."""
     with open(path, "w") as fh:
@@ -34,10 +43,10 @@ def write_table(path, header: str, rows) -> None:
 def read_table(path, header: str) -> np.ndarray:
     """Read a table written by ``write_table`` as an (rows, columns) float array.
 
-    Raises FileFormatError when the file's header line is not ``header`` or
-    a row does not have one number per column.
+    Raises FileFormatError when the file cannot be read, its header line is
+    not ``header`` or a row does not have one number per column.
     """
-    with open(path) as fh:
+    with _open_to_read(path) as fh:
         found = fh.readline().rstrip("\n")
         if found != header:
             raise FileFormatError(f"{path}: header {found!r}, expected {header!r}")
@@ -65,11 +74,11 @@ def save_blocks(path, blocks: dict) -> None:
 def load_blocks(path) -> dict:
     """Read a block file back into ``{name: 2-D float array}``.
 
-    Raises FileFormatError when a block header or one of its rows does not
-    parse, or the file ends inside a block.
+    Raises FileFormatError when the file cannot be read, a block header or
+    one of its rows does not parse, or the file ends inside a block.
     """
     blocks = {}
-    with open(path) as fh:
+    with _open_to_read(path) as fh:
         try:
             for line in fh:
                 if line.startswith("# "):

@@ -235,33 +235,33 @@ def test_criterion_8_solver_audit():
 # commits.  A change that moves them on purpose re-freezes them and records
 # the largest shift in CHANGES.md.
 FROZEN_AMPC = {
-    0: (19.507917817356493, 0.0012402424121290383, 10.037092158518412,
+    0: (19.50791781732109, 0.001240242413093054, 10.037092158518412,
         0.8188458918968433),
-    25: (28.68307029920112, 0.00215922517324275, 15.835426672342857,
-         0.8580026723575944),
-    50: (44.85783751571547, 0.00422396319175258, 49.718946075222426,
-         0.8434118056832197),
-    75: (53.471262265221185, 0.004839885210823741, 56.55918087132017,
-         0.820306652609084),
-    100: (43.99736056513989, 0.004990532186572994, 81.099418601309,
-          0.8155274598816279),
-    125: (45.9215629781311, 0.005095559924468183, 80.18332482467731,
-          0.823660448902788),
-    150: (55.12932334304345, 0.004601408885100309, 79.11119611518613,
-          0.9858276026457952),
-    175: (70.63518814908404, 0.0048590140354180114, 79.74667008965685,
-          1.0015670683947606),
-    200: (63.78283176222075, 0.004794877125317566, 80.46704127683726,
-          0.9994978693336374),
-    225: (65.49800224284562, 0.00482402284460786, 79.8031547488011,
-          1.0018851009897696),
+    25: (28.68285782234587, 0.0021591951317588595, 15.835385718687618,
+         0.8580014656975695),
+    50: (44.86043575682169, 0.004224057833025678, 49.718680728221436,
+         0.843413490914135),
+    75: (53.469691399473156, 0.004839837005637724, 56.55870890029147,
+         0.8203050731238142),
+    100: (43.9975312161055, 0.004990554953636793, 81.09980597513346,
+          0.8155274867839968),
+    125: (45.921860049683985, 0.005095580487213338, 80.18324447975776,
+          0.823660583720522),
+    150: (55.12924820271976, 0.004601404738968789, 79.11111226548384,
+          0.9858277762061124),
+    175: (70.63535340247518, 0.004859016164747286, 79.74669100608446,
+          1.0015670985604577),
+    200: (63.78273821720513, 0.004794875714680802, 80.46704323602961,
+          0.9994978539777238),
+    225: (65.49805283817413, 0.004824023370789928, 79.80314911815904,
+          1.001885102379443),
 }
 # criterion 5's segment statistics, percent: (min, max, mae)
 FROZEN_SEGMENTS = {
-    "thrust_steady": (-2.1646916185054366, 1.0878164715889937,
-                      0.640811937262867),
-    "lambda_steady": (-0.48217422326497505, 0.5256123053579476,
-                      0.18274977027913827),
+    "thrust_steady": (-2.1647649352638965, 1.0878387104394527,
+                      0.6408435545548802),
+    "lambda_steady": (-0.48217448020547726, 0.5256116128651289,
+                      0.18274945122837655),
 }
 
 

@@ -114,15 +114,15 @@ class TestGenerateDataset:
     # they guard the whole excitation loop, start and noise draw included
     STOCK_ROWS = {
         0: ([20.13249380716609, 0.00125, 38.00753249572613, 0.8513732494607028],
-            [-7.358573778777713, 33.73061288382562, 0.8483586138384678]),
-        1: ([18.246838585433512, 0.00125, 38.01071801886416, 0.8574801292821677],
-            [2.0076482977380365, 37.19899238144946, 0.7415780751357134]),
-        499: ([88.71300617266174, 0.004755768218840189, 95.83780979912612,
-               0.9571343517335169],
-              [36.27878291429728, 93.49292540423288, 0.9594513652087219]),
-        999: ([39.90715083525529, 0.003883502883822216, 109.19823358119791,
-               0.9019002024084042],
-              [15.90403329821558, 108.40038795019318, 0.9730190333499096]),
+            [-7.358574358279296, 33.73061314403237, 0.8483586142677405]),
+        1: ([18.246838585433437, 0.00125, 38.010718018867436, 0.8574801292784509],
+            [2.007648259431098, 37.19899242792845, 0.7415780767358736]),
+        499: ([88.71300617266174, 0.004755768219443136, 95.83780878594834,
+               0.9571343417902234],
+              [36.27878349230255, 93.49292463942152, 0.9594513560905832]),
+        999: ([39.9071510553798, 0.0038835028832192677, 109.19823224378,
+               0.9019002034175629],
+              [15.904033825696692, 108.40038665545687, 0.9730190393176762]),
     }
 
     @pytest.mark.parametrize("row", sorted(STOCK_ROWS))

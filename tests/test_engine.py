@@ -6,12 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dflsim.engine import (TWO_PI, ControlInput, EngineParams,
-                           EngineStallError, air_mass_flow, cylinder_air_flow,
-                           friction_power, make_initial_state, normalized_afr,
-                           step_engine, thermal_efficiency)
+from dflsim.dataset import MF_RANGE, TPS_RANGE, settled_state
+from dflsim.engine import (MAX_HALVINGS, STIFF_LIMIT, TWO_PI, ControlInput,
+                           EngineParams, EngineStallError, air_mass_flow,
+                           cylinder_air_flow, friction_power,
+                           make_initial_state, normalized_afr, step_engine,
+                           thermal_efficiency)
+from dflsim.fan import FanGeometry, fan_load_power
 
 P = EngineParams()
+G = FanGeometry()
 
 
 def combustion_power(fuel_rate, lam, n, params):
@@ -48,7 +52,9 @@ def engine_torque(state, delayed_fuel_rate, params):
 def reference_derivatives(omega, p_man, tps, m_f_delayed, load_power, params,
                           hits):
     """Right-hand side for [omega, p_manifold] with every sub-model written
-    out and every constant recomputed from ``params`` on each call.
+    out and every constant recomputed from ``params`` on each call, and the
+    throttle orifice's share of d(dp_manifold/dt)/dp_manifold (zero where the
+    orifice is closed or choked).
 
     ``hits`` collects the branch labels taken, so a test can check which
     regimes its cases reached.
@@ -64,15 +70,20 @@ def reference_derivatives(omega, p_man, tps, m_f_delayed, load_power, params,
     pr_crit = (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0))
     if pr >= 1.0:
         hits.add("orifice closed")
-        psi = 0.0
+        psi = dpsi_dpr = 0.0
     elif pr <= pr_crit:
         hits.add("orifice choked")
         psi = math.sqrt(gamma * (2.0 / (gamma + 1.0)) ** ((gamma + 1.0) / (gamma - 1.0)))
+        dpsi_dpr = 0.0
     else:
         hits.add("orifice unchoked")
         a = pr ** (2.0 / gamma)
         b = pr ** ((gamma + 1.0) / gamma)
         psi = math.sqrt(2.0 * gamma / (gamma - 1.0) * (a - b))
+        # d/dpr of sqrt(c * (pr^(2/gamma) - pr^((gamma+1)/gamma)))
+        slope = 2.0 * gamma / (gamma - 1.0) * (
+            2.0 / gamma * a - (gamma + 1.0) / gamma * b) / pr
+        dpsi_dpr = -math.inf if psi == 0.0 else slope / (2.0 * psi)
     density_term = params.ambient_pressure / math.sqrt(
         params.gas_constant * params.ambient_temp)
     m_at = area * density_term * psi
@@ -99,27 +110,43 @@ def reference_derivatives(omega, p_man, tps, m_f_delayed, load_power, params,
     n_fric = max(n, 0.0)
     p_fric = params.friction_lin * n_fric + params.friction_quad * n_fric * n_fric
     domega = (p_comb - p_fric - load_power) / (params.inertia * omega)
-    dp_man = (params.gas_constant * params.manifold_temp / params.manifold_volume
-              * (m_at - m_as))
-    return domega, dp_man
+    manifold_gain = params.gas_constant * params.manifold_temp / params.manifold_volume
+    dp_man = manifold_gain * (m_at - m_as)
+    orifice_stiffness = (manifold_gain * area * density_term * dpsi_dpr
+                         / params.ambient_pressure)
+    return domega, dp_man, orifice_stiffness
 
 
 def reference_step(state, u, load_power, params, dt, hits):
-    """One control interval: RK4 on ``reference_derivatives`` with numpy
-    scalars through a numpy delay line, then the output map.
+    """One control interval: RK4 on ``reference_derivatives`` at dt_int,
+    halved while a substep starts where h * |orifice stiffness| exceeds
+    STIFF_LIMIT, at most MAX_HALVINGS times, then the output map.
+    Returns (q_eng, n, lam, manifold_pressure, the rate left in transit).
+    """
+    for halvings in range(MAX_HALVINGS + 1):
+        out = reference_interval(state, u, load_power, params, dt,
+                                 params.dt_int / 2 ** halvings,
+                                 halvings < MAX_HALVINGS, hits)
+        if out is not None:
+            return out
+        hits.add("substep halved")
+
+
+def reference_interval(state, u, load_power, params, dt, h, check, hits):
+    """One control interval of RK4 at substep ``h`` with numpy scalars
+    through a numpy delay line, or None when ``check`` is set and a substep
+    starts too stiff for ``h``.
 
     The line holds one slot per substep of delay and starts full of the
     state's previous command; it must end full of ``u.m_fi``, which is what
     lets the plant carry the delay as a single rate.
-    Returns (q_eng, n, lam, manifold_pressure, the rate left in transit).
     """
-    n_sub = int(round(dt / params.dt_int))
+    n_sub = int(round(dt / h))
     omega = TWO_PI * state.n
     p_man = state.manifold_pressure
-    buf = np.full(max(1, math.ceil(params.injection_delay / params.dt_int)),
+    buf = np.full(max(1, math.ceil(params.injection_delay / h)),
                   state.m_fi_prev)
     idx = 0
-    h = params.dt_int
     omega_floor = TWO_PI * params.stall_speed
 
     def rhs(omega, p_man, m_f_delayed):
@@ -132,6 +159,8 @@ def reference_step(state, u, load_power, params, dt, hits):
         buf[idx] = u.m_fi
         idx = (idx + 1) % buf.shape[0]
         k1 = rhs(omega, p_man, m_f_delayed)
+        if check and h * abs(k1[2]) > STIFF_LIMIT:
+            return None
         k2 = rhs(omega + 0.5 * h * k1[0], p_man + 0.5 * h * k1[1], m_f_delayed)
         k3 = rhs(omega + 0.5 * h * k2[0], p_man + 0.5 * h * k2[1], m_f_delayed)
         k4 = rhs(omega + h * k3[0], p_man + h * k3[1], m_f_delayed)
@@ -279,15 +308,15 @@ class TestStepEngine:
         assert nxt.n > state.n
 
     def test_frozen_regression_value(self):
-        # frozen from a dt_int = dt/100 reference integration of the same step
+        # frozen from the stock integration (dt_int = 2 ms) of the same step
         state = make_initial_state(P, n=70.0, manifold_pressure=7.2e4,
                                    m_fi=0.003)
         out = step_engine(state, ControlInput(tps=40.0, m_fi=0.0032),
                           load_power=8000.0, params=P, dt=0.1)
-        assert out.q_eng == pytest.approx(23.86205338993519, rel=1e-9)
-        assert out.n == pytest.approx(70.27748441480979, rel=1e-9)
-        assert out.lam == pytest.approx(0.9145266273153949, rel=1e-8)
-        assert out.manifold_pressure == pytest.approx(87443.95028402086,
+        assert out.q_eng == pytest.approx(23.862053344871086, rel=1e-9)
+        assert out.n == pytest.approx(70.27748438953142, rel=1e-9)
+        assert out.lam == pytest.approx(0.9145266222200058, rel=1e-8)
+        assert out.manifold_pressure == pytest.approx(87443.94982826998,
                                                       rel=1e-8)
 
     def test_dt_must_be_multiple_of_substep(self):
@@ -348,8 +377,24 @@ class TestStepEngineOracle:
                     out.m_fi_prev) == expected
         assert hits == {"orifice closed", "orifice choked", "orifice unchoked",
                         "zero delayed fuel", "speed factor floor",
-                        "efficiency floor", "stall"}
+                        "efficiency floor", "stall", "substep halved"}
         assert 0 < stalls < cases // 2
+
+    def test_halving_bound_matches_reference_step(self):
+        # just below ambient at full throttle the orifice is so stiff that
+        # even the last checked substep halves, so the interval runs
+        # unchecked at dt_int / 2**MAX_HALVINGS
+        p_man = (1.0 - 1e-6) * P.ambient_pressure
+        state = make_initial_state(P, n=60.0, manifold_pressure=p_man,
+                                   m_fi=0.003)
+        u = ControlInput(tps=90.0, m_fi=0.003)
+        hits = set()
+        last_checked = P.dt_int / 2 ** (MAX_HALVINGS - 1)
+        assert reference_interval(state, u, 8000.0, P, 0.1, last_checked,
+                                  True, hits) is None
+        out = step_engine(state, u, 8000.0, P, 0.1)
+        assert (out.q_eng, out.n, out.lam, out.manifold_pressure,
+                out.m_fi_prev) == reference_step(state, u, 8000.0, P, 0.1, hits)
 
     def test_state_fields_are_python_floats(self):
         # numpy scalars in the fuel in transit or the inputs would turn every
@@ -431,6 +476,34 @@ class TestEngineInvariants:
 
         coarse, fine = run(1e-3), run(5e-4)
         assert np.max(np.abs(coarse - fine) / np.abs(fine)) < 1e-4
+
+    def test_stock_substep_matches_fine_reference(self):
+        # one interval from the settled state of a random held input under
+        # another: the stock 2 ms substep, halved where the manifold is
+        # stiff, against 0.1 ms.  Without the halving (or with a limit of
+        # 2.5, near RK4's stability edge) the worst draw is off by 3.4e-3;
+        # at a plain 1 ms it is 2.6e-5.
+        fine = replace(P, dt_int=1e-4)
+        rng = np.random.default_rng(0)
+        lo, hi = (TPS_RANGE[0], MF_RANGE[0]), (TPS_RANGE[1], MF_RANGE[1])
+        worst, starts = 0.0, 0
+        for _ in range(100):
+            u0, u1 = (ControlInput(*map(float, rng.uniform(lo, hi)))
+                      for _ in range(2))
+            try:
+                state = settled_state(P, G, u0)
+            except EngineStallError:
+                continue
+            starts += 1
+            load = fan_load_power(state.n, G)
+            got, ref = (step_engine(state, u1, load, params, 0.1)
+                        for params in (P, fine))
+            rows = np.array([[s.q_eng, s.n, s.lam, s.manifold_pressure]
+                             for s in (got, ref)])
+            worst = max(worst, float(np.max(np.abs(rows[0] - rows[1])
+                                            / np.abs(rows[1]))))
+        assert starts == 84
+        assert worst <= 5e-4
 
     def test_lambda_matches_internal_flows(self):
         u = ControlInput(tps=40.0, m_fi=0.0032)

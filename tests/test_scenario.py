@@ -424,6 +424,16 @@ class TestCli:
         assert cli_main(["gen-data", "--config", str(ini),
                          "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("dt_int", ["0.05", "0.1"])
+    def test_too_coarse_substep_exit_code(self, tmp_path, dt_int, capsys):
+        # an RK4 stage drives the manifold pressure below zero
+        ini = tmp_path / "coarse.ini"
+        ini.write_text(f"[plant]\ndt_int = {dt_int}\n")
+        assert cli_main(["gen-data", "--config", str(ini),
+                         "--out", str(tmp_path / "o")]) == 4
+        assert "dt_int is too coarse" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
     def test_diverged_training_exit_code(self, tmp_path):
         ini = tmp_path / "diverge.ini"
         ini.write_text("[training]\nsample_count = 300\nn_train = 285\n"
@@ -563,6 +573,18 @@ class TestCli:
         assert cli_main([a.format(missing=missing) for a in argv]
                         + ["--out", str(tmp_path / "o")]) == 5
         assert missing in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "rbf", "--data", "{folder}"],
+        ["simulate", "--controller", "ampc", "--model-file", "{folder}"],
+    ])
+    def test_input_path_is_a_directory_exit_code(self, tmp_path, argv, capsys):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert cli_main([a.format(folder=folder) for a in argv]
+                        + ["--out", str(tmp_path / "o")]) == 5
+        assert f"{folder}: cannot read" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, ini_text", [
