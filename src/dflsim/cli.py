@@ -5,10 +5,10 @@ network models, compare them, run the closed-loop scenario, audit the
 derivative network, and post-process a trajectory into metrics.  Each
 stage reads the files the stage before it wrote and never remakes them.
 ``main`` alone maps errors to the exit status: 0 success, 2 configuration
-error, 3 plant stall, 4 any other RuntimeError (solver failure, diverged
-training, a plant substep too coarse to integrate), 5 a data, model or
-trajectory file that is missing, cannot be read or that its reader cannot
-parse.
+error, 3 plant stall, 4 any other RuntimeError (a singular condensed QP,
+diverged training, a plant substep too coarse to integrate), 5 a data,
+model or trajectory file that is missing, cannot be read or that its
+reader cannot parse.
 """
 
 from __future__ import annotations

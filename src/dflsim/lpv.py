@@ -45,7 +45,7 @@ def assoc_jacobian(rbf: RbfModel, p: np.ndarray) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     diff = p - rbf.centers                                   # (J, 4)
-    phi = np.exp(-np.sum(diff * diff, axis=1) / rbf.radii ** 2)
+    phi = np.exp(-(diff * diff).sum(axis=1) / rbf.radii ** 2)
     stack = (phi * (-2.0 / rbf.radii ** 2))[:, None] * diff  # (J, 4)
     return rbf.lw @ stack                                    # (3, 4)
 
@@ -79,8 +79,7 @@ def build_lpv(rbf: RbfModel, geom: FanGeometry, x0: np.ndarray,
     j_phys = rescale_jacobian(assoc_jacobian(rbf, p_norm), rbf.stats)
 
     a = np.zeros((3, 3))
-    a[:, 1] = j_phys[:, 2]      # d(next state)/dn
-    a[:, 2] = j_phys[:, 3]      # d(next state)/dlambda
+    a[:, 1:] = j_phys[:, 2:]    # d(next state)/d[n, lambda]
     b = j_phys[:, :2].copy()    # d(next state)/d[tps, m_fi]
 
     dt_dq, dt_dn = thrust_jacobian(x0[0], x0[1], geom)

@@ -8,22 +8,25 @@ states, raised the ramp MAE from 8.6-12 % to 46-77 %.  G is one block
 lower-triangular Toeplitz map whose blocks are the step responses, the
 cumulative sums of the Markov parameters C*A^i*B (L. Wang, Model
 Predictive Control System Design and Implementation Using MATLAB, 2009,
-ch. 1-3).  Tracking and move terms are scaled per channel by the
-constraint spans so the weighting factors compare like with like.  The
-condensed problem is a strictly convex QP in 2*Nc variables: input box
-limits enter as hard linear inequalities handled by Hildreth dual
-coordinate ascent, output limits as quadratic penalties activated by a
-short working-set refinement loop.  Every array that depends on the
-config alone (channel scales, weights, limits, the input-box rows) is
-built once per config by ``horizon_layout`` and shared read-only, so a
-control step only condenses the new model and solves.
+ch. 1-3), placed by one gather through an index that depends on (Nc, N2)
+alone.  Tracking and move terms are scaled per channel by the constraint
+spans so the weighting factors compare like with like.  The condensed
+problem is a strictly convex QP in 2*Nc variables: input box limits enter
+as hard linear inequalities handled by Hildreth dual coordinate ascent,
+output limits as quadratic penalties activated by a short working-set
+refinement loop, whose first round has no penalised row and solves the
+plain tracking QP.  A Hessian that is singular in floating point raises
+SingularQpError.  Every array that depends on the config alone (channel
+scales, weights, limits, the input-box rows) is built once per config by
+``horizon_layout`` and shared read-only, so a control step only condenses
+the new model and solves.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,6 +71,12 @@ class MpcConfig:
             raise ValueError(f"mf_bounds lower bound must be positive: {self.mf_bounds}")
         if not self.soft_weight >= 0:
             raise ValueError("soft_weight must be non-negative")
+        # every control step looks its layout up by this hash: take it once
+        object.__setattr__(self, "_hash", hash(tuple(
+            getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -157,36 +166,49 @@ class HorizonSolution:
     capped: bool = False
 
 
+@functools.cache
+def _toeplitz_index(nc: int, n2: int) -> np.ndarray:
+    """Read-only flat indices into [0, S(0), ..., S(n2-1)], an (n2+1, 2, 2)
+    stack, that gather the (2*n2, 2*nc) map: entry (2j+r, 2k+s) picks
+    S(j-k)[r, s] on and below the block diagonal, the zero block above."""
+    lag = np.arange(n2)[:, None, None, None] - np.arange(nc)[None, None, :, None]
+    flat = 4 * (lag + 1) + 2 * np.arange(2)[None, :, None, None] + np.arange(2)
+    index = np.where(lag >= 0, flat, 0).reshape(2 * n2, 2 * nc)
+    index.flags.writeable = False
+    return index
+
+
 def condensed_map(lpv: LpvModel, nc: int, n2: int) -> np.ndarray:
     """(2*n2, 2*nc) map from stacked increments to stacked output deviations.
 
     An increment applied at step k and held from then on moves the output
     j >= k steps later by the step response S(j-k) = sum_{i<=j-k} C A^i B,
     so block (j, k) of the map is S(j-k) and the blocks above the diagonal
-    are zero.  Requires nc <= n2.
+    are zero: one gather through ``_toeplitz_index`` places every block.
+    Requires nc <= n2.
     """
-    markov = np.empty((n2, 2, 2))
-    a_pow_b = lpv.b
-    for i in range(n2):
-        markov[i] = lpv.c @ a_pow_b
-        a_pow_b = lpv.a @ a_pow_b
-    step = np.cumsum(markov, axis=0)
-    g = np.zeros((n2, 2, nc, 2))
-    for k in range(nc):
-        g[k:, :, k, :] = step[:n2 - k]
-    return g.reshape(2 * n2, 2 * nc)
+    a_pow_b = np.empty((n2, 3, 2))
+    a_pow_b[0] = lpv.b
+    for i in range(1, n2):
+        np.matmul(lpv.a, a_pow_b[i - 1], out=a_pow_b[i])
+    steps = np.zeros((n2 + 1, 2, 2))
+    np.add.accumulate(lpv.c @ a_pow_b, axis=0, out=steps[1:])
+    return steps.ravel()[_toeplitz_index(nc, n2)]
 
 
 def cost(config: MpcConfig, refs: np.ndarray, predicted: np.ndarray,
          du_seq: np.ndarray) -> float:
-    """Tracking-plus-move objective over the horizon (span-scaled channels)."""
+    """Tracking-plus-move objective over the horizon (span-scaled channels)
+    of (N2, 2) ``refs`` and ``predicted`` trails and (Nc, 2) ``du_seq``."""
     layout = horizon_layout(config)
     rows = layout.rows
-    err = (np.atleast_2d(refs)[rows] - np.atleast_2d(predicted)[rows]) \
-        * layout.output_scale
-    moves = np.atleast_2d(du_seq)[:config.nc] * layout.input_scale
-    return config.eps * float(np.sum(err ** 2)) \
-        + config.xi * float(np.sum(moves ** 2))
+    err = (refs[rows] - predicted[rows]) * layout.output_scale
+    moves = du_seq[:config.nc] * layout.input_scale
+    return float(config.eps * (err ** 2).sum() + config.xi * (moves ** 2).sum())
+
+
+class SingularQpError(RuntimeError):
+    """The condensed QP's Hessian E cannot be inverted."""
 
 
 def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, m_mat: np.ndarray,
@@ -196,13 +218,19 @@ def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, m_mat: np.ndarray,
     Dual coordinate ascent on the constraint multipliers; when the
     unconstrained minimizer is interior it is returned outright, which makes
     the interior case bit-identical to the dense closed-form solve.
-    Returns (z, multipliers, iterations, kkt_residual, capped).
+    Returns (z, multipliers, iterations, kkt_residual, capped).  Raises
+    SingularQpError when E is singular in floating point.
     """
-    e_inv = np.linalg.inv(e_mat)
+    try:
+        e_inv = np.linalg.inv(e_mat)
+    except np.linalg.LinAlgError as exc:
+        raise SingularQpError(
+            f"the condensed QP's Hessian is singular in floating point "
+            f"(largest entry {np.abs(e_mat).max():.3g})") from exc
     z_free = -e_inv @ f_vec
     slack = m_mat @ z_free - gamma
     n_con = len(gamma)
-    if np.all(slack <= tol):
+    if (slack <= tol).all():
         return z_free, np.zeros(n_con), 0, float(max(slack.max(), 0.0)), False
 
     p_mat = m_mat @ e_inv @ m_mat.T
@@ -256,31 +284,40 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     ref_s = refs[:n2].ravel()[layout.sel]
     gamma = layout.gamma(u_prev)
 
-    # rows penalised toward the upper / lower limit; np.where keeps an
-    # infinite limit inert instead of turning 0*inf into nan
+    # rows penalised toward the upper / lower limit; none is in the first
+    # round, whose pull is exactly zero and whose weight is exactly q_diag.
+    # np.where keeps an infinite limit inert instead of turning 0*inf into nan
+    track = q_diag * (y0_s - ref_s)
+    weight, rhs = q_diag, track
     over = under = np.zeros(len(y0_s), dtype=bool)
-    iterations, capped = 0, False
+    soft, iterations, capped = False, 0, False
     for _ in range(3):
-        pull = np.where(over, y0_s - y_hi, 0.0) + np.where(under, y0_s - y_lo, 0.0)
-        weight = q_diag + rho * over + rho * under
         e_mat = 2.0 * (g_s.T @ (weight[:, None] * g_s) + r_mat)
-        f_vec = 2.0 * g_s.T @ (q_diag * (y0_s - ref_s) + rho * pull)
+        f_vec = 2.0 * g_s.T @ rhs
         z, _, sweeps, kkt, round_capped = hildreth(e_mat, f_vec, m_mat, gamma)
         iterations, capped = iterations + sweeps, capped or round_capped
         y_pred = y0_s + g_s @ z
-        new_over = over | (y_pred > y_hi + 1e-12)
-        new_under = under | (y_pred < y_lo - 1e-12)
-        if np.array_equal(new_over, over) and np.array_equal(new_under, under):
+        hit_over = y_pred > y_hi + 1e-12
+        hit_under = y_pred < y_lo - 1e-12
+        if soft:    # a row already penalised is no new hit
+            hit_over &= ~over
+            hit_under &= ~under
+        if not (hit_over.any() or hit_under.any()):
             break
-        over, under = new_over, new_under
+        over, under, soft = over | hit_over, under | hit_under, True
+        pull = np.where(over, y0_s - y_hi, 0.0) + np.where(under, y0_s - y_lo, 0.0)
+        weight = q_diag + rho * over + rho * under
+        rhs = track + rho * pull
 
     du = z.reshape(nc, 2)
     predicted = y0 + (g @ z).reshape(n2, 2)
-    excess = np.where(over, y_pred - y_hi, 0.0) ** 2 \
-        + np.where(under, y_pred - y_lo, 0.0) ** 2
+    total = cost(config, refs, predicted, du)
+    if soft:
+        excess = np.where(over, y_pred - y_hi, 0.0) ** 2 \
+            + np.where(under, y_pred - y_lo, 0.0) ** 2
+        total += float(rho @ excess)
     active = (m_mat @ z - gamma) > -1e-9
-    return HorizonSolution(du=du, predicted=predicted,
-                           cost=cost(config, refs, predicted, du) + float(rho @ excess),
+    return HorizonSolution(du=du, predicted=predicted, cost=total,
                            iterations=iterations,
                            kkt_residual=kkt, active=active, capped=capped)
 

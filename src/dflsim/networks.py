@@ -263,8 +263,13 @@ def rbf_train_weights(model: RbfModel, dataset: Dataset, ridge: float,
     """Solve the output weights.
 
     Batch ridge-regularized normal equations give the least-squares optimum;
-    optional normalized-LMS sweeps over the training sequence then refine
-    sample by sample (a no-op at the exact optimum).
+    optional normalized-LMS sweeps over the training sequence then move the
+    weights sample by sample.  The sweeps are not a no-op: the optimum leaves
+    every row a residual, each step cuts the current row's, and the weights
+    end tilted toward the last training rows, which sit next to the
+    validation window.  At the stock dataset seed 123 one pass gives a
+    validation torque MAPE of 2.275 % against 2.336 % without; at seeds
+    124-127 it is the worse of the two.
     """
     p = normalize(dataset.train_inputs, dataset.stats.in_min, dataset.stats.in_max)
     y = normalize(dataset.train_targets, dataset.stats.out_min, dataset.stats.out_max)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import dflsim.mpc as mpc
+from dflsim.config import load_bundle
 from dflsim.dataset import TrainingConfig
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
 from dflsim.lpv import LpvModel, build_lpv
-from dflsim.mpc import (Measurement, MpcConfig, ampc_step, condensed_map, cost,
-                        hildreth, horizon_layout, mpc_step, solve_qp)
+from dflsim.mpc import (HorizonSolution, Measurement, MpcConfig, SingularQpError,
+                        ampc_step, condensed_map, cost, hildreth, horizon_layout,
+                        mpc_step, solve_qp)
 from dflsim.networks import train_rbf
+from dflsim.scenario import run_scenario
 
 G = FanGeometry()
 CFG = MpcConfig()
@@ -64,6 +67,89 @@ def overshoot_case():
     return lpv, y0, y0 + 300.0 / step[-1, 0] * step, np.array([90.0, 0.003])
 
 
+def binding_case():
+    """(lpv, y0, refs, u_prev) whose first round binds the throttle's upper
+    box edge and sweeps, and whose soft-limit re-solve is interior."""
+    lpv = toy_lpv(0)
+    y0 = np.array([1400.0, 0.95])
+    step = simulate_horizon(lpv, np.zeros(2), [[1.0, 0.0]], CFG.n2)
+    return lpv, y0, y0 + 300.0 / step[-1, 0] * step, np.array([88.0, 0.003])
+
+
+def three_round_case():
+    """(lpv, y0, refs, u_prev) whose second round crosses a limit on rows
+    the first did not, so all three refinement rounds run."""
+    lpv = toy_lpv(2)
+    y0 = np.array([1200.0, 0.95])
+    step = simulate_horizon(lpv, np.zeros(2), [[1.0, 0.0]], CFG.n2)
+    return lpv, y0, y0 + 100.0 / step[-1, 0] * step, np.array([88.0, 0.003])
+
+
+def oracle_condensed_map(lpv, nc, n2):
+    """G placed block column by block column into zeros, the step responses
+    from a loop over the Markov parameters and ``np.cumsum``."""
+    markov = np.empty((n2, 2, 2))
+    a_pow_b = lpv.b
+    for i in range(n2):
+        markov[i] = lpv.c @ a_pow_b
+        a_pow_b = lpv.a @ a_pow_b
+    step = np.cumsum(markov, axis=0)
+    g = np.zeros((n2, 2, nc, 2))
+    for k in range(nc):
+        g[k:, :, k, :] = step[:n2 - k]
+    return g.reshape(2 * n2, 2 * nc)
+
+
+def oracle_solve_qp(lpv, meas, refs, u_prev, config):
+    """``solve_qp`` with the soft-limit terms built in every round, the
+    first included, and G from ``oracle_condensed_map``."""
+    layout = horizon_layout(config)
+    nc, n2 = config.nc, config.n2
+    q_diag, rho, y_lo, y_hi = layout.q_diag, layout.rho, layout.y_lo, layout.y_hi
+    refs = np.atleast_2d(np.asarray(refs, dtype=float))
+    y0 = np.asarray(meas.output, dtype=float)
+    g = oracle_condensed_map(lpv, nc, n2)
+    g_s = g[layout.sel]
+    y0_s = y0[layout.y_index]
+    ref_s = refs[:n2].ravel()[layout.sel]
+    gamma = layout.gamma(np.asarray(u_prev, dtype=float))
+    over = under = np.zeros(len(y0_s), dtype=bool)
+    iterations, capped = 0, False
+    for _ in range(3):
+        pull = np.where(over, y0_s - y_hi, 0.0) + np.where(under, y0_s - y_lo, 0.0)
+        weight = q_diag + rho * over + rho * under
+        e_mat = 2.0 * (g_s.T @ (weight[:, None] * g_s) + layout.r_mat)
+        f_vec = 2.0 * g_s.T @ (q_diag * (y0_s - ref_s) + rho * pull)
+        z, _, sweeps, kkt, round_capped = hildreth(e_mat, f_vec, layout.m_mat, gamma)
+        iterations, capped = iterations + sweeps, capped or round_capped
+        y_pred = y0_s + g_s @ z
+        new_over = over | (y_pred > y_hi + 1e-12)
+        new_under = under | (y_pred < y_lo - 1e-12)
+        if np.array_equal(new_over, over) and np.array_equal(new_under, under):
+            break
+        over, under = new_over, new_under
+    du = z.reshape(nc, 2)
+    predicted = y0 + (g @ z).reshape(n2, 2)
+    err = (refs[layout.rows] - predicted[layout.rows]) * layout.output_scale
+    moves = du * layout.input_scale
+    excess = np.where(over, y_pred - y_hi, 0.0) ** 2 \
+        + np.where(under, y_pred - y_lo, 0.0) ** 2
+    total = config.eps * float(np.sum(err ** 2)) \
+        + config.xi * float(np.sum(moves ** 2)) + float(rho @ excess)
+    return HorizonSolution(du=du, predicted=predicted, cost=total,
+                           iterations=iterations, kkt_residual=kkt,
+                           active=(layout.m_mat @ z - gamma) > -1e-9,
+                           capped=capped)
+
+
+def solution_bytes(sol):
+    """Every field of a ``HorizonSolution``, floats as their bytes."""
+    return (sol.du.tobytes(), sol.predicted.tobytes(),
+            np.float64(sol.cost).tobytes(), sol.iterations,
+            np.float64(sol.kkt_residual).tobytes(), sol.active.tobytes(),
+            sol.capped)
+
+
 def output_violation(predicted, config=CFG):
     lo = np.array([config.thrust_bounds[0], config.lambda_bounds[0]])
     hi = np.array([config.thrust_bounds[1], config.lambda_bounds[1]])
@@ -74,6 +160,26 @@ def output_violation(predicted, config=CFG):
 @pytest.fixture(scope="module")
 def trained_rbf(seed19_dataset):
     return train_rbf(seed19_dataset, TrainingConfig())
+
+
+@pytest.fixture(scope="module")
+def stock_qps(stock_dataset):
+    """(lpv, meas, refs, u_prev, solution) of every step of the stock AMPC
+    episode, as ``simulate --controller ampc`` runs it."""
+    bundle = load_bundle(None)
+    rbf = train_rbf(stock_dataset, bundle.training)
+    qps = []
+
+    def recording(*args):
+        qps.append((*args[:4], solve_qp(*args)))
+        return qps[-1][-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpc, "solve_qp", recording)
+        run_scenario(bundle.plant, bundle.fan, bundle.mpc, bundle.scenario,
+                     controller="ampc", rbf=rbf)
+    assert len(qps) == bundle.scenario.steps
+    return qps
 
 
 class TestPredictHorizon:
@@ -133,6 +239,28 @@ class TestCondensedMap:
             ref = simulate_horizon(lpv, y0, du, 8)
             pred = predict(lpv, y0, du, 8)
             assert np.allclose(pred, ref, rtol=1e-12, atol=0.0)
+
+
+class TestCondensedMapOracle:
+    """The gather through one index must place every block bit for bit where
+    the zeros-and-slices loop put it."""
+
+    def test_stock_episode_models(self, stock_qps):
+        for lpv, *_ in stock_qps:
+            assert condensed_map(lpv, CFG.nc, CFG.n2).tobytes() \
+                == oracle_condensed_map(lpv, CFG.nc, CFG.n2).tobytes()
+
+    @pytest.mark.parametrize("nc", [1, 2, 3, 4])
+    def test_random_models(self, nc):
+        rng = np.random.default_rng(nc)
+        for n2 in range(nc, 13):
+            for _ in range(5):
+                lpv = LpvModel(a=rng.normal(size=(3, 3)),
+                               b=rng.normal(size=(3, 2)) * 10.0 ** rng.uniform(-3, 3),
+                               c=rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-1, 3),
+                               d=np.zeros((2, 2)), x0=np.zeros(3), u0=np.zeros(2))
+                assert condensed_map(lpv, nc, n2).tobytes() \
+                    == oracle_condensed_map(lpv, nc, n2).tobytes()
 
 
 class TestCost:
@@ -199,6 +327,12 @@ class TestHildreth:
         assert np.allclose(z, [1.0, -0.25], atol=1e-7)
         assert lam[0] > 0.0 and np.all(lam[1:] < 1e-9)
         assert not capped
+
+    def test_singular_hessian_raises_typed_error(self):
+        e = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(SingularQpError, match="singular"):
+            hildreth(e, np.ones(2), np.eye(2), np.ones(2))
+        assert issubclass(SingularQpError, RuntimeError)
 
 
 class TestSolveQp:
@@ -274,10 +408,7 @@ class TestSolveQp:
     def test_iterations_count_every_round(self, monkeypatch):
         # the first round binds a box edge and sweeps; the soft-limit
         # re-solve is interior and takes none
-        lpv = toy_lpv(0)
-        y0 = np.array([1400.0, 0.95])
-        step = simulate_horizon(lpv, np.zeros(2), [[1.0, 0.0]], CFG.n2)
-        refs = y0 + 300.0 / step[-1, 0] * step
+        lpv, y0, refs, u_prev = binding_case()
         sweeps = []
 
         def counted(*args):
@@ -285,7 +416,7 @@ class TestSolveQp:
             sweeps.append(result[2])
             return result
 
-        meas, u_prev = Measurement(np.zeros(3), y0), np.array([88.0, 0.003])
+        meas = Measurement(np.zeros(3), y0)
         monkeypatch.setattr(mpc, "hildreth", counted)
         sol = solve_qp(lpv, meas, refs, u_prev, CFG)
         assert sweeps == [40, 0]
@@ -296,6 +427,44 @@ class TestSolveQp:
         monkeypatch.setattr(mpc, "hildreth",
                             lambda *args: (*hildreth(*args)[:4], flags.pop(0)))
         assert solve_qp(lpv, meas, refs, u_prev, CFG).capped
+
+
+class TestSolveQpOracle:
+    """Skipping the soft-limit terms in the first round changes no field of
+    any solution."""
+
+    def test_stock_episode(self, stock_qps):
+        for lpv, meas, refs, u_prev, sol in stock_qps:
+            assert solution_bytes(sol) == solution_bytes(
+                oracle_solve_qp(lpv, meas, refs, u_prev, CFG))
+        # the episode also runs the sweep, not only interior optima
+        assert any(sol.iterations for *_, sol in stock_qps)
+
+    @pytest.mark.parametrize("case, n_rounds", [
+        (overshoot_case, 2), (three_round_case, 3), (binding_case, 2)])
+    def test_soft_limit_rounds(self, case, n_rounds, monkeypatch):
+        lpv, y0, refs, u_prev = case()
+        meas = Measurement(np.zeros(3), y0)
+        rounds = []
+
+        def counted(*args):
+            rounds.append(args)
+            return hildreth(*args)
+
+        monkeypatch.setattr(mpc, "hildreth", counted)
+        assert solution_bytes(solve_qp(lpv, meas, refs, u_prev, CFG)) \
+            == solution_bytes(oracle_solve_qp(lpv, meas, refs, u_prev, CFG))
+        assert len(rounds) == n_rounds
+
+    @pytest.mark.parametrize("cfg", [
+        MpcConfig(n1=3), MpcConfig(soft_weight=10.0), MpcConfig(soft_weight=0.0),
+        MpcConfig(thrust_bounds=(0.0, float("inf")),
+                  lambda_bounds=(-float("inf"), float("inf")))])
+    def test_overshoot_case_under_other_configs(self, cfg):
+        lpv, y0, refs, u_prev = overshoot_case()
+        meas = Measurement(np.zeros(3), y0)
+        assert solution_bytes(solve_qp(lpv, meas, refs, u_prev, cfg)) \
+            == solution_bytes(oracle_solve_qp(lpv, meas, refs, u_prev, cfg))
 
 
 def old_box_constraints(config, u_prev):
@@ -332,11 +501,6 @@ class TestHorizonLayout:
             cached.append(solve_qp(lpv, meas, refs, u_prev, cfg))
             horizon_layout.cache_clear()
             fresh.append(solve_qp(lpv, meas, refs, u_prev, cfg))
-
-        def solution_bytes(sol):
-            return (sol.du.tobytes(), sol.predicted.tobytes(), sol.cost,
-                    sol.iterations, sol.kkt_residual, sol.active.tobytes(),
-                    sol.capped)
 
         for a, b in zip(cached, fresh):
             assert solution_bytes(a) == solution_bytes(b)

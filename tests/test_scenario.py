@@ -434,6 +434,21 @@ class TestCli:
         assert "dt_int is too coarse" in capsys.readouterr().err
         assert not (tmp_path / "o" / "dataset.csv").exists()
 
+    def test_singular_qp_exit_code(self, trained_rbf, tmp_path, capsys):
+        # A has an eigenvalue near -3.4 early in the climb, so A^14 drives
+        # the 15-step condensed QP singular in floating point
+        save_model(trained_rbf, tmp_path / "rbf_model.txt")
+        ini = tmp_path / "long.ini"
+        ini.write_text("[mpc]\nn2 = 15\n")
+        out = tmp_path / "o"
+        assert cli_main(["simulate", "--controller", "ampc", "--config", str(ini),
+                         "--model-file", str(tmp_path / "rbf_model.txt"),
+                         "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ") and "singular" in err
+        assert err.count("\n") == 1
+        assert not (out / "trajectory_ampc.csv").exists()
+
     def test_diverged_training_exit_code(self, tmp_path):
         ini = tmp_path / "diverge.ini"
         ini.write_text("[training]\nsample_count = 300\nn_train = 285\n"
