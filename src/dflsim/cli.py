@@ -5,7 +5,8 @@ network models, compare them, run the closed-loop scenario, audit the
 derivative network, and post-process a trajectory into metrics.  Each
 stage reads the files the stage before it wrote and never remakes them.
 ``main`` alone maps errors to the exit status: 0 success, 2 configuration
-error, 3 plant stall, 4 any other RuntimeError (a singular condensed QP,
+or command-line error (an ``--out`` that names or lies under a file fails
+before any work), 3 plant stall, 4 any other RuntimeError (a singular condensed QP,
 diverged training, a plant substep too coarse to integrate), 5 a data,
 model or trajectory file that is missing, cannot be read or that its
 reader cannot parse.
@@ -245,6 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if any(p.exists() and not p.is_dir() for p in (args.out, *args.out.parents)):
+        print(f"dflsim {args.command}: --out {args.out} is not a directory",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -16,9 +16,10 @@ as hard linear inequalities handled by Hildreth dual coordinate ascent,
 output limits as quadratic penalties activated by a short working-set
 refinement loop, whose first round has no penalised row and solves the
 plain tracking QP.  A Hessian that is singular in floating point raises
-SingularQpError.  Every array that depends on the config alone (channel
-scales, weights, limits, the input-box rows) is built once per config by
-``horizon_layout`` and shared read-only, so a control step only condenses
+SingularQpError.  The cost runs over every predicted step, from the
+first on.  Every array that depends on the config alone (channel scales,
+weights, limits, the input-box rows) is built once per config by its
+``layout`` property and shared read-only, so a control step only condenses
 the new model and solves.
 """
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,8 +39,34 @@ from .networks import RbfModel
 
 
 @dataclass(frozen=True)
+class HorizonLayout:
+    """Every array of the condensed QP that depends on the config alone.
+
+    ``MpcConfig.layout`` builds it once per config; the arrays are read-only
+    because every step under that config shares them.
+    """
+
+    y_index: np.ndarray         # y0[y_index] stacks the measured output over N2
+    output_scale: np.ndarray    # 1/span for [thrust, lambda]
+    input_scale: np.ndarray     # 1/span for [tps, m_fi]
+    u_lower: np.ndarray
+    u_upper: np.ndarray
+    q_diag: np.ndarray          # tracking weight per stacked row
+    r_mat: np.ndarray           # diagonal move-suppression weight
+    rho: np.ndarray             # soft output-limit weight per stacked row
+    y_lo: np.ndarray
+    y_hi: np.ndarray
+    m_mat: np.ndarray           # cumulative-increment box rows
+    gamma_index: np.ndarray     # picks each box row's bound, see MpcConfig.layout
+
+    def gamma(self, u_prev: np.ndarray) -> np.ndarray:
+        """Right-hand side of the box rows ``m_mat @ du <= gamma`` at ``u_prev``."""
+        return np.concatenate([self.u_upper - u_prev,
+                               u_prev - self.u_lower])[self.gamma_index]
+
+
+@dataclass(frozen=True)
 class MpcConfig:
-    n1: int = 1
     n2: int = 8
     nc: int = 3
     eps: float = 0.8                  # tracking weight
@@ -51,12 +78,12 @@ class MpcConfig:
     soft_weight: float = 1.0e3        # output-violation penalty, times eps
 
     def __post_init__(self):
-        if not (1 <= self.n1 <= self.n2 and 1 <= self.nc <= self.n2):
-            raise ValueError("need 1 <= N1 <= N2 and 1 <= Nc <= N2")
-        if not (self.eps > 0 and self.xi > 0):
-            raise ValueError("weights must be positive")
-        # the layout divides by each span and is cached on the config's hash,
-        # so every bound is a hashable (lower, upper) pair of floats
+        if not 1 <= self.nc <= self.n2:
+            raise ValueError("need 1 <= Nc <= N2")
+        if not all(math.isfinite(w) and w > 0 for w in (self.eps, self.xi)):
+            raise ValueError("weights eps and xi must be finite and positive")
+        # the layout divides by each span, and the frozen config compares and
+        # hashes by its fields, so every bound is a (lower, upper) float pair
         for name in ("tps_bounds", "mf_bounds", "thrust_bounds", "lambda_bounds"):
             pair = tuple(float(v) for v in getattr(self, name))
             if len(pair) != 2 or not pair[0] < pair[1]:
@@ -69,82 +96,46 @@ class MpcConfig:
             raise ValueError("input bounds must be finite")
         if not self.mf_bounds[0] > 0:
             raise ValueError(f"mf_bounds lower bound must be positive: {self.mf_bounds}")
-        if not self.soft_weight >= 0:
-            raise ValueError("soft_weight must be non-negative")
-        # every control step looks its layout up by this hash: take it once
-        object.__setattr__(self, "_hash", hash(tuple(
-            getattr(self, f.name) for f in fields(self))))
+        if not (math.isfinite(self.soft_weight) and self.soft_weight >= 0):
+            raise ValueError("soft_weight must be finite and non-negative")
 
-    def __hash__(self):
-        return self._hash
+    @functools.cached_property
+    def layout(self) -> HorizonLayout:
+        """The read-only ``HorizonLayout`` of this config, built on first use.
 
-
-@dataclass(frozen=True)
-class HorizonLayout:
-    """Every array of the condensed QP that depends on the config alone.
-
-    ``horizon_layout`` builds it once per config; the arrays are read-only
-    because every caller with an equal config shares them.
-    """
-
-    rows: slice                 # tracked steps N1..N2 of an (N2, 2) trail
-    sel: slice                  # the same steps in the stacked (2*N2) trail
-    y_index: np.ndarray         # y0[y_index] stacks the measured output over sel
-    output_scale: np.ndarray    # 1/span for [thrust, lambda]
-    input_scale: np.ndarray     # 1/span for [tps, m_fi]
-    u_lower: np.ndarray
-    u_upper: np.ndarray
-    q_diag: np.ndarray          # tracking weight per stacked row
-    r_mat: np.ndarray           # diagonal move-suppression weight
-    rho: np.ndarray             # soft output-limit weight per stacked row
-    y_lo: np.ndarray
-    y_hi: np.ndarray
-    m_mat: np.ndarray           # cumulative-increment box rows
-    gamma_index: np.ndarray     # picks each box row's bound, see horizon_layout
-
-    def gamma(self, u_prev: np.ndarray) -> np.ndarray:
-        """Right-hand side of the box rows ``m_mat @ du <= gamma`` at ``u_prev``."""
-        return np.concatenate([self.u_upper - u_prev,
-                               u_prev - self.u_lower])[self.gamma_index]
-
-
-@functools.cache
-def horizon_layout(config: MpcConfig) -> HorizonLayout:
-    """The read-only ``HorizonLayout`` of ``config``, built on first use.
-
-    The input box lb <= u_prev + sum du <= ub holds at every step of the
-    control horizon.  Its rows come in (upper, lower) pairs per step and
-    channel, the order Hildreth's sweep visits them; ``gamma_index`` picks
-    that order out of [ub - u_prev, u_prev - lb], and the rows of
-    ``m_mat`` follow it.  The cache keeps one layout per distinct config
-    the process has used.
-    """
-    nc, n2 = config.nc, config.n2
-    sel = slice(2 * (config.n1 - 1), 2 * n2)
-    output_scale = np.array([
-        1.0 / (config.thrust_bounds[1] - config.thrust_bounds[0]),
-        1.0 / (config.lambda_bounds[1] - config.lambda_bounds[0])])
-    input_scale = np.array([1.0 / (config.tps_bounds[1] - config.tps_bounds[0]),
-                            1.0 / (config.mf_bounds[1] - config.mf_bounds[0])])
-    w_y = np.tile(output_scale, n2)[sel]
-    pair_order = np.array([0, 2, 1, 3])
-    signs = np.vstack([np.eye(2), -np.eye(2)])[pair_order]
-    arrays = dict(
-        y_index=np.tile([0, 1], n2)[sel],
-        output_scale=output_scale,
-        input_scale=input_scale,
-        u_lower=np.array([config.tps_bounds[0], config.mf_bounds[0]]),
-        u_upper=np.array([config.tps_bounds[1], config.mf_bounds[1]]),
-        q_diag=config.eps * w_y ** 2,
-        r_mat=np.diag(config.xi * np.tile(input_scale, nc) ** 2),
-        rho=config.soft_weight * config.eps * w_y ** 2,
-        y_lo=np.tile([config.thrust_bounds[0], config.lambda_bounds[0]], n2)[sel],
-        y_hi=np.tile([config.thrust_bounds[1], config.lambda_bounds[1]], n2)[sel],
-        m_mat=np.kron(np.tril(np.ones((nc, nc))), signs),
-        gamma_index=np.tile(pair_order, nc))
-    for arr in arrays.values():
-        arr.flags.writeable = False
-    return HorizonLayout(rows=slice(config.n1 - 1, n2), sel=sel, **arrays)
+        The cost runs over every predicted step: the fuel delay never exceeds
+        one control interval, so the first predicted sample already responds
+        to the first move.  The input box lb <= u_prev + sum du <= ub holds
+        at every step of the control horizon.  Its rows come in (upper,
+        lower) pairs per step and channel, the order Hildreth's sweep visits
+        them; ``gamma_index`` picks that order out of [ub - u_prev,
+        u_prev - lb], and the rows of ``m_mat`` follow it.
+        """
+        nc, n2 = self.nc, self.n2
+        output_scale = np.array([
+            1.0 / (self.thrust_bounds[1] - self.thrust_bounds[0]),
+            1.0 / (self.lambda_bounds[1] - self.lambda_bounds[0])])
+        input_scale = np.array([1.0 / (self.tps_bounds[1] - self.tps_bounds[0]),
+                                1.0 / (self.mf_bounds[1] - self.mf_bounds[0])])
+        w_y = np.tile(output_scale, n2)
+        pair_order = np.array([0, 2, 1, 3])
+        signs = np.vstack([np.eye(2), -np.eye(2)])[pair_order]
+        arrays = dict(
+            y_index=np.tile([0, 1], n2),
+            output_scale=output_scale,
+            input_scale=input_scale,
+            u_lower=np.array([self.tps_bounds[0], self.mf_bounds[0]]),
+            u_upper=np.array([self.tps_bounds[1], self.mf_bounds[1]]),
+            q_diag=self.eps * w_y ** 2,
+            r_mat=np.diag(self.xi * np.tile(input_scale, nc) ** 2),
+            rho=self.soft_weight * self.eps * w_y ** 2,
+            y_lo=np.tile([self.thrust_bounds[0], self.lambda_bounds[0]], n2),
+            y_hi=np.tile([self.thrust_bounds[1], self.lambda_bounds[1]], n2),
+            m_mat=np.kron(np.tril(np.ones((nc, nc))), signs),
+            gamma_index=np.tile(pair_order, nc))
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        return HorizonLayout(**arrays)
 
 
 @dataclass(frozen=True)
@@ -199,10 +190,10 @@ def condensed_map(lpv: LpvModel, nc: int, n2: int) -> np.ndarray:
 def cost(config: MpcConfig, refs: np.ndarray, predicted: np.ndarray,
          du_seq: np.ndarray) -> float:
     """Tracking-plus-move objective over the horizon (span-scaled channels)
-    of (N2, 2) ``refs`` and ``predicted`` trails and (Nc, 2) ``du_seq``."""
-    layout = horizon_layout(config)
-    rows = layout.rows
-    err = (refs[rows] - predicted[rows]) * layout.output_scale
+    of the first N2 rows of ``refs`` against the (N2, 2) ``predicted`` trail,
+    and (Nc, 2) ``du_seq``."""
+    layout = config.layout
+    err = (refs[:config.n2] - predicted) * layout.output_scale
     moves = du_seq[:config.nc] * layout.input_scale
     return float(config.eps * (err ** 2).sum() + config.xi * (moves ** 2).sum())
 
@@ -274,14 +265,13 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     y0 = np.asarray(meas.output, dtype=float)
     nc, n2 = config.nc, config.n2
 
-    layout = horizon_layout(config)
+    layout = config.layout
     q_diag, r_mat, rho = layout.q_diag, layout.r_mat, layout.rho
     y_lo, y_hi, m_mat = layout.y_lo, layout.y_hi, layout.m_mat
 
     g = condensed_map(lpv, nc, n2)
-    g_s = g[layout.sel]
     y0_s = y0[layout.y_index]
-    ref_s = refs[:n2].ravel()[layout.sel]
+    ref_s = refs[:n2].ravel()
     gamma = layout.gamma(u_prev)
 
     # rows penalised toward the upper / lower limit; none is in the first
@@ -292,11 +282,11 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     over = under = np.zeros(len(y0_s), dtype=bool)
     soft, iterations, capped = False, 0, False
     for _ in range(3):
-        e_mat = 2.0 * (g_s.T @ (weight[:, None] * g_s) + r_mat)
-        f_vec = 2.0 * g_s.T @ rhs
+        e_mat = 2.0 * (g.T @ (weight[:, None] * g) + r_mat)
+        f_vec = 2.0 * g.T @ rhs
         z, _, sweeps, kkt, round_capped = hildreth(e_mat, f_vec, m_mat, gamma)
         iterations, capped = iterations + sweeps, capped or round_capped
-        y_pred = y0_s + g_s @ z
+        y_pred = y0_s + g @ z
         hit_over = y_pred > y_hi + 1e-12
         hit_under = y_pred < y_lo - 1e-12
         if soft:    # a row already penalised is no new hit
@@ -310,7 +300,7 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
         rhs = track + rho * pull
 
     du = z.reshape(nc, 2)
-    predicted = y0 + (g @ z).reshape(n2, 2)
+    predicted = y_pred.reshape(n2, 2)
     total = cost(config, refs, predicted, du)
     if soft:
         excess = np.where(over, y_pred - y_hi, 0.0) ** 2 \
@@ -327,7 +317,7 @@ def mpc_step(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     """Optimize on ``lpv``: (input to apply, horizon solution).  Only the
     first increment ever reaches the plant, clipped to the input box."""
     solution = solve_qp(lpv, meas, refs, u_prev, config)
-    layout = horizon_layout(config)
+    layout = config.layout
     u = np.minimum(np.maximum(u_prev + solution.du[0], layout.u_lower), layout.u_upper)
     return ControlInput(tps=float(u[0]), m_fi=float(u[1])), solution
 

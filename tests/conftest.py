@@ -1,4 +1,5 @@
-"""Datasets that several test modules share, each built once per session.
+"""Datasets and the stock RBF model that several test modules share, each
+built once per session.
 
 Their arrays are read-only, so a test that wrote into one would fail instead
 of changing what the next test reads.
@@ -10,6 +11,7 @@ from dflsim.config import load_bundle
 from dflsim.dataset import TrainingConfig, generate_dataset
 from dflsim.engine import EngineParams
 from dflsim.fan import FanGeometry
+from dflsim.networks import train_rbf
 
 
 def _read_only(ds):
@@ -35,3 +37,12 @@ def seed19_dataset():
     return _read_only(generate_dataset(
         EngineParams(), FanGeometry(),
         TrainingConfig(sample_count=600, n_train=570, seed=19, snr_db=5.0)))
+
+
+@pytest.fixture(scope="session")
+def stock_rbf(stock_dataset):
+    """The RBF model ``train --model rbf`` fits to ``stock_dataset``."""
+    rbf = train_rbf(stock_dataset, load_bundle(None).training)
+    for arr in (rbf.centers, rbf.radii, rbf.lw):
+        arr.flags.writeable = False
+    return rbf

@@ -17,8 +17,7 @@ from dflsim.fan import (FanGeometry, duct_ratio, solve_operating_point,
                         thrust_from_power)
 from dflsim.lpv import assoc_jacobian, build_lpv
 from dflsim.mpc import hildreth
-from dflsim.networks import (compare_models, rbf_forward, train_elman,
-                             train_mlp, train_rbf)
+from dflsim.networks import compare_models, rbf_forward, train_elman, train_mlp
 from dflsim.scenario import run_scenario
 from test_engine import combustion_power
 
@@ -40,8 +39,8 @@ def dataset(stock_dataset):
 
 
 @pytest.fixture(scope="module")
-def rbf(bundle, dataset):
-    return train_rbf(dataset, bundle.training)
+def rbf(stock_rbf):
+    return stock_rbf
 
 
 @pytest.fixture(scope="module")

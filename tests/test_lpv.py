@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from dflsim.config import load_bundle
 from dflsim.dataset import NormStats, TrainingConfig
 from dflsim.fan import FanGeometry
 from dflsim.lpv import (LPV_CSV_HEADER, assoc_jacobian, build_lpv,
                         lpv_csv_row, rescale_jacobian)
 from dflsim.networks import RbfModel, rbf_forward, train_rbf
+from dflsim.scenario import run_scenario
 
 G = FanGeometry()
 
@@ -185,3 +187,22 @@ class TestBuildLpv:
         row = lpv_csv_row(lpv)
         assert row.shape == (len(LPV_CSV_HEADER.split(",")),)
         assert row[0] == 1.5
+
+
+class TestStockEpisodeFidelity:
+    """What the stock AMPC episode's models are, recorded as observed today
+    so that a change to the identification moves these values visibly."""
+
+    def test_spectral_radius_census(self, stock_rbf):
+        bundle = load_bundle(None)
+        trace = []
+        run_scenario(bundle.plant, bundle.fan, bundle.mpc, bundle.scenario,
+                     controller="ampc", rbf=stock_rbf, lpv_trace=trace)
+        radius = np.array([np.abs(np.linalg.eigvals(lpv.a)).max() for lpv in trace])
+        assert len(radius) == bundle.scenario.steps == 250
+        unstable = np.flatnonzero(radius > 1.0)
+        # the RBF's A leaves the unit circle at 80 steps, every step of the
+        # idle start among them
+        assert len(unstable) == 80
+        assert set(range(25)) <= set(unstable)
+        assert radius.max() == pytest.approx(1.7892118, rel=1e-6)

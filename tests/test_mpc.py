@@ -1,5 +1,7 @@
 """Receding-horizon optimizer: prediction, cost, QP solver, step contracts."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from dflsim.dataset import TrainingConfig
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
 from dflsim.lpv import LpvModel, build_lpv
 from dflsim.mpc import (HorizonSolution, Measurement, MpcConfig, SingularQpError,
-                        ampc_step, condensed_map, cost, hildreth, horizon_layout,
-                        mpc_step, solve_qp)
+                        ampc_step, condensed_map, cost, hildreth, mpc_step,
+                        solve_qp)
 from dflsim.networks import train_rbf
 from dflsim.scenario import run_scenario
 
@@ -102,16 +104,17 @@ def oracle_condensed_map(lpv, nc, n2):
 
 def oracle_solve_qp(lpv, meas, refs, u_prev, config):
     """``solve_qp`` with the soft-limit terms built in every round, the
-    first included, and G from ``oracle_condensed_map``."""
-    layout = horizon_layout(config)
+    first included, G from ``oracle_condensed_map``, and the predicted trail
+    taken once more as y0 + G*z after the last round."""
+    layout = config.layout
     nc, n2 = config.nc, config.n2
     q_diag, rho, y_lo, y_hi = layout.q_diag, layout.rho, layout.y_lo, layout.y_hi
     refs = np.atleast_2d(np.asarray(refs, dtype=float))
     y0 = np.asarray(meas.output, dtype=float)
     g = oracle_condensed_map(lpv, nc, n2)
-    g_s = g[layout.sel]
-    y0_s = y0[layout.y_index]
-    ref_s = refs[:n2].ravel()[layout.sel]
+    g_s = g[:2 * n2]
+    y0_s = np.tile(y0, n2)
+    ref_s = refs[:n2].ravel()
     gamma = layout.gamma(np.asarray(u_prev, dtype=float))
     over = under = np.zeros(len(y0_s), dtype=bool)
     iterations, capped = 0, False
@@ -130,7 +133,7 @@ def oracle_solve_qp(lpv, meas, refs, u_prev, config):
         over, under = new_over, new_under
     du = z.reshape(nc, 2)
     predicted = y0 + (g @ z).reshape(n2, 2)
-    err = (refs[layout.rows] - predicted[layout.rows]) * layout.output_scale
+    err = (refs[:n2] - predicted[:n2]) * layout.output_scale
     moves = du * layout.input_scale
     excess = np.where(over, y_pred - y_hi, 0.0) ** 2 \
         + np.where(under, y_pred - y_lo, 0.0) ** 2
@@ -163,11 +166,10 @@ def trained_rbf(seed19_dataset):
 
 
 @pytest.fixture(scope="module")
-def stock_qps(stock_dataset):
+def stock_qps(stock_rbf):
     """(lpv, meas, refs, u_prev, solution) of every step of the stock AMPC
     episode, as ``simulate --controller ampc`` runs it."""
     bundle = load_bundle(None)
-    rbf = train_rbf(stock_dataset, bundle.training)
     qps = []
 
     def recording(*args):
@@ -177,7 +179,7 @@ def stock_qps(stock_dataset):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mpc, "solve_qp", recording)
         run_scenario(bundle.plant, bundle.fan, bundle.mpc, bundle.scenario,
-                     controller="ampc", rbf=rbf)
+                     controller="ampc", rbf=stock_rbf)
     assert len(qps) == bundle.scenario.steps
     return qps
 
@@ -277,8 +279,8 @@ class TestCost:
         assert z2 == pytest.approx(4.0 * z1, rel=1e-12)
 
     def test_two_step_hand_fixture(self):
-        # N1=1, N2=2, Nc=1 toy horizon computed with explicit arithmetic
-        cfg = MpcConfig(n1=1, n2=2, nc=1)
+        # N2=2, Nc=1 toy horizon computed with explicit arithmetic
+        cfg = MpcConfig(n2=2, nc=1)
         refs = np.array([[100.0, 1.0], [110.0, 1.0]])
         pred = np.array([[90.0, 0.95], [105.0, 1.01]])
         du = np.array([[2.0, 0.0004]])
@@ -363,22 +365,20 @@ class TestSolveQp:
     def test_unconstrained_matches_normal_equations(self):
         # small tracking errors keep the optimum interior; compare against
         # the dense closed-form solution of the same condensed quadratic,
-        # which tracks only the rows from N1 on
+        # which tracks every predicted row
         lpv = toy_lpv(4)
         y0 = np.array([700.0, 0.9])
         u_prev = np.array([45.0, 0.003])
-        for cfg in (CFG, MpcConfig(n1=3)):
+        for cfg in (CFG, MpcConfig(n2=5, nc=2)):
             refs = np.tile(y0 + np.array([3.0, 0.002]), (cfg.n2, 1))
             sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, cfg)
 
-            rows = slice(2 * (cfg.n1 - 1), 2 * cfg.n2)
-            g = condensed_map(lpv, cfg.nc, cfg.n2)[rows]
-            layout = horizon_layout(cfg)
-            w_y = np.tile(layout.output_scale, cfg.n2)[rows]
+            g = condensed_map(lpv, cfg.nc, cfg.n2)
+            w_y = np.tile(cfg.layout.output_scale, cfg.n2)
             q = cfg.eps * w_y ** 2
-            r = cfg.xi * np.tile(layout.input_scale, cfg.nc) ** 2
+            r = cfg.xi * np.tile(cfg.layout.input_scale, cfg.nc) ** 2
             e = 2.0 * (g.T @ (q[:, None] * g) + np.diag(r))
-            f = 2.0 * g.T @ (q * (np.tile(y0, cfg.n2) - refs.ravel())[rows])
+            f = 2.0 * g.T @ (q * (np.tile(y0, cfg.n2) - refs.ravel()))
             z_dense = -np.linalg.solve(e, f)
             assert np.max(np.abs(sol.du.ravel() - z_dense)) < 1e-8
 
@@ -457,7 +457,7 @@ class TestSolveQpOracle:
         assert len(rounds) == n_rounds
 
     @pytest.mark.parametrize("cfg", [
-        MpcConfig(n1=3), MpcConfig(soft_weight=10.0), MpcConfig(soft_weight=0.0),
+        MpcConfig(n2=5, nc=2), MpcConfig(soft_weight=10.0), MpcConfig(soft_weight=0.0),
         MpcConfig(thrust_bounds=(0.0, float("inf")),
                   lambda_bounds=(-float("inf"), float("inf")))])
     def test_overshoot_case_under_other_configs(self, cfg):
@@ -481,36 +481,24 @@ def old_box_constraints(config, u_prev):
 
 class TestHorizonLayout:
     def test_arrays_are_read_only(self):
-        layout = horizon_layout(CFG)
-        arrays = [v for v in vars(layout).values() if isinstance(v, np.ndarray)]
+        arrays = [v for v in vars(CFG.layout).values() if isinstance(v, np.ndarray)]
         assert len(arrays) == 12
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[...] = 0
 
-    def test_equal_configs_share_one_layout(self):
-        assert horizon_layout(MpcConfig()) is horizon_layout(CFG)
-        assert horizon_layout(MpcConfig(n1=3)) is not horizon_layout(CFG)
-
-    def test_cache_never_serves_a_stale_config(self):
-        lpv, y0, refs, u_prev = overshoot_case()
-        meas = Measurement(np.zeros(3), y0)
-        configs = (CFG, MpcConfig(n1=3), MpcConfig(soft_weight=10.0), CFG)
-        cached, fresh = [], []
-        for cfg in configs:
-            cached.append(solve_qp(lpv, meas, refs, u_prev, cfg))
-            horizon_layout.cache_clear()
-            fresh.append(solve_qp(lpv, meas, refs, u_prev, cfg))
-
-        for a, b in zip(cached, fresh):
-            assert solution_bytes(a) == solution_bytes(b)
-        # the three configs give three different answers on this case
-        assert len({solution_bytes(sol) for sol in cached}) == 3
+    def test_built_once_per_config_and_not_a_field(self):
+        cfg = MpcConfig(nc=2)
+        assert cfg.layout is cfg.layout
+        assert cfg.layout.q_diag.shape == (2 * cfg.n2,)
+        # a field would become an [mpc] key that the INI loader cannot convert
+        assert "layout" not in {f.name for f in fields(MpcConfig)}
+        assert cfg == MpcConfig(nc=2) and hash(cfg) == hash(MpcConfig(nc=2))
 
     @pytest.mark.parametrize("nc", [1, 2, 3, 4])
     def test_box_rows_match_kron_stack_oracle(self, nc):
         cfg = MpcConfig(nc=nc)
-        layout = horizon_layout(cfg)
+        layout = cfg.layout
         rng = np.random.default_rng(nc)
         for _ in range(5):
             u_prev = np.array([rng.uniform(5.0, 90.0),
@@ -609,7 +597,7 @@ class TestControllerSteps:
 class TestConfigValidation:
     def test_horizon_ordering(self):
         with pytest.raises(ValueError):
-            MpcConfig(n1=5, n2=3)
+            MpcConfig(nc=0)
         with pytest.raises(ValueError):
             MpcConfig(nc=9, n2=8)
 
@@ -658,6 +646,12 @@ class TestConfigValidation:
     def test_input_bounds_finite(self, name):
         with pytest.raises(ValueError):
             MpcConfig(**{name: (0.0, float("inf"))})
+
+    @pytest.mark.parametrize("name", ["eps", "xi", "soft_weight"])
+    def test_weights_must_be_finite(self, name):
+        # an infinite weight makes the QP's Hessian or its penalty non-finite
+        with pytest.raises(ValueError, match="finite"):
+            MpcConfig(**{name: float("inf")})
 
     @pytest.mark.parametrize("weight", [-1.0, float("nan")])
     def test_soft_weight_non_negative(self, weight):

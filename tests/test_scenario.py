@@ -610,6 +610,8 @@ class TestCli:
         # lambda is undefined at zero fuel, so the box keeps the fuel positive
         (["simulate", "--controller", "ampc"],
          "[mpc]\nmf_bounds = -0.001,0.0055\n[scenario]\nthrust_hover = 2.0\n"),
+        # inf times a row with no penalty is nan once a limit is crossed
+        (["simulate", "--controller", "ampc"], "[mpc]\nsoft_weight = inf\n"),
     ])
     def test_negative_seed_exit_code(self, tmp_path, command, ini_text):
         ini = tmp_path / "seed.ini"
@@ -650,6 +652,8 @@ class TestCli:
         ("fan", "n_fan_max = 250"),
         # the momentum disc is always the blade annulus
         ("fan", "disc_area = 0.3"),
+        # the cost runs over every predicted step, from the first on
+        ("mpc", "n1 = 1"),
     ])
     def test_removed_fixed_keys_exit_code(self, tmp_path, section, key):
         bad = tmp_path / "bad.ini"
@@ -662,6 +666,21 @@ class TestCli:
         bad.write_text("[mpc]\ntps_bounds = 90,5\n")
         assert cli_main(["simulate", "--controller", "open-loop", "--config",
                          str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    @pytest.mark.parametrize("command", [
+        ["gen-data"], ["simulate", "--controller", "open-loop"]])
+    def test_out_naming_a_file_exit_code(self, plant_calls, tmp_path, command,
+                                         below, capsys):
+        # refused before the stage runs a single plant interval
+        taken = tmp_path / "out"
+        taken.write_bytes(b"not a directory\n")
+        out = taken / below
+        assert cli_main(command + ["--out", str(out)]) == 2
+        assert taken.read_bytes() == b"not a directory\n"
+        assert plant_calls == []
+        err = capsys.readouterr().err
+        assert f"--out {out} is not a directory" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("lw_rows, stats_rows", [
         # a third STATS row
