@@ -56,8 +56,8 @@ class FanGeometry:
             raise ValueError("need 0 <= r0 < R")
         if self.element_count < 16:
             raise ValueError("element_count must be >= 16")
-        if self.pulley_ratio <= 0.0:
-            raise ValueError("pulley ratio must be positive")
+        if not (self.pulley_ratio > 0.0 and self.air_density > 0.0):
+            raise ValueError("pulley ratio and air density must be positive")
 
     @property
     def s2(self) -> float:

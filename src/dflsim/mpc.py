@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -67,12 +68,15 @@ class HorizonLayout:
 
 @dataclass(frozen=True)
 class MpcConfig:
+    """Horizons, weights and finite output limits.  The input box is the
+    identification region, outside which the LPV model extrapolates."""
+
     n2: int = 8
     nc: int = 3
     eps: float = 0.8                  # tracking weight
     xi: float = 0.5                   # move-suppression weight
-    tps_bounds: tuple = TPS_RANGE              # %
-    mf_bounds: tuple = MF_RANGE                # kg/s
+    tps_bounds: ClassVar[tuple] = TPS_RANGE    # %
+    mf_bounds: ClassVar[tuple] = MF_RANGE      # kg/s, positive so lambda is defined
     thrust_bounds: tuple = (0.0, 150.0 * KGF)  # N
     lambda_bounds: tuple = (0.68, 1.26)
     soft_weight: float = 1.0e3        # output-violation penalty, times eps
@@ -82,20 +86,13 @@ class MpcConfig:
             raise ValueError("need 1 <= Nc <= N2")
         if not all(math.isfinite(w) and w > 0 for w in (self.eps, self.xi)):
             raise ValueError("weights eps and xi must be finite and positive")
-        # the layout divides by each span, and the frozen config compares and
-        # hashes by its fields, so every bound is a (lower, upper) float pair
-        for name in ("tps_bounds", "mf_bounds", "thrust_bounds", "lambda_bounds"):
+        # tracking is scaled by 1/span and output noise by span, and the frozen
+        # config hashes its fields: each limit is a finite (lower, upper) float pair
+        for name in ("thrust_bounds", "lambda_bounds"):
             pair = tuple(float(v) for v in getattr(self, name))
-            if len(pair) != 2 or not pair[0] < pair[1]:
-                raise ValueError(f"{name} must be two numbers, lower < upper: {pair}")
+            if len(pair) != 2 or not -math.inf < pair[0] < pair[1] < math.inf:
+                raise ValueError(f"{name} needs two finite numbers, lower < upper: {pair}")
             object.__setattr__(self, name, pair)
-        # output limits may be infinite (solve_qp keeps them inert); the
-        # input box is a hard constraint with a move penalty per unit span,
-        # and its fuel floor keeps lambda defined
-        if not all(map(math.isfinite, self.tps_bounds + self.mf_bounds)):
-            raise ValueError("input bounds must be finite")
-        if not self.mf_bounds[0] > 0:
-            raise ValueError(f"mf_bounds lower bound must be positive: {self.mf_bounds}")
         if not (math.isfinite(self.soft_weight) and self.soft_weight >= 0):
             raise ValueError("soft_weight must be finite and non-negative")
 
@@ -153,8 +150,8 @@ class HorizonSolution:
     cost: float               # solver objective (tracking + moves + penalties)
     iterations: int
     kkt_residual: float
-    active: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
-    capped: bool = False
+    active: np.ndarray
+    capped: bool
 
 
 @functools.cache
@@ -275,8 +272,7 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     gamma = layout.gamma(u_prev)
 
     # rows penalised toward the upper / lower limit; none is in the first
-    # round, whose pull is exactly zero and whose weight is exactly q_diag.
-    # np.where keeps an infinite limit inert instead of turning 0*inf into nan
+    # round, whose pull is exactly zero and whose weight is exactly q_diag
     track = q_diag * (y0_s - ref_s)
     weight, rhs = q_diag, track
     over = under = np.zeros(len(y0_s), dtype=bool)

@@ -1,7 +1,8 @@
 """Closed-loop takeoff-preparation scenario and its metrics.
 
 Couples the engine and fan plants at the 0.1 s control rate, feeds the
-controller noisy measurements, and logs every step to a trajectory record.
+controller measurements with noise scaled by the output-limit spans and by
+``STATE_NOISE_SPAN``, and logs every step to a trajectory record.
 The reference schedule ramps thrust from idle to hover and steps the
 air-fuel-ratio target from the rich power setting to stoichiometric once
 thrust has stabilized.  Trajectories and LPV traces are ``tables`` tables:
@@ -24,6 +25,7 @@ from .networks import RbfModel
 from .tables import read_table, write_table
 
 CONTROLLER_KINDS = ("ampc", "linear-mpc", "open-loop")
+STATE_NOISE_SPAN = (60.0, 150.0)          # N*m, rev/s: scale [Q_eng, n] noise
 
 
 class ScenarioStallError(RuntimeError):
@@ -48,12 +50,12 @@ class ScenarioConfig:
     noise_std: float = 0.005              # std, normalized output units
     seed: int = 7
     settle_margin: int = 30               # steps allowed for transients in metrics
-    q_span: float = 60.0                  # N*m, scales state-measurement noise
-    n_span: float = 150.0                 # rev/s, scales state-measurement noise
     init_tps: float = 19.5                # %
     init_m_fi: float = 0.00124            # kg/s
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError("scenario steps must be at least 1")
         if self.seed < 0:
             raise ValueError("scenario seed must be non-negative")
         if not self.init_m_fi > 0:
@@ -147,7 +149,7 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
     out_noise = scenario.noise_std * np.array([
         mpc.thrust_bounds[1] - mpc.thrust_bounds[0],
         mpc.lambda_bounds[1] - mpc.lambda_bounds[0]])
-    state_noise = scenario.noise_std * np.array([scenario.q_span, scenario.n_span])
+    state_noise = scenario.noise_std * np.array(STATE_NOISE_SPAN)
 
     u0 = ControlInput(tps=scenario.init_tps, m_fi=scenario.init_m_fi)
     try:

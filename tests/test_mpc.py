@@ -7,7 +7,7 @@ import pytest
 
 import dflsim.mpc as mpc
 from dflsim.config import load_bundle
-from dflsim.dataset import TrainingConfig
+from dflsim.dataset import MF_RANGE, TPS_RANGE, TrainingConfig
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
 from dflsim.lpv import LpvModel, build_lpv
 from dflsim.mpc import (HorizonSolution, Measurement, MpcConfig, SingularQpError,
@@ -458,8 +458,8 @@ class TestSolveQpOracle:
 
     @pytest.mark.parametrize("cfg", [
         MpcConfig(n2=5, nc=2), MpcConfig(soft_weight=10.0), MpcConfig(soft_weight=0.0),
-        MpcConfig(thrust_bounds=(0.0, float("inf")),
-                  lambda_bounds=(-float("inf"), float("inf")))])
+        # limits so wide that no predicted row crosses one
+        MpcConfig(thrust_bounds=(0.0, 1.0e6), lambda_bounds=(-1.0e3, 1.0e3))])
     def test_overshoot_case_under_other_configs(self, cfg):
         lpv, y0, refs, u_prev = overshoot_case()
         meas = Measurement(np.zeros(3), y0)
@@ -610,18 +610,16 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bounds", [(5.0,), (5.0, 50.0, 90.0)])
     def test_bounds_are_pairs(self, bounds):
         with pytest.raises(ValueError):
-            MpcConfig(tps_bounds=bounds)
+            MpcConfig(thrust_bounds=bounds)
 
-    @pytest.mark.parametrize("name", ["tps_bounds", "mf_bounds",
-                                      "thrust_bounds", "lambda_bounds"])
+    @pytest.mark.parametrize("name", ["thrust_bounds", "lambda_bounds"])
     def test_bounds_reject_nan(self, name):
         with pytest.raises(ValueError):
             MpcConfig(**{name: (float("nan"), 1.0)})
         with pytest.raises(ValueError):
             MpcConfig(**{name: (0.0, float("nan"))})
 
-    @pytest.mark.parametrize("name", ["tps_bounds", "mf_bounds",
-                                      "thrust_bounds", "lambda_bounds"])
+    @pytest.mark.parametrize("name", ["thrust_bounds", "lambda_bounds"])
     def test_bounds_need_lower_below_upper(self, name):
         lower, upper = getattr(CFG, name)
         with pytest.raises(ValueError):
@@ -630,21 +628,31 @@ class TestConfigValidation:
             MpcConfig(**{name: (lower, lower)})
 
     def test_list_bounds_become_a_hashable_tuple(self):
-        cfg = MpcConfig(tps_bounds=[5, 90])
-        assert cfg.tps_bounds == (5.0, 90.0)
-        assert type(cfg.tps_bounds) is tuple
+        cfg = MpcConfig(lambda_bounds=[0.68, 1.26])
+        assert cfg.lambda_bounds == (0.68, 1.26)
+        assert type(cfg.lambda_bounds) is tuple
         assert cfg == CFG and hash(cfg) == hash(CFG)
 
-    def test_infinite_output_limits_stay_inert(self):
-        inf = float("inf")
-        cfg = MpcConfig(thrust_bounds=(0.0, inf), lambda_bounds=(-inf, inf))
-        lpv, y0, refs, u_prev = overshoot_case()
-        sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, cfg)
-        assert np.all(np.isfinite(sol.du)) and np.isfinite(sol.cost)
+    @pytest.mark.parametrize("end", ["lower", "upper", "both"])
+    @pytest.mark.parametrize("name", ["thrust_bounds", "lambda_bounds"])
+    def test_output_bounds_must_be_finite(self, name, end):
+        # an infinite limit makes its tracking weight 1/span exactly 0 and its
+        # measurement noise, span times noise_std, infinite
+        lower, upper = getattr(CFG, name)
+        pair = (-np.inf if end != "upper" else lower,
+                np.inf if end != "lower" else upper)
+        with pytest.raises(ValueError, match="finite"):
+            MpcConfig(**{name: pair})
 
     @pytest.mark.parametrize("name", ["tps_bounds", "mf_bounds"])
     def test_input_bounds_finite(self, name):
-        with pytest.raises(ValueError):
+        # the input box is the identification region, a class constant that
+        # no config or INI key can set, so it stays finite with a positive
+        # fuel floor
+        box = {"tps_bounds": TPS_RANGE, "mf_bounds": MF_RANGE}[name]
+        assert getattr(CFG, name) == box and MF_RANGE[0] > 0
+        assert name not in {f.name for f in fields(MpcConfig)}
+        with pytest.raises(TypeError):
             MpcConfig(**{name: (0.0, float("inf"))})
 
     @pytest.mark.parametrize("name", ["eps", "xi", "soft_weight"])

@@ -19,11 +19,11 @@ from dflsim.engine import (ControlInput, EngineParams, EngineStallError,
 from dflsim.fan import (KGF, FanGeometry, fan_power, solve_operating_point,
                         thrust_from_power)
 from dflsim.lpv import build_lpv, lpv_csv_row
-from dflsim.mpc import MpcConfig
+from dflsim.mpc import Measurement, MpcConfig
 from dflsim.networks import (MODEL_KINDS, compare_models, init_mlp,
                              load_model, load_rbf, mape, rbf_forward,
                              save_blocks, save_model, train_rbf)
-from dflsim.scenario import (CONTROLLER_KINDS, ScenarioConfig,
+from dflsim.scenario import (CONTROLLER_KINDS, STATE_NOISE_SPAN, ScenarioConfig,
                              compute_metrics, load_trajectory_csv,
                              relative_error, run_scenario, save_trajectory_csv)
 
@@ -169,9 +169,17 @@ class TestControllerPath:
 
 
 class TestNoiseAudit:
-    def test_injected_variance_matches_configured_level(self):
-        # 1000 open-loop steps: sample variance of the injected output noise
-        # within 10 % of (0.005 * span)^2 per channel
+    def test_injected_variance_matches_configured_level(self, monkeypatch):
+        # 1000 open-loop steps: sample variance of the injected noise within
+        # 10 % of (0.005 * span)^2 per channel, the output spans from the
+        # limits and the [Q_eng, n] spans from STATE_NOISE_SPAN
+        measured = []
+
+        def recording(state, output):
+            measured.append(state)
+            return Measurement(state, output)
+
+        monkeypatch.setattr(scenario, "Measurement", recording)
         scen = ScenarioConfig(steps=1000, seed=42)
         cfg = MpcConfig()
         records, _ = run_scenario(P, G, cfg, scen, controller="open-loop")
@@ -181,6 +189,11 @@ class TestNoiseAudit:
         var_l_expect = (0.005 * (cfg.lambda_bounds[1] - cfg.lambda_bounds[0])) ** 2
         assert abs(noise_t.var() - var_t_expect) / var_t_expect < 0.1
         assert abs(noise_l.var() - var_l_expect) / var_l_expect < 0.1
+        # the state measured at step k is the one recorded after step k - 1
+        noise_x = np.array(measured[1:])[:, :2] \
+            - np.array([[r.q_eng, r.n] for r in records[:-1]])
+        var_x_expect = (0.005 * np.array(STATE_NOISE_SPAN)) ** 2
+        assert np.all(abs(noise_x.var(axis=0) - var_x_expect) / var_x_expect < 0.1)
 
 
 class TestTrajectoryCsv:
@@ -249,13 +262,13 @@ class TestConfig:
     def test_file_overrides(self, tmp_path):
         ini = tmp_path / "conf.ini"
         ini.write_text("[scenario]\nsteps = 42\nseed = 99\n"
-                       "[mpc]\nnc = 2\ntps_bounds = 10,80\n"
+                       "[mpc]\nnc = 2\nthrust_bounds = 0,1000\n"
                        "[plant]\ninertia = 0.3\n")
         bundle = load_bundle(ini)
         assert bundle.scenario.steps == 42
         assert bundle.scenario.seed == 99
         assert bundle.mpc.nc == 2
-        assert bundle.mpc.tps_bounds == (10.0, 80.0)
+        assert bundle.mpc.thrust_bounds == (0.0, 1000.0)
         assert bundle.plant.inertia == 0.3
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -607,9 +620,7 @@ class TestCli:
         (["train", "--model", "mlp"], "[training]\nmodel_seed = -1\n"),
         (["simulate", "--controller", "open-loop"], "[scenario]\nseed = -3\n"),
         (["simulate", "--controller", "open-loop"], "[scenario]\ninit_m_fi = 0\n"),
-        # lambda is undefined at zero fuel, so the box keeps the fuel positive
-        (["simulate", "--controller", "ampc"],
-         "[mpc]\nmf_bounds = -0.001,0.0055\n[scenario]\nthrust_hover = 2.0\n"),
+        (["simulate", "--controller", "open-loop"], "[scenario]\nsteps = -1\n"),
         # inf times a row with no penalty is nan once a limit is crossed
         (["simulate", "--controller", "ampc"], "[mpc]\nsoft_weight = inf\n"),
     ])
@@ -654,6 +665,13 @@ class TestCli:
         ("fan", "disc_area = 0.3"),
         # the cost runs over every predicted step, from the first on
         ("mpc", "n1 = 1"),
+        # the input box is the identification region; lambda is undefined at
+        # zero fuel, and the region keeps the fuel positive
+        ("mpc", "tps_bounds = 10,80"),
+        ("mpc", "mf_bounds = -0.001,0.0055"),
+        # the state noise scales by the fixed STATE_NOISE_SPAN
+        ("scenario", "q_span = 30"),
+        ("scenario", "n_span = 300"),
     ])
     def test_removed_fixed_keys_exit_code(self, tmp_path, section, key):
         bad = tmp_path / "bad.ini"
@@ -663,9 +681,40 @@ class TestCli:
 
     def test_reversed_mpc_bounds_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
-        bad.write_text("[mpc]\ntps_bounds = 90,5\n")
+        bad.write_text("[mpc]\nthrust_bounds = 1000,0\n")
         assert cli_main(["simulate", "--controller", "open-loop", "--config",
                          str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("key", ["thrust_bounds = 0, inf",
+                                     "thrust_bounds = -inf, 1500",
+                                     "lambda_bounds = 0.68, inf",
+                                     "lambda_bounds = -inf, 1.26"])
+    def test_infinite_output_bound_exit_code(self, plant_calls, rbf_stage,
+                                             tmp_path, key):
+        # an infinite span zeroes the tracking weight and makes the output
+        # noise infinite, so it is refused before the first plant interval
+        out = shutil.copytree(rbf_stage, tmp_path / "out")
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[mpc]\n{key}\n")
+        assert cli_main(["simulate", "--controller", "ampc", "--config",
+                         str(bad), "--out", str(out)]) == 2
+        assert plant_calls == []
+        assert not (out / "trajectory_ampc.csv").exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ("plant", "gamma = 1.0"),
+        ("plant", "ambient_temp = 0"),
+        ("plant", "gas_constant = 0"),
+        ("plant", "manifold_volume = 0"),
+        ("fan", "air_density = 0"),
+    ])
+    def test_parameter_the_models_divide_by_exit_code(self, tmp_path, section, key):
+        # the air path and the fan divide by each of these, and by gamma - 1
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[{section}]\n{key}\n")
+        assert cli_main(["simulate", "--controller", "open-loop", "--config",
+                         str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("below", ["", "sub"])
     @pytest.mark.parametrize("command", [
