@@ -105,11 +105,12 @@ class EngineParams:
             raise ValueError("fuel loss coefficient must lie in [0, 1)")
         if self.injection_delay < 0 or self.stoich_afr <= 0 or self.dt_int <= 0:
             raise ValueError("tau_d >= 0, L_th > 0 and dt_int > 0 required")
-        # the air path divides by each of these and by gamma - 1
+        # the plant divides by each of these and the air path by gamma - 1
         if not (self.gamma > 1.0 and all(v > 0 for v in (
-                self.manifold_volume, self.ambient_temp, self.gas_constant))):
-            raise ValueError("gamma > 1 and positive manifold_volume, ambient_temp "
-                             "and gas_constant required")
+                self.manifold_volume, self.manifold_temp, self.ambient_temp,
+                self.gas_constant, self.eta_speed_ref))):
+            raise ValueError("gamma > 1 and positive manifold_volume, manifold_temp, "
+                             "ambient_temp, gas_constant and eta_speed_ref required")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ power map, its inverse and its thrust sensitivities are closed forms on top
 of them, valid at every fan speed, with ``solve_operating_point`` kept as the
 iterative oracle.  The momentum disc is the blade annulus.
 
-Everything here is a pure function of (speed, geometry): no stored state
-beyond the per-geometry coefficient cache, safe to call from anywhere.
+Everything here is a pure function of (speed, geometry), safe to call from
+anywhere; each geometry stores only its own ``hover`` law, solved once.
 """
 
 from __future__ import annotations
@@ -56,8 +56,19 @@ class FanGeometry:
             raise ValueError("need 0 <= r0 < R")
         if self.element_count < 16:
             raise ValueError("element_count must be >= 16")
-        if not (self.pulley_ratio > 0.0 and self.air_density > 0.0):
-            raise ValueError("pulley ratio and air density must be positive")
+        if not (self.pulley_ratio > 0.0 and self.air_density > 0.0
+                and 0.0 < self.transmission_eff <= 1.0):
+            raise ValueError("need positive pulley ratio and air density, "
+                             "and 0 < transmission_eff <= 1")
+
+    @functools.cached_property
+    def hover(self):
+        """(duct_ratio*k_T, k_P): ducted thrust over n_fan^2 and absorbed power
+        over n_fan^3, from one operating point solved on first use; the
+        similarity law makes both independent of the reference speed."""
+        n_ref = 100.0  # rev/s
+        op = solve_operating_point(n_ref, self)
+        return duct_ratio(self) * (op.thrust_unducted / n_ref ** 2), op.power / n_ref ** 3
 
     @property
     def s2(self) -> float:
@@ -165,18 +176,6 @@ def duct_ratio(geom: FanGeometry) -> float:
     return 1.26 * (geom.s3 / geom.s2) ** (1.0 / 3.0)
 
 
-@functools.cache
-def _hover_coeffs(geom: FanGeometry):
-    """(k_T, k_P): unducted thrust over n_fan^2 and absorbed power over n_fan^3.
-
-    Computed from one converged operating point; the similarity law makes the
-    ratios independent of the reference speed chosen.
-    """
-    n_ref = 100.0  # rev/s
-    op = solve_operating_point(n_ref, geom)
-    return op.thrust_unducted / n_ref ** 2, op.power / n_ref ** 3
-
-
 def thrust_from_power(p_b: float, geom: FanGeometry):
     """Invert the fan power curve: engine brake power -> (T_DF, n_fan).
 
@@ -185,9 +184,9 @@ def thrust_from_power(p_b: float, geom: FanGeometry):
     """
     if p_b <= 0.0:
         return 0.0, 0.0
-    k_t, k_p = _hover_coeffs(geom)
+    k_thrust, k_p = geom.hover
     n_fan = (p_b * geom.transmission_eff / k_p) ** (1.0 / 3.0)
-    return duct_ratio(geom) * k_t * n_fan * n_fan, n_fan
+    return k_thrust * n_fan * n_fan, n_fan
 
 
 def fan_load_power(n: float, geom: FanGeometry) -> float:
@@ -198,8 +197,7 @@ def fan_load_power(n: float, geom: FanGeometry) -> float:
     """
     if n <= 0.0:
         return 0.0
-    return _hover_coeffs(geom)[1] * (n * geom.pulley_ratio) ** 3 \
-        / geom.transmission_eff
+    return geom.hover[1] * (n * geom.pulley_ratio) ** 3 / geom.transmission_eff
 
 
 def ducted_thrust_at_crank_speed(n: float, geom: FanGeometry) -> float:
@@ -211,7 +209,7 @@ def ducted_thrust_at_crank_speed(n: float, geom: FanGeometry) -> float:
     if n <= 0.0:
         return 0.0
     n_fan = n * geom.pulley_ratio
-    return duct_ratio(geom) * _hover_coeffs(geom)[0] * n_fan * n_fan
+    return geom.hover[0] * n_fan * n_fan
 
 
 def thrust_jacobian(q_eng: float, n: float, geom: FanGeometry):

@@ -8,8 +8,8 @@ states, raised the ramp MAE from 8.6-12 % to 46-77 %.  G is one block
 lower-triangular Toeplitz map whose blocks are the step responses, the
 cumulative sums of the Markov parameters C*A^i*B (L. Wang, Model
 Predictive Control System Design and Implementation Using MATLAB, 2009,
-ch. 1-3), placed by one gather through an index that depends on (Nc, N2)
-alone.  Tracking and move terms are scaled per channel by the constraint
+ch. 1-3), placed by one gather through the config's Toeplitz index.
+Tracking and move terms are scaled per channel by the constraint
 spans so the weighting factors compare like with like.  The condensed
 problem is a strictly convex QP in 2*Nc variables: input box limits enter
 as hard linear inequalities handled by Hildreth dual coordinate ascent,
@@ -18,9 +18,9 @@ refinement loop, whose first round has no penalised row and solves the
 plain tracking QP.  A Hessian that is singular in floating point raises
 SingularQpError.  The cost runs over every predicted step, from the
 first on.  Every array that depends on the config alone (channel scales,
-weights, limits, the input-box rows) is built once per config by its
-``layout`` property and shared read-only, so a control step only condenses
-the new model and solves.
+weights, limits, the input-box rows, the Toeplitz index) is built once per
+config by its ``layout`` property and shared read-only, so a control step
+only condenses the new model and solves.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ class HorizonLayout:
     y_hi: np.ndarray
     m_mat: np.ndarray           # cumulative-increment box rows
     gamma_index: np.ndarray     # picks each box row's bound, see MpcConfig.layout
+    toeplitz_index: np.ndarray  # gathers the condensed map, see MpcConfig.layout
 
     def gamma(self, u_prev: np.ndarray) -> np.ndarray:
         """Right-hand side of the box rows ``m_mat @ du <= gamma`` at ``u_prev``."""
@@ -107,6 +108,10 @@ class MpcConfig:
         lower) pairs per step and channel, the order Hildreth's sweep visits
         them; ``gamma_index`` picks that order out of [ub - u_prev,
         u_prev - lb], and the rows of ``m_mat`` follow it.
+
+        ``toeplitz_index`` gathers the (2*n2, 2*nc) condensed map from the
+        (n2+1, 2, 2) stack [0, S(0), ..., S(n2-1)]: entry (2j+r, 2k+s) picks
+        S(j-k)[r, s] on and below the block diagonal, the zero block above.
         """
         nc, n2 = self.nc, self.n2
         output_scale = np.array([
@@ -117,6 +122,8 @@ class MpcConfig:
         w_y = np.tile(output_scale, n2)
         pair_order = np.array([0, 2, 1, 3])
         signs = np.vstack([np.eye(2), -np.eye(2)])[pair_order]
+        lag = np.arange(n2)[:, None, None, None] - np.arange(nc)[None, None, :, None]
+        flat = 4 * (lag + 1) + 2 * np.arange(2)[None, :, None, None] + np.arange(2)
         arrays = dict(
             y_index=np.tile([0, 1], n2),
             output_scale=output_scale,
@@ -129,7 +136,8 @@ class MpcConfig:
             y_lo=np.tile([self.thrust_bounds[0], self.lambda_bounds[0]], n2),
             y_hi=np.tile([self.thrust_bounds[1], self.lambda_bounds[1]], n2),
             m_mat=np.kron(np.tril(np.ones((nc, nc))), signs),
-            gamma_index=np.tile(pair_order, nc))
+            gamma_index=np.tile(pair_order, nc),
+            toeplitz_index=np.where(lag >= 0, flat, 0).reshape(2 * n2, 2 * nc))
         for arr in arrays.values():
             arr.flags.writeable = False
         return HorizonLayout(**arrays)
@@ -154,34 +162,22 @@ class HorizonSolution:
     capped: bool
 
 
-@functools.cache
-def _toeplitz_index(nc: int, n2: int) -> np.ndarray:
-    """Read-only flat indices into [0, S(0), ..., S(n2-1)], an (n2+1, 2, 2)
-    stack, that gather the (2*n2, 2*nc) map: entry (2j+r, 2k+s) picks
-    S(j-k)[r, s] on and below the block diagonal, the zero block above."""
-    lag = np.arange(n2)[:, None, None, None] - np.arange(nc)[None, None, :, None]
-    flat = 4 * (lag + 1) + 2 * np.arange(2)[None, :, None, None] + np.arange(2)
-    index = np.where(lag >= 0, flat, 0).reshape(2 * n2, 2 * nc)
-    index.flags.writeable = False
-    return index
-
-
-def condensed_map(lpv: LpvModel, nc: int, n2: int) -> np.ndarray:
+def condensed_map(lpv: LpvModel, config: MpcConfig) -> np.ndarray:
     """(2*n2, 2*nc) map from stacked increments to stacked output deviations.
 
     An increment applied at step k and held from then on moves the output
     j >= k steps later by the step response S(j-k) = sum_{i<=j-k} C A^i B,
     so block (j, k) of the map is S(j-k) and the blocks above the diagonal
-    are zero: one gather through ``_toeplitz_index`` places every block.
-    Requires nc <= n2.
+    are zero, every block placed by one gather through ``layout.toeplitz_index``.
     """
+    n2 = config.n2
     a_pow_b = np.empty((n2, 3, 2))
     a_pow_b[0] = lpv.b
     for i in range(1, n2):
         np.matmul(lpv.a, a_pow_b[i - 1], out=a_pow_b[i])
     steps = np.zeros((n2 + 1, 2, 2))
     np.add.accumulate(lpv.c @ a_pow_b, axis=0, out=steps[1:])
-    return steps.ravel()[_toeplitz_index(nc, n2)]
+    return steps.ravel()[config.layout.toeplitz_index]
 
 
 def cost(config: MpcConfig, refs: np.ndarray, predicted: np.ndarray,
@@ -266,7 +262,7 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     q_diag, r_mat, rho = layout.q_diag, layout.r_mat, layout.rho
     y_lo, y_hi, m_mat = layout.y_lo, layout.y_hi, layout.m_mat
 
-    g = condensed_map(lpv, nc, n2)
+    g = condensed_map(lpv, config)
     y0_s = y0[layout.y_index]
     ref_s = refs[:n2].ravel()
     gamma = layout.gamma(u_prev)

@@ -315,19 +315,23 @@ def compare_models(dataset: Dataset, mlp: MlpModel, elman: ElmanModel,
                    rbf: RbfModel) -> ModelComparison:
     """Score the three trained models on the same validation data.
 
-    Validation targets are the clean plant outputs; proportional error is the
-    signed per-sample percentage deviation.
+    Each model scales inputs and outputs by its own ``stats``, the ones it
+    was trained under.  Validation targets are the clean plant outputs;
+    proportional error is the signed per-sample percentage deviation.
     """
-    stats = dataset.stats
-    val_in = normalize(dataset.val_inputs, stats.in_min, stats.in_max)
+    models = {"mlp": mlp, "elman": elman, "rbf": rbf}
     val_targets = dataset.val_targets
 
-    train_in = normalize(dataset.train_inputs, stats.in_min, stats.in_max)
-    context = elman_sequence_outputs(elman, train_in)[1]
-    outs = {"mlp": mlp_forward(mlp, val_in)[0],
-            "elman": elman_sequence_outputs(elman, val_in, context)[0],
-            "rbf": rbf_forward(rbf, val_in)}
-    preds = {name: denormalize(out, stats.out_min, stats.out_max)
+    def scaled(model, inputs):
+        return normalize(inputs, model.stats.in_min, model.stats.in_max)
+
+    context = elman_sequence_outputs(elman, scaled(elman, dataset.train_inputs))[1]
+    outs = {"mlp": mlp_forward(mlp, scaled(mlp, dataset.val_inputs))[0],
+            "elman": elman_sequence_outputs(
+                elman, scaled(elman, dataset.val_inputs), context)[0],
+            "rbf": rbf_forward(rbf, scaled(rbf, dataset.val_inputs))}
+    preds = {name: denormalize(out, models[name].stats.out_min,
+                               models[name].stats.out_max)
              for name, out in outs.items()}
     table = {name: mape(pred, val_targets) for name, pred in preds.items()}
     pe = {name: (pred - val_targets) / np.abs(val_targets) * 100.0

@@ -60,6 +60,12 @@ class ScenarioConfig:
             raise ValueError("scenario seed must be non-negative")
         if not self.init_m_fi > 0:
             raise ValueError("init_m_fi must be positive")
+        # the metrics divide by each reference level
+        for name in ("thrust_idle", "thrust_hover", "lam_rich", "lam_eff"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be finite and non-negative")
 
     def thrust_reference(self) -> np.ndarray:
         """Per-step thrust reference in newtons."""
@@ -143,8 +149,9 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
     if controller != "open-loop" and rbf is None:
         raise ValueError("a trained RBF model is required for closed-loop runs")
 
-    t_ref = scenario.thrust_reference()
-    l_ref = scenario.lambda_reference()
+    # row k holds step k's [thrust, lambda]; n2 copies of the last fill the preview
+    refs = np.stack([scenario.thrust_reference(), scenario.lambda_reference()], axis=1)
+    refs = np.concatenate([refs, refs[-1:].repeat(mpc.n2, axis=0)])
     rng = np.random.default_rng(scenario.seed)
     out_noise = scenario.noise_std * np.array([
         mpc.thrust_bounds[1] - mpc.thrust_bounds[0],
@@ -171,10 +178,7 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
                            state.n + eps_x[1] * state_noise[1],
                            y_meas[1]])
         meas = Measurement(state=x_meas, output=y_meas)
-        idx = np.minimum(np.arange(k + 1, k + 1 + mpc.n2), scenario.steps - 1)
-        refs = np.stack([t_ref[idx], l_ref[idx]], axis=1)
-
-        u_cmd, sol, lpv = step(meas, refs, u_prev, t_now)
+        u_cmd, sol, lpv = step(meas, refs[k + 1:k + 1 + mpc.n2], u_prev, t_now)
         if lpv is not None and lpv_trace is not None:
             lpv_trace.append(lpv)
         cost_val, iters = (0.0, 0) if sol is None else (sol.cost, sol.iterations)
@@ -189,7 +193,7 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
                                      records) from exc
         u_prev = np.array([u_cmd.tps, u_cmd.m_fi])
         records.append(TrajectoryRecord(
-            step=k, time=t_now, thrust_ref=t_ref[k] / KGF, lam_ref=l_ref[k],
+            step=k, time=t_now, thrust_ref=refs[k, 0] / KGF, lam_ref=refs[k, 1],
             thrust_true=thrust_true / KGF, lam_true=y_true[1],
             thrust_meas=y_meas[0] / KGF, lam_meas=y_meas[1],
             tps=u_cmd.tps, m_fi=u_cmd.m_fi, q_eng=state.q_eng, n=state.n,

@@ -4,11 +4,13 @@ The closed-form power map and Jacobian are checked against the iterative
 ``solve_operating_point`` and a bisection over it, the route they replace.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import dflsim.fan
 from dflsim.fan import (FanGeometry, _element_loads, duct_ratio,
                         ducted_thrust_at_crank_speed, fan_load_power,
                         fan_power, solve_operating_point, thrust_from_power,
@@ -169,6 +171,50 @@ class TestHoverSimilarityLaw:
         t_ref, n_ref = _oracle_thrust_from_power(p_b, G)
         assert n_fan == pytest.approx(n_ref, rel=1e-12, abs=0.0)
         assert t_df == pytest.approx(t_ref, rel=1e-12, abs=0.0)
+
+
+class TestHoverCoefficients:
+    """``FanGeometry.hover`` is solved once per geometry object, on first use."""
+
+    def test_solved_once_per_instance(self, monkeypatch):
+        calls = []
+
+        def counting(n_fan, geom):
+            calls.append(geom)
+            return solve_operating_point(n_fan, geom)
+
+        monkeypatch.setattr(dflsim.fan, "solve_operating_point", counting)
+        geom = FanGeometry()
+        for n in (20.0, 90.0):
+            ducted_thrust_at_crank_speed(n, geom)
+            fan_load_power(n, geom)
+            thrust_from_power(n * 100.0, geom)
+            thrust_jacobian(15.0, n, geom)
+        assert calls == [geom]
+        geared = dataclasses.replace(geom, pulley_ratio=1.3)
+        assert geared.hover == geom.hover
+        assert calls == [geom, geared] and calls[1] is geared
+
+    @pytest.mark.parametrize("geom", [
+        G, FanGeometry(outlet_area_ratio=1.4, pulley_ratio=1.3,
+                       transmission_eff=0.9)], ids=["stock", "reshaped"])
+    def test_equals_oracle_product_bit_for_bit(self, geom):
+        # duct_ratio*k_T*n*n multiplies the first two factors first, so
+        # storing their product keeps every output bit
+        op = solve_operating_point(100.0, geom)
+        k_t, k_p = op.thrust_unducted / 100.0 ** 2, op.power / 100.0 ** 3
+        assert dataclasses.replace(geom).hover == (duct_ratio(geom) * k_t, k_p)
+        for n in (5.0, 37.0, 90.0, 140.0):
+            n_fan = n * geom.pulley_ratio
+            assert ducted_thrust_at_crank_speed(n, geom) \
+                == duct_ratio(geom) * k_t * n_fan * n_fan
+            assert fan_load_power(n, geom) \
+                == k_p * n_fan ** 3 / geom.transmission_eff
+
+    def test_not_a_field(self):
+        assert "hover" not in {f.name for f in dataclasses.fields(FanGeometry)}
+        fresh = FanGeometry()
+        assert G.hover and fresh == G and hash(fresh) == hash(G)
 
 
 class TestThrustFromPower:

@@ -52,7 +52,7 @@ def simulate_horizon(lpv, y0, du_seq, n2):
 def predict(lpv, y0, du_seq, n2):
     """Absolute predictions y0 + G*du over n2 steps, G from ``condensed_map``."""
     du_seq = np.atleast_2d(du_seq)
-    g = condensed_map(lpv, len(du_seq), n2)
+    g = condensed_map(lpv, MpcConfig(n2=n2, nc=len(du_seq)))
     return np.asarray(y0, dtype=float) + (g @ du_seq.ravel()).reshape(n2, 2)
 
 
@@ -223,7 +223,7 @@ class TestCondensedMap:
     def test_columns_match_step_simulation(self, nc, n2):
         for seed in range(5):
             lpv = toy_lpv(seed)
-            g = condensed_map(lpv, nc, n2)
+            g = condensed_map(lpv, MpcConfig(n2=n2, nc=nc))
             assert g.shape == (2 * n2, 2 * nc)
             for col in range(2 * nc):
                 du = np.zeros((nc, 2))
@@ -249,7 +249,7 @@ class TestCondensedMapOracle:
 
     def test_stock_episode_models(self, stock_qps):
         for lpv, *_ in stock_qps:
-            assert condensed_map(lpv, CFG.nc, CFG.n2).tobytes() \
+            assert condensed_map(lpv, CFG).tobytes() \
                 == oracle_condensed_map(lpv, CFG.nc, CFG.n2).tobytes()
 
     @pytest.mark.parametrize("nc", [1, 2, 3, 4])
@@ -261,7 +261,7 @@ class TestCondensedMapOracle:
                                b=rng.normal(size=(3, 2)) * 10.0 ** rng.uniform(-3, 3),
                                c=rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-1, 3),
                                d=np.zeros((2, 2)), x0=np.zeros(3), u0=np.zeros(2))
-                assert condensed_map(lpv, nc, n2).tobytes() \
+                assert condensed_map(lpv, MpcConfig(n2=n2, nc=nc)).tobytes() \
                     == oracle_condensed_map(lpv, nc, n2).tobytes()
 
 
@@ -373,7 +373,7 @@ class TestSolveQp:
             refs = np.tile(y0 + np.array([3.0, 0.002]), (cfg.n2, 1))
             sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, cfg)
 
-            g = condensed_map(lpv, cfg.nc, cfg.n2)
+            g = condensed_map(lpv, cfg)
             w_y = np.tile(cfg.layout.output_scale, cfg.n2)
             q = cfg.eps * w_y ** 2
             r = cfg.xi * np.tile(cfg.layout.input_scale, cfg.nc) ** 2
@@ -482,7 +482,7 @@ def old_box_constraints(config, u_prev):
 class TestHorizonLayout:
     def test_arrays_are_read_only(self):
         arrays = [v for v in vars(CFG.layout).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 12
+        assert len(arrays) == 13
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[...] = 0

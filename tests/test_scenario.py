@@ -146,6 +146,25 @@ class TestControllerPath:
         assert calls == [k * SHORT.dt for k in range(SHORT.steps)]
         assert wrapped == plain
 
+    def test_reference_windows_hold_the_last_step(self, trained_rbf, monkeypatch):
+        # step k previews steps k+1..k+n2, each clamped to the last step
+        scen = ScenarioConfig(steps=12, ramp_start=2, ramp_end=7, lam_step_at=9)
+        cfg = MpcConfig()
+        windows = []
+
+        def recording(meas, refs, *args, **kwargs):
+            windows.append(np.array(refs))
+            return mpc.ampc_step(meas, refs, *args, **kwargs)
+
+        monkeypatch.setattr(scenario, "ampc_step", recording)
+        run_scenario(P, G, cfg, scen, rbf=trained_rbf)
+        t_ref, l_ref = scen.thrust_reference(), scen.lambda_reference()
+        assert len(windows) == scen.steps
+        for k, refs in enumerate(windows):
+            idx = np.minimum(np.arange(k + 1, k + 1 + cfg.n2), scen.steps - 1)
+            assert refs.tobytes() == \
+                np.stack([t_ref[idx], l_ref[idx]], axis=1).tobytes()
+
     @pytest.mark.parametrize("controller", CONTROLLER_KINDS)
     def test_lpv_trace_and_solver_fields(self, trained_rbf, controller):
         trace = []
@@ -419,6 +438,32 @@ class TestCli:
         with open(trained / "mape_report.json") as fh:
             assert json.load(fh) == {m: [float(v) for v in vals]
                                      for m, vals in scored.mape_table.items()}
+
+    def test_compare_models_scales_by_each_models_own_stats(self, tmp_path):
+        # models trained on one dataset, scored on another whose STATS differ
+        ini = tmp_path / "tiny.ini"
+        ini.write_text("[training]\nsample_count = 300\nn_train = 285\n"
+                       "seed = 11\nmlp_epochs = 5\nelman_epochs = 2\n")
+        out, other = tmp_path / "out", tmp_path / "other"
+        for argv in (["gen-data"], ["train", "--model", "rbf"],
+                     ["train", "--model", "mlp"], ["train", "--model", "elman"]):
+            assert cli_main(argv + ["--config", str(ini), "--out", str(out)]) == 0
+        assert cli_main(["gen-data", "--config", str(ini), "--seed", "12",
+                         "--out", str(other)]) == 0
+        assert cli_main(["compare-models", "--config", str(ini), "--out", str(out),
+                         "--data", str(other / "dataset.csv")]) == 0
+        with open(out / "mape_report.json") as fh:
+            reported = json.load(fh)["rbf"]
+        ds = load_dataset_csv(other / "dataset.csv", n_train=285)
+        model = load_rbf(out / "rbf_model.txt")
+
+        def rbf_mape(st):
+            val_in = normalize(ds.val_inputs, st.in_min, st.in_max)
+            pred = np.array([rbf_forward(model, p) for p in val_in])
+            return mape(denormalize(pred, st.out_min, st.out_max), ds.val_targets)
+
+        assert np.allclose(reported, rbf_mape(model.stats), rtol=1e-12, atol=0.0)
+        assert not np.allclose(reported, rbf_mape(ds.stats), rtol=1e-6, atol=0.0)
 
     def test_compare_models_on_model_of_the_wrong_kind_exit_code(
             self, small_ini, rbf_stage, tmp_path, capsys):
@@ -706,10 +751,25 @@ class TestCli:
         ("plant", "ambient_temp = 0"),
         ("plant", "gas_constant = 0"),
         ("plant", "manifold_volume = 0"),
+        ("plant", "manifold_temp = 0"),
+        ("plant", "eta_speed_ref = 0"),
         ("fan", "air_density = 0"),
+        ("fan", "transmission_eff = 0"),
+        # an efficiency above one would make the belt a power source
+        ("fan", "transmission_eff = 1.5"),
+        # the metrics divide by each reference level
+        ("scenario", "lam_rich = 0"),
+        ("scenario", "lam_eff = -1"),
+        ("scenario", "thrust_idle = 0"),
+        ("scenario", "thrust_hover = inf"),
+        # the noise scales the measurement, so it must be a finite magnitude
+        ("scenario", "noise_std = nan"),
+        ("scenario", "noise_std = -0.01"),
+        # solved from the geometry, not read from the file
+        ("fan", "hover = 1"),
     ])
     def test_parameter_the_models_divide_by_exit_code(self, tmp_path, section, key):
-        # the air path and the fan divide by each of these, and by gamma - 1
+        # the plant and the fan divide by each of these, and by gamma - 1
         bad = tmp_path / "bad.ini"
         bad.write_text(f"[{section}]\n{key}\n")
         assert cli_main(["simulate", "--controller", "open-loop", "--config",
