@@ -8,8 +8,8 @@ stage reads the files the stage before it wrote and never remakes them.
 or command-line error (an ``--out`` that names or lies under a file fails
 before any work), 3 plant stall, 4 any other RuntimeError (a singular condensed QP,
 diverged training, a plant substep too coarse to integrate), 5 a data,
-model or trajectory file that is missing, cannot be read or that its
-reader cannot parse.
+model or trajectory file that is missing, cannot be read, that its
+reader cannot parse or that holds a cell that is not a finite number.
 """
 
 from __future__ import annotations
@@ -163,15 +163,16 @@ def cmd_check_jacobian(args) -> int:
     rng = np.random.default_rng(bundle.training.seed)
     step = 1e-5
     dp = step * np.eye(4)       # one central difference per input column
-    worst = 0.0
+    errors = []
     for _ in range(args.points):
         p = rng.uniform(-1.0, 1.0, 4)
         jac = assoc_jacobian(rbf, p)
         fd = (rbf_forward(rbf, p + dp) - rbf_forward(rbf, p - dp)).T / (2 * step)
         denom = max(float(np.max(np.abs(fd))), 1e-12)
-        worst = max(worst, float(np.max(np.abs(jac - fd))) / denom)
+        errors.append(float(np.max(np.abs(jac - fd))) / denom)
+    worst = float(np.max(errors))       # nan if any error is nan
     print(f"max relative Jacobian error over {args.points} points: {worst:.3e}")
-    if worst > 1e-6:
+    if not worst <= 1e-6:
         print("FAIL: analytic Jacobian deviates from finite differences",
               file=sys.stderr)
         return 1

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import NormStats
 from .fan import FanGeometry, thrust_jacobian
 from .networks import RbfModel
 
@@ -45,20 +44,9 @@ def assoc_jacobian(rbf: RbfModel, p: np.ndarray) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     diff = p - rbf.centers                                   # (J, 4)
-    phi = np.exp(-(diff * diff).sum(axis=1) / rbf.radii ** 2)
-    stack = (phi * (-2.0 / rbf.radii ** 2))[:, None] * diff  # (J, 4)
+    phi = np.exp(-(diff * diff).sum(axis=1) / rbf.radii_sq)
+    stack = (phi * rbf.phi_slope)[:, None] * diff            # (J, 4)
     return rbf.lw @ stack                                    # (3, 4)
-
-
-def rescale_jacobian(j_norm: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Chain-rule a normalized-space Jacobian into physical units.
-
-    Outputs stretch by half their column range, inputs shrink by theirs
-    (both normalization maps are affine, so this is exact).
-    """
-    out_scale = 0.5 * (stats.out_max - stats.out_min)        # dy_phys/dy_norm
-    in_scale = 2.0 / (stats.in_max - stats.in_min)           # dp_norm/dx_phys
-    return j_norm * out_scale[:, None] * in_scale[None, :]
 
 
 def build_lpv(rbf: RbfModel, geom: FanGeometry, x0: np.ndarray,
@@ -67,26 +55,26 @@ def build_lpv(rbf: RbfModel, geom: FanGeometry, x0: np.ndarray,
 
     The network input order is [tps, m_fi, n, lambda]; its Jacobian columns
     split into the B matrix (input pair) and A columns 2..3 (speed and
-    lambda), with A's torque column pinned to zero.  C's thrust row is the
-    fan map's closed-form sensitivities at (Q_eng, n).
+    lambda), with A's torque column pinned to zero.  The Jacobian reaches
+    physical units by the chain rule through both normalization maps:
+    outputs stretch by half their span, inputs shrink by theirs (both maps
+    are affine, so this is exact).  C's thrust row is the fan map's
+    closed-form sensitivities at (Q_eng, n).
     """
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
-
-    p_phys = np.array([u0[0], u0[1], x0[1], x0[2]])
-    p_norm = 2.0 * (p_phys - rbf.stats.in_min) / (rbf.stats.in_max
-                                                  - rbf.stats.in_min) - 1.0
-    j_phys = rescale_jacobian(assoc_jacobian(rbf, p_norm), rbf.stats)
+    q_eng, n, lam = x0.tolist()
+    p_phys = (*u0.tolist(), n, lam)
+    p_norm = np.array([2.0 * (v - low) / span - 1.0
+                       for v, low, span in zip(p_phys, rbf.in_low, rbf.in_span)])
+    j_phys = assoc_jacobian(rbf, p_norm) * rbf.out_scale * rbf.in_scale
 
     a = np.zeros((3, 3))
     a[:, 1:] = j_phys[:, 2:]    # d(next state)/d[n, lambda]
     b = j_phys[:, :2].copy()    # d(next state)/d[tps, m_fi]
 
-    dt_dq, dt_dn = thrust_jacobian(x0[0], x0[1], geom)
-    c = np.zeros((2, 3))
-    c[0, 0] = dt_dq
-    c[0, 1] = dt_dn
-    c[1, 2] = 1.0
+    dt_dq, dt_dn = thrust_jacobian(q_eng, n, geom)
+    c = np.array([[dt_dq, dt_dn, 0.0], [0.0, 0.0, 1.0]])
     return LpvModel(a=a, b=b, c=c, d=np.zeros((2, 2)), x0=x0, u0=u0, t=t)
 
 

@@ -50,6 +50,8 @@ class HorizonLayout:
     y_index: np.ndarray         # y0[y_index] stacks the measured output over N2
     output_scale: np.ndarray    # 1/span for [thrust, lambda]
     input_scale: np.ndarray     # 1/span for [tps, m_fi]
+    w_y: np.ndarray             # output_scale per stacked output row
+    w_u: np.ndarray             # input_scale per stacked increment
     u_lower: np.ndarray
     u_upper: np.ndarray
     q_diag: np.ndarray          # tracking weight per stacked row
@@ -57,6 +59,9 @@ class HorizonLayout:
     rho: np.ndarray             # soft output-limit weight per stacked row
     y_lo: np.ndarray
     y_hi: np.ndarray
+    y_lo_hit: np.ndarray        # y_lo - 1e-12: a predicted row below it crosses
+    y_hi_hit: np.ndarray        # y_hi + 1e-12: a predicted row above it crosses
+    no_rows: np.ndarray         # all False, one per stacked output row
     m_mat: np.ndarray           # cumulative-increment box rows
     gamma_index: np.ndarray     # picks each box row's bound, see MpcConfig.layout
     toeplitz_index: np.ndarray  # gathers the condensed map, see MpcConfig.layout
@@ -120,6 +125,9 @@ class MpcConfig:
         input_scale = np.array([1.0 / (self.tps_bounds[1] - self.tps_bounds[0]),
                                 1.0 / (self.mf_bounds[1] - self.mf_bounds[0])])
         w_y = np.tile(output_scale, n2)
+        w_u = np.tile(input_scale, nc)
+        y_lo = np.tile([self.thrust_bounds[0], self.lambda_bounds[0]], n2)
+        y_hi = np.tile([self.thrust_bounds[1], self.lambda_bounds[1]], n2)
         pair_order = np.array([0, 2, 1, 3])
         signs = np.vstack([np.eye(2), -np.eye(2)])[pair_order]
         lag = np.arange(n2)[:, None, None, None] - np.arange(nc)[None, None, :, None]
@@ -128,13 +136,18 @@ class MpcConfig:
             y_index=np.tile([0, 1], n2),
             output_scale=output_scale,
             input_scale=input_scale,
+            w_y=w_y,
+            w_u=w_u,
             u_lower=np.array([self.tps_bounds[0], self.mf_bounds[0]]),
             u_upper=np.array([self.tps_bounds[1], self.mf_bounds[1]]),
             q_diag=self.eps * w_y ** 2,
-            r_mat=np.diag(self.xi * np.tile(input_scale, nc) ** 2),
+            r_mat=np.diag(self.xi * w_u ** 2),
             rho=self.soft_weight * self.eps * w_y ** 2,
-            y_lo=np.tile([self.thrust_bounds[0], self.lambda_bounds[0]], n2),
-            y_hi=np.tile([self.thrust_bounds[1], self.lambda_bounds[1]], n2),
+            y_lo=y_lo,
+            y_hi=y_hi,
+            y_lo_hit=y_lo - 1e-12,
+            y_hi_hit=y_hi + 1e-12,
+            no_rows=np.zeros(2 * n2, dtype=bool),
             m_mat=np.kron(np.tril(np.ones((nc, nc))), signs),
             gamma_index=np.tile(pair_order, nc),
             toeplitz_index=np.where(lag >= 0, flat, 0).reshape(2 * n2, 2 * nc))
@@ -171,10 +184,11 @@ def condensed_map(lpv: LpvModel, config: MpcConfig) -> np.ndarray:
     are zero, every block placed by one gather through ``layout.toeplitz_index``.
     """
     n2 = config.n2
-    a_pow_b = np.empty((n2, 3, 2))
-    a_pow_b[0] = lpv.b
-    for i in range(1, n2):
-        np.matmul(lpv.a, a_pow_b[i - 1], out=a_pow_b[i])
+    x = lpv.b
+    a_pow_b = [x]
+    for _ in range(1, n2):
+        x = lpv.a.dot(x)    # the BLAS gemm call of ``@``, dispatched in fewer steps
+        a_pow_b.append(x)
     steps = np.zeros((n2 + 1, 2, 2))
     np.add.accumulate(lpv.c @ a_pow_b, axis=0, out=steps[1:])
     return steps.ravel()[config.layout.toeplitz_index]
@@ -183,11 +197,11 @@ def condensed_map(lpv: LpvModel, config: MpcConfig) -> np.ndarray:
 def cost(config: MpcConfig, refs: np.ndarray, predicted: np.ndarray,
          du_seq: np.ndarray) -> float:
     """Tracking-plus-move objective over the horizon (span-scaled channels)
-    of the first N2 rows of ``refs`` against the (N2, 2) ``predicted`` trail,
-    and (Nc, 2) ``du_seq``."""
+    of the N2 ``refs`` against the N2 ``predicted`` outputs and the Nc
+    increments ``du_seq``, each an array of (rows, 2) or stacked into one row."""
     layout = config.layout
-    err = (refs[:config.n2] - predicted) * layout.output_scale
-    moves = du_seq[:config.nc] * layout.input_scale
+    err = (refs - predicted).ravel() * layout.w_y
+    moves = du_seq.ravel() * layout.w_u
     return float(config.eps * (err ** 2).sum() + config.xi * (moves ** 2).sum())
 
 
@@ -214,8 +228,9 @@ def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, m_mat: np.ndarray,
     z_free = -e_inv @ f_vec
     slack = m_mat @ z_free - gamma
     n_con = len(gamma)
-    if (slack <= tol).all():
-        return z_free, np.zeros(n_con), 0, float(max(slack.max(), 0.0)), False
+    worst = slack.max()
+    if worst <= tol:
+        return z_free, np.zeros(n_con), 0, float(max(worst, 0.0)), False
 
     p_mat = m_mat @ e_inv @ m_mat.T
     d_vec = gamma + m_mat @ e_inv @ f_vec
@@ -261,6 +276,7 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     layout = config.layout
     q_diag, r_mat, rho = layout.q_diag, layout.r_mat, layout.rho
     y_lo, y_hi, m_mat = layout.y_lo, layout.y_hi, layout.m_mat
+    y_lo_hit, y_hi_hit = layout.y_lo_hit, layout.y_hi_hit
 
     g = condensed_map(lpv, config)
     y0_s = y0[layout.y_index]
@@ -271,7 +287,7 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     # round, whose pull is exactly zero and whose weight is exactly q_diag
     track = q_diag * (y0_s - ref_s)
     weight, rhs = q_diag, track
-    over = under = np.zeros(len(y0_s), dtype=bool)
+    over = under = layout.no_rows
     soft, iterations, capped = False, 0, False
     for _ in range(3):
         e_mat = 2.0 * (g.T @ (weight[:, None] * g) + r_mat)
@@ -279,28 +295,26 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
         z, _, sweeps, kkt, round_capped = hildreth(e_mat, f_vec, m_mat, gamma)
         iterations, capped = iterations + sweeps, capped or round_capped
         y_pred = y0_s + g @ z
-        hit_over = y_pred > y_hi + 1e-12
-        hit_under = y_pred < y_lo - 1e-12
+        hit_over = y_pred > y_hi_hit
+        hit_under = y_pred < y_lo_hit
         if soft:    # a row already penalised is no new hit
             hit_over &= ~over
             hit_under &= ~under
-        if not (hit_over.any() or hit_under.any()):
+        if not (np.count_nonzero(hit_over) or np.count_nonzero(hit_under)):
             break
         over, under, soft = over | hit_over, under | hit_under, True
         pull = np.where(over, y0_s - y_hi, 0.0) + np.where(under, y0_s - y_lo, 0.0)
         weight = q_diag + rho * over + rho * under
         rhs = track + rho * pull
 
-    du = z.reshape(nc, 2)
-    predicted = y_pred.reshape(n2, 2)
-    total = cost(config, refs, predicted, du)
+    total = cost(config, ref_s, y_pred, z)
     if soft:
         excess = np.where(over, y_pred - y_hi, 0.0) ** 2 \
             + np.where(under, y_pred - y_lo, 0.0) ** 2
         total += float(rho @ excess)
     active = (m_mat @ z - gamma) > -1e-9
-    return HorizonSolution(du=du, predicted=predicted, cost=total,
-                           iterations=iterations,
+    return HorizonSolution(du=z.reshape(nc, 2), predicted=y_pred.reshape(n2, 2),
+                           cost=total, iterations=iterations,
                            kkt_residual=kkt, active=active, capped=capped)
 
 
@@ -309,9 +323,10 @@ def mpc_step(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     """Optimize on ``lpv``: (input to apply, horizon solution).  Only the
     first increment ever reaches the plant, clipped to the input box."""
     solution = solve_qp(lpv, meas, refs, u_prev, config)
-    layout = config.layout
-    u = np.minimum(np.maximum(u_prev + solution.du[0], layout.u_lower), layout.u_upper)
-    return ControlInput(tps=float(u[0]), m_fi=float(u[1])), solution
+    tps, m_fi = (u_prev + solution.du[0]).tolist()
+    (tps_lo, tps_hi), (mf_lo, mf_hi) = config.tps_bounds, config.mf_bounds
+    return ControlInput(tps=min(max(tps, tps_lo), tps_hi),
+                        m_fi=min(max(m_fi, mf_lo), mf_hi)), solution
 
 
 def ampc_step(meas: Measurement, refs: np.ndarray, rbf: RbfModel,

@@ -13,6 +13,7 @@ write and read every trained model as a ``tables`` block file;
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -185,10 +186,50 @@ def elman_sequence_outputs(model: ElmanModel, inputs_norm: np.ndarray,
 
 @dataclass(frozen=True)
 class RbfModel:
+    """Gaussian network; the constants its Jacobian needs at every control
+    step are derived from its fields once, on first use, and kept read-only
+    on this object (``dataclasses.replace`` makes a new one that derives its
+    own)."""
+
     centers: np.ndarray   # (J, 4) in normalized input space
     radii: np.ndarray     # (J,) strictly positive
     lw: np.ndarray        # (3, J)
     stats: NormStats
+
+    @functools.cached_property
+    def radii_sq(self) -> np.ndarray:
+        """s_j^2, the divisor of each squared distance."""
+        return _read_only(self.radii ** 2)
+
+    @functools.cached_property
+    def phi_slope(self) -> np.ndarray:
+        """-2/s_j^2: d phi_j/dp = phi_j * phi_slope_j * (p - c_j)."""
+        return _read_only(-2.0 / self.radii ** 2)
+
+    @functools.cached_property
+    def in_low(self) -> tuple:
+        """Physical input minima, as floats."""
+        return tuple(self.stats.in_min.tolist())
+
+    @functools.cached_property
+    def in_span(self) -> tuple:
+        """Physical input spans max - min, as floats."""
+        return tuple((self.stats.in_max - self.stats.in_min).tolist())
+
+    @functools.cached_property
+    def out_scale(self) -> np.ndarray:
+        """(3, 1) dy_phys/dy_norm, half of each output's span."""
+        return _read_only(0.5 * (self.stats.out_max - self.stats.out_min)[:, None])
+
+    @functools.cached_property
+    def in_scale(self) -> np.ndarray:
+        """(1, 4) dp_norm/dx_phys, two over each input's span."""
+        return _read_only(2.0 / (self.stats.in_max - self.stats.in_min)[None, :])
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _phi_matrix(points: np.ndarray, centers: np.ndarray, radii: np.ndarray):

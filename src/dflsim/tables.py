@@ -5,8 +5,9 @@ is a header line followed by comma-joined rows; a block file is a sequence
 of ``# NAME rows cols`` headers, each followed by its matrix rows.  Integer
 cells are written with ``str`` and every other cell with ``repr(float(v))``,
 which round-trips float64 exactly.  A file that cannot be opened for
-reading (missing, a directory) or does not hold the format its reader
-expects raises ``FileFormatError`` naming the file.
+reading (missing, a directory), does not hold the format its reader
+expects or holds a cell that is not a finite number raises
+``FileFormatError`` naming the file.
 """
 
 from __future__ import annotations
@@ -32,6 +33,17 @@ def _open_to_read(path):
         raise FileFormatError(f"{path}: cannot read ({exc.strerror or exc})") from exc
 
 
+def _finite(path, mat: np.ndarray, where: str = "") -> np.ndarray:
+    """``mat``, or FileFormatError naming the first cell of it (of the block
+    ``where``) that is nan or infinite."""
+    bad = np.argwhere(~np.isfinite(mat))
+    if len(bad):
+        row, col = bad[0]
+        raise FileFormatError(f"{path}: {where}row {row + 1}, column {col + 1} "
+                              f"holds {float(mat[row, col])}, not a finite number")
+    return mat
+
+
 def write_table(path, header: str, rows) -> None:
     """Write ``header`` and one comma-joined line per row of cells."""
     with open(path, "w") as fh:
@@ -44,7 +56,8 @@ def read_table(path, header: str) -> np.ndarray:
     """Read a table written by ``write_table`` as an (rows, columns) float array.
 
     Raises FileFormatError when the file cannot be read, its header line is
-    not ``header`` or a row does not have one number per column.
+    not ``header``, a row does not have one number per column or a cell is
+    not finite.
     """
     with _open_to_read(path) as fh:
         found = fh.readline().rstrip("\n")
@@ -52,9 +65,10 @@ def read_table(path, header: str) -> np.ndarray:
             raise FileFormatError(f"{path}: header {found!r}, expected {header!r}")
         try:
             rows = [[float(cell) for cell in line.split(",")] for line in fh]
-            return np.array(rows).reshape(len(rows), header.count(",") + 1)
+            table = np.array(rows).reshape(len(rows), header.count(",") + 1)
         except ValueError as exc:
             raise FileFormatError(f"{path}: bad row ({exc})") from exc
+    return _finite(path, table)
 
 
 def save_blocks(path, blocks: dict) -> None:
@@ -75,7 +89,8 @@ def load_blocks(path) -> dict:
     """Read a block file back into ``{name: 2-D float array}``.
 
     Raises FileFormatError when the file cannot be read, a block header or
-    one of its rows does not parse, or the file ends inside a block.
+    one of its rows does not parse, a cell is not finite, or the file ends
+    inside a block.
     """
     blocks = {}
     with _open_to_read(path) as fh:
@@ -87,4 +102,6 @@ def load_blocks(path) -> dict:
                     blocks[name] = np.array(mat).reshape(int(rows), int(cols))
         except (ValueError, StopIteration) as exc:
             raise FileFormatError(f"{path}: bad block file ({exc!r})") from exc
+    for name, mat in blocks.items():
+        _finite(path, mat, f"block {name} ")
     return blocks

@@ -1,5 +1,5 @@
-"""Datasets and the stock RBF model that several test modules share, each
-built once per session.
+"""Datasets, the stock RBF model and the stock AMPC episode's QPs that
+several test modules share, each built once per session.
 
 Their arrays are read-only, so a test that wrote into one would fail instead
 of changing what the next test reads.
@@ -7,11 +7,13 @@ of changing what the next test reads.
 
 import pytest
 
+import dflsim.mpc as mpc
 from dflsim.config import load_bundle
 from dflsim.dataset import TrainingConfig, generate_dataset
 from dflsim.engine import EngineParams
 from dflsim.fan import FanGeometry
 from dflsim.networks import train_rbf
+from dflsim.scenario import run_scenario
 
 
 def _read_only(ds):
@@ -46,3 +48,23 @@ def stock_rbf(stock_dataset):
     for arr in (rbf.centers, rbf.radii, rbf.lw):
         arr.flags.writeable = False
     return rbf
+
+
+@pytest.fixture(scope="session")
+def stock_qps(stock_rbf):
+    """(lpv, meas, refs, u_prev, solution) of every step of the stock AMPC
+    episode, as ``simulate --controller ampc`` runs it."""
+    bundle = load_bundle(None)
+    qps = []
+    solve_qp = mpc.solve_qp
+
+    def recording(*args):
+        qps.append((*args[:4], solve_qp(*args)))
+        return qps[-1][-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpc, "solve_qp", recording)
+        run_scenario(bundle.plant, bundle.fan, bundle.mpc, bundle.scenario,
+                     controller="ampc", rbf=stock_rbf)
+    assert len(qps) == bundle.scenario.steps
+    return qps

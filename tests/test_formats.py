@@ -120,3 +120,19 @@ def test_bad_file_raises_file_format_error_naming_it(tmp_path, name, text,
     path.write_text(text)
     with pytest.raises(FileFormatError, match=name):
         load(path)
+
+
+@pytest.mark.parametrize("name, text, load, cell", [
+    ("dataset.csv", DATASET_TEXT.replace("37.5,", "nan,"), load_dataset,
+     "row 1, column 3 holds nan"),
+    ("trajectory.csv", TRAJECTORY_TEXT.replace("1234.5", "inf"),
+     load_trajectory_csv, "row 2, column 13 holds inf"),
+    ("rbf_model.txt", "# CENTERS 1 4\n1.0 2.0 3.0 4.0\n# LW 2 2\n1.0 2.0\n"
+     "3.0 -inf\n", load_blocks, "block LW row 2, column 2 holds -inf"),
+])
+def test_non_finite_cell_raises_file_format_error_naming_it(tmp_path, name, text,
+                                                            load, cell):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match=f"{name}: {cell}, not a finite"):
+        load(path)

@@ -1,13 +1,15 @@
 """Derivative network and LPV assembly."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from dflsim.config import load_bundle
 from dflsim.dataset import NormStats, TrainingConfig
-from dflsim.fan import FanGeometry
-from dflsim.lpv import (LPV_CSV_HEADER, assoc_jacobian, build_lpv,
-                        lpv_csv_row, rescale_jacobian)
+from dflsim.fan import FanGeometry, thrust_jacobian
+from dflsim.lpv import (LPV_CSV_HEADER, LpvModel, assoc_jacobian, build_lpv,
+                        lpv_csv_row)
 from dflsim.networks import RbfModel, rbf_forward, train_rbf
 from dflsim.scenario import run_scenario
 
@@ -26,6 +28,50 @@ def random_rbf(seed=0, centers=12):
 @pytest.fixture(scope="module")
 def trained_rbf(seed19_dataset):
     return train_rbf(seed19_dataset, TrainingConfig())
+
+
+def rescale_jacobian(j_norm, stats):
+    """A normalized-space Jacobian in physical units, the scales derived
+    from ``stats`` on every call."""
+    out_scale = 0.5 * (stats.out_max - stats.out_min)        # dy_phys/dy_norm
+    in_scale = 2.0 / (stats.in_max - stats.in_min)           # dp_norm/dx_phys
+    return j_norm * out_scale[:, None] * in_scale[None, :]
+
+
+def oracle_assoc_jacobian(rbf, p):
+    """``assoc_jacobian`` with every radius term derived on every call."""
+    diff = p - rbf.centers
+    phi = np.exp(-(diff * diff).sum(axis=1) / rbf.radii ** 2)
+    stack = (phi * (-2.0 / rbf.radii ** 2))[:, None] * diff
+    return rbf.lw @ stack
+
+
+def oracle_build_lpv(rbf, geom, x0, u0, t=0.0):
+    """``build_lpv`` with nothing cached on the model: the operating point
+    normalized with array arithmetic, the Jacobian rescaled by
+    ``rescale_jacobian``, the fan sensitivities taken at numpy scalars and C
+    written entry by entry into zeros."""
+    x0 = np.asarray(x0, dtype=float)
+    u0 = np.asarray(u0, dtype=float)
+    p_phys = np.array([u0[0], u0[1], x0[1], x0[2]])
+    p_norm = 2.0 * (p_phys - rbf.stats.in_min) / (rbf.stats.in_max
+                                                  - rbf.stats.in_min) - 1.0
+    j_phys = rescale_jacobian(oracle_assoc_jacobian(rbf, p_norm), rbf.stats)
+    a = np.zeros((3, 3))
+    a[:, 1:] = j_phys[:, 2:]
+    b = j_phys[:, :2].copy()
+    dt_dq, dt_dn = thrust_jacobian(x0[0], x0[1], geom)
+    c = np.zeros((2, 3))
+    c[0, 0] = dt_dq
+    c[0, 1] = dt_dn
+    c[1, 2] = 1.0
+    return LpvModel(a=a, b=b, c=c, d=np.zeros((2, 2)), x0=x0, u0=u0, t=t)
+
+
+def lpv_bytes(lpv):
+    """Every field of an ``LpvModel``: each array's shape, dtype and bytes."""
+    return [(f.name, np.shape(v), np.asarray(v).dtype, np.asarray(v).tobytes())
+            for f in fields(lpv) for v in [getattr(lpv, f.name)]]
 
 
 def fd_jacobian(model, p, step=1e-5):
@@ -82,19 +128,32 @@ class TestAssocJacobian:
         assert np.max(np.abs(assoc_jacobian(m, far))) < 1e-10 * peak
 
 
+def model_scales(stats):
+    """The chain-rule scales (output column, input row) an RBF model under
+    ``stats`` caches for ``build_lpv``."""
+    rbf = RbfModel(centers=np.zeros((1, 4)), radii=np.ones(1),
+                   lw=np.zeros((3, 1)), stats=stats)
+    return rbf.out_scale, rbf.in_scale
+
+
 class TestRescaleJacobian:
+    """The cached scales carry a normalized-space Jacobian into physical
+    units by the chain rule."""
+
     def test_identity_stats_unchanged(self):
         stats = NormStats(in_min=-np.ones(4), in_max=np.ones(4),
                           out_min=-np.ones(3), out_max=np.ones(3))
         j = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(rescale_jacobian(j, stats), j)
+        out_scale, in_scale = model_scales(stats)
+        assert np.array_equal(j * out_scale * in_scale, j)
 
     def test_input_scaling_divides_columns(self):
         k = 4.0
         stats = NormStats(in_min=-k * np.ones(4) / 2, in_max=k * np.ones(4) / 2,
                           out_min=-np.ones(3), out_max=np.ones(3))
         j = np.ones((3, 4))
-        assert np.allclose(rescale_jacobian(j, stats), np.ones((3, 4)) * 2 / k,
+        out_scale, in_scale = model_scales(stats)
+        assert np.allclose(j * out_scale * in_scale, np.ones((3, 4)) * 2 / k,
                            rtol=1e-14)
 
     def test_round_trip(self):
@@ -104,11 +163,49 @@ class TestRescaleJacobian:
                           out_min=rng.uniform(-9, -1, 3),
                           out_max=rng.uniform(1, 9, 3))
         j = rng.normal(size=(3, 4))
-        j_phys = rescale_jacobian(j, stats)
-        out_scale = 0.5 * (stats.out_max - stats.out_min)
-        in_scale = 2.0 / (stats.in_max - stats.in_min)
-        back = j_phys / out_scale[:, None] / in_scale[None, :]
+        out_scale, in_scale = model_scales(stats)
+        j_phys = j * out_scale * in_scale
+        back = j_phys / (0.5 * (stats.out_max - stats.out_min))[:, None] \
+            / (2.0 / (stats.in_max - stats.in_min))[None, :]
         assert np.max(np.abs(back - j)) < 1e-12
+        assert j_phys.tobytes() == rescale_jacobian(j, stats).tobytes()
+
+
+class TestRbfConstants:
+    """What ``RbfModel`` caches for the Jacobian belongs to the object that
+    derived it."""
+
+    def test_replaced_model_derives_its_own(self):
+        rbf = random_rbf(5)
+        p = np.array([0.2, -0.1, 0.4, -0.3])
+        x0, u0 = np.array([15.0, 0.3, -0.2]), np.array([0.1, -0.4])
+        build_lpv(rbf, G, x0, u0)     # fills every cache of ``rbf``
+        rng = np.random.default_rng(6)
+        stats = NormStats(in_min=rng.uniform(-5, -1, 4), in_max=rng.uniform(1, 5, 4),
+                          out_min=rng.uniform(-9, -1, 3), out_max=rng.uniform(1, 9, 3))
+        for changes in ({"radii": 1.5 * rbf.radii}, {"stats": stats}):
+            changed = replace(rbf, **changes)
+            fresh = RbfModel(**{f.name: getattr(changed, f.name)
+                                for f in fields(RbfModel)})
+            assert assoc_jacobian(changed, p).tobytes() \
+                == assoc_jacobian(fresh, p).tobytes()
+            assert lpv_bytes(build_lpv(changed, G, x0, u0)) \
+                == lpv_bytes(build_lpv(fresh, G, x0, u0))
+            assert lpv_bytes(build_lpv(changed, G, x0, u0)) \
+                != lpv_bytes(build_lpv(rbf, G, x0, u0))
+
+    def test_cached_values_match_their_fields_and_are_read_only(self):
+        rbf = random_rbf(9)
+        s = rbf.stats
+        assert rbf.radii_sq.tobytes() == (rbf.radii ** 2).tobytes()
+        assert rbf.phi_slope.tobytes() == (-2.0 / rbf.radii ** 2).tobytes()
+        assert rbf.in_low == tuple(s.in_min.tolist())
+        assert rbf.in_span == tuple((s.in_max - s.in_min).tolist())
+        assert rbf.out_scale.shape == (3, 1) and rbf.in_scale.shape == (1, 4)
+        for arr in (rbf.radii_sq, rbf.phi_slope, rbf.out_scale, rbf.in_scale):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        assert rbf.radii_sq is rbf.radii_sq
 
 
 class TestBuildLpv:
@@ -187,6 +284,27 @@ class TestBuildLpv:
         row = lpv_csv_row(lpv)
         assert row.shape == (len(LPV_CSV_HEADER.split(",")),)
         assert row[0] == 1.5
+
+
+class TestBuildLpvOracle:
+    """The cached constants, float arithmetic and one-literal C change no
+    byte of any model."""
+
+    def test_stock_episode(self, stock_rbf, stock_qps):
+        geom = load_bundle(None).fan
+        for lpv, *_ in stock_qps:
+            oracle = oracle_build_lpv(stock_rbf, geom, lpv.x0, lpv.u0, lpv.t)
+            assert lpv_bytes(lpv) == lpv_bytes(oracle)
+
+    def test_random_points(self, trained_rbf):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            x0 = np.array([rng.uniform(-5, 40), rng.uniform(20, 120),
+                           rng.uniform(0.6, 1.3)])
+            u0 = np.array([rng.uniform(0, 95), rng.uniform(0.0005, 0.006)])
+            t = float(rng.uniform(0, 25))
+            assert lpv_bytes(build_lpv(trained_rbf, G, x0, u0, t)) \
+                == lpv_bytes(oracle_build_lpv(trained_rbf, G, x0, u0, t))
 
 
 class TestStockEpisodeFidelity:

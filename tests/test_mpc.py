@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import dflsim.mpc as mpc
-from dflsim.config import load_bundle
 from dflsim.dataset import MF_RANGE, TPS_RANGE, TrainingConfig
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
 from dflsim.lpv import LpvModel, build_lpv
@@ -14,7 +13,6 @@ from dflsim.mpc import (HorizonSolution, Measurement, MpcConfig, SingularQpError
                         ampc_step, condensed_map, cost, hildreth, mpc_step,
                         solve_qp)
 from dflsim.networks import train_rbf
-from dflsim.scenario import run_scenario
 
 G = FanGeometry()
 CFG = MpcConfig()
@@ -163,25 +161,6 @@ def output_violation(predicted, config=CFG):
 @pytest.fixture(scope="module")
 def trained_rbf(seed19_dataset):
     return train_rbf(seed19_dataset, TrainingConfig())
-
-
-@pytest.fixture(scope="module")
-def stock_qps(stock_rbf):
-    """(lpv, meas, refs, u_prev, solution) of every step of the stock AMPC
-    episode, as ``simulate --controller ampc`` runs it."""
-    bundle = load_bundle(None)
-    qps = []
-
-    def recording(*args):
-        qps.append((*args[:4], solve_qp(*args)))
-        return qps[-1][-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mpc, "solve_qp", recording)
-        run_scenario(bundle.plant, bundle.fan, bundle.mpc, bundle.scenario,
-                     controller="ampc", rbf=stock_rbf)
-    assert len(qps) == bundle.scenario.steps
-    return qps
 
 
 class TestPredictHorizon:
@@ -482,7 +461,7 @@ def old_box_constraints(config, u_prev):
 class TestHorizonLayout:
     def test_arrays_are_read_only(self):
         arrays = [v for v in vars(CFG.layout).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 13
+        assert len(arrays) == 18
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[...] = 0

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+import dflsim.cli
 import dflsim.dataset
 import dflsim.mpc as mpc
 import dflsim.scenario as scenario
@@ -369,6 +370,32 @@ class TestCli:
         out = shutil.copytree(rbf_stage, tmp_path / "out")
         assert cli_main(["check-jacobian", "--config", str(small_ini),
                          "--out", str(out), "--points", "20"]) == 0
+
+    def test_non_finite_model_weight_exits_5(self, small_ini, rbf_stage,
+                                             tmp_path, capsys):
+        out = shutil.copytree(rbf_stage, tmp_path / "out")
+        model = out / "rbf_model.txt"
+        lines = model.read_text().splitlines(keepends=True)
+        row = lines.index(next(ln for ln in lines if ln.startswith("# LW "))) + 1
+        lines[row] = "nan " + lines[row].split(" ", 1)[1]
+        model.write_text("".join(lines))
+        for argv in (["check-jacobian"], ["simulate", "--controller", "ampc"]):
+            assert cli_main(argv + ["--config", str(small_ini),
+                                    "--out", str(out)]) == 5
+            assert "block LW row 1, column 1 holds nan" in capsys.readouterr().err
+        assert not (out / "trajectory_ampc.csv").exists()
+
+    def test_check_jacobian_fails_on_a_non_finite_error(self, small_ini, rbf_stage,
+                                                        tmp_path, monkeypatch,
+                                                        capsys):
+        out = shutil.copytree(rbf_stage, tmp_path / "out")
+        monkeypatch.setattr(dflsim.cli, "assoc_jacobian",
+                            lambda rbf, p: np.full((3, 4), np.nan))
+        assert cli_main(["check-jacobian", "--config", str(small_ini),
+                         "--out", str(out), "--points", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "error over 3 points: nan" in captured.out
+        assert "FAIL" in captured.err and "PASS" not in captured.out
 
     def test_train_uses_the_loaded_config(self, stock_dataset, tmp_path):
         data = tmp_path / "dataset.csv"
