@@ -64,9 +64,8 @@ def build_lpv(rbf: RbfModel, geom: FanGeometry, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     q_eng, n, lam = x0.tolist()
-    p_phys = (*u0.tolist(), n, lam)
-    p_norm = np.array([2.0 * (v - low) / span - 1.0
-                       for v, low, span in zip(p_phys, rbf.in_low, rbf.in_span)])
+    in_min, in_max = rbf.stats.in_min, rbf.stats.in_max
+    p_norm = 2.0 * (np.array([*u0.tolist(), n, lam]) - in_min) / (in_max - in_min) - 1.0
     j_phys = assoc_jacobian(rbf, p_norm) * rbf.out_scale * rbf.in_scale
 
     a = np.zeros((3, 3))

@@ -17,10 +17,10 @@ output limits as quadratic penalties activated by a short working-set
 refinement loop, whose first round has no penalised row and solves the
 plain tracking QP.  A Hessian that is singular in floating point raises
 SingularQpError.  The cost runs over every predicted step, from the
-first on.  Every array that depends on the config alone (channel scales,
-weights, limits, the input-box rows, the Toeplitz index) is built once per
-config by its ``layout`` property and shared read-only, so a control step
-only condenses the new model and solves.
+first on.  Every array that depends on the config alone (weights, limits,
+the input-box rows, the Toeplitz index) is built once per config by its
+``layout`` property and shared read-only, so a control step only condenses
+the new model and solves.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ class HorizonLayout:
     """
 
     y_index: np.ndarray         # y0[y_index] stacks the measured output over N2
-    output_scale: np.ndarray    # 1/span for [thrust, lambda]
-    input_scale: np.ndarray     # 1/span for [tps, m_fi]
-    w_y: np.ndarray             # output_scale per stacked output row
-    w_u: np.ndarray             # input_scale per stacked increment
+    w_y: np.ndarray             # 1/span of [thrust, lambda] per stacked output row
+    w_u: np.ndarray             # 1/span of [tps, m_fi] per stacked increment
     u_lower: np.ndarray
     u_upper: np.ndarray
     q_diag: np.ndarray          # tracking weight per stacked row
@@ -59,9 +57,6 @@ class HorizonLayout:
     rho: np.ndarray             # soft output-limit weight per stacked row
     y_lo: np.ndarray
     y_hi: np.ndarray
-    y_lo_hit: np.ndarray        # y_lo - 1e-12: a predicted row below it crosses
-    y_hi_hit: np.ndarray        # y_hi + 1e-12: a predicted row above it crosses
-    no_rows: np.ndarray         # all False, one per stacked output row
     m_mat: np.ndarray           # cumulative-increment box rows
     gamma_index: np.ndarray     # picks each box row's bound, see MpcConfig.layout
     toeplitz_index: np.ndarray  # gathers the condensed map, see MpcConfig.layout
@@ -119,23 +114,16 @@ class MpcConfig:
         S(j-k)[r, s] on and below the block diagonal, the zero block above.
         """
         nc, n2 = self.nc, self.n2
-        output_scale = np.array([
-            1.0 / (self.thrust_bounds[1] - self.thrust_bounds[0]),
-            1.0 / (self.lambda_bounds[1] - self.lambda_bounds[0])])
-        input_scale = np.array([1.0 / (self.tps_bounds[1] - self.tps_bounds[0]),
-                                1.0 / (self.mf_bounds[1] - self.mf_bounds[0])])
-        w_y = np.tile(output_scale, n2)
-        w_u = np.tile(input_scale, nc)
-        y_lo = np.tile([self.thrust_bounds[0], self.lambda_bounds[0]], n2)
-        y_hi = np.tile([self.thrust_bounds[1], self.lambda_bounds[1]], n2)
+        w_y = np.tile([1.0 / (self.thrust_bounds[1] - self.thrust_bounds[0]),
+                       1.0 / (self.lambda_bounds[1] - self.lambda_bounds[0])], n2)
+        w_u = np.tile([1.0 / (self.tps_bounds[1] - self.tps_bounds[0]),
+                       1.0 / (self.mf_bounds[1] - self.mf_bounds[0])], nc)
         pair_order = np.array([0, 2, 1, 3])
         signs = np.vstack([np.eye(2), -np.eye(2)])[pair_order]
         lag = np.arange(n2)[:, None, None, None] - np.arange(nc)[None, None, :, None]
         flat = 4 * (lag + 1) + 2 * np.arange(2)[None, :, None, None] + np.arange(2)
         arrays = dict(
             y_index=np.tile([0, 1], n2),
-            output_scale=output_scale,
-            input_scale=input_scale,
             w_y=w_y,
             w_u=w_u,
             u_lower=np.array([self.tps_bounds[0], self.mf_bounds[0]]),
@@ -143,11 +131,8 @@ class MpcConfig:
             q_diag=self.eps * w_y ** 2,
             r_mat=np.diag(self.xi * w_u ** 2),
             rho=self.soft_weight * self.eps * w_y ** 2,
-            y_lo=y_lo,
-            y_hi=y_hi,
-            y_lo_hit=y_lo - 1e-12,
-            y_hi_hit=y_hi + 1e-12,
-            no_rows=np.zeros(2 * n2, dtype=bool),
+            y_lo=np.tile([self.thrust_bounds[0], self.lambda_bounds[0]], n2),
+            y_hi=np.tile([self.thrust_bounds[1], self.lambda_bounds[1]], n2),
             m_mat=np.kron(np.tril(np.ones((nc, nc))), signs),
             gamma_index=np.tile(pair_order, nc),
             toeplitz_index=np.where(lag >= 0, flat, 0).reshape(2 * n2, 2 * nc))
@@ -167,12 +152,9 @@ class Measurement:
 @dataclass(frozen=True)
 class HorizonSolution:
     du: np.ndarray            # (Nc, 2) optimal input increments
-    predicted: np.ndarray     # (N2, 2) absolute predicted outputs
     cost: float               # solver objective (tracking + moves + penalties)
-    iterations: int
-    kkt_residual: float
-    active: np.ndarray
-    capped: bool
+    iterations: int           # Hildreth sweeps summed over every round
+    capped: bool              # some round hit the sweep cap
 
 
 def condensed_map(lpv: LpvModel, config: MpcConfig) -> np.ndarray:
@@ -262,11 +244,11 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     """Condense the horizon into a 2*Nc-variable QP and solve it.
 
     The predicted trail is y0 + G*du with G from ``condensed_map``.  Output
-    limits are enforced softly: rows predicted beyond a limit add quadratic
-    pull-back terms toward it and the QP is re-solved, at most three
-    refinement rounds.  The returned increments always satisfy the input
-    box; ``iterations`` sums the Hildreth sweeps of every round, and
-    ``capped`` is set if any round hit the sweep cap.
+    limits are enforced softly: rows predicted more than 1e-12 beyond a
+    limit add quadratic pull-back terms toward it and the QP is re-solved,
+    at most three refinement rounds.  The returned increments always
+    satisfy the input box; ``iterations`` sums the Hildreth sweeps of every
+    round, and ``capped`` is set if any round hit the sweep cap.
     """
     refs = np.atleast_2d(np.asarray(refs, dtype=float))
     u_prev = np.asarray(u_prev, dtype=float)
@@ -276,7 +258,6 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     layout = config.layout
     q_diag, r_mat, rho = layout.q_diag, layout.r_mat, layout.rho
     y_lo, y_hi, m_mat = layout.y_lo, layout.y_hi, layout.m_mat
-    y_lo_hit, y_hi_hit = layout.y_lo_hit, layout.y_hi_hit
 
     g = condensed_map(lpv, config)
     y0_s = y0[layout.y_index]
@@ -287,19 +268,17 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     # round, whose pull is exactly zero and whose weight is exactly q_diag
     track = q_diag * (y0_s - ref_s)
     weight, rhs = q_diag, track
-    over = under = layout.no_rows
+    over = under = np.zeros(2 * n2, dtype=bool)
     soft, iterations, capped = False, 0, False
     for _ in range(3):
         e_mat = 2.0 * (g.T @ (weight[:, None] * g) + r_mat)
         f_vec = 2.0 * g.T @ rhs
-        z, _, sweeps, kkt, round_capped = hildreth(e_mat, f_vec, m_mat, gamma)
+        z, _, sweeps, _, round_capped = hildreth(e_mat, f_vec, m_mat, gamma)
         iterations, capped = iterations + sweeps, capped or round_capped
         y_pred = y0_s + g @ z
-        hit_over = y_pred > y_hi_hit
-        hit_under = y_pred < y_lo_hit
-        if soft:    # a row already penalised is no new hit
-            hit_over &= ~over
-            hit_under &= ~under
+        # a row crosses 1e-12 past its limit; one already penalised is no new hit
+        hit_over = (y_pred > y_hi + 1e-12) & ~over
+        hit_under = (y_pred < y_lo - 1e-12) & ~under
         if not (np.count_nonzero(hit_over) or np.count_nonzero(hit_under)):
             break
         over, under, soft = over | hit_over, under | hit_under, True
@@ -312,10 +291,8 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
         excess = np.where(over, y_pred - y_hi, 0.0) ** 2 \
             + np.where(under, y_pred - y_lo, 0.0) ** 2
         total += float(rho @ excess)
-    active = (m_mat @ z - gamma) > -1e-9
-    return HorizonSolution(du=z.reshape(nc, 2), predicted=y_pred.reshape(n2, 2),
-                           cost=total, iterations=iterations,
-                           kkt_residual=kkt, active=active, capped=capped)
+    return HorizonSolution(du=z.reshape(nc, 2), cost=total,
+                           iterations=iterations, capped=capped)
 
 
 def mpc_step(lpv: LpvModel, meas: Measurement, refs: np.ndarray,

@@ -186,10 +186,10 @@ def elman_sequence_outputs(model: ElmanModel, inputs_norm: np.ndarray,
 
 @dataclass(frozen=True)
 class RbfModel:
-    """Gaussian network; the constants its Jacobian needs at every control
-    step are derived from its fields once, on first use, and kept read-only
-    on this object (``dataclasses.replace`` makes a new one that derives its
-    own)."""
+    """Gaussian network; the four arrays its Jacobian needs at every control
+    step (s_j^2, -2/s_j^2 and the two chain-rule scales) are derived from its
+    fields once, on first use, and kept read-only on this object
+    (``dataclasses.replace`` makes a new one that derives its own)."""
 
     centers: np.ndarray   # (J, 4) in normalized input space
     radii: np.ndarray     # (J,) strictly positive
@@ -205,16 +205,6 @@ class RbfModel:
     def phi_slope(self) -> np.ndarray:
         """-2/s_j^2: d phi_j/dp = phi_j * phi_slope_j * (p - c_j)."""
         return _read_only(-2.0 / self.radii ** 2)
-
-    @functools.cached_property
-    def in_low(self) -> tuple:
-        """Physical input minima, as floats."""
-        return tuple(self.stats.in_min.tolist())
-
-    @functools.cached_property
-    def in_span(self) -> tuple:
-        """Physical input spans max - min, as floats."""
-        return tuple((self.stats.in_max - self.stats.in_min).tolist())
 
     @functools.cached_property
     def out_scale(self) -> np.ndarray:

@@ -121,7 +121,7 @@ def oracle_solve_qp(lpv, meas, refs, u_prev, config):
         weight = q_diag + rho * over + rho * under
         e_mat = 2.0 * (g_s.T @ (weight[:, None] * g_s) + layout.r_mat)
         f_vec = 2.0 * g_s.T @ (q_diag * (y0_s - ref_s) + rho * pull)
-        z, _, sweeps, kkt, round_capped = hildreth(e_mat, f_vec, layout.m_mat, gamma)
+        z, _, sweeps, _, round_capped = hildreth(e_mat, f_vec, layout.m_mat, gamma)
         iterations, capped = iterations + sweeps, capped or round_capped
         y_pred = y0_s + g_s @ z
         new_over = over | (y_pred > y_hi + 1e-12)
@@ -131,23 +131,19 @@ def oracle_solve_qp(lpv, meas, refs, u_prev, config):
         over, under = new_over, new_under
     du = z.reshape(nc, 2)
     predicted = y0 + (g @ z).reshape(n2, 2)
-    err = (refs[:n2] - predicted[:n2]) * layout.output_scale
-    moves = du * layout.input_scale
+    err = (refs[:n2] - predicted[:n2]) * layout.w_y[:2]
+    moves = du * layout.w_u[:2]
     excess = np.where(over, y_pred - y_hi, 0.0) ** 2 \
         + np.where(under, y_pred - y_lo, 0.0) ** 2
     total = config.eps * float(np.sum(err ** 2)) \
         + config.xi * float(np.sum(moves ** 2)) + float(rho @ excess)
-    return HorizonSolution(du=du, predicted=predicted, cost=total,
-                           iterations=iterations, kkt_residual=kkt,
-                           active=(layout.m_mat @ z - gamma) > -1e-9,
+    return HorizonSolution(du=du, cost=total, iterations=iterations,
                            capped=capped)
 
 
 def solution_bytes(sol):
     """Every field of a ``HorizonSolution``, floats as their bytes."""
-    return (sol.du.tobytes(), sol.predicted.tobytes(),
-            np.float64(sol.cost).tobytes(), sol.iterations,
-            np.float64(sol.kkt_residual).tobytes(), sol.active.tobytes(),
+    return (sol.du.tobytes(), np.float64(sol.cost).tobytes(), sol.iterations,
             sol.capped)
 
 
@@ -353,9 +349,9 @@ class TestSolveQp:
             sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, cfg)
 
             g = condensed_map(lpv, cfg)
-            w_y = np.tile(cfg.layout.output_scale, cfg.n2)
+            w_y = np.tile(cfg.layout.w_y[:2], cfg.n2)
             q = cfg.eps * w_y ** 2
-            r = cfg.xi * np.tile(cfg.layout.input_scale, cfg.nc) ** 2
+            r = cfg.xi * np.tile(cfg.layout.w_u[:2], cfg.nc) ** 2
             e = 2.0 * (g.T @ (q[:, None] * g) + np.diag(r))
             f = 2.0 * g.T @ (q * (np.tile(y0, cfg.n2) - refs.ravel()))
             z_dense = -np.linalg.solve(e, f)
@@ -375,7 +371,8 @@ class TestSolveQp:
         assert len(rounds) > 1
         first = simulate_horizon(lpv, y0, rounds[0].reshape(CFG.nc, 2), CFG.n2)
         assert first[:, 0].max() > CFG.thrust_bounds[1]
-        assert output_violation(sol.predicted) < output_violation(first)
+        predicted = y0 + (condensed_map(lpv, CFG) @ sol.du.ravel()).reshape(CFG.n2, 2)
+        assert output_violation(predicted) < output_violation(first)
         # frozen values: every condensing of this QP must reproduce them
         du_frozen = np.array([-6.352943628154424, -0.0019000001072223445,
                               -3.1722026999724657, 1.9565124000087142e-10,
@@ -406,6 +403,29 @@ class TestSolveQp:
         monkeypatch.setattr(mpc, "hildreth",
                             lambda *args: (*hildreth(*args)[:4], flags.pop(0)))
         assert solve_qp(lpv, meas, refs, u_prev, CFG).capped
+
+    @pytest.mark.parametrize("name, side", [("thrust_bounds", 1), ("thrust_bounds", 0),
+                                            ("lambda_bounds", 1), ("lambda_bounds", 0)])
+    @pytest.mark.parametrize("offset, n_rounds", [
+        (0.0, 1), (4.5e-13, 1), (2.0e-12, 2)])
+    def test_crossing_needs_more_than_1e12_past_a_limit(self, name, side, offset,
+                                                        n_rounds, monkeypatch):
+        # with every increment zero each predicted row is the measured output
+        # exactly, so the rounds count the rows the margin lets through
+        channel = ("thrust_bounds", "lambda_bounds").index(name)
+        limit = getattr(CFG, name)[side]
+        y0 = np.array([700.0, 0.9])
+        y0[channel] = limit + offset if side else limit - offset
+        rounds = []
+
+        def zero_move(e_mat, f_vec, m_mat, gamma):
+            rounds.append(len(rounds))
+            return np.zeros(len(f_vec)), np.zeros(len(gamma)), 0, 0.0, False
+
+        monkeypatch.setattr(mpc, "hildreth", zero_move)
+        solve_qp(toy_lpv(), Measurement(np.zeros(3), y0), np.tile(y0, (CFG.n2, 1)),
+                 np.array([45.0, 0.003]), CFG)
+        assert len(rounds) == n_rounds
 
 
 class TestSolveQpOracle:
@@ -461,7 +481,7 @@ def old_box_constraints(config, u_prev):
 class TestHorizonLayout:
     def test_arrays_are_read_only(self):
         arrays = [v for v in vars(CFG.layout).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 18
+        assert len(arrays) == 13
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[...] = 0
