@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +105,6 @@ class FanOperatingPoint:
     torque: float           # Q_UDF, N*m
     power: float            # P_UDF, W
     thrust_ducted: float    # T_DF, N
-    induced_velocity: float = field(default=0.0)  # m/s, uniform inflow
 
 
 def _element_loads(n_fan: float, vi: float, geom: FanGeometry):
@@ -142,7 +141,7 @@ def solve_operating_point(n_fan: float, geom: FanGeometry) -> FanOperatingPoint:
     contractive here and typically converges in ~20 iterations.
     """
     if n_fan <= 0.0:
-        return FanOperatingPoint(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return FanOperatingPoint(0.0, 0.0, 0.0, 0.0, 0.0)
     vi = 0.0
     denom = 2.0 * geom.air_density * geom.s2
     converged = False
@@ -163,7 +162,7 @@ def solve_operating_point(n_fan: float, geom: FanGeometry) -> FanOperatingPoint:
     torque = float(np.sum(d_torque))
     power = fan_power(n_fan, torque)
     return FanOperatingPoint(n_fan, thrust, torque, power,
-                             duct_ratio(geom) * thrust, vi)
+                             duct_ratio(geom) * thrust)
 
 
 def fan_power(n_fan: float, torque: float) -> float:

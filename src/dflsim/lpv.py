@@ -43,9 +43,10 @@ def assoc_jacobian(rbf: RbfModel, p: np.ndarray) -> np.ndarray:
     3x4 Jacobian is the output weights applied to that stack.
     """
     p = np.asarray(p, dtype=float)
+    radii_sq = rbf.radii ** 2
     diff = p - rbf.centers                                   # (J, 4)
-    phi = np.exp(-(diff * diff).sum(axis=1) / rbf.radii_sq)
-    stack = (phi * rbf.phi_slope)[:, None] * diff            # (J, 4)
+    phi = np.exp(-(diff * diff).sum(axis=1) / radii_sq)
+    stack = (phi * (-2.0 / radii_sq))[:, None] * diff        # (J, 4)
     return rbf.lw @ stack                                    # (3, 4)
 
 
@@ -64,9 +65,12 @@ def build_lpv(rbf: RbfModel, geom: FanGeometry, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     q_eng, n, lam = x0.tolist()
-    in_min, in_max = rbf.stats.in_min, rbf.stats.in_max
-    p_norm = 2.0 * (np.array([*u0.tolist(), n, lam]) - in_min) / (in_max - in_min) - 1.0
-    j_phys = assoc_jacobian(rbf, p_norm) * rbf.out_scale * rbf.in_scale
+    stats = rbf.stats
+    in_span = stats.in_max - stats.in_min
+    p_norm = 2.0 * (np.array([*u0.tolist(), n, lam]) - stats.in_min) / in_span - 1.0
+    j_phys = (assoc_jacobian(rbf, p_norm)
+              * (0.5 * (stats.out_max - stats.out_min))[:, None]
+              * (2.0 / in_span)[None, :])
 
     a = np.zeros((3, 3))
     a[:, 1:] = j_phys[:, 2:]    # d(next state)/d[n, lambda]

@@ -13,7 +13,6 @@ write and read every trained model as a ``tables`` block file;
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -186,40 +185,12 @@ def elman_sequence_outputs(model: ElmanModel, inputs_norm: np.ndarray,
 
 @dataclass(frozen=True)
 class RbfModel:
-    """Gaussian network; the four arrays its Jacobian needs at every control
-    step (s_j^2, -2/s_j^2 and the two chain-rule scales) are derived from its
-    fields once, on first use, and kept read-only on this object
-    (``dataclasses.replace`` makes a new one that derives its own)."""
+    """Gaussian network; its outputs and Jacobian follow from its fields alone."""
 
     centers: np.ndarray   # (J, 4) in normalized input space
     radii: np.ndarray     # (J,) strictly positive
-    lw: np.ndarray        # (3, J)
+    lw: np.ndarray        # (3, J), C-ordered whether trained or loaded
     stats: NormStats
-
-    @functools.cached_property
-    def radii_sq(self) -> np.ndarray:
-        """s_j^2, the divisor of each squared distance."""
-        return _read_only(self.radii ** 2)
-
-    @functools.cached_property
-    def phi_slope(self) -> np.ndarray:
-        """-2/s_j^2: d phi_j/dp = phi_j * phi_slope_j * (p - c_j)."""
-        return _read_only(-2.0 / self.radii ** 2)
-
-    @functools.cached_property
-    def out_scale(self) -> np.ndarray:
-        """(3, 1) dy_phys/dy_norm, half of each output's span."""
-        return _read_only(0.5 * (self.stats.out_max - self.stats.out_min)[:, None])
-
-    @functools.cached_property
-    def in_scale(self) -> np.ndarray:
-        """(1, 4) dp_norm/dx_phys, two over each input's span."""
-        return _read_only(2.0 / (self.stats.in_max - self.stats.in_min)[None, :])
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _phi_matrix(points: np.ndarray, centers: np.ndarray, radii: np.ndarray):
@@ -231,7 +202,9 @@ def _phi_matrix(points: np.ndarray, centers: np.ndarray, radii: np.ndarray):
 def rbf_forward(model: RbfModel, p: np.ndarray) -> np.ndarray:
     """Normalized input (4,) or batch (N, 4) -> normalized outputs (3,) or (N, 3)."""
     phi = _phi_matrix(np.atleast_2d(p), model.centers, model.radii)
-    # C-ordered weights, so a trained (Fortran-ordered) and a loaded lw agree bitwise
+    # a matrix product's last bits follow its operands' layout; multiplying
+    # by a C-ordered (J, 3) copy of lw.T, not the transposed view, is the
+    # rounding every saved output (compare-models' reports) was made with
     out = phi @ np.ascontiguousarray(model.lw.T)
     return out[0] if np.ndim(p) == 1 else out
 
@@ -311,7 +284,9 @@ def rbf_train_weights(model: RbfModel, dataset: Dataset, ridge: float,
         for row, target in zip(phi, y):
             err = lw @ row - target
             lw -= lms_rate * np.outer(err, row) / (row @ row + 1e-12)
-    return lw
+    # the solve leaves lw Fortran-ordered; C order, as ``load_rbf`` reads it,
+    # makes a trained model and its file give the same Jacobian bits
+    return np.ascontiguousarray(lw)
 
 
 def train_rbf(dataset: Dataset, tr: TrainingConfig) -> RbfModel:
@@ -402,7 +377,8 @@ def load_model(path, expected=None):
     ``expected``, if given), e.g. ``STATS`` is missing, or when their
     shapes do not chain: a layer's width differs from the next layer's, a
     1-D field is not one row, or ``STATS`` is not two rows of one minimum
-    and one maximum per input and output.
+    and one maximum per input and output, or gives an input no positive
+    span or an output a negative one.
     """
     blocks = load_blocks(path)
     for cls, names in _ARRAYS.items():
@@ -426,6 +402,14 @@ def load_model(path, expected=None):
                     f"{path}: STATS is {stats.shape[0]}x{stats.shape[1]}, "
                     f"expected 2x{n_in + sizes['out']}")
             mins, maxs = stats
+            bad = np.flatnonzero(np.r_[maxs[:n_in] <= mins[:n_in],
+                                       maxs[n_in:] < mins[n_in:]])
+            if bad.size:
+                k = int(bad[0])
+                kind, rel = ("input", "not above") if k < n_in else ("output", "below")
+                raise FileFormatError(
+                    f"{path}: STATS column {k + 1}, an {kind}, has maximum "
+                    f"{float(maxs[k])!r} {rel} its minimum {float(mins[k])!r}")
             return cls(**arrays, stats=NormStats(mins[:n_in], maxs[:n_in],
                                                  mins[n_in:], maxs[n_in:]))
     want = "model" if expected is None else expected.__name__

@@ -1,6 +1,6 @@
 """Derivative network and LPV assembly."""
 
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ from dflsim.dataset import NormStats, TrainingConfig
 from dflsim.fan import FanGeometry, thrust_jacobian
 from dflsim.lpv import (LPV_CSV_HEADER, LpvModel, assoc_jacobian, build_lpv,
                         lpv_csv_row)
-from dflsim.networks import RbfModel, rbf_forward, train_rbf
+from dflsim.networks import (RbfModel, load_rbf, rbf_forward, save_model,
+                             train_rbf)
 from dflsim.scenario import run_scenario
 
 G = FanGeometry()
@@ -128,81 +129,68 @@ class TestAssocJacobian:
         assert np.max(np.abs(assoc_jacobian(m, far))) < 1e-10 * peak
 
 
-def model_scales(stats):
-    """The chain-rule scales (output column, input row) an RBF model under
-    ``stats`` caches for ``build_lpv``."""
+def lpv_jacobian(j, stats, monkeypatch):
+    """The physical-unit Jacobian ``build_lpv`` assembles (B, then A's speed
+    and lambda columns) when the network's normalized Jacobian is ``j``
+    under ``stats``."""
+    monkeypatch.setattr("dflsim.lpv.assoc_jacobian", lambda rbf, p: j)
     rbf = RbfModel(centers=np.zeros((1, 4)), radii=np.ones(1),
                    lw=np.zeros((3, 1)), stats=stats)
-    return rbf.out_scale, rbf.in_scale
+    lpv = build_lpv(rbf, G, np.array([15.0, 70.0, 0.9]), np.array([35.0, 0.003]))
+    return np.hstack([lpv.b, lpv.a[:, 1:]])
 
 
 class TestRescaleJacobian:
-    """The cached scales carry a normalized-space Jacobian into physical
-    units by the chain rule."""
+    """``build_lpv`` carries a normalized-space Jacobian into physical units
+    by the chain rule."""
 
-    def test_identity_stats_unchanged(self):
+    def test_identity_stats_unchanged(self, monkeypatch):
         stats = NormStats(in_min=-np.ones(4), in_max=np.ones(4),
                           out_min=-np.ones(3), out_max=np.ones(3))
         j = np.arange(12.0).reshape(3, 4)
-        out_scale, in_scale = model_scales(stats)
-        assert np.array_equal(j * out_scale * in_scale, j)
+        assert np.array_equal(lpv_jacobian(j, stats, monkeypatch), j)
 
-    def test_input_scaling_divides_columns(self):
+    def test_input_scaling_divides_columns(self, monkeypatch):
         k = 4.0
         stats = NormStats(in_min=-k * np.ones(4) / 2, in_max=k * np.ones(4) / 2,
                           out_min=-np.ones(3), out_max=np.ones(3))
         j = np.ones((3, 4))
-        out_scale, in_scale = model_scales(stats)
-        assert np.allclose(j * out_scale * in_scale, np.ones((3, 4)) * 2 / k,
-                           rtol=1e-14)
+        assert np.allclose(lpv_jacobian(j, stats, monkeypatch),
+                           np.ones((3, 4)) * 2 / k, rtol=1e-14)
 
-    def test_round_trip(self):
+    def test_round_trip(self, monkeypatch):
         rng = np.random.default_rng(8)
         stats = NormStats(in_min=rng.uniform(-5, -1, 4),
                           in_max=rng.uniform(1, 5, 4),
                           out_min=rng.uniform(-9, -1, 3),
                           out_max=rng.uniform(1, 9, 3))
         j = rng.normal(size=(3, 4))
-        out_scale, in_scale = model_scales(stats)
-        j_phys = j * out_scale * in_scale
+        j_phys = lpv_jacobian(j, stats, monkeypatch)
         back = j_phys / (0.5 * (stats.out_max - stats.out_min))[:, None] \
             / (2.0 / (stats.in_max - stats.in_min))[None, :]
         assert np.max(np.abs(back - j)) < 1e-12
         assert j_phys.tobytes() == rescale_jacobian(j, stats).tobytes()
 
 
-class TestRbfConstants:
-    """What ``RbfModel`` caches for the Jacobian belongs to the object that
-    derived it."""
+class TestModelFile:
+    """A model drives the controller by its field values alone: the stock
+    model in memory and read back from its file give the same bits."""
 
-    def test_replaced_model_derives_its_own(self):
-        rbf = random_rbf(5)
-        p = np.array([0.2, -0.1, 0.4, -0.3])
-        x0, u0 = np.array([15.0, 0.3, -0.2]), np.array([0.1, -0.4])
-        build_lpv(rbf, G, x0, u0)     # fills every cache of ``rbf``
-        rng = np.random.default_rng(6)
-        stats = NormStats(in_min=rng.uniform(-5, -1, 4), in_max=rng.uniform(1, 5, 4),
-                          out_min=rng.uniform(-9, -1, 3), out_max=rng.uniform(1, 9, 3))
-        for changes in ({"radii": 1.5 * rbf.radii}, {"stats": stats}):
-            changed = replace(rbf, **changes)
-            fresh = RbfModel(**{f.name: getattr(changed, f.name)
-                                for f in fields(RbfModel)})
-            assert assoc_jacobian(changed, p).tobytes() \
-                == assoc_jacobian(fresh, p).tobytes()
-            assert lpv_bytes(build_lpv(changed, G, x0, u0)) \
-                == lpv_bytes(build_lpv(fresh, G, x0, u0))
-            assert lpv_bytes(build_lpv(changed, G, x0, u0)) \
-                != lpv_bytes(build_lpv(rbf, G, x0, u0))
-
-    def test_cached_values_match_their_fields_and_are_read_only(self):
-        rbf = random_rbf(9)
-        assert rbf.radii_sq.tobytes() == (rbf.radii ** 2).tobytes()
-        assert rbf.phi_slope.tobytes() == (-2.0 / rbf.radii ** 2).tobytes()
-        assert rbf.out_scale.shape == (3, 1) and rbf.in_scale.shape == (1, 4)
-        for arr in (rbf.radii_sq, rbf.phi_slope, rbf.out_scale, rbf.in_scale):
-            with pytest.raises(ValueError):
-                arr[...] = 0
-        assert rbf.radii_sq is rbf.radii_sq
+    def test_saved_stock_model_drives_the_same_episodes(self, stock_rbf,
+                                                        tmp_path):
+        path = tmp_path / "rbf_model.txt"
+        save_model(stock_rbf, path)
+        loaded = load_rbf(path)
+        rng = np.random.default_rng(4)
+        for p in rng.uniform(-1, 1, (20, 4)):
+            assert assoc_jacobian(loaded, p).tobytes() \
+                == assoc_jacobian(stock_rbf, p).tobytes()
+        b = load_bundle(None)
+        for controller in ("ampc", "linear-mpc"):
+            runs = [run_scenario(b.plant, b.fan, b.mpc, b.scenario,
+                                 controller=controller, rbf=rbf)[0]
+                    for rbf in (stock_rbf, loaded)]
+            assert runs[0] == runs[1]
 
 
 class TestBuildLpv:
@@ -284,8 +272,8 @@ class TestBuildLpv:
 
 
 class TestBuildLpvOracle:
-    """The cached constants, float arithmetic and one-literal C change no
-    byte of any model."""
+    """Float arithmetic, the scales' operation order and one-literal C change
+    no byte of any model."""
 
     def test_stock_episode(self, stock_rbf, stock_qps):
         geom = load_bundle(None).fan

@@ -510,3 +510,19 @@ class TestModelFiles:
         save_blocks(path, blocks)
         with pytest.raises(FileFormatError, match=f"{kind}_model.txt"):
             load_model(path)
+
+    @pytest.mark.parametrize("column, kind, rel, alter", [
+        (1, "input", "not above", lambda col: col[[0, 0]]),    # max set to min
+        (5, "output", "below", lambda col: col[::-1]),         # min and max swapped
+    ])
+    def test_stats_without_a_span_rejected(self, column, kind, rel, alter,
+                                           tmp_path):
+        _, models = trained_models()
+        path = tmp_path / "rbf_model.txt"
+        save_model(models["rbf"], path)
+        blocks = load_blocks(path)
+        blocks["STATS"][:, column] = alter(blocks["STATS"][:, column])
+        save_blocks(path, blocks)
+        with pytest.raises(FileFormatError, match=f"rbf_model.txt: STATS column "
+                           f"{column + 1}, an {kind}, has maximum .* {rel} its"):
+            load_model(path)

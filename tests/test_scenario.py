@@ -825,6 +825,8 @@ class TestCli:
         # LW with a column for a second center the file does not have
         (["0.5 0.5", "0.5 0.5", "0.5 0.5"],
          ["-1 -1 -1 -1 -1 -1 -1", "1 1 1 1 1 1 1"]),
+        # an input whose maximum is its minimum
+        (["0.5", "0.5", "0.5"], ["-1 -1 -1 -1 -1 -1 -1", "1 -1 1 1 1 1 1"]),
     ])
     def test_simulate_on_misshapen_rbf_file_exit_code(self, tmp_path, lw_rows,
                                                       stats_rows):
