@@ -9,7 +9,8 @@ or command-line error (an ``--out`` that names or lies under a file fails
 before any work), 3 plant stall, 4 any other RuntimeError (a singular condensed QP,
 diverged training, a plant substep too coarse to integrate), 5 a data,
 model or trajectory file that is missing, cannot be read, that its
-reader cannot parse or that holds a cell that is not a finite number.
+reader cannot parse or that holds a cell that is not a finite number, or a
+dataset whose training rows give a column no span to train on.
 """
 
 from __future__ import annotations
@@ -74,10 +75,17 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _dataset_for(args, bundle):
-    """The dataset in ``--data`` or ``<out>/dataset.csv``."""
-    return load_dataset_csv(args.data or args.out / "dataset.csv",
-                            bundle.training.n_train)
+def _dataset_for(args, bundle, to_train=False):
+    """The dataset in ``--data`` or ``<out>/dataset.csv``.  To train on, its
+    training rows must give each column the span ``load_model`` will ask of
+    the model's ``STATS``."""
+    path = args.data or args.out / "dataset.csv"
+    dataset = load_dataset_csv(path, bundle.training.n_train)
+    fault = to_train and dataset.stats.span_fault()
+    if fault:
+        raise FileFormatError(f"{path}: over its {dataset.n_train} training "
+                              f"rows, {fault}")
+    return dataset
 
 
 def _rbf_for(args):
@@ -88,14 +96,16 @@ def _rbf_for(args):
 def _train(kind, dataset, tr):
     """Train one model from the [training] section: (model, summary)."""
     if kind == "rbf":
-        return train_rbf(dataset, tr), f"{tr.rbf_centers} centers"
+        model = train_rbf(dataset, tr)
+        return model, f"{len(model.centers)} centers"
     model, losses = (train_mlp if kind == "mlp" else train_elman)(dataset, tr)
     return model, f"{len(losses)} epochs, final MSE {losses[-1]:.6f}"
 
 
 def cmd_train(args) -> int:
     bundle = _load(args)
-    model, summary = _train(args.model, _dataset_for(args, bundle), bundle.training)
+    model, summary = _train(args.model, _dataset_for(args, bundle, to_train=True),
+                            bundle.training)
     path = _ensure_out(args) / f"{args.model}_model.txt"
     save_model(model, path)
     print(f"trained {args.model}: {summary} -> {path}")

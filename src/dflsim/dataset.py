@@ -73,6 +73,21 @@ class NormStats:
     out_min: np.ndarray
     out_max: np.ndarray
 
+    def span_fault(self) -> str | None:
+        """The first column no model can be scaled by, described, or None:
+        an input needs a maximum above its minimum, an output one not below
+        it.  Columns count inputs first, as ``STATS`` and the dataset CSV do."""
+        n_in = len(self.in_min)
+        mins, maxs = np.r_[self.in_min, self.out_min], np.r_[self.in_max, self.out_max]
+        bad = np.flatnonzero(np.r_[maxs[:n_in] <= mins[:n_in],
+                                   maxs[n_in:] < mins[n_in:]])
+        if not bad.size:
+            return None
+        k = int(bad[0])
+        kind, rel = ("input", "not above") if k < n_in else ("output", "below")
+        return (f"column {k + 1}, an {kind}, has maximum {float(maxs[k])!r} "
+                f"{rel} its minimum {float(mins[k])!r}")
+
 
 @dataclass(frozen=True)
 class Dataset:

@@ -72,7 +72,8 @@ def _mlp_gradients(model: MlpModel, p: np.ndarray, y: np.ndarray):
 
 def train_mlp(dataset: Dataset, tr: TrainingConfig):
     """Full-batch gradient descent from ``init_mlp(tr.mlp_hidden,
-    tr.model_seed)``; returns (trained model, per-epoch MSE)."""
+    tr.model_seed)``, the fresh model's arrays trained in place; returns
+    (trained model, per-epoch MSE)."""
     model = init_mlp(dataset.stats, tr.mlp_hidden, tr.model_seed)
     lr = tr.mlp_lr
     p = normalize(dataset.train_inputs, dataset.stats.in_min, dataset.stats.in_max)
@@ -80,18 +81,17 @@ def train_mlp(dataset: Dataset, tr: TrainingConfig):
     iw, lw, b1, b2 = model.iw, model.lw, model.b1, model.b2
     losses = []
     for _ in range(tr.mlp_epochs):
-        cur = MlpModel(iw, lw, b1, b2, model.stats)
-        g_iw, g_lw, g_b1, g_b2, mse = _mlp_gradients(cur, p, y)
+        g_iw, g_lw, g_b1, g_b2, mse = _mlp_gradients(model, p, y)
         losses.append(mse)
         if mse > 1e3 or not np.isfinite(mse):
             raise TrainingDivergedError(f"MLP loss diverged: {mse}")
         if mse <= tr.mse_target:
             break
-        iw = iw - lr * g_iw
-        lw = lw - lr * g_lw
-        b1 = b1 - lr * g_b1
-        b2 = b2 - lr * g_b2
-    return MlpModel(iw, lw, b1, b2, model.stats), np.asarray(losses)
+        iw -= lr * g_iw
+        lw -= lr * g_lw
+        b1 -= lr * g_b1
+        b2 -= lr * g_b2
+    return model, np.asarray(losses)
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +134,13 @@ def train_elman(dataset: Dataset, tr: TrainingConfig):
 
     The stored context enters each update as a constant input (classical
     Elman training); samples are visited in time order so the context
-    threads through the excitation sequence.  Returns (model, MSE curve).
+    threads through the excitation sequence.  The fresh model's arrays are
+    trained in place.  Returns (model, MSE curve).
     """
     model = init_elman(dataset.stats, tr.elman_hidden, tr.model_seed)
     lr = tr.elman_lr
     p_all = normalize(dataset.train_inputs, dataset.stats.in_min, dataset.stats.in_max)
     y_all = normalize(dataset.train_targets, dataset.stats.out_min, dataset.stats.out_max)
-    # the fresh model's arrays are trained in place
     iw, lw1, lw2, b1, b2 = model.iw, model.lw1, model.lw2, model.b1, model.b2
     n_out = y_all.shape[1]
     losses = []
@@ -148,8 +148,8 @@ def train_elman(dataset: Dataset, tr: TrainingConfig):
         context = np.zeros(model.hidden)
         sq_sum = 0.0
         for p, y in zip(p_all, y_all):
-            a = np.tanh(iw @ p + lw1 @ context + b1)
-            err = (lw2 @ a + b2) - y
+            out, a = elman_forward(model, p, context)
+            err = out - y
             sq_sum += float(err @ err)
             scale = 2.0 / n_out
             back = (err @ lw2) * (1.0 - a * a)
@@ -402,16 +402,11 @@ def load_model(path, expected=None):
                     f"{path}: STATS is {stats.shape[0]}x{stats.shape[1]}, "
                     f"expected 2x{n_in + sizes['out']}")
             mins, maxs = stats
-            bad = np.flatnonzero(np.r_[maxs[:n_in] <= mins[:n_in],
-                                       maxs[n_in:] < mins[n_in:]])
-            if bad.size:
-                k = int(bad[0])
-                kind, rel = ("input", "not above") if k < n_in else ("output", "below")
-                raise FileFormatError(
-                    f"{path}: STATS column {k + 1}, an {kind}, has maximum "
-                    f"{float(maxs[k])!r} {rel} its minimum {float(mins[k])!r}")
-            return cls(**arrays, stats=NormStats(mins[:n_in], maxs[:n_in],
-                                                 mins[n_in:], maxs[n_in:]))
+            stats = NormStats(mins[:n_in], maxs[:n_in], mins[n_in:], maxs[n_in:])
+            fault = stats.span_fault()
+            if fault:
+                raise FileFormatError(f"{path}: STATS {fault}")
+            return cls(**arrays, stats=stats)
     want = "model" if expected is None else expected.__name__
     raise FileFormatError(f"{path}: blocks {sorted(blocks)} match no {want} file")
 

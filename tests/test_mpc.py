@@ -14,6 +14,13 @@ from dflsim.mpc import (HorizonSolution, Measurement, MpcConfig, SingularQpError
                         solve_qp)
 from dflsim.networks import train_rbf
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from hypothesis.extra.numpy import arrays
+except ImportError:         # only the property test needs it
+    st = None
+
 G = FanGeometry()
 CFG = MpcConfig()
 
@@ -238,6 +245,40 @@ class TestCondensedMapOracle:
                                d=np.zeros((2, 2)), x0=np.zeros(3), u0=np.zeros(2))
                 assert condensed_map(lpv, MpcConfig(n2=n2, nc=nc)).tobytes() \
                     == oracle_condensed_map(lpv, nc, n2).tobytes()
+
+
+if st is not None:
+    @st.composite
+    def lpv_and_horizons(draw):
+        """A model with A's first column zero, as ``build_lpv`` pins it, and
+        horizons 1 <= nc <= n2 <= 10."""
+        a = np.zeros((3, 3))
+        a[:, 1:] = draw(arrays(np.float64, (3, 2), elements=st.floats(-1.5, 1.5)))
+        lpv = LpvModel(a=a,
+                       b=draw(arrays(np.float64, (3, 2), elements=st.floats(-10, 10))),
+                       c=draw(arrays(np.float64, (2, 3), elements=st.floats(-1e3, 1e3))),
+                       d=np.zeros((2, 2)), x0=np.zeros(3), u0=np.zeros(2))
+        n2 = draw(st.integers(1, 10))
+        return lpv, draw(st.integers(1, n2)), n2
+
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    @given(case=lpv_and_horizons())
+    def test_condensed_map_matches_step_simulation(case):
+        """Column 2k+s of the map is the step simulation's answer to a unit
+        increment of input s at step k; each entry agrees to 1e-12 of the
+        same sum over |A|, |B| and |C|, and is exactly zero above the block
+        diagonal."""
+        lpv, nc, n2 = case
+        magnitude = LpvModel(a=np.abs(lpv.a), b=np.abs(lpv.b), c=np.abs(lpv.c),
+                             d=lpv.d, x0=lpv.x0, u0=lpv.u0)
+        units = np.eye(2 * nc).reshape(2 * nc, nc, 2)
+        ref = np.column_stack([simulate_horizon(lpv, np.zeros(2), du, n2).ravel()
+                               for du in units])
+        bound = np.column_stack([
+            simulate_horizon(magnitude, np.zeros(2), du, n2).ravel() for du in units])
+        g = condensed_map(lpv, MpcConfig(n2=n2, nc=nc))
+        assert g.shape == (2 * n2, 2 * nc)
+        assert np.all(np.abs(g - ref) <= 1e-12 * bound)
 
 
 class TestCost:

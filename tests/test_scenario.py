@@ -1,11 +1,16 @@
 """Closed-loop scenario harness, metrics, CSV round-trips, config, CLI."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dflsim
 import dflsim.cli
 import dflsim.dataset
 import dflsim.mpc as mpc
@@ -22,8 +27,8 @@ from dflsim.fan import (KGF, FanGeometry, fan_power, solve_operating_point,
 from dflsim.lpv import build_lpv, lpv_csv_row
 from dflsim.mpc import Measurement, MpcConfig
 from dflsim.networks import (MODEL_KINDS, compare_models, init_mlp,
-                             load_model, load_rbf, mape, rbf_forward,
-                             save_blocks, save_model, train_rbf)
+                             load_blocks, load_model, load_rbf, mape,
+                             rbf_forward, save_blocks, save_model, train_rbf)
 from dflsim.scenario import (CONTROLLER_KINDS, STATE_NOISE_SPAN, ScenarioConfig,
                              compute_metrics, load_trajectory_csv,
                              relative_error, run_scenario, save_trajectory_csv)
@@ -701,6 +706,7 @@ class TestCli:
         ini.write_text(ini_text)
         assert cli_main(command + ["--config", str(ini),
                                    "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("training", [
         "sample_count = 0",
@@ -837,6 +843,88 @@ class TestCli:
              f"# STATS {len(stats_rows)} 7", *stats_rows]) + "\n")
         assert cli_main(["simulate", "--controller", "ampc", "--model-file",
                          str(path), "--out", str(tmp_path / "o")]) == 5
+
+    @pytest.mark.parametrize("command", [["check-jacobian"],
+                                         ["simulate", "--controller", "ampc"]])
+    def test_stock_model_with_an_input_of_no_span_exit_code(
+            self, stock_rbf, tmp_path, command, capsys):
+        # the loader refuses the file, so neither the audit nor the
+        # controller ever divides by the zero span
+        path = tmp_path / "rbf_model.txt"
+        save_model(stock_rbf, path)
+        blocks = load_blocks(path)
+        blocks["STATS"][1, 0] = blocks["STATS"][0, 0]
+        save_blocks(path, blocks)
+        out = tmp_path / "o"
+        assert cli_main(command + ["--model-file", str(path),
+                                   "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert f"{path}: STATS column 1, an input, has maximum" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_train_refuses_a_split_that_leaves_an_input_no_span(self, tmp_path,
+                                                                capsys):
+        # one training row gives every column a zero span, and load_model
+        # would refuse each model trained on it
+        ini = tmp_path / "one_row.ini"
+        ini.write_text("[training]\nsample_count = 5\nn_train = 1\n")
+        out = tmp_path / "o"
+        assert cli_main(["gen-data", "--config", str(ini), "--out", str(out)]) == 0
+        capsys.readouterr()
+        for kind in MODEL_KINDS:
+            assert cli_main(["train", "--model", kind, "--config", str(ini),
+                             "--out", str(out)]) == 5
+            err = capsys.readouterr().err
+            assert f"{out / 'dataset.csv'}: over its 1 training rows, column 1, " \
+                "an input, has maximum" in err
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.csv"]
+
+    def test_train_rbf_reports_the_fitted_center_count(self, tmp_path, capsys):
+        # k-means places at most one center per training row
+        ini = tmp_path / "capped.ini"
+        ini.write_text("[training]\nsample_count = 60\nn_train = 57\n"
+                       "rbf_centers = 80\n")
+        out = tmp_path / "o"
+        for argv in (["gen-data"], ["train", "--model", "rbf"]):
+            assert cli_main(argv + ["--config", str(ini), "--out", str(out)]) == 0
+        assert "trained rbf: 57 centers" in capsys.readouterr().out
+        assert load_rbf(out / "rbf_model.txt").centers.shape == (57, 4)
+
+    @pytest.mark.parametrize("code, argv, ini_text", [
+        # --out names a file, which keeps its bytes
+        pytest.param(2, ["gen-data"], None, id="2-out-names-a-file"),
+        # the held start input has no stable operating point
+        pytest.param(3, ["simulate", "--controller", "open-loop"],
+                     "[scenario]\ninit_tps = 5.0\ninit_m_fi = 0.0055\n",
+                     id="3-stall-at-start"),
+        # an RK4 stage drives the manifold pressure below zero
+        pytest.param(4, ["gen-data"], "[plant]\ndt_int = 0.05\n",
+                     id="4-substep-too-coarse"),
+        # the stage before never wrote the model file
+        pytest.param(5, ["simulate", "--controller", "ampc", "--model-file",
+                         "missing.txt"], None, id="5-missing-model-file"),
+    ])
+    def test_process_exit_status(self, tmp_path, code, argv, ini_text):
+        """A separate process carries ``main``'s return as its exit status."""
+        out = tmp_path / "out"
+        if code == 2:
+            out.write_bytes(b"not a directory\n")
+        if ini_text is not None:
+            (tmp_path / "case.ini").write_text(ini_text)
+            argv = argv + ["--config", "case.ini"]
+        src = str(Path(dflsim.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "dflsim.cli", *argv,
+                               "--out", "out"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        if code == 2:
+            assert out.read_bytes() == b"not a directory\n"
+        else:
+            assert not any(out.glob("*"))
 
     def test_lpv_dump(self, small_ini, rbf_stage, tmp_path):
         out = shutil.copytree(rbf_stage, tmp_path / "out")
