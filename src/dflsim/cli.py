@@ -4,10 +4,12 @@ Subcommands mirror the workflow: generate identification data, train the
 network models, compare them, run the closed-loop scenario, audit the
 derivative network, and post-process a trajectory into metrics.  Each
 stage reads the files the stage before it wrote and never remakes them.
-``main`` alone maps errors to the exit status: 0 success, 2 configuration
-or command-line error (an ``--out`` that names or lies under a file fails
-before any work), 3 plant stall, 4 any other RuntimeError (a singular condensed QP,
-diverged training, a plant substep too coarse to integrate), 5 a data,
+``main`` alone maps errors to the exit status: 0 success, 1 a
+``check-jacobian`` audit that fails (returned by ``cmd_check_jacobian``),
+2 configuration or command-line error (an ``--out`` that names or lies
+under a file fails before any work), 3 plant stall, 4 any other
+RuntimeError (a singular condensed QP, diverged training, a plant substep
+too coarse to integrate), 5 a data,
 model or trajectory file that is missing, cannot be read, that its
 reader cannot parse or that holds a cell that is not a finite number, or a
 dataset whose training rows give a column no span to train on.

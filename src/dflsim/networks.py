@@ -193,10 +193,19 @@ class RbfModel:
     stats: NormStats
 
 
+def _sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances (N, K), the coordinates added left to right: the
+    bits of ``((points[:, None] - centers[None]) ** 2).sum(axis=2)``
+    without its (N, K, D) temporary."""
+    d2 = (points[:, :1] - centers[:, 0]) ** 2
+    for d in range(1, points.shape[1]):
+        d2 += (points[:, d:d + 1] - centers[:, d]) ** 2
+    return d2
+
+
 def _phi_matrix(points: np.ndarray, centers: np.ndarray, radii: np.ndarray):
     """Gaussian activations exp(-(||p - c_j|| / s_j)^2), one row per point."""
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-d2 / radii ** 2)
+    return np.exp(-_sq_dist(points, centers) / radii ** 2)
 
 
 def rbf_forward(model: RbfModel, p: np.ndarray) -> np.ndarray:
@@ -210,36 +219,34 @@ def rbf_forward(model: RbfModel, p: np.ndarray) -> np.ndarray:
 
 
 def _kmeans(points: np.ndarray, k: int, seed: int):
-    """At most 100 Lloyd iterations after greedy farthest-point seeding.
+    """Greedy farthest-point seeding, then at most 100 Lloyd passes.
 
-    Empty clusters are re-seeded from the point farthest from its assigned
-    center.  Deterministic for a given seed.
+    A pass assigns each point to its nearest center (the first on a tie)
+    and moves each center to the mean of its members, added in point order
+    and divided by their count: the bits of ``points[assign == j].mean(0)``.
+    Empty centers all move to the point farthest from its nearest center.
+    The passes stop once no coordinate moved by more than
+    1e-12 + 1e-5 * |its old value| (``np.allclose`` at ``atol=1e-12``).
     """
     rng = np.random.default_rng(seed)
-    n = len(points)
     centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    centers[0] = points[rng.integers(len(points))]
+    d2 = _sq_dist(points, centers[:1])
     for j in range(1, k):
         centers[j] = points[int(np.argmax(d2))]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dist(points, centers[j:j + 1]))
     for _ in range(100):
-        dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dist = _sq_dist(points, centers)
         assign = dist.argmin(axis=1)
-        new_centers = centers.copy()
-        for j in range(k):
-            members = points[assign == j]
-            if len(members) == 0:
-                worst = int(np.argmax(dist[np.arange(n), assign]))
-                new_centers[j] = points[worst]
-            else:
-                new_centers[j] = members.mean(axis=0)
-        if np.allclose(new_centers, centers, atol=1e-12):
-            centers = new_centers
+        counts = np.bincount(assign, minlength=k)
+        sums = np.stack([np.bincount(assign, weights=col, minlength=k)
+                         for col in points.T], axis=1)
+        new_centers = sums / np.maximum(counts, 1)[:, None]
+        new_centers[counts == 0] = points[int(np.argmax(dist.min(axis=1)))]
+        centers, old = new_centers, centers
+        if np.allclose(centers, old, atol=1e-12):
             break
-        centers = new_centers
-    dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return centers, dist.argmin(axis=1)
+    return centers, _sq_dist(points, centers).argmin(axis=1)
 
 
 def rbf_fit_centers(dataset: Dataset, k: int, neighbors: int, seed: int,
@@ -254,7 +261,7 @@ def rbf_fit_centers(dataset: Dataset, k: int, neighbors: int, seed: int,
     if k == 1:
         radii = np.array([1.0])
     else:
-        gaps = np.sqrt(((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
+        gaps = np.sqrt(_sq_dist(centers, centers))
         np.fill_diagonal(gaps, np.inf)
         m = min(neighbors, k - 1)
         radii = overlap * np.sort(gaps, axis=1)[:, :m].mean(axis=1)

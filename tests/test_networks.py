@@ -1,5 +1,6 @@
 """Network models: forward maps, gradients, training, persistence."""
 
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -291,6 +292,46 @@ class TestRbf:
             assert np.allclose(expected, m.lw @ phi, rtol=1e-13)
 
 
+def reference_kmeans(points, k, seed):
+    """Lloyd's k-means with broadcast (N, K, D) distances and a per-cluster
+    ``mean`` loop: the oracle ``_kmeans`` must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = len(points)
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        centers[j] = points[int(np.argmax(d2))]
+        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+    for _ in range(100):
+        dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = dist.argmin(axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            members = points[assign == j]
+            if len(members) == 0:
+                worst = int(np.argmax(dist[np.arange(n), assign]))
+                new_centers[j] = points[worst]
+            else:
+                new_centers[j] = members.mean(axis=0)
+        if np.allclose(new_centers, centers, atol=1e-12):
+            centers = new_centers
+            break
+        centers = new_centers
+    dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return centers, dist.argmin(axis=1)
+
+
+def assert_kmeans_matches_reference(points, k, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        centers, assign = _kmeans(points, k, seed)
+    ref_centers, ref_assign = reference_kmeans(points, k, seed)
+    assert np.array_equal(centers, ref_centers)
+    assert np.array_equal(assign, ref_assign)
+    return assign
+
+
 class TestRbfFitting:
     def test_kmeans_assignment_matches_brute_force(self):
         rng = np.random.default_rng(21)
@@ -375,6 +416,46 @@ class TestRbfFitting:
         y = normalize(ds.train_targets, ds.stats.out_min, ds.stats.out_max)
         phi = _phi_matrix(p, model.centers, model.radii)
         assert np.mean((phi @ model.lw.T - y) ** 2) <= np.mean(y ** 2)
+
+
+class TestCenterFitOracle:
+    """``_sq_dist`` and the bincount Lloyd update keep the bits of the
+    broadcast distances and the per-cluster means they replaced."""
+
+    @pytest.mark.parametrize("model_seed", range(5))
+    def test_stock_inputs(self, stock_dataset, model_seed):
+        s = stock_dataset.stats
+        points = normalize(stock_dataset.train_inputs, s.in_min, s.in_max)
+        # train_rbf seeds k-means with model_seed + 1
+        assert_kmeans_matches_reference(points, 25, model_seed + 1)
+
+    @pytest.mark.parametrize("instance", range(30))
+    def test_random_instances(self, instance):
+        rng = np.random.default_rng(1000 + instance)
+        n = int(rng.integers(20, 601))
+        points = rng.uniform(-1, 1, (n, 4))
+        if instance % 3 == 0:
+            dup = rng.integers(n, size=n // 3)
+            points[dup] = points[dup % 3]       # copies of rows 0-2
+        assert_kmeans_matches_reference(points, int(rng.integers(2, 41)),
+                                        seed=instance)
+
+    def test_empty_clusters_reseeded_without_warning(self):
+        # five distinct points for eight centers: the three seeded on a
+        # repeat of the origin are left with no members
+        points = np.vstack([np.zeros((6, 4)), np.eye(4)])
+        assign = assert_kmeans_matches_reference(points, 8, seed=0)
+        assert np.array_equal(np.bincount(assign, minlength=8),
+                              [1, 1, 1, 1, 6, 0, 0, 0])
+
+    def test_phi_matrix_matches_broadcast_form(self, stock_rbf):
+        rng = np.random.default_rng(51)
+        for p, c, r in [(rng.uniform(-1, 1, (300, 4)), stock_rbf.centers,
+                         stock_rbf.radii),
+                        (rng.uniform(-1, 1, (40, 4)), rng.uniform(-1, 1, (7, 4)),
+                         rng.uniform(0.3, 2.0, 7))]:
+            expected = np.exp(-((p[:, None] - c[None]) ** 2).sum(axis=2) / r ** 2)
+            assert _phi_matrix(p, c, r).tobytes() == expected.tobytes()
 
 
 class TestMape:
