@@ -222,12 +222,10 @@ def generate_dataset(params: EngineParams, geom: FanGeometry,
                 break
             tps = _tps_for_lambda(lam_target, m_fi, state.n, params)
             tps = min(max(tps + float(dither[j]), TPS_RANGE[0]), TPS_RANGE[1])
-            u = ControlInput(tps=tps, m_fi=m_fi)
-            x_now = state.as_vector()
-            state = step_engine(state, u, fan_load_power(state.n, geom),
-                                params, CONTROL_DT)
-            inputs[filled] = (u.tps, u.m_fi, x_now[1], x_now[2])
-            targets[filled] = state.as_vector()
+            inputs[filled] = (tps, m_fi, state.n, state.lam)
+            state = step_engine(state, ControlInput(tps=tps, m_fi=m_fi),
+                                fan_load_power(state.n, geom), params, CONTROL_DT)
+            targets[filled] = (state.q_eng, state.n, state.lam)
             filled += 1
 
     # coverage prologue: a deterministic bottom-up sweep of fuel levels and

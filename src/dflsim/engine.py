@@ -15,9 +15,9 @@ One interval is 4 * dt/dt_int right-hand-side evaluations (200 at the stock
 fuel in transit are converted once, every constant that is fixed
 while the throttle is held (orifice constants, throttle area, speed-density
 factor, manifold gain, efficiency and friction coefficients) is computed
-once per interval, and one loop over the four RK4 stages evaluates the
-right-hand side inline, with no function call inside a substep.  The public
-sub-model functions evaluate the same formulas directly at a single point.
+once per interval, and the four RK4 stages of a substep are written out in
+sequence, each evaluating the right-hand side inline with no function call.
+The public sub-model functions evaluate the same formulas at a single point.
 
 Near ambient pressure the unchoked throttle makes the manifold stiff: the
 orifice's share of d(dp_man/dt)/dp_man grows without bound as the pressure
@@ -34,7 +34,7 @@ works in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,10 +107,11 @@ class EngineParams:
             raise ValueError("tau_d >= 0, L_th > 0 and dt_int > 0 required")
         # the plant divides by each of these and the air path by gamma - 1
         if not (self.gamma > 1.0 and all(v > 0 for v in (
-                self.manifold_volume, self.manifold_temp, self.ambient_temp,
-                self.gas_constant, self.eta_speed_ref))):
+                self.manifold_volume, self.manifold_temp, self.ambient_pressure,
+                self.ambient_temp, self.gas_constant, self.eta_speed_ref))):
             raise ValueError("gamma > 1 and positive manifold_volume, manifold_temp, "
-                             "ambient_temp, gas_constant and eta_speed_ref required")
+                             "ambient_pressure, ambient_temp, gas_constant and "
+                             "eta_speed_ref required")
 
 
 @dataclass(frozen=True)
@@ -154,12 +155,12 @@ def make_initial_state(params: EngineParams, n: float, manifold_pressure: float,
 # sub-models
 #
 # Each public function below evaluates one sub-model at a single point.
-# ``step_engine`` spells the same formulas inline, in the same operation
-# order, because an interval evaluates them 200 times and a Python call costs
-# more than the arithmetic; ``tests/test_engine.py`` compares the interval
-# with an independently written reference step by ``==``.  The clamps are
-# comparisons written to return what max()/min() would (NaN included) for the
-# same reason.
+# ``step_engine`` spells the same formulas inline in each of its four RK4
+# stages, in the same operation order, because an interval evaluates them 200
+# times and a Python call costs more than the arithmetic; ``tests/test_engine.py``
+# compares the interval with an independently written reference step by ``==``
+# on random draws and on the stock excitation.  The clamps are comparisons
+# written to return what max()/min() would (NaN included) for the same reason.
 # ---------------------------------------------------------------------------
 
 def _orifice(tps: float, params: EngineParams):
@@ -246,6 +247,13 @@ def _outputs(n: float, omega: float, p_man: float, m_fi: float,
 # time stepping
 # ---------------------------------------------------------------------------
 
+def _too_coarse(p_at: float, h: float):
+    """Raise SubstepTooCoarseError for an RK4 stage at pressure ``p_at`` <= 0; the
+    orifice reaches it through its choked branch, as p_amb > 0 gives pr <= 0 < pr_crit."""
+    raise SubstepTooCoarseError(f"manifold pressure {p_at:.6g} Pa inside an RK4 substep of "
+                                f"{h:g} s: dt_int is too coarse")
+
+
 def substeps(params: EngineParams, dt: float, halvings: int = 0):
     """(RK4 substeps per control interval ``dt``, substeps of fuel delay
     max(1, ceil(tau_d/h))) at h = dt_int/2**halvings; ValueError unless
@@ -274,8 +282,8 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
 
     Inputs are converted to Python floats once, so the whole interval runs
     in float arithmetic and the returned state holds floats.  The constants
-    of the held throttle and of every sub-model are computed once; each pass
-    of the stage loop evaluates the right-hand side inline.
+    of the held throttle and of every sub-model are computed once; a substep
+    spells out its four stages in sequence, each right-hand side inline.
     """
     m_fi, m_fi_prev = float(u.m_fi), float(state.m_fi_prev)
     load_power = float(load_power)
@@ -297,12 +305,8 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
     for halvings in range(MAX_HALVINGS + 1):
         n_sub, n_delay = substeps(params, dt, halvings)
         h = params.dt_int / 2 ** halvings
-        sixth_h, h_stiff = h / 6.0, h * stiff_gain
+        half_h, sixth_h, h_stiff = 0.5 * h, h / 6.0, h * stiff_gain
         check = halvings < MAX_HALVINGS
-        # per stage: (step from its slope to the next stage's point, weight
-        # in the sum, whether the substep's stiffness is checked there)
-        stages = ((0.5 * h, 1.0, check), (0.5 * h, 2.0, False), (h, 2.0, False),
-                  (0.0, 1.0, False))
         stiff = False
         omega = TWO_PI * float(state.n)
         p_man = float(state.manifold_pressure)
@@ -312,54 +316,76 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
             no_fuel = m_f_delayed <= 0.0
             fuel_air = m_f_delayed * stoich
 
-            # -0.0 is the exact additive identity, so the sums are the
-            # left-to-right w1 + 2*w2 + 2*w3 + w4 bit for bit
-            w_sum = p_sum = -0.0
-            w_at, p_at = omega, p_man
-            for step, weight, checked in stages:
-                n = w_at / TWO_PI
-                n_pos = 0.0 if n < 0.0 else n
-                # throttle orifice
-                if p_at <= 0.0:
-                    raise SubstepTooCoarseError(
-                        f"manifold pressure {p_at:.6g} Pa inside an RK4 substep of "
-                        f"{h:g} s: dt_int is too coarse")
-                pr = p_at / p_amb
-                if pr >= 1.0:
-                    psi = 0.0
-                elif pr <= pr_crit:
-                    psi = psi_choked
-                else:
-                    pr_a, pr_b = pr ** exp_a, pr ** exp_b
-                    psi = math.sqrt(psi_gain * (pr_a - pr_b))
-                    if checked and (h_stiff * (exp_b * pr_b - exp_a * pr_a)
-                                  > STIFF_LIMIT * pr * psi):
-                        stiff = True
-                        break
-                # speed-density induction
-                m_cyl = swept * n_pos * (p_at / rt_man)
-                # the delayed charge burning at its own mixture
-                if no_fuel:
-                    p_comb = 0.0
-                else:
-                    lam_factor = 1.0 - curv * (m_cyl / fuel_air - lam_opt) ** 2
-                    speed_factor = 1.0 + gain * (n / n_ref - 1.0)
-                    if speed_factor < floor:
-                        speed_factor = floor
-                    eta = peak * lam_factor * speed_factor
-                    p_comb = hu * (0.0 if eta < 0.0 else eta) * kept * m_f_delayed
-                # friction, then the crankshaft power balance and manifold filling
-                p_fric = lin * n_pos + quad * n_pos * n_pos
-                w = (p_comb - p_fric - load_power) / (inertia * w_at)
-                p = manifold_gain * (area_density * psi - m_cyl)
-                w_sum += weight * w
-                p_sum += weight * p
-                w_at = omega + step * w
-                p_at = p_man + step * p
-            if stiff:
-                break
-            omega += sixth_h * w_sum
-            p_man += sixth_h * p_sum
+            # stage 1, at the substep's start and the only one checked for stiffness;
+            # every stage: orifice, induction, delayed combustion, friction, rates
+            n = omega / TWO_PI
+            n_pos = 0.0 if n < 0.0 else n
+            pr = p_man / p_amb
+            if pr >= 1.0:
+                psi = 0.0
+            elif pr <= pr_crit:
+                psi = psi_choked if p_man > 0.0 else _too_coarse(p_man, h)
+            else:
+                pr_a, pr_b = pr ** exp_a, pr ** exp_b
+                psi = math.sqrt(psi_gain * (pr_a - pr_b))
+                if check and h_stiff * (exp_b * pr_b - exp_a * pr_a) > STIFF_LIMIT * pr * psi:
+                    stiff = True
+                    break
+            m_cyl = swept * n_pos * (p_man / rt_man)
+            speed_factor = 1.0 + gain * (n / n_ref - 1.0)
+            eta = 0.0 if no_fuel else peak * (1.0 - curv * (m_cyl / fuel_air - lam_opt) ** 2) * (
+                floor if speed_factor < floor else speed_factor)
+            p_comb = 0.0 if no_fuel else hu * (0.0 if eta < 0.0 else eta) * kept * m_f_delayed
+            w1 = (p_comb - (lin * n_pos + quad * n_pos * n_pos) - load_power) / (inertia * omega)
+            p1 = manifold_gain * (area_density * psi - m_cyl)
+
+            # stage 2, half a substep along stage 1's slope
+            w_at, p_at = omega + half_h * w1, p_man + half_h * p1
+            n = w_at / TWO_PI
+            n_pos = 0.0 if n < 0.0 else n
+            pr = p_at / p_amb
+            psi = (0.0 if pr >= 1.0 else (psi_choked if p_at > 0.0 else _too_coarse(p_at, h))
+                   if pr <= pr_crit else math.sqrt(psi_gain * (pr ** exp_a - pr ** exp_b)))
+            m_cyl = swept * n_pos * (p_at / rt_man)
+            speed_factor = 1.0 + gain * (n / n_ref - 1.0)
+            eta = 0.0 if no_fuel else peak * (1.0 - curv * (m_cyl / fuel_air - lam_opt) ** 2) * (
+                floor if speed_factor < floor else speed_factor)
+            p_comb = 0.0 if no_fuel else hu * (0.0 if eta < 0.0 else eta) * kept * m_f_delayed
+            w2 = (p_comb - (lin * n_pos + quad * n_pos * n_pos) - load_power) / (inertia * w_at)
+            p2 = manifold_gain * (area_density * psi - m_cyl)
+
+            # stage 3, half a substep along stage 2's slope
+            w_at, p_at = omega + half_h * w2, p_man + half_h * p2
+            n = w_at / TWO_PI
+            n_pos = 0.0 if n < 0.0 else n
+            pr = p_at / p_amb
+            psi = (0.0 if pr >= 1.0 else (psi_choked if p_at > 0.0 else _too_coarse(p_at, h))
+                   if pr <= pr_crit else math.sqrt(psi_gain * (pr ** exp_a - pr ** exp_b)))
+            m_cyl = swept * n_pos * (p_at / rt_man)
+            speed_factor = 1.0 + gain * (n / n_ref - 1.0)
+            eta = 0.0 if no_fuel else peak * (1.0 - curv * (m_cyl / fuel_air - lam_opt) ** 2) * (
+                floor if speed_factor < floor else speed_factor)
+            p_comb = 0.0 if no_fuel else hu * (0.0 if eta < 0.0 else eta) * kept * m_f_delayed
+            w3 = (p_comb - (lin * n_pos + quad * n_pos * n_pos) - load_power) / (inertia * w_at)
+            p3 = manifold_gain * (area_density * psi - m_cyl)
+
+            # stage 4, a whole substep along stage 3's slope
+            w_at, p_at = omega + h * w3, p_man + h * p3
+            n = w_at / TWO_PI
+            n_pos = 0.0 if n < 0.0 else n
+            pr = p_at / p_amb
+            psi = (0.0 if pr >= 1.0 else (psi_choked if p_at > 0.0 else _too_coarse(p_at, h))
+                   if pr <= pr_crit else math.sqrt(psi_gain * (pr ** exp_a - pr ** exp_b)))
+            m_cyl = swept * n_pos * (p_at / rt_man)
+            speed_factor = 1.0 + gain * (n / n_ref - 1.0)
+            eta = 0.0 if no_fuel else peak * (1.0 - curv * (m_cyl / fuel_air - lam_opt) ** 2) * (
+                floor if speed_factor < floor else speed_factor)
+            p_comb = 0.0 if no_fuel else hu * (0.0 if eta < 0.0 else eta) * kept * m_f_delayed
+            w4 = (p_comb - (lin * n_pos + quad * n_pos * n_pos) - load_power) / (inertia * w_at)
+            p4 = manifold_gain * (area_density * psi - m_cyl)
+
+            omega += sixth_h * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+            p_man += sixth_h * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
             if p_man < 1.0:
                 p_man = 1.0
             if p_amb < p_man:
@@ -373,5 +399,5 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
 
     n = omega / TWO_PI
     q_eng, lam = _outputs(n, omega, p_man, m_fi, m_f_delayed, params)
-    return replace(state, q_eng=q_eng, n=n, lam=lam, manifold_pressure=p_man,
-                   m_fi_prev=m_fi)
+    return EngineState(q_eng=q_eng, n=n, lam=lam, manifold_pressure=p_man,
+                       m_fi_prev=m_fi)

@@ -251,12 +251,12 @@ def _kmeans(points: np.ndarray, k: int, seed: int):
 
 def rbf_fit_centers(dataset: Dataset, k: int, neighbors: int, seed: int,
                     overlap: float):
-    """Place centers by k-means on normalized training inputs; radius of each
-    center is the mean distance to its ``neighbors`` nearest co-centers,
-    widened by the ``overlap`` factor so neighboring kernels blend."""
+    """Place centers by k-means on normalized training inputs, no more than
+    the distinct rows; radius of each is the mean distance to its ``neighbors``
+    nearest co-centers, widened by ``overlap`` so neighboring kernels blend."""
     points = normalize(dataset.train_inputs, dataset.stats.in_min,
                        dataset.stats.in_max)
-    k = min(k, len(points))
+    k = min(k, len(set(map(tuple, points.tolist()))))
     centers, _ = _kmeans(points, k, seed)
     if k == 1:
         radii = np.array([1.0])

@@ -45,10 +45,10 @@ def _finite(path, mat: np.ndarray, where: str = "") -> np.ndarray:
 
 
 def write_table(path, header: str, rows) -> None:
-    """Write ``header`` and one comma-joined line per row of cells."""
+    """Write ``header`` and one comma-joined line per row; an ndarray goes through ``tolist()``."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
+        for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
             fh.write(",".join(map(_cell, row)) + "\n")
 
 

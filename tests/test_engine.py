@@ -6,9 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dflsim.dataset import MF_RANGE, TPS_RANGE, settled_state
+import dflsim.dataset
+import dflsim.engine
+from dflsim.config import load_bundle
+from dflsim.dataset import MF_RANGE, TPS_RANGE, generate_dataset, settled_state
 from dflsim.engine import (MAX_HALVINGS, STIFF_LIMIT, TWO_PI, ControlInput,
-                           EngineParams, EngineStallError, air_mass_flow,
+                           EngineParams, EngineStallError,
+                           SubstepTooCoarseError, air_mass_flow,
                            cylinder_air_flow, friction_power,
                            make_initial_state, normalized_afr, step_engine,
                            thermal_efficiency)
@@ -395,6 +399,53 @@ class TestStepEngineOracle:
         out = step_engine(state, u, 8000.0, P, 0.1)
         assert (out.q_eng, out.n, out.lam, out.manifold_pressure,
                 out.m_fi_prev) == reference_step(state, u, 8000.0, P, 0.1, hits)
+
+    def test_stock_excitation_matches_reference_step(self, monkeypatch):
+        # the intervals ``gen-data`` integrates at the stock config, as the
+        # dataset module calls the plant: every one that halves its substep
+        # and every 50th of the rest
+        calls, halved = [], set()
+        plant, substeps = dflsim.dataset.step_engine, dflsim.engine.substeps
+
+        def recording(*args):
+            calls.append(args)
+            return plant(*args)
+
+        def observed(params, dt, halvings=0):
+            if halvings:
+                halved.add(len(calls) - 1)
+            return substeps(params, dt, halvings)
+
+        monkeypatch.setattr(dflsim.dataset, "step_engine", recording)
+        monkeypatch.setattr(dflsim.engine, "substeps", observed)
+        bundle = load_bundle(None)
+        generate_dataset(bundle.plant, bundle.fan, bundle.training)
+        monkeypatch.undo()
+        assert len(calls) == bundle.training.sample_count and len(halved) == 4
+        for i in sorted(halved | set(range(0, len(calls), 50))):
+            hits = set()
+            expected = reference_step(*calls[i], hits)
+            assert ("substep halved" in hits) == (i in halved)
+            out = step_engine(*calls[i])
+            assert (out.q_eng, out.n, out.lam, out.manifold_pressure,
+                    out.m_fi_prev) == expected
+
+    @pytest.mark.parametrize("dt_int, n, p_start, tps, load, p_stage", [
+        # a start pressure no substep can reach raises in stage 1; a coarse
+        # substep overshoots below zero in stage 2, 3 or 4
+        (P.dt_int, 75.0, -1.0, 85.0, 7250.0, "-1"),
+        (0.1, 150.0, P.ambient_pressure, 85.0, 7250.0, "-66621.2"),
+        (0.05, 145.0, 4.9e4, 95.0, 1.7e4, "-123497"),
+        (0.05, 75.0, P.ambient_pressure, 85.0, 7250.0, "-116934")])
+    def test_nonpositive_stage_pressure_raises(self, dt_int, n, p_start, tps,
+                                               load, p_stage):
+        params = EngineParams(dt_int=dt_int)
+        state = replace(make_initial_state(params, n=n, manifold_pressure=7.0e4,
+                                           m_fi=0.004), manifold_pressure=p_start)
+        with pytest.raises(SubstepTooCoarseError) as info:
+            step_engine(state, ControlInput(tps=tps, m_fi=0.004), load, params, 0.1)
+        assert str(info.value) == (f"manifold pressure {p_stage} Pa inside an RK4 "
+                                   f"substep of {dt_int:g} s: dt_int is too coarse")
 
     def test_state_fields_are_python_floats(self):
         # numpy scalars in the fuel in transit or the inputs would turn every

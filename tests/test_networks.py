@@ -351,6 +351,18 @@ class TestRbfFitting:
         assert np.max(d2.min(axis=1)) < 1e-16
         assert np.all(radii > 0.0)
 
+    def test_no_more_centers_than_distinct_rows(self):
+        # six copies of one row and four others: eight centers would leave
+        # spares coinciding at the repeated row, a co-center gap of 0 and
+        # radii at the 1e-6 floor
+        inputs = np.vstack([np.zeros((6, 4)), np.eye(4)])
+        ds = make_dataset(inputs, np.zeros((10, 3)))
+        centers, radii = rbf_fit_centers(ds, k=8, neighbors=2, seed=0,
+                                         overlap=4.0)
+        assert len(centers) == 5
+        assert len(np.unique(centers, axis=0)) == len(centers)
+        assert np.all(radii > 1e-6)
+
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(23)
         inputs = rng.uniform(-1, 1, (60, 4))

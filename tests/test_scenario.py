@@ -781,6 +781,8 @@ class TestCli:
 
     @pytest.mark.parametrize("section, key", [
         ("plant", "gamma = 1.0"),
+        ("plant", "ambient_pressure = 0"),
+        ("plant", "ambient_pressure = -101325"),
         ("plant", "ambient_temp = 0"),
         ("plant", "gas_constant = 0"),
         ("plant", "manifold_volume = 0"),
