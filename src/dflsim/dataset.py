@@ -50,7 +50,6 @@ class TrainingConfig:
     elman_hidden: int = 12
     elman_lr: float = 0.01
     elman_epochs: int = 1000
-    mse_target: float = 1.0e-4
 
     def __post_init__(self):
         if not 1 <= self.n_train < self.sample_count:

@@ -277,14 +277,18 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
     starts where h * |orifice share of d(dp_man/dt)/dp_man| exceeds
     STIFF_LIMIT restarts the interval at h/2, up to MAX_HALVINGS times.
     Raises EngineStallError (infeasible load / fuel starvation) if speed
-    falls through the floor, and SubstepTooCoarseError if an RK4 stage drives
-    the manifold pressure to zero or below.
+    falls through the floor, SubstepTooCoarseError if an RK4 stage drives
+    the manifold pressure to zero or below, and ValueError if the start
+    state's is not positive.
 
     Inputs are converted to Python floats once, so the whole interval runs
     in float arithmetic and the returned state holds floats.  The constants
     of the held throttle and of every sub-model are computed once; a substep
     spells out its four stages in sequence, each right-hand side inline.
     """
+    if not state.manifold_pressure > 0.0:
+        raise ValueError(f"manifold pressure must be positive, not "
+                         f"{state.manifold_pressure:.6g} Pa at the interval's start")
     m_fi, m_fi_prev = float(u.m_fi), float(state.m_fi_prev)
     load_power = float(load_power)
     area_density, pr_crit, psi_choked, exp_a, exp_b, psi_gain = _orifice(float(u.tps), params)

@@ -8,19 +8,10 @@ states, raised the ramp MAE from 8.6-12 % to 46-77 %.  G is one block
 lower-triangular Toeplitz map whose blocks are the step responses, the
 cumulative sums of the Markov parameters C*A^i*B (L. Wang, Model
 Predictive Control System Design and Implementation Using MATLAB, 2009,
-ch. 1-3), placed by one gather through the config's Toeplitz index.
-Tracking and move terms are scaled per channel by the constraint
-spans so the weighting factors compare like with like.  The condensed
-problem is a strictly convex QP in 2*Nc variables: input box limits enter
-as hard linear inequalities handled by Hildreth dual coordinate ascent,
-output limits as quadratic penalties activated by a short working-set
-refinement loop, whose first round has no penalised row and solves the
-plain tracking QP.  A Hessian that is singular in floating point raises
-SingularQpError.  The cost runs over every predicted step, from the
-first on.  Every array that depends on the config alone (weights, limits,
-the input-box rows, the Toeplitz index) is built once per config by its
-``layout`` property and shared read-only, so a control step only condenses
-the new model and solves.
+ch. 1-3).  Tracking and move terms are scaled per channel by the
+constraint spans so the weighting factors compare like with like.  The
+input box is a hard constraint, handled by Hildreth dual coordinate ascent;
+the output limits add a penalty on the squared excess past each limit.
 """
 
 from __future__ import annotations
@@ -41,11 +32,8 @@ from .networks import RbfModel
 
 @dataclass(frozen=True)
 class HorizonLayout:
-    """Every array of the condensed QP that depends on the config alone.
-
-    ``MpcConfig.layout`` builds it once per config; the arrays are read-only
-    because every step under that config shares them.
-    """
+    """Every array of the condensed QP that depends on the config alone, built
+    once per config by ``MpcConfig.layout`` and read-only: every step shares it."""
 
     y_index: np.ndarray         # y0[y_index] stacks the measured output over N2
     w_y: np.ndarray             # 1/span of [thrust, lambda] per stacked output row
@@ -152,8 +140,8 @@ class Measurement:
 @dataclass(frozen=True)
 class HorizonSolution:
     du: np.ndarray            # (Nc, 2) optimal input increments
-    cost: float               # solver objective (tracking + moves + penalties)
-    iterations: int           # Hildreth sweeps summed over every round
+    cost: float               # objective at du (tracking + moves + penalties)
+    iterations: int           # Hildreth sweeps summed over every Newton round
     capped: bool              # some round hit the sweep cap
 
 
@@ -239,59 +227,71 @@ def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, m_mat: np.ndarray,
     return z, lam, iterations, kkt, capped
 
 
+def line_minimum(layout: HorizonLayout, g: np.ndarray, z: np.ndarray,
+                 z_model: np.ndarray, y: np.ndarray, ref_s: np.ndarray) -> np.ndarray:
+    """The least-objective point of the segment from ``z`` (stacked trail ``y``)
+    to ``z_model``.  The objective's slope along it never decreases and is
+    linear between the kinks where a row meets a limit, so interpolating its
+    values there to zero is exact (Keerthi & DeCoste, JMLR 6, 2005)."""
+    d = z_model - z
+    gd = g @ d
+    past = np.concatenate([y - layout.y_hi, y - layout.y_lo])
+    turn = np.concatenate([gd, gd])
+    flips = (past > 0.0) != (past + turn > 0.0)
+    ts = np.concatenate([[0.0], np.sort(-past[flips] / turn[flips]), [1.0]])
+    trail = y + ts[:, None] * gd
+    excess = np.maximum(trail - layout.y_hi, 0.0) - np.maximum(layout.y_lo - trail, 0.0)
+    slope = (layout.q_diag * (trail - ref_s) + layout.rho * excess) @ gd \
+        + (z + ts[:, None] * d) @ layout.r_mat @ d
+    return z + np.interp(0.0, slope, ts) * d
+
+
 def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
              u_prev: np.ndarray, config: MpcConfig) -> HorizonSolution:
-    """Condense the horizon into a 2*Nc-variable QP and solve it.
+    """Minimise the horizon objective over the 2*Nc increments in the box.
 
-    The predicted trail is y0 + G*du with G from ``condensed_map``.  Output
-    limits are enforced softly: rows predicted more than 1e-12 beyond a
-    limit add quadratic pull-back terms toward it and the QP is re-solved,
-    at most three refinement rounds.  The returned increments always
-    satisfy the input box; ``iterations`` sums the Hildreth sweeps of every
-    round, and ``capped`` is set if any round hit the sweep cap.
-    """
-    refs = np.atleast_2d(np.asarray(refs, dtype=float))
-    u_prev = np.asarray(u_prev, dtype=float)
-    y0 = np.asarray(meas.output, dtype=float)
-    nc, n2 = config.nc, config.n2
-
+    The trail is y0 + G*du (``condensed_map``); the objective adds rho times
+    each row's squared excess past its limit.  A Newton round (Hintermueller,
+    Ito & Kunisch, SIAM J. Optim. 13(3), 2002) pulls the rows more than 1e-12
+    past a limit toward it and minimises that quadratic model in the box by
+    ``hildreth``; the first round pulls none.  A minimiser whose crossing rows
+    are not the pulled ones gives way to ``line_minimum``; the loop ends when
+    the crossing rows repeat.  ``cost`` is the objective at du, ``iterations``
+    sums every round's sweeps, and ``capped`` is set if a round hit the cap."""
     layout = config.layout
-    q_diag, r_mat, rho = layout.q_diag, layout.r_mat, layout.rho
-    y_lo, y_hi, m_mat = layout.y_lo, layout.y_hi, layout.m_mat
-
+    top, bottom = layout.y_hi + 1e-12, layout.y_lo - 1e-12
     g = condensed_map(lpv, config)
-    y0_s = y0[layout.y_index]
-    ref_s = refs[:n2].ravel()
-    gamma = layout.gamma(u_prev)
+    y0_s = np.asarray(meas.output, dtype=float)[layout.y_index]
+    ref_s = np.asarray(refs, dtype=float)[:config.n2].ravel()
+    gamma = layout.gamma(np.asarray(u_prev, dtype=float))
 
-    # rows penalised toward the upper / lower limit; none is in the first
-    # round, whose pull is exactly zero and whose weight is exactly q_diag
-    track = q_diag * (y0_s - ref_s)
-    weight, rhs = q_diag, track
-    over = under = np.zeros(2 * n2, dtype=bool)
-    soft, iterations, capped = False, 0, False
-    for _ in range(3):
-        e_mat = 2.0 * (g.T @ (weight[:, None] * g) + r_mat)
+    weight, rhs = layout.q_diag, layout.q_diag * (y0_s - ref_s)
+    side = np.zeros(len(y0_s), dtype=np.int8)   # +1 / -1: pulled to the upper / lower limit
+    z, iterations, capped = None, 0, False
+    while True:
+        e_mat = 2.0 * (g.T @ (weight[:, None] * g) + layout.r_mat)
         f_vec = 2.0 * g.T @ rhs
-        z, _, sweeps, _, round_capped = hildreth(e_mat, f_vec, m_mat, gamma)
+        z_new, _, sweeps, _, round_capped = hildreth(e_mat, f_vec, layout.m_mat, gamma)
         iterations, capped = iterations + sweeps, capped or round_capped
-        y_pred = y0_s + g @ z
-        # a row crosses 1e-12 past its limit; one already penalised is no new hit
-        hit_over = (y_pred > y_hi + 1e-12) & ~over
-        hit_under = (y_pred < y_lo - 1e-12) & ~under
-        if not (np.count_nonzero(hit_over) or np.count_nonzero(hit_under)):
+        y_new = y0_s + g @ z_new
+        crossing = (y_new > top).view(np.int8) - (y_new < bottom).view(np.int8)
+        if z is not None and np.count_nonzero(crossing != side):
+            z_new = line_minimum(layout, g, z, z_new, y_pred, ref_s)
+            y_new = y0_s + g @ z_new
+            crossing = (y_new > top).view(np.int8) - (y_new < bottom).view(np.int8)
+        z, y_pred = z_new, y_new
+        if not np.count_nonzero(crossing != side):
             break
-        over, under, soft = over | hit_over, under | hit_under, True
-        pull = np.where(over, y0_s - y_hi, 0.0) + np.where(under, y0_s - y_lo, 0.0)
-        weight = q_diag + rho * over + rho * under
-        rhs = track + rho * pull
+        side = crossing
+        pen = layout.rho * (side != 0)
+        limit = np.where(side > 0, layout.y_hi, layout.y_lo)
+        weight = layout.q_diag + pen
+        rhs = layout.q_diag * (y0_s - ref_s) + pen * (y0_s - limit)
 
     total = cost(config, ref_s, y_pred, z)
-    if soft:
-        excess = np.where(over, y_pred - y_hi, 0.0) ** 2 \
-            + np.where(under, y_pred - y_lo, 0.0) ** 2
-        total += float(rho @ excess)
-    return HorizonSolution(du=z.reshape(nc, 2), cost=total,
+    if np.count_nonzero(side):
+        total += float(pen @ (y_pred - limit) ** 2)
+    return HorizonSolution(du=z.reshape(config.nc, 2), cost=total,
                            iterations=iterations, capped=capped)
 
 

@@ -85,8 +85,6 @@ def train_mlp(dataset: Dataset, tr: TrainingConfig):
         losses.append(mse)
         if mse > 1e3 or not np.isfinite(mse):
             raise TrainingDivergedError(f"MLP loss diverged: {mse}")
-        if mse <= tr.mse_target:
-            break
         iw -= lr * g_iw
         lw -= lr * g_lw
         b1 -= lr * g_b1
@@ -163,8 +161,6 @@ def train_elman(dataset: Dataset, tr: TrainingConfig):
         losses.append(mse)
         if mse > 1e3 or not np.isfinite(mse):
             raise TrainingDivergedError(f"Elman loss diverged: {mse}")
-        if mse <= tr.mse_target:
-            break
     return model, np.asarray(losses)
 
 

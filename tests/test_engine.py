@@ -18,6 +18,12 @@ from dflsim.engine import (MAX_HALVINGS, STIFF_LIMIT, TWO_PI, ControlInput,
                            thermal_efficiency)
 from dflsim.fan import FanGeometry, fan_load_power
 
+try:
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+except ImportError:         # only the property test needs it
+    st = None
+
 P = EngineParams()
 G = FanGeometry()
 
@@ -431,9 +437,7 @@ class TestStepEngineOracle:
                     out.m_fi_prev) == expected
 
     @pytest.mark.parametrize("dt_int, n, p_start, tps, load, p_stage", [
-        # a start pressure no substep can reach raises in stage 1; a coarse
-        # substep overshoots below zero in stage 2, 3 or 4
-        (P.dt_int, 75.0, -1.0, 85.0, 7250.0, "-1"),
+        # a coarse substep overshoots below zero in stage 2, 3 or 4
         (0.1, 150.0, P.ambient_pressure, 85.0, 7250.0, "-66621.2"),
         (0.05, 145.0, 4.9e4, 95.0, 1.7e4, "-123497"),
         (0.05, 75.0, P.ambient_pressure, 85.0, 7250.0, "-116934")])
@@ -446,6 +450,16 @@ class TestStepEngineOracle:
             step_engine(state, ControlInput(tps=tps, m_fi=0.004), load, params, 0.1)
         assert str(info.value) == (f"manifold pressure {p_stage} Pa inside an RK4 "
                                    f"substep of {dt_int:g} s: dt_int is too coarse")
+
+    @pytest.mark.parametrize("p_start", [-1.0, 0.0, float("nan")])
+    def test_nonpositive_start_pressure_raises(self, p_start):
+        # a start pressure no substep made is a bad state, not a coarse substep
+        state = replace(make_initial_state(P, n=75.0, manifold_pressure=7.0e4,
+                                           m_fi=0.004), manifold_pressure=p_start)
+        with pytest.raises(ValueError) as info:
+            step_engine(state, ControlInput(tps=85.0, m_fi=0.004), 7250.0, P, 0.1)
+        assert str(info.value) == (f"manifold pressure must be positive, not "
+                                   f"{p_start:.6g} Pa at the interval's start")
 
     def test_state_fields_are_python_floats(self):
         # numpy scalars in the fuel in transit or the inputs would turn every
@@ -567,3 +581,22 @@ class TestEngineInvariants:
             EngineParams(fuel_loss_coeff=1.0)
         with pytest.raises(ValueError):
             EngineParams(inertia=-1.0)
+
+
+if st is not None:
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(tps=st.floats(*TPS_RANGE), m_fi=st.floats(*MF_RANGE))
+    def test_settled_state_balances_power_and_air(tps, m_fi):
+        """Anywhere in the input box where the plant has a stable point,
+        combustion power pays friction and the fan load, and the throttle
+        passes what the cylinders draw, each to 1e-6 relative."""
+        u = ControlInput(tps=tps, m_fi=m_fi)
+        try:
+            state = settled_state(P, G, u)
+        except EngineStallError:
+            assume(False)
+        n, p_man = state.n, state.manifold_pressure
+        p_comb = combustion_power(m_fi, state.lam, n, P)
+        assert abs(p_comb - friction_power(n, P) - fan_load_power(n, G)) <= 1e-6 * p_comb
+        m_cyl = cylinder_air_flow(p_man, n, P)
+        assert abs(air_mass_flow(tps, p_man, P) - m_cyl) <= 1e-6 * m_cyl

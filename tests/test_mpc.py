@@ -1,18 +1,20 @@
 """Receding-horizon optimizer: prediction, cost, QP solver, step contracts."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import dflsim.mpc as mpc
+from dflsim.config import load_bundle
 from dflsim.dataset import MF_RANGE, TPS_RANGE, TrainingConfig
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
 from dflsim.lpv import LpvModel, build_lpv
 from dflsim.mpc import (HorizonSolution, Measurement, MpcConfig, SingularQpError,
-                        ampc_step, condensed_map, cost, hildreth, mpc_step,
-                        solve_qp)
+                        ampc_step, condensed_map, cost, hildreth, line_minimum,
+                        mpc_step, solve_qp)
 from dflsim.networks import train_rbf
+from dflsim.scenario import run_scenario
 
 try:
     from hypothesis import given, settings
@@ -83,9 +85,10 @@ def binding_case():
     return lpv, y0, y0 + 300.0 / step[-1, 0] * step, np.array([88.0, 0.003])
 
 
-def three_round_case():
-    """(lpv, y0, refs, u_prev) whose second round crosses a limit on rows
-    the first did not, so all three refinement rounds run."""
+def late_crossing_case():
+    """(lpv, y0, refs, u_prev) whose first penalised round, minimising the
+    pull on the rows the plain QP pushed past the thrust limit, pushes
+    other rows past it."""
     lpv = toy_lpv(2)
     y0 = np.array([1200.0, 0.95])
     step = simulate_horizon(lpv, np.zeros(2), [[1.0, 0.0]], CFG.n2)
@@ -107,45 +110,109 @@ def oracle_condensed_map(lpv, nc, n2):
     return g.reshape(2 * n2, 2 * nc)
 
 
-def oracle_solve_qp(lpv, meas, refs, u_prev, config):
-    """``solve_qp`` with the soft-limit terms built in every round, the
-    first included, G from ``oracle_condensed_map``, and the predicted trail
-    taken once more as y0 + G*z after the last round."""
+def plain_qp_solution(lpv, meas, refs, u_prev, config):
+    """The tracking QP without any soft-limit term, condensed through
+    ``oracle_condensed_map`` and solved by one ``hildreth`` call."""
+    layout = config.layout
+    g = oracle_condensed_map(lpv, config.nc, config.n2)
+    y0_s = np.tile(meas.output, config.n2)
+    ref_s = refs[:config.n2].ravel()
+    e_mat = 2.0 * (g.T @ (layout.q_diag[:, None] * g) + layout.r_mat)
+    f_vec = 2.0 * g.T @ (layout.q_diag * (y0_s - ref_s))
+    z, _, sweeps, _, capped = hildreth(e_mat, f_vec, layout.m_mat, layout.gamma(u_prev))
+    return HorizonSolution(du=z.reshape(config.nc, 2),
+                           cost=cost(config, ref_s, y0_s + g @ z, z),
+                           iterations=sweeps, capped=capped)
+
+
+def objective(lpv, y0, refs, du, config):
+    """Tracking, moves and rho times every row's squared excess past its
+    limit, at the increments ``du``."""
+    layout = config.layout
+    y = np.tile(y0, config.n2) + oracle_condensed_map(lpv, config.nc, config.n2) @ np.ravel(du)
+    excess = np.maximum(y - layout.y_hi, 0.0) + np.maximum(layout.y_lo - y, 0.0)
+    return (cost(config, refs[:config.n2].ravel(), y, np.ravel(du))
+            + float(layout.rho @ excess ** 2))
+
+
+def reference_minimiser(lpv, y0, refs, u_prev, config, iterations=3000):
+    """The least objective over the input box by accelerated projected
+    gradient (FISTA with a restart whenever the objective rises), in the
+    cumulative inputs v = u - u_prev, where the box is simple bounds, each
+    scaled by the root of its Hessian diagonal."""
     layout = config.layout
     nc, n2 = config.nc, config.n2
-    q_diag, rho, y_lo, y_hi = layout.q_diag, layout.rho, layout.y_lo, layout.y_hi
-    refs = np.atleast_2d(np.asarray(refs, dtype=float))
-    y0 = np.asarray(meas.output, dtype=float)
-    g = oracle_condensed_map(lpv, nc, n2)
-    g_s = g[:2 * n2]
-    y0_s = np.tile(y0, n2)
-    ref_s = refs[:n2].ravel()
-    gamma = layout.gamma(np.asarray(u_prev, dtype=float))
-    over = under = np.zeros(len(y0_s), dtype=bool)
-    iterations, capped = 0, False
-    for _ in range(3):
-        pull = np.where(over, y0_s - y_hi, 0.0) + np.where(under, y0_s - y_lo, 0.0)
-        weight = q_diag + rho * over + rho * under
-        e_mat = 2.0 * (g_s.T @ (weight[:, None] * g_s) + layout.r_mat)
-        f_vec = 2.0 * g_s.T @ (q_diag * (y0_s - ref_s) + rho * pull)
-        z, _, sweeps, _, round_capped = hildreth(e_mat, f_vec, layout.m_mat, gamma)
-        iterations, capped = iterations + sweeps, capped or round_capped
-        y_pred = y0_s + g_s @ z
-        new_over = over | (y_pred > y_hi + 1e-12)
-        new_under = under | (y_pred < y_lo - 1e-12)
-        if np.array_equal(new_over, over) and np.array_equal(new_under, under):
-            break
-        over, under = new_over, new_under
-    du = z.reshape(nc, 2)
-    predicted = y0 + (g @ z).reshape(n2, 2)
-    err = (refs[:n2] - predicted[:n2]) * layout.w_y[:2]
-    moves = du * layout.w_u[:2]
-    excess = np.where(over, y_pred - y_hi, 0.0) ** 2 \
-        + np.where(under, y_pred - y_lo, 0.0) ** 2
-    total = config.eps * float(np.sum(err ** 2)) \
-        + config.xi * float(np.sum(moves ** 2)) + float(rho @ excess)
-    return HorizonSolution(du=du, cost=total, iterations=iterations,
-                           capped=capped)
+    to_du = np.linalg.inv(np.kron(np.tril(np.ones((nc, nc))), np.eye(2)))
+    g = oracle_condensed_map(lpv, nc, n2) @ to_du
+    r = to_du.T @ layout.r_mat @ to_du
+    weight = layout.q_diag + layout.rho
+    scale = 1.0 / np.sqrt(np.diag(g.T @ (weight[:, None] * g) + r))
+    g, r = g * scale, r * np.outer(scale, scale)
+    lower = np.tile(layout.u_lower - u_prev, nc) / scale
+    upper = np.tile(layout.u_upper - u_prev, nc) / scale
+    y0_s, ref_s = np.tile(y0, n2), refs[:n2].ravel()
+
+    def value_and_gradient(s):
+        y = y0_s + g @ s
+        over, under = np.maximum(y - layout.y_hi, 0.0), np.maximum(layout.y_lo - y, 0.0)
+        value = (layout.q_diag @ (y - ref_s) ** 2 + s @ r @ s
+                 + layout.rho @ (over ** 2 + under ** 2))
+        return value, 2.0 * (g.T @ (layout.q_diag * (y - ref_s)
+                                    + layout.rho * (over - under)) + r @ s)
+
+    step = 0.5 / np.linalg.eigvalsh(g.T @ (weight[:, None] * g) + r).max()
+    s = np.clip(np.zeros(2 * nc), lower, upper)
+    best, momentum, t = value_and_gradient(s)[0], s, 1.0
+    for _ in range(iterations):
+        trial = np.clip(momentum - step * value_and_gradient(momentum)[1], lower, upper)
+        value = value_and_gradient(trial)[0]
+        if value > best:
+            momentum, t = s, 1.0
+            continue
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        momentum = trial + (t - 1.0) / t_next * (trial - s)
+        s, best, t = trial, value, t_next
+    return best
+
+
+def assert_newton_fixed_point(lpv, y0, refs, u_prev, config, sol, last_model):
+    """The Newton loop's stopping certificate: the quadratic model that pulls
+    the rows crossing a limit at ``sol.du`` toward it is the model of the
+    last round (``last_model``, its (E, f)), and minimising it under the
+    box returns du to within 1e-9 (relative, or absolute below 1)."""
+    layout = config.layout
+    g = oracle_condensed_map(lpv, config.nc, config.n2)
+    y0_s = np.tile(y0, config.n2)
+    y = y0_s + g @ sol.du.ravel()
+    over, under = y > layout.y_hi + 1e-12, y < layout.y_lo - 1e-12
+    pen = layout.rho * (over | under)
+    limit = np.where(over, layout.y_hi, layout.y_lo)
+    e_mat = 2.0 * (g.T @ ((layout.q_diag + pen)[:, None] * g) + layout.r_mat)
+    f_vec = 2.0 * g.T @ (layout.q_diag * (y0_s - refs[:config.n2].ravel())
+                         + pen * (y0_s - limit))
+    for mine, last in zip((e_mat, f_vec), last_model):
+        assert np.allclose(mine, last, rtol=0, atol=1e-12 * np.abs(last).max())
+    z = hildreth(e_mat, f_vec, layout.m_mat, layout.gamma(u_prev))[0]
+    assert np.max(np.abs(z - sol.du.ravel())) <= 1e-9 * max(1.0, np.abs(sol.du).max())
+
+
+def assert_reference_minimum(lpv, y0, refs, u_prev, config):
+    """``solve_qp`` ends at the Newton loop's fixed point, its objective is
+    the reference minimiser's to 1e-9, and ``cost`` is that objective."""
+    models = []
+
+    def recorded(*args):
+        models.append(args[:2])
+        return hildreth(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpc, "hildreth", recorded)
+        sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, config)
+    value = objective(lpv, y0, refs, sol.du, config)
+    best = reference_minimiser(lpv, y0, refs, u_prev, config)
+    assert value == pytest.approx(best, rel=1e-9)
+    assert sol.cost == pytest.approx(value, rel=1e-12)
+    assert_newton_fixed_point(lpv, y0, refs, u_prev, config, sol, models[-1])
 
 
 def solution_bytes(sol):
@@ -414,13 +481,30 @@ class TestSolveQp:
         assert first[:, 0].max() > CFG.thrust_bounds[1]
         predicted = y0 + (condensed_map(lpv, CFG) @ sol.du.ravel()).reshape(CFG.n2, 2)
         assert output_violation(predicted) < output_violation(first)
-        # frozen values: every condensing of this QP must reproduce them
-        du_frozen = np.array([-6.352943628154424, -0.0019000001072223445,
-                              -3.1722026999724657, 1.9565124000087142e-10,
-                              -0.24395629607032898, -8.8428882272229e-11])
-        assert np.max(np.abs(sol.du.ravel() - du_frozen)) \
-            <= 1e-9 * np.max(np.abs(du_frozen))
-        assert sol.cost == pytest.approx(564.416850081134, rel=1e-9)
+        assert sol.cost == pytest.approx(104.143456828, rel=1e-9)
+        assert_reference_minimum(lpv, y0, refs, u_prev, CFG)
+
+    def test_line_minimum_is_least_on_the_segment(self, monkeypatch):
+        # from the first penalised model's answer to the second's, which
+        # crosses other rows, the step stops short of the second
+        lpv, y0, refs, u_prev = overshoot_case()
+        answers = []
+
+        def recorded(*args):
+            answers.append(hildreth(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(mpc, "hildreth", recorded)
+        solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, CFG)
+        start, end = answers[1][0], answers[2][0]
+        g = condensed_map(lpv, CFG)
+        point = line_minimum(CFG.layout, g, start, end, np.tile(y0, CFG.n2) + g @ start,
+                             refs.ravel())
+        t = (point - start) @ (end - start) / ((end - start) @ (end - start))
+        assert 0.5 < t < 0.99
+        grid = [objective(lpv, y0, refs, start + s * (end - start), CFG)
+                for s in np.linspace(0.0, 1.0, 2001)]
+        assert objective(lpv, y0, refs, point, CFG) <= min(grid) * (1 + 1e-12)
 
     def test_iterations_count_every_round(self, monkeypatch):
         # the first round binds a box edge and sweeps; the soft-limit
@@ -470,41 +554,129 @@ class TestSolveQp:
 
 
 class TestSolveQpOracle:
-    """Skipping the soft-limit terms in the first round changes no field of
-    any solution."""
+    """Every stock step solves the plain tracking QP, and every soft step
+    ends at the minimiser of the objective."""
 
     def test_stock_episode(self, stock_qps):
         for lpv, meas, refs, u_prev, sol in stock_qps:
             assert solution_bytes(sol) == solution_bytes(
-                oracle_solve_qp(lpv, meas, refs, u_prev, CFG))
+                plain_qp_solution(lpv, meas, refs, u_prev, CFG))
         # the episode also runs the sweep, not only interior optima
         assert any(sol.iterations for *_, sol in stock_qps)
 
-    @pytest.mark.parametrize("case, n_rounds", [
-        (overshoot_case, 2), (three_round_case, 3), (binding_case, 2)])
-    def test_soft_limit_rounds(self, case, n_rounds, monkeypatch):
-        lpv, y0, refs, u_prev = case()
-        meas = Measurement(np.zeros(3), y0)
-        rounds = []
-
-        def counted(*args):
-            rounds.append(args)
-            return hildreth(*args)
-
-        monkeypatch.setattr(mpc, "hildreth", counted)
-        assert solution_bytes(solve_qp(lpv, meas, refs, u_prev, CFG)) \
-            == solution_bytes(oracle_solve_qp(lpv, meas, refs, u_prev, CFG))
-        assert len(rounds) == n_rounds
+    @pytest.mark.parametrize("case", [binding_case, late_crossing_case])
+    @pytest.mark.parametrize("cfg", [
+        CFG, MpcConfig(soft_weight=10.0), MpcConfig(soft_weight=0.0),
+        MpcConfig(n2=5, nc=2)])
+    def test_matches_reference_minimiser(self, case, cfg):
+        assert_reference_minimum(*case(), cfg)
 
     @pytest.mark.parametrize("cfg", [
         MpcConfig(n2=5, nc=2), MpcConfig(soft_weight=10.0), MpcConfig(soft_weight=0.0),
         # limits so wide that no predicted row crosses one
         MpcConfig(thrust_bounds=(0.0, 1.0e6), lambda_bounds=(-1.0e3, 1.0e3))])
     def test_overshoot_case_under_other_configs(self, cfg):
-        lpv, y0, refs, u_prev = overshoot_case()
-        meas = Measurement(np.zeros(3), y0)
-        assert solution_bytes(solve_qp(lpv, meas, refs, u_prev, cfg)) \
-            == solution_bytes(oracle_solve_qp(lpv, meas, refs, u_prev, cfg))
+        assert_reference_minimum(*overshoot_case(), cfg)
+
+
+def recorded_episode(rbf, config, controller):
+    """The stock scenario under ``config``: (records, steps), each step's
+    solve_qp arguments, its solution and the (E, f) of every ``hildreth`` call."""
+    bundle = load_bundle(None)
+    steps = []
+    solve, solve_box = mpc.solve_qp, mpc.hildreth
+
+    def recording_hildreth(*args):
+        steps[-1][2].append(args[:2])
+        return solve_box(*args)
+
+    def recording_solve(*args):
+        steps.append([args, None, []])
+        steps[-1][1] = solve(*args)
+        return steps[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpc, "hildreth", recording_hildreth)
+        patch.setattr(mpc, "solve_qp", recording_solve)
+        records, _ = run_scenario(bundle.plant, bundle.fan, config, bundle.scenario,
+                                  controller=controller, rbf=rbf)
+    return records, steps
+
+
+class TestSoftLimitsClosedLoop:
+    @pytest.mark.parametrize("controller", ["ampc", "linear-mpc"])
+    def test_stock_episode_solves_one_round_per_step(self, stock_rbf, controller):
+        records, steps = recorded_episode(stock_rbf, CFG, controller)
+        assert len(records) == len(steps) == 250
+        assert all(len(models) == 1 for *_, models in steps)
+
+    def test_thrust_cap_below_hover(self, stock_rbf):
+        # a 75 kgf cap under the 80 kgf hover reference: the soft limit binds
+        # through the climb and the hover, and every soft step ends at the
+        # Newton loop's fixed point
+        cfg = replace(CFG, thrust_bounds=(0.0, 75.0 * KGF))
+        records, steps = recorded_episode(stock_rbf, cfg, "ampc")
+        assert len(records) == 250
+        for rec in records:
+            assert cfg.tps_bounds[0] <= rec.tps <= cfg.tps_bounds[1]
+            assert cfg.mf_bounds[0] <= rec.m_fi <= cfg.mf_bounds[1]
+        rounds = [len(models) for *_, models in steps]
+        assert sum(n > 1 for n in rounds) == 161 and max(rounds) == 5
+        for (lpv, meas, refs, u_prev, _), sol, models in steps:
+            if len(models) > 1:
+                assert_newton_fixed_point(lpv, meas.output, refs, u_prev, cfg, sol,
+                                          models[-1])
+        steady = [rec.thrust_true for rec in records[130:]]
+        assert 73.0 < min(steady) and max(steady) < 76.5
+
+
+if st is not None:
+    @st.composite
+    def soft_limit_qp(draw):
+        """(lpv, y0, refs, u_prev, config): a toy model of ``toy_lpv``'s
+        ranges, outputs and references within reach of the limits, any
+        input in the box, and one of four configs."""
+        floats = st.floats
+        a = np.zeros((3, 3))
+        a[:, 1:] = draw(arrays(np.float64, (3, 2), elements=floats(-0.4, 0.6)))
+        c = np.zeros((2, 3))
+        c[0, :2] = draw(floats(5.0, 15.0)), draw(floats(1.0, 4.0))
+        c[1, 2] = 1.0
+        lpv = LpvModel(a=a, b=draw(arrays(np.float64, (3, 2), elements=floats(-0.5, 0.5))),
+                       c=c, d=np.zeros((2, 2)), x0=np.zeros(3), u0=np.zeros(2))
+        cfg = draw(st.sampled_from([CFG, MpcConfig(soft_weight=10.0),
+                                    MpcConfig(soft_weight=0.0), MpcConfig(n2=5, nc=2)]))
+        near = np.array([draw(st.sampled_from(cfg.thrust_bounds)),
+                         draw(st.sampled_from(cfg.lambda_bounds))])
+        spread = np.array([300.0, 0.1])
+        y0 = near + spread * draw(arrays(np.float64, 2, elements=floats(-1.0, 1.0)))
+        refs = y0 + spread * draw(arrays(np.float64, (cfg.n2, 2), elements=floats(-1.0, 1.0)))
+        u_prev = np.array([draw(floats(*TPS_RANGE)), draw(floats(*MF_RANGE))])
+        return lpv, y0, refs, u_prev, cfg
+
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    @given(case=soft_limit_qp())
+    def test_solve_qp_ends_at_newton_fixed_point(case):
+        """``cost`` is the objective at du, du leaves the box by no more than
+        the largest KKT residual ``hildreth`` reported, and du is the last
+        Newton round's fixed point."""
+        lpv, y0, refs, u_prev, cfg = case
+        models, residuals = [], [0.0]
+
+        def recorded(*args):
+            models.append(args[:2])
+            result = hildreth(*args)
+            residuals.append(result[3])
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mpc, "hildreth", recorded)
+            sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, cfg)
+        assert sol.cost == pytest.approx(objective(lpv, y0, refs, sol.du, cfg), rel=1e-12)
+        layout = cfg.layout
+        assert np.max(layout.m_mat @ sol.du.ravel() - layout.gamma(u_prev)) \
+            <= max(residuals) + 1e-15
+        assert_newton_fixed_point(lpv, y0, refs, u_prev, cfg, sol, models[-1])
 
 
 def old_box_constraints(config, u_prev):

@@ -525,11 +525,11 @@ class TestCli:
         assert not (tmp_path / "o" / "dataset.csv").exists()
 
     def test_singular_qp_exit_code(self, trained_rbf, tmp_path, capsys):
-        # A has an eigenvalue near -3.4 early in the climb, so A^14 drives
-        # the 15-step condensed QP singular in floating point
+        # the model's A is unstable in the climb, so its powers up to A^15
+        # drive the 16-step condensed QP singular in floating point
         save_model(trained_rbf, tmp_path / "rbf_model.txt")
         ini = tmp_path / "long.ini"
-        ini.write_text("[mpc]\nn2 = 15\n")
+        ini.write_text("[mpc]\nn2 = 16\n")
         out = tmp_path / "o"
         assert cli_main(["simulate", "--controller", "ampc", "--config", str(ini),
                          "--model-file", str(tmp_path / "rbf_model.txt"),
@@ -750,6 +750,9 @@ class TestCli:
         # the state noise scales by the fixed STATE_NOISE_SPAN
         ("scenario", "q_span = 30"),
         ("scenario", "n_span = 300"),
+        # with noisy targets no fit reaches an MSE target, so every fit runs
+        # all its epochs
+        ("training", "mse_target = 1e-4"),
     ])
     def test_removed_fixed_keys_exit_code(self, tmp_path, section, key):
         bad = tmp_path / "bad.ini"
