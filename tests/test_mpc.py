@@ -571,6 +571,22 @@ class TestSolveQpOracle:
     def test_matches_reference_minimiser(self, case, cfg):
         assert_reference_minimum(*case(), cfg)
 
+    @pytest.mark.parametrize("case, n_rounds", [
+        (overshoot_case, 4), (late_crossing_case, 4), (binding_case, 2)])
+    def test_soft_limit_rounds(self, case, n_rounds, monkeypatch):
+        # one plain round, then a Newton round per new set of crossing rows
+        # until the set repeats
+        lpv, y0, refs, u_prev = case()
+        rounds = []
+
+        def counted(*args):
+            rounds.append(args)
+            return hildreth(*args)
+
+        monkeypatch.setattr(mpc, "hildreth", counted)
+        solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, CFG)
+        assert len(rounds) == n_rounds
+
     @pytest.mark.parametrize("cfg", [
         MpcConfig(n2=5, nc=2), MpcConfig(soft_weight=10.0), MpcConfig(soft_weight=0.0),
         # limits so wide that no predicted row crosses one
