@@ -39,11 +39,6 @@ class TrainingConfig:
     seed: int = 123                 # dataset excitation seed
     model_seed: int = 0             # network initialization seed
     rbf_centers: int = 25
-    rbf_neighbors: int = 2
-    rbf_overlap: float = 4.0
-    ridge: float = 1.0e-8
-    lms_passes: int = 1
-    lms_rate: float = 0.005
     mlp_hidden: int = 26
     mlp_lr: float = 0.1
     mlp_epochs: int = 5000
@@ -55,10 +50,9 @@ class TrainingConfig:
         if not 1 <= self.n_train < self.sample_count:
             raise ValueError("training needs 1 <= n_train < sample_count, so that "
                              "at least one validation row is left")
-        if min(self.rbf_centers, self.rbf_neighbors, self.mlp_hidden,
-               self.elman_hidden, self.mlp_epochs, self.elman_epochs) < 1:
-            raise ValueError("center, neighbor, hidden-size and epoch counts "
-                             "must be positive")
+        if min(self.rbf_centers, self.mlp_hidden, self.elman_hidden,
+               self.mlp_epochs, self.elman_epochs) < 1:
+            raise ValueError("center, hidden-size and epoch counts must be positive")
         if min(self.seed, self.model_seed) < 0:
             raise ValueError("seed and model_seed must be non-negative")
 

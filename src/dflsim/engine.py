@@ -320,15 +320,15 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
             no_fuel = m_f_delayed <= 0.0
             fuel_air = m_f_delayed * stoich
 
-            # stage 1, at the substep's start and the only one checked for stiffness;
-            # every stage: orifice, induction, delayed combustion, friction, rates
+            # stage 1, at the substep's (positive) start and the only one checked for
+            # stiffness; every stage: orifice, induction, delayed combustion, friction, rates
             n = omega / TWO_PI
             n_pos = 0.0 if n < 0.0 else n
             pr = p_man / p_amb
             if pr >= 1.0:
                 psi = 0.0
             elif pr <= pr_crit:
-                psi = psi_choked if p_man > 0.0 else _too_coarse(p_man, h)
+                psi = psi_choked
             else:
                 pr_a, pr_b = pr ** exp_a, pr ** exp_b
                 psi = math.sqrt(psi_gain * (pr_a - pr_b))

@@ -176,11 +176,14 @@ def cost(config: MpcConfig, refs: np.ndarray, predicted: np.ndarray,
 
 
 class SingularQpError(RuntimeError):
-    """The condensed QP's Hessian E cannot be inverted."""
+    """The condensed QP's Hessian E is singular in floating point."""
 
 
-def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, m_mat: np.ndarray,
-             gamma: np.ndarray, max_iter: int = 500, tol: float = 1e-8):
+HILDRETH_MAX_SWEEPS = 500   # the sweep cap
+HILDRETH_TOL = 1e-8          # the slack taken as met, and the sweeps' relative stopping move
+
+
+def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, m_mat: np.ndarray, gamma: np.ndarray):
     """Minimize 0.5 z'Ez + f'z subject to M z <= gamma, E positive definite.
 
     Dual coordinate ascent on the constraint multipliers; when the
@@ -199,27 +202,27 @@ def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, m_mat: np.ndarray,
     slack = m_mat @ z_free - gamma
     n_con = len(gamma)
     worst = slack.max()
-    if worst <= tol:
+    if worst <= HILDRETH_TOL:
         return z_free, np.zeros(n_con), 0, float(max(worst, 0.0)), False
 
     p_mat = m_mat @ e_inv @ m_mat.T
+    if not np.diag(p_mat).min() > 0.0:      # a positive definite E makes it positive
+        raise SingularQpError("the condensed QP's Hessian is singular in floating point (the "
+                              f"dual's diagonal has an entry {np.diag(p_mat).min():.3g})")
     d_vec = gamma + m_mat @ e_inv @ f_vec
     lam = np.zeros(n_con)
-    capped = True
-    iterations = max_iter
-    for it in range(1, max_iter + 1):
+    capped = False
+    for iterations in range(1, HILDRETH_MAX_SWEEPS + 1):
         delta = 0.0
         for i in range(n_con):
-            if p_mat[i, i] <= 0.0:
-                continue
             w = -(d_vec[i] + p_mat[i] @ lam - p_mat[i, i] * lam[i]) / p_mat[i, i]
             new = max(0.0, w)
             delta = max(delta, abs(new - lam[i]))
             lam[i] = new
-        if delta <= tol * max(1.0, float(np.max(np.abs(lam)))):
-            iterations = it
-            capped = False
+        if delta <= HILDRETH_TOL * max(1.0, float(np.max(np.abs(lam)))):
             break
+    else:
+        capped = True
     z = -e_inv @ (f_vec + m_mat.T @ lam)
     resid = m_mat @ z - gamma
     kkt = max(float(np.max(resid, initial=0.0)),

@@ -6,14 +6,14 @@ the normalized state triple [Q_eng, n, lambda] one sample ahead.  The MLP and
 Elman nets train by gradient descent on mean squared error; the RBF trains
 its centers by k-means, its radii by a nearest-co-center heuristic, and its
 output weights by a ridge-regularized batch least-squares solve followed by
-optional normalized-LMS refinement passes.  ``save_model``/``load_model``
+one normalized-LMS refinement pass.  ``save_model``/``load_model``
 write and read every trained model as a ``tables`` block file;
 ``save_blocks``/``load_blocks`` are re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -214,7 +214,7 @@ def rbf_forward(model: RbfModel, p: np.ndarray) -> np.ndarray:
     return out[0] if np.ndim(p) == 1 else out
 
 
-def _kmeans(points: np.ndarray, k: int, seed: int):
+def _kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Greedy farthest-point seeding, then at most 100 Lloyd passes.
 
     A pass assigns each point to its nearest center (the first on a tie)
@@ -242,51 +242,55 @@ def _kmeans(points: np.ndarray, k: int, seed: int):
         centers, old = new_centers, centers
         if np.allclose(centers, old, atol=1e-12):
             break
-    return centers, _sq_dist(points, centers).argmin(axis=1)
+    return centers
 
 
-def rbf_fit_centers(dataset: Dataset, k: int, neighbors: int, seed: int,
-                    overlap: float):
+RBF_NEIGHBORS = 2
+RBF_OVERLAP = 4.0
+RBF_RIDGE = 1e-8
+LMS_RATE = 0.005
+
+
+def rbf_fit_centers(dataset: Dataset, k: int, seed: int):
     """Place centers by k-means on normalized training inputs, no more than
-    the distinct rows; radius of each is the mean distance to its ``neighbors``
-    nearest co-centers, widened by ``overlap`` so neighboring kernels blend."""
+    the distinct rows; radius of each is the mean distance to its RBF_NEIGHBORS
+    nearest co-centers, widened RBF_OVERLAP times so neighboring kernels blend."""
     points = normalize(dataset.train_inputs, dataset.stats.in_min,
                        dataset.stats.in_max)
     k = min(k, len(set(map(tuple, points.tolist()))))
-    centers, _ = _kmeans(points, k, seed)
+    centers = _kmeans(points, k, seed)
     if k == 1:
         radii = np.array([1.0])
     else:
         gaps = np.sqrt(_sq_dist(centers, centers))
         np.fill_diagonal(gaps, np.inf)
-        m = min(neighbors, k - 1)
-        radii = overlap * np.sort(gaps, axis=1)[:, :m].mean(axis=1)
+        m = min(RBF_NEIGHBORS, k - 1)
+        radii = RBF_OVERLAP * np.sort(gaps, axis=1)[:, :m].mean(axis=1)
     radii = np.maximum(radii, 1e-6)
     return centers, radii
 
 
-def rbf_train_weights(model: RbfModel, dataset: Dataset, ridge: float,
-                      lms_passes: int, lms_rate: float) -> np.ndarray:
+def rbf_train_weights(centers: np.ndarray, radii: np.ndarray,
+                      dataset: Dataset) -> np.ndarray:
     """Solve the output weights.
 
-    Batch ridge-regularized normal equations give the least-squares optimum;
-    optional normalized-LMS sweeps over the training sequence then move the
-    weights sample by sample.  The sweeps are not a no-op: the optimum leaves
-    every row a residual, each step cuts the current row's, and the weights
-    end tilted toward the last training rows, which sit next to the
-    validation window.  At the stock dataset seed 123 one pass gives a
-    validation torque MAPE of 2.275 % against 2.336 % without; at seeds
-    124-127 it is the worse of the two.
+    Batch normal equations, ridge-regularized by ``RBF_RIDGE``, give the
+    least-squares optimum; one normalized-LMS pass at ``LMS_RATE`` over the
+    training sequence then moves the weights sample by sample.  The pass is
+    not a no-op: the optimum leaves every row a residual, each step cuts the
+    current row's, and the weights end tilted toward the last training rows,
+    which sit next to the validation window.  At the stock dataset seed 123
+    the pass gives a validation torque MAPE of 2.275 % against 2.336 %
+    without; at seeds 124-127 it is the worse of the two.
     """
     p = normalize(dataset.train_inputs, dataset.stats.in_min, dataset.stats.in_max)
     y = normalize(dataset.train_targets, dataset.stats.out_min, dataset.stats.out_max)
-    phi = _phi_matrix(p, model.centers, model.radii)          # (N, J)
-    gram = phi.T @ phi + ridge * np.eye(phi.shape[1])
+    phi = _phi_matrix(p, centers, radii)                      # (N, J)
+    gram = phi.T @ phi + RBF_RIDGE * np.eye(phi.shape[1])
     lw = np.linalg.solve(gram, phi.T @ y).T                   # (3, J)
-    for _ in range(lms_passes):
-        for row, target in zip(phi, y):
-            err = lw @ row - target
-            lw -= lms_rate * np.outer(err, row) / (row @ row + 1e-12)
+    for row, target in zip(phi, y):
+        err = lw @ row - target
+        lw -= LMS_RATE * np.outer(err, row) / (row @ row + 1e-12)
     # the solve leaves lw Fortran-ordered; C order, as ``load_rbf`` reads it,
     # makes a trained model and its file give the same Jacobian bits
     return np.ascontiguousarray(lw)
@@ -295,12 +299,9 @@ def rbf_train_weights(model: RbfModel, dataset: Dataset, ridge: float,
 def train_rbf(dataset: Dataset, tr: TrainingConfig) -> RbfModel:
     """Full RBF pipeline: centers, radii, then output weights; the k-means
     seed is ``tr.model_seed + 1``."""
-    centers, radii = rbf_fit_centers(dataset, tr.rbf_centers, tr.rbf_neighbors,
-                                     tr.model_seed + 1, tr.rbf_overlap)
-    model = RbfModel(centers=centers, radii=radii,
-                     lw=np.zeros((3, len(centers))), stats=dataset.stats)
-    lw = rbf_train_weights(model, dataset, tr.ridge, tr.lms_passes, tr.lms_rate)
-    return replace(model, lw=lw)
+    centers, radii = rbf_fit_centers(dataset, tr.rbf_centers, tr.model_seed + 1)
+    return RbfModel(centers=centers, radii=radii,
+                    lw=rbf_train_weights(centers, radii, dataset), stats=dataset.stats)
 
 
 # ---------------------------------------------------------------------------

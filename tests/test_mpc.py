@@ -419,6 +419,15 @@ class TestHildreth:
             hildreth(e, np.ones(2), np.eye(2), np.ones(2))
         assert issubclass(SingularQpError, RuntimeError)
 
+    @pytest.mark.parametrize("e_mat", [np.diag([2.0, -1.0]),
+                                       np.array([[0.0, 1.0], [1.0, 0.0]])])
+    def test_indefinite_dual_raises_typed_error(self, e_mat):
+        # E inverts, but it is not positive definite, so the dual's diagonal
+        # M E^-1 M' has an entry that is negative or zero, which the sweep
+        # would divide by; the free minimizer leaves the box
+        with pytest.raises(SingularQpError, match="singular in floating point"):
+            hildreth(e_mat, np.array([-4.0, 1.0]), np.eye(2), np.ones(2))
+
 
 class TestSolveQp:
     def test_zero_error_keeps_input(self, trained_rbf):

@@ -8,7 +8,7 @@ import pytest
 
 from dflsim.dataset import (Dataset, NormStats, TrainingConfig, compute_stats,
                             normalize)
-from dflsim.networks import (ElmanModel, MlpModel, RbfModel,
+from dflsim.networks import (LMS_RATE, RBF_RIDGE, ElmanModel, MlpModel, RbfModel,
                              TrainingDivergedError, _kmeans, _mlp_gradients,
                              _phi_matrix, elman_forward, elman_sequence_outputs,
                              init_elman, init_mlp, load_model, load_rbf, mape,
@@ -323,29 +323,50 @@ def reference_kmeans(points, k, seed):
 
 
 def assert_kmeans_matches_reference(points, k, seed):
+    """``_kmeans``'s centers equal the reference's bit for bit; returns the
+    reference's final assignment."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        centers, assign = _kmeans(points, k, seed)
+        centers = _kmeans(points, k, seed)
     ref_centers, ref_assign = reference_kmeans(points, k, seed)
-    assert np.array_equal(centers, ref_centers)
-    assert np.array_equal(assign, ref_assign)
-    return assign
+    assert centers.tobytes() == ref_centers.tobytes()
+    return ref_assign
+
+
+def replay_weights(centers, radii, ds):
+    """The weight fit written out: the ridge-regularized normal equations,
+    then one normalized-LMS pass over the training rows in order at
+    LMS_RATE, then C order."""
+    p = normalize(ds.train_inputs, ds.stats.in_min, ds.stats.in_max)
+    y = normalize(ds.train_targets, ds.stats.out_min, ds.stats.out_max)
+    phi = np.exp(-((p[:, None] - centers[None]) ** 2).sum(axis=2) / radii ** 2)
+    gram = phi.T @ phi + RBF_RIDGE * np.eye(len(centers))
+    lw = np.linalg.solve(gram, phi.T @ y).T
+    for row, target in zip(phi, y):
+        lw -= LMS_RATE * np.outer(lw @ row - target, row) / (row @ row + 1e-12)
+    return np.ascontiguousarray(lw)
 
 
 class TestRbfFitting:
     def test_kmeans_assignment_matches_brute_force(self):
+        # the centers are a Lloyd fixed point: each is the mean, to the
+        # passes' stopping tolerance, of the points a brute-force search
+        # finds nearest to it
         rng = np.random.default_rng(21)
         points = rng.uniform(-1, 1, (50, 4))
-        centers, assign = _kmeans(points, 6, seed=0)
+        centers = _kmeans(points, 6, seed=0)
         dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assert np.array_equal(assign, dist.argmin(axis=1))
+        assign = dist.argmin(axis=1)
+        assert np.array_equal(np.unique(assign), np.arange(6))
+        for j, center in enumerate(centers):
+            assert np.allclose(center, points[assign == j].mean(axis=0),
+                               rtol=1e-5, atol=1e-12)
 
     def test_center_per_point_when_k_equals_n(self):
         rng = np.random.default_rng(22)
         inputs = rng.uniform(-1, 1, (30, 4))
         ds = make_dataset(inputs, np.zeros((30, 3)))
-        centers, radii = rbf_fit_centers(ds, k=30, neighbors=2, seed=0,
-                                         overlap=1.0)
+        centers, radii = rbf_fit_centers(ds, k=30, seed=0)
         points = normalize(ds.train_inputs, ds.stats.in_min, ds.stats.in_max)
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assert np.max(d2.min(axis=1)) < 1e-16
@@ -357,8 +378,7 @@ class TestRbfFitting:
         # radii at the 1e-6 floor
         inputs = np.vstack([np.zeros((6, 4)), np.eye(4)])
         ds = make_dataset(inputs, np.zeros((10, 3)))
-        centers, radii = rbf_fit_centers(ds, k=8, neighbors=2, seed=0,
-                                         overlap=4.0)
+        centers, radii = rbf_fit_centers(ds, k=8, seed=0)
         assert len(centers) == 5
         assert len(np.unique(centers, axis=0)) == len(centers)
         assert np.all(radii > 1e-6)
@@ -367,8 +387,8 @@ class TestRbfFitting:
         rng = np.random.default_rng(23)
         inputs = rng.uniform(-1, 1, (60, 4))
         ds = make_dataset(inputs, np.zeros((60, 3)))
-        c1, r1 = rbf_fit_centers(ds, k=8, neighbors=2, seed=5, overlap=4.0)
-        c2, r2 = rbf_fit_centers(ds, k=8, neighbors=2, seed=5, overlap=4.0)
+        c1, r1 = rbf_fit_centers(ds, k=8, seed=5)
+        c2, r2 = rbf_fit_centers(ds, k=8, seed=5)
         assert np.array_equal(c1, c2) and np.array_equal(r1, r2)
 
     def test_synthesize_and_recover_weights(self):
@@ -383,9 +403,7 @@ class TestRbfFitting:
         stats = NormStats(in_min=-np.ones(4), in_max=np.ones(4),
                           out_min=-np.ones(3), out_max=np.ones(3))
         ds = Dataset(inputs=inputs, targets=targets, n_train=200, stats=stats)
-        model = RbfModel(centers, radii, np.zeros((3, 10)), stats)
-        lw = rbf_train_weights(model, ds, ridge=1e-8, lms_passes=1,
-                               lms_rate=0.05)
+        lw = rbf_train_weights(centers, radii, ds)
         assert np.max(np.abs(lw - w_true)) < 1e-6
         mse = float(np.mean((phi @ lw.T - targets) ** 2))
         assert mse <= 1e-12
@@ -394,28 +412,22 @@ class TestRbfFitting:
         rng = np.random.default_rng(32)
         inputs = rng.uniform(-1, 1, (50, 4))
         ds = make_dataset(inputs, np.zeros((50, 3)))
-        centers, radii = rbf_fit_centers(ds, k=8, neighbors=2, seed=0,
-                                         overlap=4.0)
-        model = RbfModel(centers, radii, np.zeros((3, 8)), ds.stats)
-        lw = rbf_train_weights(model, ds, ridge=1e-8, lms_passes=0,
-                               lms_rate=0.05)
+        centers, radii = rbf_fit_centers(ds, k=8, seed=0)
+        lw = rbf_train_weights(centers, radii, ds)
         assert np.max(np.abs(lw)) < 1e-12
 
-    def test_normal_equations_residual_orthogonality(self):
-        rng = np.random.default_rng(33)
-        inputs = rng.uniform(-1, 1, (120, 4))
-        targets = rng.normal(size=(120, 3))
-        ds = make_dataset(inputs, targets)
-        centers, radii = rbf_fit_centers(ds, k=10, neighbors=2, seed=0,
-                                         overlap=4.0)
-        model = RbfModel(centers, radii, np.zeros((3, 10)), ds.stats)
-        lw = rbf_train_weights(model, ds, ridge=1e-8, lms_passes=0,
-                               lms_rate=0.05)
-        p = normalize(ds.train_inputs, ds.stats.in_min, ds.stats.in_max)
-        y = normalize(ds.train_targets, ds.stats.out_min, ds.stats.out_max)
-        phi = _phi_matrix(p, centers, radii)
-        residual = phi @ lw.T - y
-        assert np.max(np.abs(phi.T @ residual)) < 1e-6
+    @pytest.mark.parametrize("rows, k", [(120, 10), (40, 40), (7, 3)])
+    def test_weights_replay_solve_then_one_nlms_pass(self, rows, k):
+        rng = np.random.default_rng(33 + rows)
+        ds = make_dataset(rng.uniform(-1, 1, (rows, 4)), rng.normal(size=(rows, 3)))
+        centers, radii = rbf_fit_centers(ds, k=k, seed=0)
+        lw = rbf_train_weights(centers, radii, ds)
+        assert lw.flags.c_contiguous
+        assert lw.tobytes() == replay_weights(centers, radii, ds).tobytes()
+
+    def test_stock_weights_replay(self, stock_dataset, stock_rbf):
+        replayed = replay_weights(stock_rbf.centers, stock_rbf.radii, stock_dataset)
+        assert replayed.tobytes() == stock_rbf.lw.tobytes()
 
     def test_training_mse_beats_zero_weights(self):
         rng = np.random.default_rng(34)

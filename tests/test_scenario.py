@@ -414,9 +414,9 @@ class TestCli:
         assert (out / "rbf_model.txt").read_bytes() == expected.read_bytes()
 
     def test_compare_models_honours_training_config(self, tmp_path):
-        ini = tmp_path / "overlap.ini"
+        ini = tmp_path / "centers.ini"
         ini.write_text("[training]\nsample_count = 300\nn_train = 285\n"
-                       "seed = 11\nrbf_overlap = 2.5\nmlp_epochs = 5\n"
+                       "seed = 11\nrbf_centers = 20\nmlp_epochs = 5\n"
                        "elman_epochs = 2\n")
         out = tmp_path / "out"
         for argv in (["gen-data"], ["train", "--model", "rbf"],
@@ -526,18 +526,21 @@ class TestCli:
 
     def test_singular_qp_exit_code(self, trained_rbf, tmp_path, capsys):
         # the model's A is unstable in the climb, so its powers up to A^15
-        # drive the 16-step condensed QP singular in floating point
+        # drive the 16-step condensed QP singular in floating point: E cannot
+        # be inverted; at 17 steps E inverts, but its inverse gives Hildreth's
+        # dual a negative diagonal entry
         save_model(trained_rbf, tmp_path / "rbf_model.txt")
-        ini = tmp_path / "long.ini"
-        ini.write_text("[mpc]\nn2 = 16\n")
-        out = tmp_path / "o"
-        assert cli_main(["simulate", "--controller", "ampc", "--config", str(ini),
-                         "--model-file", str(tmp_path / "rbf_model.txt"),
-                         "--out", str(out)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("solver failure: ") and "singular" in err
-        assert err.count("\n") == 1
-        assert not (out / "trajectory_ampc.csv").exists()
+        for n2 in (16, 17):
+            ini = tmp_path / f"long{n2}.ini"
+            ini.write_text(f"[mpc]\nn2 = {n2}\n")
+            out = tmp_path / f"o{n2}"
+            assert cli_main(["simulate", "--controller", "ampc", "--config", str(ini),
+                             "--model-file", str(tmp_path / "rbf_model.txt"),
+                             "--out", str(out)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("solver failure: ") and "singular" in err
+            assert err.count("\n") == 1
+            assert not (out / "trajectory_ampc.csv").exists()
 
     def test_diverged_training_exit_code(self, tmp_path):
         ini = tmp_path / "diverge.ini"
@@ -712,7 +715,6 @@ class TestCli:
         "sample_count = 0",
         "sample_count = 60\nn_train = 0",
         "sample_count = 60\nn_train = 60",      # no validation row left
-        "rbf_neighbors = 0",                    # NaN radii
         "mlp_hidden = 0",
         "elman_epochs = 0",
     ])
@@ -753,6 +755,12 @@ class TestCli:
         # with noisy targets no fit reaches an MSE target, so every fit runs
         # all its epochs
         ("training", "mse_target = 1e-4"),
+        # the RBF fit's settings are constants of dflsim.networks
+        ("training", "rbf_neighbors = 0"),
+        ("training", "rbf_overlap = 4.0"),
+        ("training", "ridge = 1e-8"),
+        ("training", "lms_passes = 1"),
+        ("training", "lms_rate = 0.005"),
     ])
     def test_removed_fixed_keys_exit_code(self, tmp_path, section, key):
         bad = tmp_path / "bad.ini"
