@@ -7,12 +7,13 @@ stage reads the files the stage before it wrote and never remakes them.
 ``main`` alone maps errors to the exit status: 0 success, 1 a
 ``check-jacobian`` audit that fails (returned by ``cmd_check_jacobian``),
 2 configuration or command-line error (an ``--out`` that names or lies
-under a file fails before any work), 3 plant stall, 4 any other
-RuntimeError (a singular condensed QP, diverged training, a plant substep
-too coarse to integrate), 5 a data,
-model or trajectory file that is missing, cannot be read, that its
-reader cannot parse or that holds a cell that is not a finite number, or a
-dataset whose training rows give a column no span to train on.
+under a file fails before any work), 3 plant stall, 4 a named solver
+failure (a singular condensed QP, a fan inflow solve that does not
+converge, diverged training, a plant substep too coarse to integrate, a
+non-finite horizon cost), 5 a data, model or trajectory file that is
+missing, cannot be read, that its reader cannot parse or that holds a cell
+that is not a finite number, or a dataset whose training rows give a column
+no span to train on.  Any other exception is a program fault and propagates.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ import numpy as np
 
 from .config import ConfigError, load_bundle
 from .dataset import generate_dataset, load_dataset_csv, save_dataset_csv
-from .engine import EngineStallError
+from .engine import EngineStallError, SubstepTooCoarseError
+from .fan import InflowConvergenceError
 from .lpv import assoc_jacobian
-from .networks import (MODEL_KINDS, compare_models, load_model, load_rbf,
-                       rbf_forward, save_model, train_elman, train_mlp, train_rbf)
-from .scenario import (CONTROLLER_KINDS, ScenarioStallError, compute_metrics,
-                       load_trajectory_csv, relative_error, run_scenario,
-                       save_lpv_trace, save_trajectory_csv)
+from .mpc import SingularQpError
+from .networks import (MODEL_KINDS, TrainingDivergedError, compare_models, load_model,
+                       load_rbf, rbf_forward, save_model, train_elman, train_mlp, train_rbf)
+from .scenario import (CONTROLLER_KINDS, NonFiniteCostError, ScenarioStallError,
+                       compute_metrics, load_trajectory_csv, relative_error,
+                       run_scenario, save_lpv_trace, save_trajectory_csv)
 from .tables import FileFormatError, write_table
 
 EXIT_OK = 0
@@ -271,10 +274,11 @@ def main(argv=None) -> int:
     except (EngineStallError, ScenarioStallError) as exc:
         print(f"plant stall: {exc}", file=sys.stderr)
         return EXIT_STALL
-    except RuntimeError as exc:
+    except (SingularQpError, InflowConvergenceError, TrainingDivergedError,
+            SubstepTooCoarseError, NonFiniteCostError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (FileFormatError, FileNotFoundError) as exc:
+    except FileFormatError as exc:
         print(f"bad input file: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
 

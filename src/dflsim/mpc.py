@@ -10,8 +10,8 @@ cumulative sums of the Markov parameters C*A^i*B (L. Wang, Model
 Predictive Control System Design and Implementation Using MATLAB, 2009,
 ch. 1-3).  Tracking and move terms are scaled per channel by the
 constraint spans so the weighting factors compare like with like.  The
-input box is a hard constraint, handled by Hildreth dual coordinate ascent;
-the output limits add a penalty on the squared excess past each limit.
+input box is a hard bound on the running input sums, met exactly; the
+output limits add a penalty on the squared excess past each limit.
 """
 
 from __future__ import annotations
@@ -38,21 +38,14 @@ class HorizonLayout:
     y_index: np.ndarray         # y0[y_index] stacks the measured output over N2
     w_y: np.ndarray             # 1/span of [thrust, lambda] per stacked output row
     w_u: np.ndarray             # 1/span of [tps, m_fi] per stacked increment
-    u_lower: np.ndarray
-    u_upper: np.ndarray
+    box: np.ndarray             # (2, nc, 2) input box, [lower, upper], per running sum
     q_diag: np.ndarray          # tracking weight per stacked row
     r_mat: np.ndarray           # diagonal move-suppression weight
     rho: np.ndarray             # soft output-limit weight per stacked row
     y_lo: np.ndarray
     y_hi: np.ndarray
-    m_mat: np.ndarray           # cumulative-increment box rows
-    gamma_index: np.ndarray     # picks each box row's bound, see MpcConfig.layout
+    s_mat: np.ndarray           # kron(tril(ones(nc)), I2): s_mat @ du stacks u - u_prev
     toeplitz_index: np.ndarray  # gathers the condensed map, see MpcConfig.layout
-
-    def gamma(self, u_prev: np.ndarray) -> np.ndarray:
-        """Right-hand side of the box rows ``m_mat @ du <= gamma`` at ``u_prev``."""
-        return np.concatenate([self.u_upper - u_prev,
-                               u_prev - self.u_lower])[self.gamma_index]
 
 
 @dataclass(frozen=True)
@@ -91,11 +84,8 @@ class MpcConfig:
 
         The cost runs over every predicted step: the fuel delay never exceeds
         one control interval, so the first predicted sample already responds
-        to the first move.  The input box lb <= u_prev + sum du <= ub holds
-        at every step of the control horizon.  Its rows come in (upper,
-        lower) pairs per step and channel, the order Hildreth's sweep visits
-        them; ``gamma_index`` picks that order out of [ub - u_prev,
-        u_prev - lb], and the rows of ``m_mat`` follow it.
+        to the first move.  The input box lb <= u_prev + s_mat @ du <= ub
+        holds at every step of the control horizon.
 
         ``toeplitz_index`` gathers the (2*n2, 2*nc) condensed map from the
         (n2+1, 2, 2) stack [0, S(0), ..., S(n2-1)]: entry (2j+r, 2k+s) picks
@@ -106,23 +96,19 @@ class MpcConfig:
                        1.0 / (self.lambda_bounds[1] - self.lambda_bounds[0])], n2)
         w_u = np.tile([1.0 / (self.tps_bounds[1] - self.tps_bounds[0]),
                        1.0 / (self.mf_bounds[1] - self.mf_bounds[0])], nc)
-        pair_order = np.array([0, 2, 1, 3])
-        signs = np.vstack([np.eye(2), -np.eye(2)])[pair_order]
         lag = np.arange(n2)[:, None, None, None] - np.arange(nc)[None, None, :, None]
         flat = 4 * (lag + 1) + 2 * np.arange(2)[None, :, None, None] + np.arange(2)
         arrays = dict(
             y_index=np.tile([0, 1], n2),
             w_y=w_y,
             w_u=w_u,
-            u_lower=np.array([self.tps_bounds[0], self.mf_bounds[0]]),
-            u_upper=np.array([self.tps_bounds[1], self.mf_bounds[1]]),
+            box=np.tile(np.array([self.tps_bounds, self.mf_bounds]).T[:, None], (1, nc, 1)),
             q_diag=self.eps * w_y ** 2,
             r_mat=np.diag(self.xi * w_u ** 2),
             rho=self.soft_weight * self.eps * w_y ** 2,
             y_lo=np.tile([self.thrust_bounds[0], self.lambda_bounds[0]], n2),
             y_hi=np.tile([self.thrust_bounds[1], self.lambda_bounds[1]], n2),
-            m_mat=np.kron(np.tril(np.ones((nc, nc))), signs),
-            gamma_index=np.tile(pair_order, nc),
+            s_mat=np.kron(np.tril(np.ones((nc, nc))), np.eye(2)),
             toeplitz_index=np.where(lag >= 0, flat, 0).reshape(2 * n2, 2 * nc))
         for arr in arrays.values():
             arr.flags.writeable = False
@@ -141,8 +127,8 @@ class Measurement:
 class HorizonSolution:
     du: np.ndarray            # (Nc, 2) optimal input increments
     cost: float               # objective at du (tracking + moves + penalties)
-    iterations: int           # Hildreth sweeps summed over every Newton round
-    capped: bool              # some round hit the sweep cap
+    iterations: int           # active-set steps summed over every Newton round
+    capped: bool              # some round's active set cycled, see ``hildreth``
 
 
 def condensed_map(lpv: LpvModel, config: MpcConfig) -> np.ndarray:
@@ -176,58 +162,62 @@ def cost(config: MpcConfig, refs: np.ndarray, predicted: np.ndarray,
 
 
 class SingularQpError(RuntimeError):
-    """The condensed QP's Hessian E is singular in floating point."""
+    """The condensed QP's Hessian is singular or indefinite in floating point."""
 
 
-HILDRETH_MAX_SWEEPS = 500   # the sweep cap
-HILDRETH_TOL = 1e-8          # the slack taken as met, and the sweeps' relative stopping move
+def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, s_mat: np.ndarray,
+             lower: np.ndarray, upper: np.ndarray):
+    """Minimize 0.5 z'Ez + f'z subject to lower <= v = S z <= upper, for E
+    positive definite and S invertible.  The name is the benchmark's
+    ``mpc.hildreth`` span, after the dual sweep this replaced.
 
-
-def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, m_mat: np.ndarray, gamma: np.ndarray):
-    """Minimize 0.5 z'Ez + f'z subject to M z <= gamma, E positive definite.
-
-    Dual coordinate ascent on the constraint multipliers; when the
-    unconstrained minimizer is interior it is returned outright, which makes
-    the interior case bit-identical to the dense closed-form solve.
-    Returns (z, multipliers, iterations, kkt_residual, capped).  Raises
-    SingularQpError when E is singular in floating point.
+    A free minimizer -E^-1 f strictly inside the bounds is returned as it is,
+    bit-identical to the dense solve; else a primal active-set method on the
+    bounds of v (Nocedal & Wright, Numerical Optimization, 2nd ed., 2006,
+    Alg. 16.3) starts from it clipped, holding the bounds it meets.  A step
+    minimizes exactly over the free entries, or stops on the first bound in
+    the way and holds it; at a minimum the held bound of most negative
+    multiplier is released, and none negative ends it.  No held set recurs,
+    so 3**len(v) steps mean a cycle: ``capped``.  Returns (z, each held
+    bound's multiplier, steps, the largest free gradient, capped); a singular
+    or indefinite E raises SingularQpError.
     """
     try:
-        e_inv = np.linalg.inv(e_mat)
+        z_free = -np.linalg.inv(e_mat) @ f_vec
+        v = s_mat @ z_free
+        if ((lower < v) & (v < upper)).all():
+            return z_free, np.zeros(len(v)), 0, 0.0, False
+        s_inv = np.linalg.inv(s_mat)
+        h_mat = s_inv.T @ e_mat @ s_inv     # the Hessian and the gradient at 0, in v
+        c_vec = s_inv.T @ f_vec
+        np.linalg.cholesky(h_mat)           # raises unless positive definite
+        v = np.clip(v, lower, upper)
+        held = (v == lower) | (v == upper)
+        for steps in range(1, 3 ** len(v) + 1):
+            free = ~held
+            target = v.copy()
+            target[free] = np.linalg.solve(h_mat[np.ix_(free, free)],
+                                           -c_vec[free] - h_mat[np.ix_(free, held)] @ v[held])
+            d = target - v
+            bound = np.where(d > 0.0, upper, lower)
+            blocked = np.abs(bound - v) < np.abs(d)     # the bounds in the way
+            if blocked.any():
+                j = np.flatnonzero(blocked)[((bound - v)[blocked] / d[blocked]).argmin()]
+                target = v + (bound[j] - v[j]) / d[j] * d
+                target[j] = bound[j]
+                held[j] = True
+            v = np.clip(target, lower, upper)
+            grad = h_mat @ v + c_vec
+            lam = np.where(held, np.where(v == upper, -grad, grad), 0.0)
+            if not blocked.any():
+                if lam.min() >= 0.0:
+                    break
+                held[lam.argmin()] = False
+        capped = blocked.any() or lam.min() < 0.0   # the loop ran out short of a minimum
     except np.linalg.LinAlgError as exc:
-        raise SingularQpError(
-            f"the condensed QP's Hessian is singular in floating point "
-            f"(largest entry {np.abs(e_mat).max():.3g})") from exc
-    z_free = -e_inv @ f_vec
-    slack = m_mat @ z_free - gamma
-    n_con = len(gamma)
-    worst = slack.max()
-    if worst <= HILDRETH_TOL:
-        return z_free, np.zeros(n_con), 0, float(max(worst, 0.0)), False
-
-    p_mat = m_mat @ e_inv @ m_mat.T
-    if not np.diag(p_mat).min() > 0.0:      # a positive definite E makes it positive
-        raise SingularQpError("the condensed QP's Hessian is singular in floating point (the "
-                              f"dual's diagonal has an entry {np.diag(p_mat).min():.3g})")
-    d_vec = gamma + m_mat @ e_inv @ f_vec
-    lam = np.zeros(n_con)
-    capped = False
-    for iterations in range(1, HILDRETH_MAX_SWEEPS + 1):
-        delta = 0.0
-        for i in range(n_con):
-            w = -(d_vec[i] + p_mat[i] @ lam - p_mat[i, i] * lam[i]) / p_mat[i, i]
-            new = max(0.0, w)
-            delta = max(delta, abs(new - lam[i]))
-            lam[i] = new
-        if delta <= HILDRETH_TOL * max(1.0, float(np.max(np.abs(lam)))):
-            break
-    else:
-        capped = True
-    z = -e_inv @ (f_vec + m_mat.T @ lam)
-    resid = m_mat @ z - gamma
-    kkt = max(float(np.max(resid, initial=0.0)),
-              float(np.max(np.abs(lam * resid), initial=0.0)))
-    return z, lam, iterations, kkt, capped
+        raise SingularQpError("the condensed QP's Hessian is singular in floating point "
+                              f"({exc}, largest entry {np.abs(e_mat).max():.3g})") from exc
+    return s_inv @ v, lam, steps, float(np.abs(grad[~held]).max(initial=0.0)), bool(capped)
 
 
 def line_minimum(layout: HorizonLayout, g: np.ndarray, z: np.ndarray,
@@ -260,13 +250,13 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     ``hildreth``; the first round pulls none.  A minimiser whose crossing rows
     are not the pulled ones gives way to ``line_minimum``; the loop ends when
     the crossing rows repeat.  ``cost`` is the objective at du, ``iterations``
-    sums every round's sweeps, and ``capped`` is set if a round hit the cap."""
+    sums every round's active-set steps, and ``capped`` is set if a round cycled."""
     layout = config.layout
     top, bottom = layout.y_hi + 1e-12, layout.y_lo - 1e-12
     g = condensed_map(lpv, config)
     y0_s = np.asarray(meas.output, dtype=float)[layout.y_index]
     ref_s = np.asarray(refs, dtype=float)[:config.n2].ravel()
-    gamma = layout.gamma(np.asarray(u_prev, dtype=float))
+    bounds = (layout.box - u_prev).reshape(2, -1)     # [lower, upper] of S @ du
 
     weight, rhs = layout.q_diag, layout.q_diag * (y0_s - ref_s)
     side = np.zeros(len(y0_s), dtype=np.int8)   # +1 / -1: pulled to the upper / lower limit
@@ -274,8 +264,8 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     while True:
         e_mat = 2.0 * (g.T @ (weight[:, None] * g) + layout.r_mat)
         f_vec = 2.0 * g.T @ rhs
-        z_new, _, sweeps, _, round_capped = hildreth(e_mat, f_vec, layout.m_mat, gamma)
-        iterations, capped = iterations + sweeps, capped or round_capped
+        z_new, _, steps, _, cycled = hildreth(e_mat, f_vec, layout.s_mat, bounds[0], bounds[1])
+        iterations, capped = iterations + steps, capped or cycled
         y_new = y0_s + g @ z_new
         crossing = (y_new > top).view(np.int8) - (y_new < bottom).view(np.int8)
         if z is not None and np.count_nonzero(crossing != side):
@@ -301,7 +291,8 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
 def mpc_step(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
              u_prev: np.ndarray, config: MpcConfig):
     """Optimize on ``lpv``: (input to apply, horizon solution).  Only the
-    first increment ever reaches the plant, clipped to the input box."""
+    first increment ever reaches the plant; the plan already holds the input
+    box, and clipping to it guards against rounding only."""
     solution = solve_qp(lpv, meas, refs, u_prev, config)
     tps, m_fi = (u_prev + solution.du[0]).tolist()
     (tps_lo, tps_hi), (mf_lo, mf_hi) = config.tps_bounds, config.mf_bounds

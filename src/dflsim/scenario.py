@@ -28,6 +28,10 @@ CONTROLLER_KINDS = ("ampc", "linear-mpc", "open-loop")
 STATE_NOISE_SPAN = (60.0, 150.0)          # N*m, rev/s: scale [Q_eng, n] noise
 
 
+class NonFiniteCostError(RuntimeError):
+    """A controller's horizon solution has a cost that is not finite."""
+
+
 class ScenarioStallError(RuntimeError):
     """Plant stalled mid-run; carries the partial trajectory."""
 
@@ -183,7 +187,7 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
             lpv_trace.append(lpv)
         cost_val, iters = (0.0, 0) if sol is None else (sol.cost, sol.iterations)
         if not np.isfinite(cost_val):
-            raise RuntimeError(f"solver produced a non-finite cost at step {k}")
+            raise NonFiniteCostError(f"solver produced a non-finite cost at step {k}")
 
         try:
             state = step_engine(state, u_cmd, fan_load_power(state.n, geom),

@@ -215,16 +215,16 @@ def test_criterion_8_solver_audit():
         e = a @ a.T + n * np.eye(n)
         f = rng.normal(size=n)
         z_free = -np.linalg.solve(e, f)
-        m = rng.normal(size=(12, n))
-        gamma = m @ z_free + rng.uniform(0.5, 2.0, 12)
-        z, _, _, _, _ = hildreth(e, f, m, gamma)
+        s = rng.normal(size=(12, n))[:n]     # bounds on S z, S a random map
+        margin = rng.uniform(0.5, 2.0, 12)
+        z, _, _, _, _ = hildreth(e, f, s, s @ z_free - margin[:n], s @ z_free + margin[n:])
         worst = max(worst, float(np.max(np.abs(z - z_free))))
     interior_ok = worst <= 1e-8
     # constructed active-constraint fixture: clamp with positive multiplier
-    z, lam, _, kkt, _ = hildreth(np.array([[2.0]]), np.array([-4.0]),
-                                 np.array([[1.0]]), np.array([1.0]))
+    z, lam, _, kkt, _ = hildreth(np.array([[2.0]]), np.array([-4.0]), np.eye(1),
+                                 np.array([-np.inf]), np.array([1.0]))
     clamp_ok = abs(z[0] - 1.0) <= 1e-6 and lam[0] > 0.0 and kkt <= 1e-6
-    _report(8, "Hildreth equals dense solve when interior; clamps correctly",
+    _report(8, "QP solver equals dense solve when interior; clamps correctly",
             interior_ok and clamp_ok,
             f"worst interior err {worst:.2e}, clamp z={z[0]:.8f}")
 

@@ -78,7 +78,7 @@ def overshoot_case():
 
 def binding_case():
     """(lpv, y0, refs, u_prev) whose first round binds the throttle's upper
-    box edge and sweeps, and whose soft-limit re-solve is interior."""
+    box edge, and whose soft-limit re-solve is interior."""
     lpv = toy_lpv(0)
     y0 = np.array([1400.0, 0.95])
     step = simulate_horizon(lpv, np.zeros(2), [[1.0, 0.0]], CFG.n2)
@@ -110,6 +110,18 @@ def oracle_condensed_map(lpv, nc, n2):
     return g.reshape(2 * n2, 2 * nc)
 
 
+def running_sums(nc):
+    """S of the running input sums u - u_prev = S @ du, stacked over nc moves."""
+    return np.kron(np.tril(np.ones((nc, nc))), np.eye(2))
+
+
+def box_bounds(config, u_prev):
+    """(lower, upper) of S @ du: the input box less ``u_prev``, stacked over Nc."""
+    lower = np.array([config.tps_bounds[0], config.mf_bounds[0]]) - u_prev
+    upper = np.array([config.tps_bounds[1], config.mf_bounds[1]]) - u_prev
+    return np.tile(lower, config.nc), np.tile(upper, config.nc)
+
+
 def plain_qp_solution(lpv, meas, refs, u_prev, config):
     """The tracking QP without any soft-limit term, condensed through
     ``oracle_condensed_map`` and solved by one ``hildreth`` call."""
@@ -119,10 +131,11 @@ def plain_qp_solution(lpv, meas, refs, u_prev, config):
     ref_s = refs[:config.n2].ravel()
     e_mat = 2.0 * (g.T @ (layout.q_diag[:, None] * g) + layout.r_mat)
     f_vec = 2.0 * g.T @ (layout.q_diag * (y0_s - ref_s))
-    z, _, sweeps, _, capped = hildreth(e_mat, f_vec, layout.m_mat, layout.gamma(u_prev))
+    z, _, steps, _, capped = hildreth(e_mat, f_vec, running_sums(config.nc),
+                                      *box_bounds(config, u_prev))
     return HorizonSolution(du=z.reshape(config.nc, 2),
                            cost=cost(config, ref_s, y0_s + g @ z, z),
-                           iterations=sweeps, capped=capped)
+                           iterations=steps, capped=capped)
 
 
 def objective(lpv, y0, refs, du, config):
@@ -142,14 +155,14 @@ def reference_minimiser(lpv, y0, refs, u_prev, config, iterations=3000):
     scaled by the root of its Hessian diagonal."""
     layout = config.layout
     nc, n2 = config.nc, config.n2
-    to_du = np.linalg.inv(np.kron(np.tril(np.ones((nc, nc))), np.eye(2)))
+    to_du = np.linalg.inv(running_sums(nc))
     g = oracle_condensed_map(lpv, nc, n2) @ to_du
     r = to_du.T @ layout.r_mat @ to_du
     weight = layout.q_diag + layout.rho
     scale = 1.0 / np.sqrt(np.diag(g.T @ (weight[:, None] * g) + r))
     g, r = g * scale, r * np.outer(scale, scale)
-    lower = np.tile(layout.u_lower - u_prev, nc) / scale
-    upper = np.tile(layout.u_upper - u_prev, nc) / scale
+    lower, upper = box_bounds(config, u_prev)
+    lower, upper = lower / scale, upper / scale
     y0_s, ref_s = np.tile(y0, n2), refs[:n2].ravel()
 
     def value_and_gradient(s):
@@ -192,7 +205,7 @@ def assert_newton_fixed_point(lpv, y0, refs, u_prev, config, sol, last_model):
                          + pen * (y0_s - limit))
     for mine, last in zip((e_mat, f_vec), last_model):
         assert np.allclose(mine, last, rtol=0, atol=1e-12 * np.abs(last).max())
-    z = hildreth(e_mat, f_vec, layout.m_mat, layout.gamma(u_prev))[0]
+    z = hildreth(e_mat, f_vec, running_sums(config.nc), *box_bounds(config, u_prev))[0]
     assert np.max(np.abs(z - sol.du.ravel())) <= 1e-9 * max(1.0, np.abs(sol.du).max())
 
 
@@ -380,53 +393,66 @@ class TestCost:
 
 class TestHildreth:
     def test_matches_dense_solution_on_interior_instances(self):
+        # margins of 0.5 to 2 keep S times the free minimizer inside the bounds
         rng = np.random.default_rng(0)
+        s_mat = running_sums(3)
         for _ in range(100):
             n = 6
             a = rng.normal(size=(n, n))
             e = a @ a.T + n * np.eye(n)
             f = rng.normal(size=n)
             z_free = -np.linalg.solve(e, f)
-            m = rng.normal(size=(12, n))
-            gamma = m @ z_free + rng.uniform(0.5, 2.0, 12)
-            z, lam, _, _, capped = hildreth(e, f, m, gamma)
-            assert not capped
+            margin = rng.uniform(0.5, 2.0, 2 * n)
+            v = s_mat @ z_free
+            z, lam, steps, _, capped = hildreth(e, f, s_mat, v - margin[:n], v + margin[n:])
+            assert not capped and steps == 0 and not lam.any()
             assert np.max(np.abs(z - z_free)) < 1e-8
 
     def test_active_constraint_clamps_with_positive_multiplier(self):
         # min (z-2)^2 subject to z <= 1: optimum z=1, multiplier 2
-        z, lam, _, kkt, _ = hildreth(np.array([[2.0]]), np.array([-4.0]),
-                                     np.array([[1.0]]), np.array([1.0]))
-        assert z[0] == pytest.approx(1.0, abs=1e-7)
-        assert lam[0] == pytest.approx(2.0, abs=1e-6)
-        assert lam[0] >= 0.0
-        assert kkt <= 1e-6
+        z, lam, steps, kkt, capped = hildreth(np.array([[2.0]]), np.array([-4.0]),
+                                              np.eye(1), np.array([-np.inf]),
+                                              np.array([1.0]))
+        assert z[0] == 1.0
+        assert lam[0] == pytest.approx(2.0, rel=1e-15)
+        assert kkt == 0.0 and steps == 1 and not capped
 
     def test_two_sided_box_fixture(self):
         # min 0.5 z'Ez + f'z with box -1 <= z <= 1 in 2-D, optimum outside
         e = np.array([[2.0, 0.0], [0.0, 2.0]])
         f = np.array([-6.0, 0.5])   # unconstrained optimum (3, -0.25)
-        m = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        gamma = np.ones(4)
-        z, lam, _, kkt, capped = hildreth(e, f, m, gamma)
-        assert np.allclose(z, [1.0, -0.25], atol=1e-7)
-        assert lam[0] > 0.0 and np.all(lam[1:] < 1e-9)
-        assert not capped
+        z, lam, _, kkt, capped = hildreth(e, f, np.eye(2), -np.ones(2), np.ones(2))
+        assert z.tolist() == [1.0, -0.25]
+        assert lam.tolist() == [4.0, 0.0]
+        assert kkt == 0.0 and not capped
+
+    def test_bound_released_when_its_multiplier_turns_negative(self):
+        # the free minimizer (-1, 3) clipped to the box holds z1 at its lower
+        # bound -0.5 and z2 at its upper bound 1; the first step finds z1's
+        # multiplier negative and releases it, the second moves z1 to its
+        # minimum 0.5 with z2 held, where z2's multiplier is positive
+        e = np.array([[2.0, 1.5], [1.5, 2.0]])
+        f = -e @ np.array([-1.0, 3.0])
+        z, lam, steps, _, capped = hildreth(e, f, np.eye(2), np.array([-0.5, -1.0]),
+                                            np.ones(2))
+        z_held = -(f[0] + e[0, 1]) / e[0, 0]
+        assert z[1] == 1.0 and z[0] == pytest.approx(z_held, rel=1e-15)
+        assert lam[0] == 0.0 and lam[1] > 0.0
+        assert steps == 2 and not capped
 
     def test_singular_hessian_raises_typed_error(self):
         e = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularQpError, match="singular"):
-            hildreth(e, np.ones(2), np.eye(2), np.ones(2))
+            hildreth(e, np.ones(2), np.eye(2), -np.ones(2), np.ones(2))
         assert issubclass(SingularQpError, RuntimeError)
 
     @pytest.mark.parametrize("e_mat", [np.diag([2.0, -1.0]),
                                        np.array([[0.0, 1.0], [1.0, 0.0]])])
-    def test_indefinite_dual_raises_typed_error(self, e_mat):
-        # E inverts, but it is not positive definite, so the dual's diagonal
-        # M E^-1 M' has an entry that is negative or zero, which the sweep
-        # would divide by; the free minimizer leaves the box
+    def test_indefinite_hessian_raises_typed_error(self, e_mat):
+        # E inverts, but it is not positive definite, so a bound-held point
+        # need not be a minimum; the free minimizer leaves the box
         with pytest.raises(SingularQpError, match="singular in floating point"):
-            hildreth(e_mat, np.array([-4.0, 1.0]), np.eye(2), np.ones(2))
+            hildreth(e_mat, np.array([-4.0, 1.0]), np.eye(2), -np.ones(2), np.ones(2))
 
 
 class TestSolveQp:
@@ -516,21 +542,21 @@ class TestSolveQp:
         assert objective(lpv, y0, refs, point, CFG) <= min(grid) * (1 + 1e-12)
 
     def test_iterations_count_every_round(self, monkeypatch):
-        # the first round binds a box edge and sweeps; the soft-limit
-        # re-solve is interior and takes none
+        # the first round binds a box edge and takes active-set steps; the
+        # soft-limit re-solve is interior and takes none
         lpv, y0, refs, u_prev = binding_case()
-        sweeps = []
+        steps = []
 
         def counted(*args):
             result = hildreth(*args)
-            sweeps.append(result[2])
+            steps.append(result[2])
             return result
 
         meas = Measurement(np.zeros(3), y0)
         monkeypatch.setattr(mpc, "hildreth", counted)
         sol = solve_qp(lpv, meas, refs, u_prev, CFG)
-        assert sweeps == [40, 0]
-        assert sol.iterations == 40
+        assert steps == [4, 0]
+        assert sol.iterations == 4
         assert not sol.capped
         # a cap in the first round alone still marks the solution capped
         flags = [True, False]
@@ -552,9 +578,9 @@ class TestSolveQp:
         y0[channel] = limit + offset if side else limit - offset
         rounds = []
 
-        def zero_move(e_mat, f_vec, m_mat, gamma):
+        def zero_move(e_mat, f_vec, s_mat, lower, upper):
             rounds.append(len(rounds))
-            return np.zeros(len(f_vec)), np.zeros(len(gamma)), 0, 0.0, False
+            return np.zeros(len(f_vec)), np.zeros(len(lower)), 0, 0.0, False
 
         monkeypatch.setattr(mpc, "hildreth", zero_move)
         solve_qp(toy_lpv(), Measurement(np.zeros(3), y0), np.tile(y0, (CFG.n2, 1)),
@@ -570,7 +596,7 @@ class TestSolveQpOracle:
         for lpv, meas, refs, u_prev, sol in stock_qps:
             assert solution_bytes(sol) == solution_bytes(
                 plain_qp_solution(lpv, meas, refs, u_prev, CFG))
-        # the episode also runs the sweep, not only interior optima
+        # the episode also runs the active-set steps, not only interior optima
         assert any(sol.iterations for *_, sol in stock_qps)
 
     @pytest.mark.parametrize("case", [binding_case, late_crossing_case])
@@ -604,16 +630,17 @@ class TestSolveQpOracle:
         assert_reference_minimum(*overshoot_case(), cfg)
 
 
-def recorded_episode(rbf, config, controller):
-    """The stock scenario under ``config``: (records, steps), each step's
-    solve_qp arguments, its solution and the (E, f) of every ``hildreth`` call."""
-    bundle = load_bundle(None)
+def recorded_episode(rbf, config, controller, seed=None):
+    """The stock scenario under ``config``, at scenario seed ``seed`` if given:
+    (records, steps), each step's solve_qp arguments, its solution and the
+    (arguments, result) of every ``hildreth`` call."""
+    bundle = load_bundle(None, {} if seed is None else {"scenario.seed": seed})
     steps = []
     solve, solve_box = mpc.solve_qp, mpc.hildreth
 
     def recording_hildreth(*args):
-        steps[-1][2].append(args[:2])
-        return solve_box(*args)
+        steps[-1][2].append((args, solve_box(*args)))
+        return steps[-1][2][-1][1]
 
     def recording_solve(*args):
         steps.append([args, None, []])
@@ -650,7 +677,7 @@ class TestSoftLimitsClosedLoop:
         for (lpv, meas, refs, u_prev, _), sol, models in steps:
             if len(models) > 1:
                 assert_newton_fixed_point(lpv, meas.output, refs, u_prev, cfg, sol,
-                                          models[-1])
+                                          models[-1][0][:2])
         steady = [rec.thrust_true for rec in records[130:]]
         assert 73.0 < min(steady) and max(steady) < 76.5
 
@@ -682,44 +709,154 @@ if st is not None:
     @settings(derandomize=True, max_examples=50, deadline=None, database=None)
     @given(case=soft_limit_qp())
     def test_solve_qp_ends_at_newton_fixed_point(case):
-        """``cost`` is the objective at du, du leaves the box by no more than
-        the largest KKT residual ``hildreth`` reported, and du is the last
-        Newton round's fixed point."""
+        """``cost`` is the objective at du, the plan holds the input box, and
+        du is the last Newton round's fixed point."""
         lpv, y0, refs, u_prev, cfg = case
-        models, residuals = [], [0.0]
+        models = []
 
         def recorded(*args):
             models.append(args[:2])
-            result = hildreth(*args)
-            residuals.append(result[3])
-            return result
+            return hildreth(*args)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mpc, "hildreth", recorded)
             sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, cfg)
         assert sol.cost == pytest.approx(objective(lpv, y0, refs, sol.du, cfg), rel=1e-12)
-        layout = cfg.layout
-        assert np.max(layout.m_mat @ sol.du.ravel() - layout.gamma(u_prev)) \
-            <= max(residuals) + 1e-15
+        assert_plan_in_box(u_prev, sol.du, cfg)
         assert_newton_fixed_point(lpv, y0, refs, u_prev, cfg, sol, models[-1])
 
 
-def old_box_constraints(config, u_prev):
-    """The box rows as built on every step before the layout existed."""
-    nc = config.nc
-    u_lower = np.array([config.tps_bounds[0], config.mf_bounds[0]])
-    u_upper = np.array([config.tps_bounds[1], config.mf_bounds[1]])
-    cum = np.kron(np.tril(np.ones((nc, nc))), np.eye(2))
-    m_mat = np.stack([cum, -cum], axis=1).reshape(4 * nc, 2 * nc)
-    gamma = np.stack([np.tile(u_upper - u_prev, nc),
-                      np.tile(u_prev - u_lower, nc)], axis=1).ravel()
-    return m_mat, gamma
+def assert_plan_in_box(u_prev, du, config):
+    """Every running input sum u_prev + cumsum(du) lies in the input box to
+    1e-12 of each channel's span."""
+    lower = np.array([config.tps_bounds[0], config.mf_bounds[0]])
+    upper = np.array([config.tps_bounds[1], config.mf_bounds[1]])
+    plan = u_prev + np.cumsum(du, axis=0)
+    excess = np.maximum(plan - upper, 0.0) + np.maximum(lower - plan, 0.0)
+    assert np.all(excess <= 1e-12 * (upper - lower))
+
+
+def box_rows(s_mat, lower, upper):
+    """(M, gamma) of the box lower <= S z <= upper as rows M z <= gamma, an
+    (upper, lower) pair per entry, the order Hildreth's sweep visited them."""
+    m_mat = np.stack([s_mat, -s_mat], axis=1).reshape(2 * len(s_mat), -1)
+    return m_mat, np.stack([upper, -lower], axis=1).ravel()
+
+
+def reference_hildreth(e_mat, f_vec, m_mat, gamma):
+    """Hildreth's dual coordinate ascent for min 0.5 z'Ez + f'z subject to
+    M z <= gamma, the box solver of ``solve_qp`` before the active-set method:
+    (z, multipliers, sweeps).  The free minimizer is returned when no row
+    exceeds gamma by more than 1e-8; the sweep stops after one that moves no
+    multiplier by more than 1e-8 times the largest, or after 500."""
+    e_inv = np.linalg.inv(e_mat)
+    z_free = -e_inv @ f_vec
+    lam = np.zeros(len(gamma))
+    if (m_mat @ z_free - gamma).max() <= 1e-8:
+        return z_free, lam, 0
+    p_mat = m_mat @ e_inv @ m_mat.T
+    d_vec = gamma + m_mat @ e_inv @ f_vec
+    for sweeps in range(1, 501):
+        delta = 0.0
+        for i in range(len(gamma)):
+            w = -(d_vec[i] + p_mat[i] @ lam - p_mat[i, i] * lam[i]) / p_mat[i, i]
+            delta = max(delta, abs(max(0.0, w) - lam[i]))
+            lam[i] = max(0.0, w)
+        if delta <= 1e-8 * max(1.0, float(np.max(np.abs(lam)))):
+            break
+    return -e_inv @ (f_vec + m_mat.T @ lam), lam, sweeps
+
+
+def kkt_on_active_set(e_mat, f_vec, m_mat, gamma, active):
+    """The exact minimizer with the rows ``active`` held as equalities, from
+    one solve of the KKT system."""
+    rows = m_mat[active]
+    kkt = np.block([[e_mat, rows.T], [rows, np.zeros((len(rows), len(rows)))]])
+    return np.linalg.solve(kkt, np.concatenate([-f_vec, gamma[active]]))[:len(f_vec)]
+
+
+@pytest.fixture(scope="module")
+def stock_box_qps(stock_rbf):
+    """(arguments, result) of every ``hildreth`` call that meets the box in
+    the stock AMPC episodes at scenario seeds 7 and 3 and in the stock
+    linear-MPC episode."""
+    calls = []
+    for controller, seed in (("ampc", 7), ("ampc", 3), ("linear-mpc", 7)):
+        _, steps = recorded_episode(stock_rbf, CFG, controller, seed)
+        calls += [call for *_, qp_calls in steps for call in qp_calls if call[1][2]]
+    return calls
+
+
+class TestBoxOracle:
+    """The active-set method is exact where Hildreth's sweep stopped on a
+    tolerance, and the plans it makes hold the input box."""
+
+    def test_stock_box_qps_match_kkt_on_hildreth_active_set(self, stock_box_qps):
+        assert len(stock_box_qps) == 8 + 8 + 63
+        for (e_mat, f_vec, s_mat, lower, upper), (z, lam, steps, _, capped) \
+                in stock_box_qps:
+            m_mat, gamma = box_rows(s_mat, lower, upper)
+            active = reference_hildreth(e_mat, f_vec, m_mat, gamma)[1] > 0.0
+            z_ref = kkt_on_active_set(e_mat, f_vec, m_mat, gamma, active)
+            assert np.max(np.abs(z - z_ref)) <= 1e-11 * np.max(np.abs(z_ref))
+            # the held bounds are the rows Hildreth's sweep kept active, and
+            # S z meets each to rounding
+            held = lam > 0.0
+            assert np.array_equal(held, active.reshape(-1, 2).any(axis=1))
+            v, span = s_mat @ z, upper - lower
+            assert np.all(np.maximum(v - upper, lower - v) <= 1e-15 * span)
+            assert np.all(np.minimum(upper - v, v - lower)[held] <= 1e-15 * span[held])
+            assert np.all(lam >= 0.0) and 1 <= steps <= 3 and not capped
+
+    @pytest.mark.parametrize("n2", [8, 12, 13])
+    def test_plans_hold_the_input_box(self, stock_rbf, n2):
+        # at n2 = 12 and 13 the condensed Hessian's condition number passes
+        # 1e19; Hildreth's sweep left plans up to a third of the span outside
+        cfg = replace(CFG, n2=n2)
+        records, steps = recorded_episode(stock_rbf, cfg, "ampc")
+        assert len(records) == 250
+        for (_, _, _, u_prev, _), sol, _ in steps:
+            assert_plan_in_box(u_prev, sol.du, cfg)
+            assert not sol.capped
+
+
+if st is not None:
+    @st.composite
+    def box_qp(draw):
+        """(E, f, lower, upper): E = A A' + c I strictly convex in 1 to 8
+        unknowns, and a box of widths 0.1 to 3 that may hold the free
+        minimizer or not."""
+        n = draw(st.integers(1, 8))
+        a = draw(arrays(np.float64, (n, n), elements=st.floats(-3.0, 3.0)))
+        e = a @ a.T + draw(st.floats(0.1, 5.0)) * np.eye(n)
+        f = draw(arrays(np.float64, n, elements=st.floats(-20.0, 20.0)))
+        lower = draw(arrays(np.float64, n, elements=st.floats(-2.0, 1.0)))
+        return e, f, lower, lower + draw(arrays(np.float64, n, elements=st.floats(0.1, 3.0)))
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(qp=box_qp())
+    def test_box_qp_meets_its_optimality_conditions(qp):
+        """Each held entry sits exactly on its bound with a non-negative
+        multiplier, each free entry lies in the box with a gradient within
+        1e-12 of the problem's scale, and the step bound is never reached."""
+        e, f, lower, upper = qp
+        z, lam, steps, kkt, capped = hildreth(e, f, np.eye(len(f)), lower, upper)
+        assert not capped and steps < 3 ** len(f)
+        grad = e @ z + f
+        scale = float((np.abs(e) @ np.abs(z) + np.abs(f)).max())
+        held = lam > 0.0
+        assert np.all(lam >= 0.0)
+        assert np.all((z == lower) | (z == upper) | ~held)
+        assert np.array_equal(lam[held], np.where(z == upper, -grad, grad)[held])
+        assert np.all((lower <= z) & (z <= upper))
+        assert np.all(np.abs(grad[~held]) <= 1e-12 * scale)
+        assert kkt <= 1e-12 * scale
 
 
 class TestHorizonLayout:
     def test_arrays_are_read_only(self):
         arrays = [v for v in vars(CFG.layout).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 13
+        assert len(arrays) == 11
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[...] = 0
@@ -734,15 +871,18 @@ class TestHorizonLayout:
 
     @pytest.mark.parametrize("nc", [1, 2, 3, 4])
     def test_box_rows_match_kron_stack_oracle(self, nc):
-        cfg = MpcConfig(nc=nc)
-        layout = cfg.layout
+        # S sums the moves per channel, and S^-1 takes exact differences of
+        # the running sums, the map ``hildreth`` returns through
+        layout = MpcConfig(nc=nc).layout
+        assert layout.s_mat.tobytes() == running_sums(nc).tobytes()
+        differences = np.kron(np.eye(nc) - np.eye(nc, k=-1), np.eye(2))
+        assert np.array_equal(np.linalg.inv(layout.s_mat), differences)
         rng = np.random.default_rng(nc)
         for _ in range(5):
             u_prev = np.array([rng.uniform(5.0, 90.0),
                                rng.uniform(0.0011, 0.0055)])
-            m_old, gamma_old = old_box_constraints(cfg, u_prev)
-            assert layout.m_mat.tobytes() == m_old.tobytes()
-            assert layout.gamma(u_prev).tobytes() == gamma_old.tobytes()
+            lower, upper = box_bounds(MpcConfig(nc=nc), u_prev)
+            assert (layout.box - u_prev).tobytes() == lower.tobytes() + upper.tobytes()
 
 
 class TestControllerSteps:

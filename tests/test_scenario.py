@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -527,8 +528,8 @@ class TestCli:
     def test_singular_qp_exit_code(self, trained_rbf, tmp_path, capsys):
         # the model's A is unstable in the climb, so its powers up to A^15
         # drive the 16-step condensed QP singular in floating point: E cannot
-        # be inverted; at 17 steps E inverts, but its inverse gives Hildreth's
-        # dual a negative diagonal entry
+        # be inverted; at 17 steps E inverts, but the Hessian on the running
+        # input sums has no Cholesky factor
         save_model(trained_rbf, tmp_path / "rbf_model.txt")
         for n2 in (16, 17):
             ini = tmp_path / f"long{n2}.ini"
@@ -541,6 +542,32 @@ class TestCli:
             assert err.startswith("solver failure: ") and "singular" in err
             assert err.count("\n") == 1
             assert not (out / "trajectory_ampc.csv").exists()
+
+    def test_non_finite_cost_exit_code(self, trained_rbf, tmp_path, capsys,
+                                       monkeypatch):
+        save_model(trained_rbf, tmp_path / "rbf_model.txt")
+        solve = scenario.ampc_step
+
+        def nan_cost(*args, **kwargs):
+            u_cmd, sol, lpv = solve(*args, **kwargs)
+            return u_cmd, replace(sol, cost=float("nan")), lpv
+
+        monkeypatch.setattr(scenario, "ampc_step", nan_cost)
+        assert cli_main(["simulate", "--controller", "ampc",
+                         "--model-file", str(tmp_path / "rbf_model.txt"),
+                         "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err == "solver failure: solver produced a non-finite cost at step 0\n"
+
+    def test_stray_error_in_a_stage_propagates(self, tmp_path, monkeypatch):
+        # exit 4 names the solver failures; any other error is a fault of
+        # the program, which main does not turn into an exit status
+        def unfinished(*args):
+            raise NotImplementedError("stage left unfinished")
+
+        monkeypatch.setattr(dflsim.cli, "generate_dataset", unfinished)
+        with pytest.raises(NotImplementedError, match="unfinished"):
+            cli_main(["gen-data", "--out", str(tmp_path / "o")])
 
     def test_diverged_training_exit_code(self, tmp_path):
         ini = tmp_path / "diverge.ini"
