@@ -103,8 +103,8 @@ class EngineParams:
             raise ValueError("Hu and inertia must be positive")
         if not 0.0 <= self.fuel_loss_coeff < 1.0:
             raise ValueError("fuel loss coefficient must lie in [0, 1)")
-        if self.injection_delay < 0 or self.stoich_afr <= 0 or self.dt_int <= 0:
-            raise ValueError("tau_d >= 0, L_th > 0 and dt_int > 0 required")
+        if not 0 <= self.injection_delay < math.inf or self.stoich_afr <= 0 or self.dt_int <= 0:
+            raise ValueError("finite tau_d >= 0, L_th > 0 and dt_int > 0 required")
         # the plant divides by each of these and the air path by gamma - 1
         if not (self.gamma > 1.0 and all(v > 0 for v in (
                 self.manifold_volume, self.manifold_temp, self.ambient_pressure,

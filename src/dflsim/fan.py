@@ -56,19 +56,26 @@ class FanGeometry:
             raise ValueError("need 0 <= r0 < R")
         if self.element_count < 16:
             raise ValueError("element_count must be >= 16")
-        if not (self.pulley_ratio > 0.0 and self.air_density > 0.0
+        # the blade loads scale with B, and the duct gain is a cube root of S3/S2
+        if not (all(v > 0.0 for v in (self.pulley_ratio, self.air_density, self.blade_factor,
+                                      self.outlet_area_ratio))
                 and 0.0 < self.transmission_eff <= 1.0):
-            raise ValueError("need positive pulley ratio and air density, "
-                             "and 0 < transmission_eff <= 1")
+            raise ValueError("need positive pulley ratio, air density, blade_factor and "
+                             "outlet_area_ratio, and 0 < transmission_eff <= 1")
 
     @functools.cached_property
     def hover(self):
         """(duct_ratio*k_T, k_P): ducted thrust over n_fan^2 and absorbed power
         over n_fan^3, from one operating point solved on first use; the
-        similarity law makes both independent of the reference speed."""
+        similarity law makes both independent of the reference speed.  The power
+        curve divides by k_P: ValueError unless both are positive and finite."""
         n_ref = 100.0  # rev/s
         op = solve_operating_point(n_ref, self)
-        return duct_ratio(self) * (op.thrust_unducted / n_ref ** 2), op.power / n_ref ** 3
+        k_thrust = duct_ratio(self) * (op.thrust_unducted / n_ref ** 2)
+        k_p = op.power / n_ref ** 3
+        if not (0.0 < k_thrust < math.inf and 0.0 < k_p < math.inf):
+            raise ValueError(f"need positive finite k_T and k_P, not {k_thrust:.6g}, {k_p:.6g}")
+        return k_thrust, k_p
 
     @property
     def s2(self) -> float:

@@ -11,7 +11,9 @@ Predictive Control System Design and Implementation Using MATLAB, 2009,
 ch. 1-3).  Tracking and move terms are scaled per channel by the
 constraint spans so the weighting factors compare like with like.  The
 input box is a hard bound on the running input sums, met exactly; the
-output limits add a penalty on the squared excess past each limit.
+output limits add a penalty on the squared excess past each limit, also
+met exactly: each row that crosses one gets a target bounded by its limits,
+and the one box solver ``hildreth`` re-solves for increments and targets.
 """
 
 from __future__ import annotations
@@ -127,8 +129,8 @@ class Measurement:
 class HorizonSolution:
     du: np.ndarray            # (Nc, 2) optimal input increments
     cost: float               # objective at du (tracking + moves + penalties)
-    iterations: int           # active-set steps summed over every Newton round
-    capped: bool              # some round's active set cycled, see ``hildreth``
+    iterations: int           # active-set steps summed over every ``hildreth`` call
+    capped: bool              # some call's active set cycled, see ``hildreth``
 
 
 def condensed_map(lpv: LpvModel, config: MpcConfig) -> np.ndarray:
@@ -220,70 +222,53 @@ def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, s_mat: np.ndarray,
     return s_inv @ v, lam, steps, float(np.abs(grad[~held]).max(initial=0.0)), bool(capped)
 
 
-def line_minimum(layout: HorizonLayout, g: np.ndarray, z: np.ndarray,
-                 z_model: np.ndarray, y: np.ndarray, ref_s: np.ndarray) -> np.ndarray:
-    """The least-objective point of the segment from ``z`` (stacked trail ``y``)
-    to ``z_model``.  The objective's slope along it never decreases and is
-    linear between the kinks where a row meets a limit, so interpolating its
-    values there to zero is exact (Keerthi & DeCoste, JMLR 6, 2005)."""
-    d = z_model - z
-    gd = g @ d
-    past = np.concatenate([y - layout.y_hi, y - layout.y_lo])
-    turn = np.concatenate([gd, gd])
-    flips = (past > 0.0) != (past + turn > 0.0)
-    ts = np.concatenate([[0.0], np.sort(-past[flips] / turn[flips]), [1.0]])
-    trail = y + ts[:, None] * gd
-    excess = np.maximum(trail - layout.y_hi, 0.0) - np.maximum(layout.y_lo - trail, 0.0)
-    slope = (layout.q_diag * (trail - ref_s) + layout.rho * excess) @ gd \
-        + (z + ts[:, None] * d) @ layout.r_mat @ d
-    return z + np.interp(0.0, slope, ts) * d
-
-
 def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
              u_prev: np.ndarray, config: MpcConfig) -> HorizonSolution:
     """Minimise the horizon objective over the 2*Nc increments in the box.
 
     The trail is y0 + G*du (``condensed_map``); the objective adds rho times
-    each row's squared excess past its limit.  A Newton round (Hintermueller,
-    Ito & Kunisch, SIAM J. Optim. 13(3), 2002) pulls the rows more than 1e-12
-    past a limit toward it and minimises that quadratic model in the box by
-    ``hildreth``; the first round pulls none.  A minimiser whose crossing rows
-    are not the pulled ones gives way to ``line_minimum``; the loop ends when
-    the crossing rows repeat.  ``cost`` is the objective at du, ``iterations``
-    sums every round's active-set steps, and ``capped`` is set if a round cycled."""
+    each row's squared distance past its limits, the least of rho*(y - w)**2
+    over a target w in [y_lo, y_hi].  After the tracking QP, while the trail
+    is more than 1e-12 past a limit on rows without a target, those rows gain
+    one and ``hildreth`` re-solves in (du, w) with S = blockdiag(s_mat, I) and
+    the limits bounding the targets: at most 2*n2 re-solves.  It is exact:
+      targets on a subset of rows never raise the objective above the true one,
+      the two agree at du once every other row is inside its limits, so the
+      target QP's minimiser, at most the true minimum, attains it.
+    ``cost`` is the objective at du, ``iterations`` sums every ``hildreth``
+    call's active-set steps, and ``capped`` is set if any call cycled."""
     layout = config.layout
-    top, bottom = layout.y_hi + 1e-12, layout.y_lo - 1e-12
     g = condensed_map(lpv, config)
     y0_s = np.asarray(meas.output, dtype=float)[layout.y_index]
     ref_s = np.asarray(refs, dtype=float)[:config.n2].ravel()
-    bounds = (layout.box - u_prev).reshape(2, -1)     # [lower, upper] of S @ du
+    lower, upper = (layout.box - u_prev).reshape(2, -1)     # the bounds of S @ du
 
-    weight, rhs = layout.q_diag, layout.q_diag * (y0_s - ref_s)
-    side = np.zeros(len(y0_s), dtype=np.int8)   # +1 / -1: pulled to the upper / lower limit
-    z, iterations, capped = None, 0, False
-    while True:
-        e_mat = 2.0 * (g.T @ (weight[:, None] * g) + layout.r_mat)
-        f_vec = 2.0 * g.T @ rhs
-        z_new, _, steps, _, cycled = hildreth(e_mat, f_vec, layout.s_mat, bounds[0], bounds[1])
+    e_mat = 2.0 * (g.T @ (layout.q_diag[:, None] * g) + layout.r_mat)
+    f_vec = 2.0 * g.T @ (layout.q_diag * (y0_s - ref_s))
+    z, _, iterations, _, capped = hildreth(e_mat, f_vec, layout.s_mat, lower, upper)
+    y_pred = y0_s + g @ z
+    top, bottom = layout.y_hi + 1e-12, layout.y_lo - 1e-12
+    new, targets = (y_pred > top) | (y_pred < bottom), False
+    while config.soft_weight and np.count_nonzero(new):
+        targets = targets | new
+        rows, n = np.flatnonzero(targets), len(z)
+        rho = layout.rho[rows]
+        pull = 2.0 * rho[:, None] * g[rows]       # minus the (w, du) block of the Hessian
+        s_mat = np.eye(n + len(rows))
+        s_mat[:n, :n] = layout.s_mat
+        x, _, steps, _, cycled = hildreth(
+            np.block([[e_mat + g[rows].T @ pull, -pull.T], [-pull, np.diag(2.0 * rho)]]),
+            np.concatenate([f_vec + pull.T @ y0_s[rows], -2.0 * rho * y0_s[rows]]),
+            s_mat, np.concatenate([lower, layout.y_lo[rows]]),
+            np.concatenate([upper, layout.y_hi[rows]]))
         iterations, capped = iterations + steps, capped or cycled
-        y_new = y0_s + g @ z_new
-        crossing = (y_new > top).view(np.int8) - (y_new < bottom).view(np.int8)
-        if z is not None and np.count_nonzero(crossing != side):
-            z_new = line_minimum(layout, g, z, z_new, y_pred, ref_s)
-            y_new = y0_s + g @ z_new
-            crossing = (y_new > top).view(np.int8) - (y_new < bottom).view(np.int8)
-        z, y_pred = z_new, y_new
-        if not np.count_nonzero(crossing != side):
-            break
-        side = crossing
-        pen = layout.rho * (side != 0)
-        limit = np.where(side > 0, layout.y_hi, layout.y_lo)
-        weight = layout.q_diag + pen
-        rhs = layout.q_diag * (y0_s - ref_s) + pen * (y0_s - limit)
+        z = x[:n]
+        y_pred = y0_s + g @ z
+        new = ((y_pred > top) | (y_pred < bottom)) & ~targets
 
     total = cost(config, ref_s, y_pred, z)
-    if np.count_nonzero(side):
-        total += float(pen @ (y_pred - limit) ** 2)
+    if np.count_nonzero(targets):
+        total += float(layout.rho @ (y_pred - np.clip(y_pred, layout.y_lo, layout.y_hi)) ** 2)
     return HorizonSolution(du=z.reshape(config.nc, 2), cost=total,
                            iterations=iterations, capped=capped)
 

@@ -70,6 +70,11 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite and positive")
         if not 0 <= self.noise_std < np.inf:
             raise ValueError("noise_std must be finite and non-negative")
+        # the metrics slice the trajectory at these; past ``steps`` is allowed
+        if min(self.ramp_start, self.lam_step_at, self.settle_margin) < 0 \
+                or self.ramp_end < self.ramp_start:
+            raise ValueError("ramp_start, lam_step_at and settle_margin must be "
+                             "non-negative, and ramp_end >= ramp_start")
 
     def thrust_reference(self) -> np.ndarray:
         """Per-step thrust reference in newtons."""

@@ -11,7 +11,7 @@ from dflsim.dataset import MF_RANGE, TPS_RANGE, TrainingConfig
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
 from dflsim.lpv import LpvModel, build_lpv
 from dflsim.mpc import (HorizonSolution, Measurement, MpcConfig, SingularQpError,
-                        ampc_step, condensed_map, cost, hildreth, line_minimum,
+                        ampc_step, condensed_map, cost, hildreth,
                         mpc_step, solve_qp)
 from dflsim.networks import train_rbf
 from dflsim.scenario import run_scenario
@@ -77,8 +77,9 @@ def overshoot_case():
 
 
 def binding_case():
-    """(lpv, y0, refs, u_prev) whose first round binds the throttle's upper
-    box edge, and whose soft-limit re-solve is interior."""
+    """(lpv, y0, refs, u_prev) whose plain QP binds the throttle's upper box
+    edge and crosses the thrust limit, so the re-solve with targets takes
+    active-set steps too."""
     lpv = toy_lpv(0)
     y0 = np.array([1400.0, 0.95])
     step = simulate_horizon(lpv, np.zeros(2), [[1.0, 0.0]], CFG.n2)
@@ -86,13 +87,23 @@ def binding_case():
 
 
 def late_crossing_case():
-    """(lpv, y0, refs, u_prev) whose first penalised round, minimising the
-    pull on the rows the plain QP pushed past the thrust limit, pushes
-    other rows past it."""
+    """(lpv, y0, refs, u_prev) whose plain QP pushes rows past the thrust
+    limit, and whose quadratic model pulling only those rows pushes other
+    rows past it: ``newton_solve_qp`` needs its line search here, the
+    targets one re-solve."""
     lpv = toy_lpv(2)
     y0 = np.array([1200.0, 0.95])
     step = simulate_horizon(lpv, np.zeros(2), [[1.0, 0.0]], CFG.n2)
     return lpv, y0, y0 + 100.0 / step[-1, 0] * step, np.array([88.0, 0.003])
+
+
+def rich_lambda_case():
+    """(lpv, y0, refs, u_prev) whose reference asks for lambda below its lower
+    limit: the plain QP's trail crosses it on two rows, and the solve that
+    gives those targets pushes the first row past it, so targets come in two
+    rounds."""
+    y0 = np.array([100.0, 0.7])
+    return toy_lpv(2), y0, np.tile(y0 + [200.0, -0.1], (CFG.n2, 1)), np.array([45.0, 0.003])
 
 
 def oracle_condensed_map(lpv, nc, n2):
@@ -188,44 +199,94 @@ def reference_minimiser(lpv, y0, refs, u_prev, config, iterations=3000):
     return best
 
 
-def assert_newton_fixed_point(lpv, y0, refs, u_prev, config, sol, last_model):
-    """The Newton loop's stopping certificate: the quadratic model that pulls
-    the rows crossing a limit at ``sol.du`` toward it is the model of the
-    last round (``last_model``, its (E, f)), and minimising it under the
-    box returns du to within 1e-9 (relative, or absolute below 1)."""
+def newton_line_minimum(layout, g, z, z_model, y, ref_s):
+    """The least-objective point of the segment from ``z`` (stacked trail ``y``)
+    to ``z_model``.  The objective's slope along it never decreases and is
+    linear between the kinks where a row meets a limit, so interpolating its
+    values there to zero is exact (Keerthi & DeCoste, JMLR 6, 2005)."""
+    d = z_model - z
+    gd = g @ d
+    past = np.concatenate([y - layout.y_hi, y - layout.y_lo])
+    turn = np.concatenate([gd, gd])
+    flips = (past > 0.0) != (past + turn > 0.0)
+    ts = np.concatenate([[0.0], np.sort(-past[flips] / turn[flips]), [1.0]])
+    trail = y + ts[:, None] * gd
+    excess = np.maximum(trail - layout.y_hi, 0.0) - np.maximum(layout.y_lo - trail, 0.0)
+    slope = (layout.q_diag * (trail - ref_s) + layout.rho * excess) @ gd \
+        + (z + ts[:, None] * d) @ layout.r_mat @ d
+    return z + np.interp(0.0, slope, ts) * d
+
+
+def newton_solve_qp(lpv, meas, refs, u_prev, config):
+    """The increments of ``solve_qp``'s soft-limit solver before the targets,
+    a semismooth Newton loop (Hintermueller, Ito & Kunisch, SIAM J. Optim.
+    13(3), 2002): each round pulls the rows more than 1e-12 past a limit
+    toward it and minimises that quadratic model in the box by ``hildreth``,
+    the first round pulling none; a minimiser whose crossing rows are not the
+    pulled ones gives way to ``newton_line_minimum``, and the loop ends when
+    the crossing rows repeat."""
+    layout = config.layout
+    top, bottom = layout.y_hi + 1e-12, layout.y_lo - 1e-12
+    g = condensed_map(lpv, config)
+    y0_s = np.asarray(meas.output, dtype=float)[layout.y_index]
+    ref_s = np.asarray(refs, dtype=float)[:config.n2].ravel()
+    bounds = (layout.box - u_prev).reshape(2, -1)
+    weight, rhs = layout.q_diag, layout.q_diag * (y0_s - ref_s)
+    side = np.zeros(len(y0_s), dtype=np.int8)   # +1 / -1: pulled to the upper / lower limit
+    z = y_pred = None
+    while True:
+        e_mat = 2.0 * (g.T @ (weight[:, None] * g) + layout.r_mat)
+        z_new = hildreth(e_mat, 2.0 * g.T @ rhs, layout.s_mat, bounds[0], bounds[1])[0]
+        y_new = y0_s + g @ z_new
+        crossing = (y_new > top).view(np.int8) - (y_new < bottom).view(np.int8)
+        if z is not None and np.count_nonzero(crossing != side):
+            z_new = newton_line_minimum(layout, g, z, z_new, y_pred, ref_s)
+            y_new = y0_s + g @ z_new
+            crossing = (y_new > top).view(np.int8) - (y_new < bottom).view(np.int8)
+        z, y_pred = z_new, y_new
+        if not np.count_nonzero(crossing != side):
+            return z.reshape(config.nc, 2)
+        side = crossing
+        pen = layout.rho * (side != 0)
+        limit = np.where(side > 0, layout.y_hi, layout.y_lo)
+        weight = layout.q_diag + pen
+        rhs = layout.q_diag * (y0_s - ref_s) + pen * (y0_s - limit)
+
+
+def assert_projected_gradient(lpv, y0, refs, u_prev, config, du):
+    """The optimality certificate of the objective, whatever solver found
+    ``du``: in the running sums v = S du, where the box is simple bounds, the
+    gradient vanishes on each entry inside the box and points out of it on
+    each entry within 1e-12 of the span of a bound, to 1e-9 of the largest
+    sum of absolute terms that makes up an entry of the gradient, plus the
+    pull of rows up to 1e-12 past a limit, which get no target."""
     layout = config.layout
     g = oracle_condensed_map(lpv, config.nc, config.n2)
-    y0_s = np.tile(y0, config.n2)
-    y = y0_s + g @ sol.du.ravel()
-    over, under = y > layout.y_hi + 1e-12, y < layout.y_lo - 1e-12
-    pen = layout.rho * (over | under)
-    limit = np.where(over, layout.y_hi, layout.y_lo)
-    e_mat = 2.0 * (g.T @ ((layout.q_diag + pen)[:, None] * g) + layout.r_mat)
-    f_vec = 2.0 * g.T @ (layout.q_diag * (y0_s - refs[:config.n2].ravel())
-                         + pen * (y0_s - limit))
-    for mine, last in zip((e_mat, f_vec), last_model):
-        assert np.allclose(mine, last, rtol=0, atol=1e-12 * np.abs(last).max())
-    z = hildreth(e_mat, f_vec, running_sums(config.nc), *box_bounds(config, u_prev))[0]
-    assert np.max(np.abs(z - sol.du.ravel())) <= 1e-9 * max(1.0, np.abs(sol.du).max())
+    s_mat = running_sums(config.nc)
+    to_v = np.linalg.inv(s_mat).T
+    du = np.ravel(du)
+    y = np.tile(y0, config.n2) + g @ du
+    rows = 2.0 * (layout.q_diag * (y - refs[:config.n2].ravel())
+                  + layout.rho * (y - np.clip(y, layout.y_lo, layout.y_hi)))
+    grad = to_v @ (g.T @ rows + 2.0 * layout.r_mat @ du)
+    scale = np.abs(to_v) @ (np.abs(g.T) @ np.abs(rows) + 2.0 * np.abs(layout.r_mat) @ np.abs(du))
+    lower, upper = box_bounds(config, u_prev)
+    v, span = s_mat @ du, upper - lower
+    outward = np.where(v - lower <= 1e-12 * span, np.minimum(grad, 0.0),
+                       np.where(upper - v <= 1e-12 * span, np.maximum(grad, 0.0), grad))
+    margin = np.abs(to_v) @ np.abs(g.T) @ (2e-12 * layout.rho)
+    assert np.abs(outward).max() <= 1e-9 * scale.max() + margin.max()
 
 
 def assert_reference_minimum(lpv, y0, refs, u_prev, config):
-    """``solve_qp`` ends at the Newton loop's fixed point, its objective is
-    the reference minimiser's to 1e-9, and ``cost`` is that objective."""
-    models = []
-
-    def recorded(*args):
-        models.append(args[:2])
-        return hildreth(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mpc, "hildreth", recorded)
-        sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, config)
+    """``solve_qp`` meets the projected-gradient certificate, its objective
+    is the reference minimiser's to 1e-9, and ``cost`` is that objective."""
+    sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, config)
     value = objective(lpv, y0, refs, sol.du, config)
     best = reference_minimiser(lpv, y0, refs, u_prev, config)
     assert value == pytest.approx(best, rel=1e-9)
     assert sol.cost == pytest.approx(value, rel=1e-12)
-    assert_newton_fixed_point(lpv, y0, refs, u_prev, config, sol, models[-1])
+    assert_projected_gradient(lpv, y0, refs, u_prev, config, sol.du)
 
 
 def solution_bytes(sol):
@@ -519,31 +580,9 @@ class TestSolveQp:
         assert sol.cost == pytest.approx(104.143456828, rel=1e-9)
         assert_reference_minimum(lpv, y0, refs, u_prev, CFG)
 
-    def test_line_minimum_is_least_on_the_segment(self, monkeypatch):
-        # from the first penalised model's answer to the second's, which
-        # crosses other rows, the step stops short of the second
-        lpv, y0, refs, u_prev = overshoot_case()
-        answers = []
-
-        def recorded(*args):
-            answers.append(hildreth(*args))
-            return answers[-1]
-
-        monkeypatch.setattr(mpc, "hildreth", recorded)
-        solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, CFG)
-        start, end = answers[1][0], answers[2][0]
-        g = condensed_map(lpv, CFG)
-        point = line_minimum(CFG.layout, g, start, end, np.tile(y0, CFG.n2) + g @ start,
-                             refs.ravel())
-        t = (point - start) @ (end - start) / ((end - start) @ (end - start))
-        assert 0.5 < t < 0.99
-        grid = [objective(lpv, y0, refs, start + s * (end - start), CFG)
-                for s in np.linspace(0.0, 1.0, 2001)]
-        assert objective(lpv, y0, refs, point, CFG) <= min(grid) * (1 + 1e-12)
-
     def test_iterations_count_every_round(self, monkeypatch):
-        # the first round binds a box edge and takes active-set steps; the
-        # soft-limit re-solve is interior and takes none
+        # the plain QP binds a box edge and takes active-set steps; the
+        # re-solve with targets takes more, holding the targets at the limit
         lpv, y0, refs, u_prev = binding_case()
         steps = []
 
@@ -555,10 +594,10 @@ class TestSolveQp:
         meas = Measurement(np.zeros(3), y0)
         monkeypatch.setattr(mpc, "hildreth", counted)
         sol = solve_qp(lpv, meas, refs, u_prev, CFG)
-        assert steps == [4, 0]
-        assert sol.iterations == 4
+        assert steps == [4, 14]
+        assert sol.iterations == 18
         assert not sol.capped
-        # a cap in the first round alone still marks the solution capped
+        # a cap in the plain QP alone still marks the solution capped
         flags = [True, False]
         monkeypatch.setattr(mpc, "hildreth",
                             lambda *args: (*hildreth(*args)[:4], flags.pop(0)))
@@ -571,7 +610,8 @@ class TestSolveQp:
     def test_crossing_needs_more_than_1e12_past_a_limit(self, name, side, offset,
                                                         n_rounds, monkeypatch):
         # with every increment zero each predicted row is the measured output
-        # exactly, so the rounds count the rows the margin lets through
+        # exactly, so the calls count the rows the margin lets through, and a
+        # row that has a target never asks for another call
         channel = ("thrust_bounds", "lambda_bounds").index(name)
         limit = getattr(CFG, name)[side]
         y0 = np.array([700.0, 0.9])
@@ -599,7 +639,7 @@ class TestSolveQpOracle:
         # the episode also runs the active-set steps, not only interior optima
         assert any(sol.iterations for *_, sol in stock_qps)
 
-    @pytest.mark.parametrize("case", [binding_case, late_crossing_case])
+    @pytest.mark.parametrize("case", [binding_case, late_crossing_case, rich_lambda_case])
     @pytest.mark.parametrize("cfg", [
         CFG, MpcConfig(soft_weight=10.0), MpcConfig(soft_weight=0.0),
         MpcConfig(n2=5, nc=2)])
@@ -607,10 +647,11 @@ class TestSolveQpOracle:
         assert_reference_minimum(*case(), cfg)
 
     @pytest.mark.parametrize("case, n_rounds", [
-        (overshoot_case, 4), (late_crossing_case, 4), (binding_case, 2)])
+        (overshoot_case, 2), (late_crossing_case, 2), (binding_case, 2),
+        (rich_lambda_case, 3)])
     def test_soft_limit_rounds(self, case, n_rounds, monkeypatch):
-        # one plain round, then a Newton round per new set of crossing rows
-        # until the set repeats
+        # the plain QP, then one re-solve per round of rows that newly cross a
+        # limit, each of which gains a target
         lpv, y0, refs, u_prev = case()
         rounds = []
 
@@ -662,24 +703,40 @@ class TestSoftLimitsClosedLoop:
         assert len(records) == len(steps) == 250
         assert all(len(models) == 1 for *_, models in steps)
 
-    def test_thrust_cap_below_hover(self, stock_rbf):
-        # a 75 kgf cap under the 80 kgf hover reference: the soft limit binds
-        # through the climb and the hover, and every soft step ends at the
-        # Newton loop's fixed point
-        cfg = replace(CFG, thrust_bounds=(0.0, 75.0 * KGF))
-        records, steps = recorded_episode(stock_rbf, cfg, "ampc")
+    @staticmethod
+    def capped_thrust_episode(rbf, n2):
+        """The stock AMPC episode at horizon ``n2`` under a 75 kgf cap, below
+        the 80 kgf hover reference, so the soft limit binds through the climb
+        and the hover: (config, the steps that gave some row a target, the
+        number of ``hildreth`` calls of each step).  Each of its 250 plans
+        holds the input box, each soft step meets the projected-gradient
+        certificate, and the steady thrust stays near the cap."""
+        cfg = replace(CFG, n2=n2, thrust_bounds=(0.0, 75.0 * KGF))
+        records, steps = recorded_episode(rbf, cfg, "ampc")
         assert len(records) == 250
-        for rec in records:
-            assert cfg.tps_bounds[0] <= rec.tps <= cfg.tps_bounds[1]
-            assert cfg.mf_bounds[0] <= rec.m_fi <= cfg.mf_bounds[1]
-        rounds = [len(models) for *_, models in steps]
-        assert sum(n > 1 for n in rounds) == 161 and max(rounds) == 5
-        for (lpv, meas, refs, u_prev, _), sol, models in steps:
-            if len(models) > 1:
-                assert_newton_fixed_point(lpv, meas.output, refs, u_prev, cfg, sol,
-                                          models[-1][0][:2])
+        soft = [step for step in steps if len(step[2]) > 1]
+        for (lpv, meas, refs, u_prev, _), sol, _ in steps:
+            assert_plan_in_box(u_prev, sol.du, cfg)
+        for (lpv, meas, refs, u_prev, _), sol, _ in soft:
+            assert_projected_gradient(lpv, meas.output, refs, u_prev, cfg, sol.du)
         steady = [rec.thrust_true for rec in records[130:]]
         assert 73.0 < min(steady) and max(steady) < 76.5
+        return cfg, soft, [len(qp_calls) for *_, qp_calls in steps]
+
+    def test_thrust_cap_below_hover(self, stock_rbf):
+        # the targets reach the Newton loop's minimiser on every soft step
+        cfg, soft, calls = self.capped_thrust_episode(stock_rbf, 8)
+        assert len(soft) == 161 and max(calls) == 2
+        for (lpv, meas, refs, u_prev, _), sol, _ in soft:
+            newton = newton_solve_qp(lpv, meas, refs, u_prev, cfg)
+            assert objective(lpv, meas.output, refs, sol.du, cfg) == pytest.approx(
+                objective(lpv, meas.output, refs, newton, cfg), rel=1e-12)
+
+    def test_thrust_cap_at_long_horizon(self, stock_rbf):
+        # at n2 = 12 the condensed Hessian's condition number passes 1e19,
+        # and some steps give targets in two rounds
+        _, soft, calls = self.capped_thrust_episode(stock_rbf, 12)
+        assert len(soft) == 168 and max(calls) == 3
 
 
 if st is not None:
@@ -708,22 +765,26 @@ if st is not None:
 
     @settings(derandomize=True, max_examples=50, deadline=None, database=None)
     @given(case=soft_limit_qp())
-    def test_solve_qp_ends_at_newton_fixed_point(case):
-        """``cost`` is the objective at du, the plan holds the input box, and
-        du is the last Newton round's fixed point."""
+    def test_solve_qp_meets_projected_gradient_certificate(case):
+        """``cost`` is the objective at du, the plan holds the input box, du
+        meets the projected-gradient certificate, and rows gain targets in at
+        most 2*n2 re-solves."""
         lpv, y0, refs, u_prev, cfg = case
-        models = []
+        calls = []
 
-        def recorded(*args):
-            models.append(args[:2])
+        def counted(*args):
+            calls.append(len(args[1]))
             return hildreth(*args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mpc, "hildreth", recorded)
+            patch.setattr(mpc, "hildreth", counted)
             sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, cfg)
         assert sol.cost == pytest.approx(objective(lpv, y0, refs, sol.du, cfg), rel=1e-12)
         assert_plan_in_box(u_prev, sol.du, cfg)
-        assert_newton_fixed_point(lpv, y0, refs, u_prev, cfg, sol, models[-1])
+        assert_projected_gradient(lpv, y0, refs, u_prev, cfg, sol.du)
+        assert len(calls) <= 1 + 2 * cfg.n2
+        # each re-solve adds at least one target to the last one's
+        assert all(later > earlier for earlier, later in zip(calls[1:], calls[2:]))
 
 
 def assert_plan_in_box(u_prev, du, config):

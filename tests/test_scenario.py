@@ -840,6 +840,16 @@ class TestCli:
         ("scenario", "noise_std = -0.01"),
         # solved from the geometry, not read from the file
         ("fan", "hover = 1"),
+        # the blade loads scale with the blade factor, the duct gain takes the
+        # cube root of the area ratio, and the power curve divides by k_P
+        ("fan", "blade_factor = 0"),
+        ("fan", "outlet_area_ratio = -1"),
+        ("fan", "cl_max = 0"),
+        ("plant", "injection_delay = inf"),
+        # the metrics slice the trajectory at the step indices
+        ("scenario", "settle_margin = -200"),
+        ("scenario", "ramp_start = 60\nramp_end = 20"),
+        ("scenario", "lam_step_at = -1"),
     ])
     def test_parameter_the_models_divide_by_exit_code(self, tmp_path, section, key):
         # the plant and the fan divide by each of these, and by gamma - 1
