@@ -65,6 +65,16 @@ def _load(args):
     return load_bundle(args.config, overrides)
 
 
+def _fan(bundle):
+    """``bundle.fan`` with its hover law solved, for the stages that run the
+    plant: a geometry of no positive, finite thrust and power is a config error."""
+    try:
+        bundle.fan.hover
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return bundle.fan
+
+
 def _ensure_out(args) -> Path:
     args.out.mkdir(parents=True, exist_ok=True)
     return args.out
@@ -73,7 +83,7 @@ def _ensure_out(args) -> Path:
 def cmd_gen_data(args) -> int:
     bundle = _load(args)
     tr = bundle.training
-    dataset = generate_dataset(bundle.plant, bundle.fan, tr)
+    dataset = generate_dataset(bundle.plant, _fan(bundle), tr)
     out = _ensure_out(args) / "dataset.csv"
     save_dataset_csv(dataset, out)
     print(f"wrote {tr.sample_count} samples ({tr.n_train} train) to {out}")
@@ -143,12 +153,13 @@ def cmd_compare_models(args) -> int:
 
 def cmd_simulate(args) -> int:
     bundle = _load(args)
+    fan = _fan(bundle)
     rbf = None if args.controller == "open-loop" else _rbf_for(args)
     out_dir = _ensure_out(args)
     trace = [] if args.dump_lpv else None
     path = out_dir / f"trajectory_{args.controller}.csv"
     try:
-        records, metrics = run_scenario(bundle.plant, bundle.fan, bundle.mpc,
+        records, metrics = run_scenario(bundle.plant, fan, bundle.mpc,
                                         bundle.scenario, controller=args.controller,
                                         rbf=rbf, lpv_trace=trace)
     except ScenarioStallError as exc:

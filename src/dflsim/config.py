@@ -77,7 +77,6 @@ def load_bundle(path=None, overrides: dict | None = None) -> SimBundle:
         bundle = SimBundle(**{name: cls(**values[name])
                               for name, cls in _SECTIONS.items()})
         substeps(bundle.plant, CONTROL_DT)
-        bundle.fan.hover
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return bundle

@@ -12,8 +12,8 @@ ch. 1-3).  Tracking and move terms are scaled per channel by the
 constraint spans so the weighting factors compare like with like.  The
 input box is a hard bound on the running input sums, met exactly; the
 output limits add a penalty on the squared excess past each limit, also
-met exactly: each row that crosses one gets a target bounded by its limits,
-and the one box solver ``hildreth`` re-solves for increments and targets.
+met exactly: an active set on targets bounded by the limits, each of whose
+solves is the one box solver ``hildreth`` on the increments alone.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class HorizonSolution:
     du: np.ndarray            # (Nc, 2) optimal input increments
     cost: float               # objective at du (tracking + moves + penalties)
     iterations: int           # active-set steps summed over every ``hildreth`` call
-    capped: bool              # some call's active set cycled, see ``hildreth``
+    capped: bool              # an active set cycled: a ``hildreth`` call's or the targets'
 
 
 def condensed_map(lpv: LpvModel, config: MpcConfig) -> np.ndarray:
@@ -228,15 +228,20 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
 
     The trail is y0 + G*du (``condensed_map``); the objective adds rho times
     each row's squared distance past its limits, the least of rho*(y - w)**2
-    over a target w in [y_lo, y_hi].  After the tracking QP, while the trail
-    is more than 1e-12 past a limit on rows without a target, those rows gain
-    one and ``hildreth`` re-solves in (du, w) with S = blockdiag(s_mat, I) and
-    the limits bounding the targets: at most 2*n2 re-solves.  It is exact:
-      targets on a subset of rows never raise the objective above the true one,
-      the two agree at du once every other row is inside its limits, so the
-      target QP's minimiser, at most the true minimum, attains it.
-    ``cost`` is the objective at du, ``iterations`` sums every ``hildreth``
-    call's active-set steps, and ``capped`` is set if any call cycled."""
+    over a target w in [y_lo, y_hi].  If the tracking QP's trail is more than
+    1e-12 past a limit, a primal active-set method runs on the targets, from
+    the crossing rows' targets held at the crossed limit.  A free target
+    equals its row, which drops out, and a held one adds its pull, so each
+    ``hildreth`` call solves for du alone, on the tracking Hessian plus the
+    held rows' pulls.  A free target that would pass its limit stops the step
+    there and is held; at a minimum every held target of negative multiplier
+    is released.  With none negative, the KKT conditions of the convex QP in
+    (du, w) hold, so du minimises the true objective:
+      du minimises tracking plus the held pulls in the box, every free row lies
+      within its limits, and every held row lies on or past its limit.
+    Each step keeps the objective from rising; the same targets held at the
+    same limits twice at a minimum are a cycle: ``capped``.  ``cost`` is the
+    objective at du; ``iterations`` sums every call's active-set steps."""
     layout = config.layout
     g = condensed_map(lpv, config)
     y0_s = np.asarray(meas.output, dtype=float)[layout.y_index]
@@ -248,29 +253,39 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
     z, _, iterations, _, capped = hildreth(e_mat, f_vec, layout.s_mat, lower, upper)
     y_pred = y0_s + g @ z
     top, bottom = layout.y_hi + 1e-12, layout.y_lo - 1e-12
-    new, targets = (y_pred > top) | (y_pred < bottom), False
-    while config.soft_weight and np.count_nonzero(new):
-        targets = targets | new
-        rows, n = np.flatnonzero(targets), len(z)
-        rho = layout.rho[rows]
-        pull = 2.0 * rho[:, None] * g[rows]       # minus the (w, du) block of the Hessian
-        s_mat = np.eye(n + len(rows))
-        s_mat[:n, :n] = layout.s_mat
-        x, _, steps, _, cycled = hildreth(
-            np.block([[e_mat + g[rows].T @ pull, -pull.T], [-pull, np.diag(2.0 * rho)]]),
-            np.concatenate([f_vec + pull.T @ y0_s[rows], -2.0 * rho * y0_s[rows]]),
-            s_mat, np.concatenate([lower, layout.y_lo[rows]]),
-            np.concatenate([upper, layout.y_hi[rows]]))
-        iterations, capped = iterations + steps, capped or cycled
-        z = x[:n]
-        y_pred = y0_s + g @ z
-        new = ((y_pred > top) | (y_pred < bottom)) & ~targets
-
-    total = cost(config, ref_s, y_pred, z)
-    if np.count_nonzero(targets):
-        total += float(layout.rho @ (y_pred - np.clip(y_pred, layout.y_lo, layout.y_hi)) ** 2)
-    return HorizonSolution(du=z.reshape(config.nc, 2), cost=total,
-                           iterations=iterations, capped=capped)
+    held = (y_pred > top) | (y_pred < bottom)
+    penalty = 0.0
+    if config.soft_weight and np.count_nonzero(held):
+        y_lo, y_hi = layout.y_lo, layout.y_hi
+        w, seen = np.clip(y_pred, y_lo, y_hi), set()
+        while True:
+            rows = np.flatnonzero(held)
+            pull = 2.0 * layout.rho[rows, None] * g[rows]
+            x, _, steps, _, cycled = hildreth(e_mat + g[rows].T @ pull,
+                                             f_vec + pull.T @ (y0_s[rows] - w[rows]),
+                                             layout.s_mat, lower, upper)
+            iterations, capped = iterations + steps, capped or cycled
+            d = np.where(held, 0.0, y0_s + g @ x - w)      # free targets follow their rows
+            blocked = (w + d > top) | (w + d < bottom)
+            if np.count_nonzero(blocked):
+                bound = np.where(d > 0.0, y_hi, y_lo)
+                j = np.flatnonzero(blocked)[((bound - w)[blocked] / d[blocked]).argmin()]
+                t = (bound[j] - w[j]) / d[j]
+                z, w = z + t * (x - z), np.clip(w + t * d, y_lo, y_hi)
+                w[j], held[j] = bound[j], True
+                continue
+            z, w = x, np.clip(w + d, y_lo, y_hi)
+            y_pred = y0_s + g @ z
+            lam = np.where(held, layout.rho * np.where(w == y_hi, y_pred - w, w - y_pred), 0.0)
+            key = np.where(held, w, np.inf).tobytes()       # each held target and its limit
+            if lam.min() >= 0.0 or key in seen:
+                capped = capped or lam.min() < 0.0
+                break
+            seen.add(key)
+            held &= lam >= 0.0
+        penalty = float(layout.rho @ (y_pred - np.clip(y_pred, y_lo, y_hi)) ** 2)
+    return HorizonSolution(du=z.reshape(config.nc, 2), cost=cost(config, ref_s, y_pred, z)
+                           + penalty, iterations=iterations, capped=capped)
 
 
 def mpc_step(lpv: LpvModel, meas: Measurement, refs: np.ndarray,

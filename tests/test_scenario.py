@@ -319,6 +319,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_bundle(ini)
 
+    def test_fan_operating_point_left_to_the_stages(self):
+        # train, compare-models and report never run the fan, so loading a
+        # config solves no operating point; gen-data and simulate solve it
+        assert "hover" not in vars(load_bundle(None).fan)
+
 
 @pytest.fixture(scope="module")
 def small_ini(tmp_path_factory):
@@ -840,11 +845,15 @@ class TestCli:
         ("scenario", "noise_std = -0.01"),
         # solved from the geometry, not read from the file
         ("fan", "hover = 1"),
-        # the blade loads scale with the blade factor, the duct gain takes the
-        # cube root of the area ratio, and the power curve divides by k_P
+        # the blade loads scale with the blade factor, cl_max and the lift
+        # slope, the duct gain takes the cube root of the area ratio, and the
+        # power curve divides by k_P
         ("fan", "blade_factor = 0"),
         ("fan", "outlet_area_ratio = -1"),
         ("fan", "cl_max = 0"),
+        ("fan", "lift_slope = 0"),
+        # a twist whose blades push down: refused where simulate solves the fan
+        ("fan", "twist_root = -0.5\ntwist_tip = -0.5"),
         ("plant", "injection_delay = inf"),
         # the metrics slice the trajectory at the step indices
         ("scenario", "settle_margin = -200"),
