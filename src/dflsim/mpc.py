@@ -12,13 +12,15 @@ ch. 1-3).  Tracking and move terms are scaled per channel by the
 constraint spans so the weighting factors compare like with like.  The
 input box is a hard bound on the running input sums, met exactly; the
 output limits add a penalty on the squared excess past each limit, also
-met exactly: an active set on targets bounded by the limits, each of whose
-solves is the one box solver ``hildreth`` on the increments alone.
+met exactly: one active set, ``hildreth``, holds the running sums in the
+box and a target per trail row between its limits, and solves for the
+increments alone.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -30,6 +32,8 @@ from .engine import ControlInput
 from .fan import KGF, FanGeometry
 from .lpv import LpvModel, build_lpv
 from .networks import RbfModel
+
+CROSSING_MARGIN = 1e-12   # a trail row counts as past a limit only beyond this
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,8 @@ class Measurement:
 class HorizonSolution:
     du: np.ndarray            # (Nc, 2) optimal input increments
     cost: float               # objective at du (tracking + moves + penalties)
-    iterations: int           # active-set steps summed over every ``hildreth`` call
-    capped: bool              # an active set cycled: a ``hildreth`` call's or the targets'
+    iterations: int           # active-set steps of the step's one ``hildreth`` call
+    capped: bool              # that call's active set cycled
 
 
 def condensed_map(lpv: LpvModel, config: MpcConfig) -> np.ndarray:
@@ -168,122 +172,103 @@ class SingularQpError(RuntimeError):
 
 
 def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, s_mat: np.ndarray,
-             lower: np.ndarray, upper: np.ndarray):
-    """Minimize 0.5 z'Ez + f'z subject to lower <= v = S z <= upper, for E
-    positive definite and S invertible.  The name is the benchmark's
-    ``mpc.hildreth`` span, after the dual sweep this replaced.
+             lower: np.ndarray, upper: np.ndarray, rows: tuple | None = None):
+    """Minimize 0.5 z'Ez + f'z + sum(rho * dist(y, [y_lo, y_hi])**2) on the
+    trail y = y0 + G z, subject to lower <= v = S z <= upper, for E positive
+    definite and S invertible; ``rows`` is (G, y0, y_lo, y_hi, rho), or None
+    for the box alone.  The name is the benchmark's ``mpc.hildreth`` span,
+    after the dual sweep this replaced.
 
-    A free minimizer -E^-1 f strictly inside the bounds is returned as it is,
-    bit-identical to the dense solve; else a primal active-set method on the
-    bounds of v (Nocedal & Wright, Numerical Optimization, 2nd ed., 2006,
-    Alg. 16.3) starts from it clipped, holding the bounds it meets.  A step
-    minimizes exactly over the free entries, or stops on the first bound in
-    the way and holds it; at a minimum the held bound of most negative
-    multiplier is released, and none negative ends it.  No held set recurs,
-    so 3**len(v) steps mean a cycle: ``capped``.  Returns (z, each held
-    bound's multiplier, steps, the largest free gradient, capped); a singular
-    or indefinite E raises SingularQpError.
+    A free minimizer -E^-1 f strictly inside the box, its trail nowhere more
+    than ``CROSSING_MARGIN`` past a limit, is returned as it is, bit-identical
+    to the dense solve.  Else the squared distance is the least (y - w)**2 over
+    a target w in [y_lo, y_hi], and a primal active-set method on the bounds
+    of v and w (Nocedal & Wright, Numerical Optimization, 2nd ed., 2006,
+    Alg. 16.3) starts from v clipped, each row past the margin held at the
+    crossed limit.  A free target equals its row, so a step solves for the
+    free v alone, on E plus the held rows' pulls; it stops on the first free
+    bound in the way, a target's past the margin, and holds it.  At a minimum
+    the held bound of most negative multiplier is released, and none negative
+    ends it; a held set that recurs there is a cycle: ``capped``.  Returns
+    (z, each held bound's multiplier, v's then w's, steps, the largest free
+    gradient, capped); a singular or indefinite E raises SingularQpError.
     """
+    n = len(f_vec)
+    g, y0, y_lo, y_hi, rho = rows or (np.zeros((0, n)), *[np.zeros(0)] * 4)
     try:
         z_free = -np.linalg.inv(e_mat) @ f_vec
-        v = s_mat @ z_free
-        if ((lower < v) & (v < upper)).all():
-            return z_free, np.zeros(len(v)), 0, 0.0, False
+        v, y = s_mat @ z_free, y0 + g @ z_free
+        past = np.maximum(y - y_hi, y_lo - y)     # how far each row is past a limit
+        if (np.count_nonzero((lower < v) & (v < upper)) == n
+                and not np.count_nonzero(past > CROSSING_MARGIN)):
+            return z_free, np.zeros(n + len(y)), 0, 0.0, False
         s_inv = np.linalg.inv(s_mat)
         h_mat = s_inv.T @ e_mat @ s_inv     # the Hessian and the gradient at 0, in v
         c_vec = s_inv.T @ f_vec
         np.linalg.cholesky(h_mat)           # raises unless positive definite
-        v = np.clip(v, lower, upper)
-        held = (v == lower) | (v == upper)
-        for steps in range(1, 3 ** len(v) + 1):
-            free = ~held
-            target = v.copy()
-            target[free] = np.linalg.solve(h_mat[np.ix_(free, free)],
-                                           -c_vec[free] - h_mat[np.ix_(free, held)] @ v[held])
-            d = target - v
-            bound = np.where(d > 0.0, upper, lower)
-            blocked = np.abs(bound - v) < np.abs(d)     # the bounds in the way
+        g_v, rho2 = g @ s_inv, 2.0 * rho    # the trail in v, and each row's pull
+        lo, hi = np.concatenate([lower, y_lo]), np.concatenate([upper, y_hi])
+        slack = np.repeat([0.0, CROSSING_MARGIN], [n, len(y)])   # targets stop past the margin
+        x = np.clip(np.concatenate([v, y]), lo, hi)
+        held = (x == lo) | (x == hi)
+        held[n:] = past > CROSSING_MARGIN
+        seen = set()
+        for steps in itertools.count(1):
+            pull = np.where(held[n:], rho2, 0.0)
+            h_pull = h_mat + g_v.T @ (pull[:, None] * g_v)
+            c_pull = c_vec + g_v.T @ (pull * (y0 - x[n:]))
+            free, fixed = np.flatnonzero(~held[:n]), np.flatnonzero(held[:n])
+            target = x.copy()
+            target[free] = np.linalg.solve(h_pull[free[:, None], free],
+                                           -c_pull[free] - h_pull[free[:, None], fixed] @ x[fixed])
+            trail = y0 + g_v @ target[:n]
+            target[n:] = np.where(held[n:], x[n:], trail)
+            d = target - x
+            bound = np.where(d > 0.0, hi, lo)
+            blocked = np.abs(bound - x) + slack < np.abs(d)     # the bounds in the way
             if blocked.any():
-                j = np.flatnonzero(blocked)[((bound - v)[blocked] / d[blocked]).argmin()]
-                target = v + (bound[j] - v[j]) / d[j] * d
-                target[j] = bound[j]
-                held[j] = True
-            v = np.clip(target, lower, upper)
-            grad = h_mat @ v + c_vec
-            lam = np.where(held, np.where(v == upper, -grad, grad), 0.0)
-            if not blocked.any():
-                if lam.min() >= 0.0:
-                    break
-                held[lam.argmin()] = False
-        capped = blocked.any() or lam.min() < 0.0   # the loop ran out short of a minimum
+                j = np.flatnonzero(blocked)[((bound - x)[blocked] / d[blocked]).argmin()]
+                x = np.clip(x + (bound[j] - x[j]) / d[j] * d, lo, hi)
+                x[j], held[j] = bound[j], True
+                continue
+            x = np.clip(target, lo, hi)
+            grad = np.concatenate([h_pull @ x[:n] + c_pull, rho2 * (x[n:] - trail)])
+            lam = np.where(held, np.where(x == hi, -grad, grad), 0.0)
+            if lam.min() >= 0.0:
+                break
+            key = np.where(held, x, np.inf).tobytes()     # each held bound and its side
+            if key in seen:
+                break
+            seen.add(key)
+            held[lam.argmin()] = False
     except np.linalg.LinAlgError as exc:
         raise SingularQpError("the condensed QP's Hessian is singular in floating point "
                               f"({exc}, largest entry {np.abs(e_mat).max():.3g})") from exc
-    return s_inv @ v, lam, steps, float(np.abs(grad[~held]).max(initial=0.0)), bool(capped)
+    return (s_inv @ x[:n], lam, steps, float(np.abs(grad[~held]).max(initial=0.0)),
+            bool(lam.min() < 0.0))
 
 
 def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
              u_prev: np.ndarray, config: MpcConfig) -> HorizonSolution:
-    """Minimise the horizon objective over the 2*Nc increments in the box.
-
-    The trail is y0 + G*du (``condensed_map``); the objective adds rho times
-    each row's squared distance past its limits, the least of rho*(y - w)**2
-    over a target w in [y_lo, y_hi].  If the tracking QP's trail is more than
-    1e-12 past a limit, a primal active-set method runs on the targets, from
-    the crossing rows' targets held at the crossed limit.  A free target
-    equals its row, which drops out, and a held one adds its pull, so each
-    ``hildreth`` call solves for du alone, on the tracking Hessian plus the
-    held rows' pulls.  A free target that would pass its limit stops the step
-    there and is held; at a minimum every held target of negative multiplier
-    is released.  With none negative, the KKT conditions of the convex QP in
-    (du, w) hold, so du minimises the true objective:
-      du minimises tracking plus the held pulls in the box, every free row lies
-      within its limits, and every held row lies on or past its limit.
-    Each step keeps the objective from rising; the same targets held at the
-    same limits twice at a minimum are a cycle: ``capped``.  ``cost`` is the
-    objective at du; ``iterations`` sums every call's active-set steps."""
+    """Minimise the horizon objective over the 2*Nc increments in the box by
+    one ``hildreth`` call: tracking, moves and rho times each row's squared
+    distance past its limits on the trail y0 + G*du (``condensed_map``); at
+    ``soft_weight`` 0 no rows are passed.  ``cost`` is the objective at du,
+    whose penalty is 0.0 on the free minimizer's interior shortcut, where no
+    row is more than ``CROSSING_MARGIN`` past a limit."""
     layout = config.layout
     g = condensed_map(lpv, config)
     y0_s = np.asarray(meas.output, dtype=float)[layout.y_index]
     ref_s = np.asarray(refs, dtype=float)[:config.n2].ravel()
     lower, upper = (layout.box - u_prev).reshape(2, -1)     # the bounds of S @ du
-
     e_mat = 2.0 * (g.T @ (layout.q_diag[:, None] * g) + layout.r_mat)
     f_vec = 2.0 * g.T @ (layout.q_diag * (y0_s - ref_s))
-    z, _, iterations, _, capped = hildreth(e_mat, f_vec, layout.s_mat, lower, upper)
+    rows = (g, y0_s, layout.y_lo, layout.y_hi, layout.rho) if config.soft_weight else None
+    z, _, iterations, _, capped = hildreth(e_mat, f_vec, layout.s_mat, lower, upper, rows)
     y_pred = y0_s + g @ z
-    top, bottom = layout.y_hi + 1e-12, layout.y_lo - 1e-12
-    held = (y_pred > top) | (y_pred < bottom)
     penalty = 0.0
-    if config.soft_weight and np.count_nonzero(held):
-        y_lo, y_hi = layout.y_lo, layout.y_hi
-        w, seen = np.clip(y_pred, y_lo, y_hi), set()
-        while True:
-            rows = np.flatnonzero(held)
-            pull = 2.0 * layout.rho[rows, None] * g[rows]
-            x, _, steps, _, cycled = hildreth(e_mat + g[rows].T @ pull,
-                                             f_vec + pull.T @ (y0_s[rows] - w[rows]),
-                                             layout.s_mat, lower, upper)
-            iterations, capped = iterations + steps, capped or cycled
-            d = np.where(held, 0.0, y0_s + g @ x - w)      # free targets follow their rows
-            blocked = (w + d > top) | (w + d < bottom)
-            if np.count_nonzero(blocked):
-                bound = np.where(d > 0.0, y_hi, y_lo)
-                j = np.flatnonzero(blocked)[((bound - w)[blocked] / d[blocked]).argmin()]
-                t = (bound[j] - w[j]) / d[j]
-                z, w = z + t * (x - z), np.clip(w + t * d, y_lo, y_hi)
-                w[j], held[j] = bound[j], True
-                continue
-            z, w = x, np.clip(w + d, y_lo, y_hi)
-            y_pred = y0_s + g @ z
-            lam = np.where(held, layout.rho * np.where(w == y_hi, y_pred - w, w - y_pred), 0.0)
-            key = np.where(held, w, np.inf).tobytes()       # each held target and its limit
-            if lam.min() >= 0.0 or key in seen:
-                capped = capped or lam.min() < 0.0
-                break
-            seen.add(key)
-            held &= lam >= 0.0
-        penalty = float(layout.rho @ (y_pred - np.clip(y_pred, y_lo, y_hi)) ** 2)
+    if iterations:
+        penalty = float(layout.rho @ (y_pred - np.clip(y_pred, layout.y_lo, layout.y_hi)) ** 2)
     return HorizonSolution(du=z.reshape(config.nc, 2), cost=cost(config, ref_s, y_pred, z)
                            + penalty, iterations=iterations, capped=capped)
 

@@ -10,8 +10,8 @@ from dflsim.config import load_bundle
 from dflsim.dataset import MF_RANGE, TPS_RANGE, TrainingConfig, generate_dataset
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
 from dflsim.lpv import LpvModel, build_lpv
-from dflsim.mpc import (HorizonSolution, Measurement, MpcConfig, SingularQpError,
-                        ampc_step, condensed_map, cost, hildreth,
+from dflsim.mpc import (CROSSING_MARGIN, HorizonSolution, Measurement, MpcConfig,
+                        SingularQpError, ampc_step, condensed_map, cost, hildreth,
                         mpc_step, solve_qp)
 from dflsim.networks import train_rbf
 from dflsim.scenario import run_scenario
@@ -78,8 +78,9 @@ def overshoot_case():
 
 def binding_case():
     """(lpv, y0, refs, u_prev) whose plain QP binds the throttle's upper box
-    edge and crosses the lambda limit on every row, and whose re-solve,
-    holding those rows' targets, is interior."""
+    edge and crosses the lambda limit on every row; from its free minimiser,
+    past the throttle's box and past a limit on 14 rows, the active set stops
+    on box bounds and on free targets and releases bounds of both kinds."""
     lpv = toy_lpv(0)
     y0 = np.array([1400.0, 0.95])
     step = simulate_horizon(lpv, np.zeros(2), [[1.0, 0.0]], CFG.n2)
@@ -90,7 +91,7 @@ def late_crossing_case():
     """(lpv, y0, refs, u_prev) whose plain QP pushes rows past the thrust
     limit, and whose quadratic model pulling only those rows pushes other
     rows past it: ``newton_solve_qp`` needs its line search here, and the
-    targets' active set stops on such a row before releasing rows."""
+    active set stops on such a row's target before it releases any bound."""
     lpv = toy_lpv(2)
     y0 = np.array([1200.0, 0.95])
     step = simulate_horizon(lpv, np.zeros(2), [[1.0, 0.0]], CFG.n2)
@@ -99,18 +100,18 @@ def late_crossing_case():
 
 def rich_lambda_case():
     """(lpv, y0, refs, u_prev) whose reference asks for lambda below its lower
-    limit: the plain QP's trail crosses it on two rows, one of whose held
-    targets is released, and the re-solve then pushes the first row past it,
-    so a free target stops the step and is held in a later round."""
+    limit: the free minimiser's trail crosses it on two rows, one of whose
+    held targets is released, and the next step pushes the first row past
+    it, so that row's free target stops the step and is held."""
     y0 = np.array([100.0, 0.7])
     return toy_lpv(2), y0, np.tile(y0 + [200.0, -0.1], (CFG.n2, 1)), np.array([45.0, 0.003])
 
 
 def two_sided_case():
     """(lpv, y0, refs, u_prev) whose references ask for lambda above its
-    upper limit: under ``soft_weight`` 1e4 the first row's target is
+    upper limit: under ``soft_weight`` 1e4 the first lambda row's target is
     released from the upper limit and later stops a step at the lower one,
-    so every row is held again, one of them at its other limit."""
+    as do four more rows' targets."""
     a = np.zeros((3, 3))
     a[:, 1:] = [[-0.108, 0.581], [-0.284, 0.368], [0.361, 0.126]]
     lpv = LpvModel(a=a, b=np.array([[-0.021, 0.326], [0.349, 0.248], [-0.204, 0.429]]),
@@ -150,7 +151,8 @@ def box_bounds(config, u_prev):
 
 def plain_qp_solution(lpv, meas, refs, u_prev, config):
     """The tracking QP without any soft-limit term, condensed through
-    ``oracle_condensed_map`` and solved by one ``hildreth`` call."""
+    ``oracle_condensed_map`` and solved by one ``hildreth`` call on the box
+    alone."""
     layout = config.layout
     g = oracle_condensed_map(lpv, config.nc, config.n2)
     y0_s = np.tile(meas.output, config.n2)
@@ -235,13 +237,13 @@ def newton_line_minimum(layout, g, z, z_model, y, ref_s):
 def newton_solve_qp(lpv, meas, refs, u_prev, config):
     """The increments of ``solve_qp``'s soft-limit solver before the targets,
     a semismooth Newton loop (Hintermueller, Ito & Kunisch, SIAM J. Optim.
-    13(3), 2002): each round pulls the rows more than 1e-12 past a limit
-    toward it and minimises that quadratic model in the box by ``hildreth``,
-    the first round pulling none; a minimiser whose crossing rows are not the
-    pulled ones gives way to ``newton_line_minimum``, and the loop ends when
-    the crossing rows repeat."""
+    13(3), 2002): each round pulls the rows more than ``CROSSING_MARGIN``
+    past a limit toward it and minimises that quadratic model in the box by
+    ``hildreth`` on the box alone, the first round pulling none; a minimiser
+    whose crossing rows are not the pulled ones gives way to
+    ``newton_line_minimum``, and the loop ends when the crossing rows repeat."""
     layout = config.layout
-    top, bottom = layout.y_hi + 1e-12, layout.y_lo - 1e-12
+    top, bottom = layout.y_hi + CROSSING_MARGIN, layout.y_lo - CROSSING_MARGIN
     g = condensed_map(lpv, config)
     y0_s = np.asarray(meas.output, dtype=float)[layout.y_index]
     ref_s = np.asarray(refs, dtype=float)[:config.n2].ravel()
@@ -274,7 +276,13 @@ def assert_projected_gradient(lpv, y0, refs, u_prev, config, du):
     gradient vanishes on each entry inside the box and points out of it on
     each entry within 1e-12 of the span of a bound, to 1e-9 of the largest
     sum of absolute terms that makes up an entry of the gradient, plus the
-    pull of rows up to 1e-12 past a limit, whose targets stay free."""
+    pull of rows up to ``CROSSING_MARGIN`` past a limit, whose targets stay
+    free, plus the rounding of the trail y = y0 + G du that the gradient is
+    computed from: 2*Nc + 1 machine epsilons of the sum of the absolute terms
+    of each row, times the row's weight.  The gradient's sum of absolute terms
+    counts each row's error after its cancellation, so it misses that
+    rounding, which a pull of ``soft_weight`` 1e4 or gains far below the
+    output's size can make the larger."""
     layout = config.layout
     g = oracle_condensed_map(lpv, config.nc, config.n2)
     s_mat = running_sums(config.nc)
@@ -289,8 +297,12 @@ def assert_projected_gradient(lpv, y0, refs, u_prev, config, du):
     v, span = s_mat @ du, upper - lower
     outward = np.where(v - lower <= 1e-12 * span, np.minimum(grad, 0.0),
                        np.where(upper - v <= 1e-12 * span, np.maximum(grad, 0.0), grad))
-    margin = np.abs(to_v) @ np.abs(g.T) @ (2e-12 * layout.rho)
-    assert np.abs(outward).max() <= 1e-9 * scale.max() + margin.max()
+    margin = np.abs(to_v) @ np.abs(g.T) @ (2.0 * CROSSING_MARGIN * layout.rho)
+    weight = layout.q_diag + layout.rho * (y != np.clip(y, layout.y_lo, layout.y_hi))
+    terms = np.tile(np.abs(y0), config.n2) + np.abs(g) @ np.abs(du)
+    rounding = np.abs(to_v) @ np.abs(g.T) @ (2.0 * weight * (len(du) + 1)
+                                             * np.finfo(float).eps * terms)
+    assert np.abs(outward).max() <= 1e-9 * scale.max() + margin.max() + rounding.max()
 
 
 def assert_reference_minimum(lpv, y0, refs, u_prev, config):
@@ -529,6 +541,12 @@ class TestHildreth:
         # need not be a minimum; the free minimizer leaves the box
         with pytest.raises(SingularQpError, match="singular in floating point"):
             hildreth(e_mat, np.array([-4.0, 1.0]), np.eye(2), -np.ones(2), np.ones(2))
+        # inside a wider box the free minimizer's trail is past a limit, so
+        # the active set starts with that row's target held, and still raises
+        rows = (np.eye(2), np.zeros(2), -np.ones(2), np.ones(2), np.ones(2))
+        with pytest.raises(SingularQpError, match="singular in floating point"):
+            hildreth(e_mat, np.array([-4.0, 1.0]), np.eye(2), -5.0 * np.ones(2),
+                     5.0 * np.ones(2), rows)
 
 
 class TestSolveQp:
@@ -576,19 +594,14 @@ class TestSolveQp:
             z_dense = -np.linalg.solve(e, f)
             assert np.max(np.abs(sol.du.ravel() - z_dense)) < 1e-8
 
-    def test_soft_output_limits_pull_prediction_back(self, monkeypatch):
+    def test_soft_output_limits_pull_prediction_back(self):
+        # the tracking QP alone overshoots the thrust limit; the soft limits
+        # pull the predicted trail back toward it
         lpv, y0, refs, u_prev = overshoot_case()
-        rounds = []
-
-        def counted(*args):
-            result = hildreth(*args)
-            rounds.append(result[0])
-            return result
-
-        monkeypatch.setattr(mpc, "hildreth", counted)
-        sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, CFG)
-        assert len(rounds) > 1
-        first = simulate_horizon(lpv, y0, rounds[0].reshape(CFG.nc, 2), CFG.n2)
+        meas = Measurement(np.zeros(3), y0)
+        sol = solve_qp(lpv, meas, refs, u_prev, CFG)
+        plain = plain_qp_solution(lpv, meas, refs, u_prev, CFG)
+        first = simulate_horizon(lpv, y0, plain.du, CFG.n2)
         assert first[:, 0].max() > CFG.thrust_bounds[1]
         predicted = y0 + (condensed_map(lpv, CFG) @ sol.du.ravel()).reshape(CFG.n2, 2)
         assert output_violation(predicted) < output_violation(first)
@@ -596,8 +609,9 @@ class TestSolveQp:
         assert_reference_minimum(lpv, y0, refs, u_prev, CFG)
 
     def test_iterations_count_every_round(self, monkeypatch):
-        # the plain QP binds a box edge and takes active-set steps; the
-        # re-solve holding the crossing rows' targets is interior and takes none
+        # one ``hildreth`` call steps through the box bounds and the targets
+        # alike; its steps are the solution's iterations and its cap is the
+        # solution's
         lpv, y0, refs, u_prev = binding_case()
         steps = []
 
@@ -609,38 +623,36 @@ class TestSolveQp:
         meas = Measurement(np.zeros(3), y0)
         monkeypatch.setattr(mpc, "hildreth", counted)
         sol = solve_qp(lpv, meas, refs, u_prev, CFG)
-        assert steps == [4, 0]
-        assert sol.iterations == 4
+        assert steps == [24]
+        assert sol.iterations == 24
         assert not sol.capped
-        # a cap in the plain QP alone still marks the solution capped
-        flags = [True, False]
-        monkeypatch.setattr(mpc, "hildreth",
-                            lambda *args: (*hildreth(*args)[:4], flags.pop(0)))
+        monkeypatch.setattr(mpc, "hildreth", lambda *args: (*hildreth(*args)[:4], True))
         assert solve_qp(lpv, meas, refs, u_prev, CFG).capped
 
     @pytest.mark.parametrize("name, side", [("thrust_bounds", 1), ("thrust_bounds", 0),
                                             ("lambda_bounds", 1), ("lambda_bounds", 0)])
-    @pytest.mark.parametrize("offset, n_rounds", [
+    @pytest.mark.parametrize("offset, stages", [
         (0.0, 1), (4.5e-13, 1), (2.0e-12, 2)])
-    def test_crossing_needs_more_than_1e12_past_a_limit(self, name, side, offset,
-                                                        n_rounds, monkeypatch):
-        # with every increment zero each predicted row is the measured output
-        # exactly, so the calls count the rows the margin lets through, and a
-        # held target on a row that stays past its limit is never released
+    def test_crossing_needs_more_than_1e12_past_a_limit(self, name, side, offset, stages):
+        # the reference is the measured output, so the free minimiser is no
+        # move at all and its trail is the measured output exactly: within
+        # the margin it is the solution (one stage), past it the active set
+        # runs from the crossing rows held (two stages)
+        assert CROSSING_MARGIN == 1e-12
         channel = ("thrust_bounds", "lambda_bounds").index(name)
         limit = getattr(CFG, name)[side]
         y0 = np.array([700.0, 0.9])
         y0[channel] = limit + offset if side else limit - offset
-        rounds = []
-
-        def zero_move(e_mat, f_vec, s_mat, lower, upper):
-            rounds.append(len(rounds))
-            return np.zeros(len(f_vec)), np.zeros(len(lower)), 0, 0.0, False
-
-        monkeypatch.setattr(mpc, "hildreth", zero_move)
-        solve_qp(toy_lpv(), Measurement(np.zeros(3), y0), np.tile(y0, (CFG.n2, 1)),
-                 np.array([45.0, 0.003]), CFG)
-        assert len(rounds) == n_rounds
+        refs, u_prev = np.tile(y0, (CFG.n2, 1)), np.array([45.0, 0.003])
+        sol = solve_qp(toy_lpv(), Measurement(np.zeros(3), y0), refs, u_prev, CFG)
+        assert 1 + (sol.iterations > 0) == stages and not sol.capped
+        if stages == 1:
+            assert not sol.du.any() and sol.cost == 0.0
+        else:
+            # the cost is the objective, which counts what stays past the limit
+            assert sol.cost > 0.0
+            assert sol.cost == pytest.approx(objective(toy_lpv(), y0, refs, sol.du, CFG),
+                                             rel=1e-12)
 
 
 class TestSolveQpOracle:
@@ -661,24 +673,33 @@ class TestSolveQpOracle:
     def test_matches_reference_minimiser(self, case, cfg):
         assert_reference_minimum(*case(), cfg)
 
-    @pytest.mark.parametrize("case, n_rounds", [
-        (overshoot_case, 5), (late_crossing_case, 5), (binding_case, 2),
-        (rich_lambda_case, 4)])
-    def test_soft_limit_rounds(self, case, n_rounds, monkeypatch):
-        # the plain QP, then one re-solve per change of the held targets: a
-        # free target stopping the step, or the release of every held target
-        # of negative multiplier; each re-solve is in the increments alone
+    @pytest.mark.parametrize("case", [
+        overshoot_case, late_crossing_case, binding_case, rich_lambda_case])
+    def test_one_call_holds_the_limits(self, case, monkeypatch):
+        # one ``hildreth`` call, whose Hessian is in the increments alone and
+        # whose rows are the trail and the limits, reaches the Newton loop's
+        # minimiser
         lpv, y0, refs, u_prev = case()
-        rounds = []
+        meas = Measurement(np.zeros(3), y0)
+        calls = []
 
         def counted(*args):
-            rounds.append(args)
+            calls.append(args)
             return hildreth(*args)
 
         monkeypatch.setattr(mpc, "hildreth", counted)
-        solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, CFG)
-        assert len(rounds) == n_rounds
-        assert all(len(f_vec) == 2 * CFG.nc for _, f_vec, *_ in rounds)
+        sol = solve_qp(lpv, meas, refs, u_prev, CFG)
+        (e_mat, f_vec, _, _, _, rows), = calls
+        assert e_mat.shape == (2 * CFG.nc,) * 2 and len(f_vec) == 2 * CFG.nc
+        g, y0_s, y_lo, y_hi, rho = rows
+        assert np.array_equal(g, condensed_map(lpv, CFG))
+        assert np.array_equal(y0_s, np.tile(y0, CFG.n2))
+        layout = CFG.layout
+        assert all(a is b for a, b in zip((y_lo, y_hi, rho),
+                                          (layout.y_lo, layout.y_hi, layout.rho)))
+        newton = newton_solve_qp(lpv, meas, refs, u_prev, CFG)
+        assert objective(lpv, y0, refs, sol.du, CFG) == pytest.approx(
+            objective(lpv, y0, refs, newton, CFG), rel=1e-12)
 
     def test_held_set_at_other_limits_is_no_cycle(self):
         # the same rows held at other limits are another QP, of lower
@@ -732,14 +753,16 @@ class TestSoftLimitsClosedLoop:
     def capped_thrust_episode(rbf, n2):
         """The stock AMPC episode at horizon ``n2`` under a 75 kgf cap, below
         the 80 kgf hover reference, so the soft limit binds through the climb
-        and the hover: (config, the steps that held some row's target, the
-        number of ``hildreth`` calls of each step).  Each of its 250 plans
-        holds the input box uncapped, each soft step meets the projected-gradient
-        certificate, and the steady thrust stays near the cap."""
+        and the hover: (config, the steps whose solution holds some row's
+        target, the largest active-set step count of a step).  Each of its 250
+        steps makes one ``hildreth`` call, each plan holds the input box
+        uncapped, each soft step meets the projected-gradient certificate, and
+        the steady thrust stays near the cap."""
         cfg = replace(CFG, n2=n2, thrust_bounds=(0.0, 75.0 * KGF))
         records, steps = recorded_episode(rbf, cfg, "ampc")
         assert len(records) == 250
-        soft = [step for step in steps if len(step[2]) > 1]
+        assert all(len(qp_calls) == 1 for *_, qp_calls in steps)
+        soft = [step for step in steps if (step[2][0][1][1][2 * cfg.nc:] > 0.0).any()]
         for (lpv, meas, refs, u_prev, _), sol, _ in steps:
             assert_plan_in_box(u_prev, sol.du, cfg)
             assert not sol.capped
@@ -747,12 +770,12 @@ class TestSoftLimitsClosedLoop:
             assert_projected_gradient(lpv, meas.output, refs, u_prev, cfg, sol.du)
         steady = [rec.thrust_true for rec in records[130:]]
         assert 73.0 < min(steady) and max(steady) < 76.5
-        return cfg, soft, [len(qp_calls) for *_, qp_calls in steps]
+        return cfg, soft, max(sol.iterations for _, sol, _ in steps)
 
     def test_thrust_cap_below_hover(self, stock_rbf):
-        # the targets reach the Newton loop's minimiser on every soft step
-        cfg, soft, calls = self.capped_thrust_episode(stock_rbf, 8)
-        assert len(soft) == 161 and max(calls) == 5
+        # the one call reaches the Newton loop's minimiser on every soft step
+        cfg, soft, steps = self.capped_thrust_episode(stock_rbf, 8)
+        assert len(soft) == 161 and steps == 14
         for (lpv, meas, refs, u_prev, _), sol, _ in soft:
             newton = newton_solve_qp(lpv, meas, refs, u_prev, cfg)
             assert objective(lpv, meas.output, refs, sol.du, cfg) == pytest.approx(
@@ -760,8 +783,21 @@ class TestSoftLimitsClosedLoop:
 
     def test_thrust_cap_at_long_horizon(self, stock_rbf):
         # at n2 = 12 the condensed Hessian's condition number passes 1e19
-        _, soft, calls = self.capped_thrust_episode(stock_rbf, 12)
-        assert len(soft) == 168 and max(calls) == 8
+        _, soft, steps = self.capped_thrust_episode(stock_rbf, 12)
+        assert len(soft) == 168 and steps == 21
+
+    @pytest.mark.parametrize("controller, cap_kgf", [("ampc", 75.0), ("linear-mpc", 60.0)])
+    def test_capped_replay_matches_newton(self, stock_rbf, controller, cap_kgf):
+        # every QP of the episode, soft or not: one uncapped ``hildreth``
+        # call at the Newton loop's minimiser
+        cfg = replace(CFG, thrust_bounds=(0.0, cap_kgf * KGF))
+        records, steps = recorded_episode(stock_rbf, cfg, controller)
+        assert len(records) == len(steps) == 250
+        for (lpv, meas, refs, u_prev, _), sol, qp_calls in steps:
+            assert len(qp_calls) == 1 and not sol.capped
+            newton = newton_solve_qp(lpv, meas, refs, u_prev, cfg)
+            assert objective(lpv, meas.output, refs, sol.du, cfg) == pytest.approx(
+                objective(lpv, meas.output, refs, newton, cfg), rel=1e-12)
 
     def test_thrust_cap_on_a_small_training_set(self, monkeypatch):
         # the console run of CI's 300-sample config under a 75 kgf cap: its
@@ -778,8 +814,9 @@ class TestSoftLimitsClosedLoop:
         calls = []
 
         def counted(*args):
-            calls[-1].append(len(args[1]))
-            return hildreth(*args)
+            result = hildreth(*args)
+            calls[-1].append((len(args[1]), (result[1][len(args[1]):] > 0.0).any()))
+            return result
 
         def solve(*args):
             calls.append([])
@@ -790,8 +827,10 @@ class TestSoftLimitsClosedLoop:
         records, _ = run_scenario(bundle.plant, bundle.fan, bundle.mpc, bundle.scenario,
                                   controller="ampc", rbf=rbf)
         assert len(records) == len(calls) == 40
-        assert sum(len(step) > 1 for step in calls) == 36
-        assert {n for step in calls for n in step} == {2 * bundle.mpc.nc}
+        # one call a step, in the increments alone, and 36 steps hold a row's target
+        assert all(len(step) == 1 for step in calls)
+        assert {n for (n, _), in calls} == {2 * bundle.mpc.nc}
+        assert sum(held for (_, held), in calls) == 36
 
 
 if st is not None:
@@ -799,7 +838,7 @@ if st is not None:
     def soft_limit_qp(draw):
         """(lpv, y0, refs, u_prev, config): a toy model of ``toy_lpv``'s
         ranges, outputs and references within reach of the limits, any
-        input in the box, and one of four configs."""
+        input in the box, and one of five configs."""
         floats = st.floats
         a = np.zeros((3, 3))
         a[:, 1:] = draw(arrays(np.float64, (3, 2), elements=floats(-0.4, 0.6)))
@@ -808,8 +847,8 @@ if st is not None:
         c[1, 2] = 1.0
         lpv = LpvModel(a=a, b=draw(arrays(np.float64, (3, 2), elements=floats(-0.5, 0.5))),
                        c=c, d=np.zeros((2, 2)), x0=np.zeros(3), u0=np.zeros(2))
-        cfg = draw(st.sampled_from([CFG, MpcConfig(soft_weight=10.0),
-                                    MpcConfig(soft_weight=0.0), MpcConfig(n2=5, nc=2)]))
+        cfg = draw(st.sampled_from([CFG, MpcConfig(soft_weight=10.0), MpcConfig(soft_weight=0.0),
+                                    MpcConfig(soft_weight=1e4), MpcConfig(n2=5, nc=2)]))
         near = np.array([draw(st.sampled_from(cfg.thrust_bounds)),
                          draw(st.sampled_from(cfg.lambda_bounds))])
         spread = np.array([300.0, 0.1])
@@ -822,8 +861,8 @@ if st is not None:
     @given(case=soft_limit_qp())
     def test_solve_qp_meets_projected_gradient_certificate(case):
         """``cost`` is the objective at du, the plan holds the input box, du
-        meets the projected-gradient certificate, no held targets and limits
-        recur, and every re-solve is in the increments alone."""
+        meets the projected-gradient certificate, no held set recurs, and
+        one ``hildreth`` call solves in the increments alone."""
         lpv, y0, refs, u_prev, cfg = case
         calls = []
 
@@ -838,7 +877,7 @@ if st is not None:
         assert_plan_in_box(u_prev, sol.du, cfg)
         assert_projected_gradient(lpv, y0, refs, u_prev, cfg, sol.du)
         assert not sol.capped
-        assert set(calls) == {2 * cfg.nc}
+        assert calls == [2 * cfg.nc]
 
 
 def assert_plan_in_box(u_prev, du, config):
@@ -908,15 +947,16 @@ class TestBoxOracle:
 
     def test_stock_box_qps_match_kkt_on_hildreth_active_set(self, stock_box_qps):
         assert len(stock_box_qps) == 8 + 8 + 63
-        for (e_mat, f_vec, s_mat, lower, upper), (z, lam, steps, _, capped) \
+        for (e_mat, f_vec, s_mat, lower, upper, _), (z, lam, steps, _, capped) \
                 in stock_box_qps:
             m_mat, gamma = box_rows(s_mat, lower, upper)
             active = reference_hildreth(e_mat, f_vec, m_mat, gamma)[1] > 0.0
             z_ref = kkt_on_active_set(e_mat, f_vec, m_mat, gamma, active)
             assert np.max(np.abs(z - z_ref)) <= 1e-11 * np.max(np.abs(z_ref))
-            # the held bounds are the rows Hildreth's sweep kept active, and
-            # S z meets each to rounding
-            held = lam > 0.0
+            # no row's target is held; the held bounds are the rows Hildreth's
+            # sweep kept active, and S z meets each to rounding
+            assert not lam[len(z):].any()
+            held = lam[:len(z)] > 0.0
             assert np.array_equal(held, active.reshape(-1, 2).any(axis=1))
             v, span = s_mat @ z, upper - lower
             assert np.all(np.maximum(v - upper, lower - v) <= 1e-15 * span)
