@@ -762,6 +762,7 @@ class TestSoftLimitsClosedLoop:
         records, steps = recorded_episode(rbf, cfg, "ampc")
         assert len(records) == 250
         assert all(len(qp_calls) == 1 for *_, qp_calls in steps)
+        # a soft step's one call holds a target, of positive multiplier
         soft = [step for step in steps if (step[2][0][1][1][2 * cfg.nc:] > 0.0).any()]
         for (lpv, meas, refs, u_prev, _), sol, _ in steps:
             assert_plan_in_box(u_prev, sol.du, cfg)
