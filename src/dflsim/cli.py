@@ -6,14 +6,9 @@ derivative network, and post-process a trajectory into metrics.  Each
 stage reads the files the stage before it wrote and never remakes them.
 ``main`` alone maps errors to the exit status: 0 success, 1 a
 ``check-jacobian`` audit that fails (returned by ``cmd_check_jacobian``),
-2 configuration or command-line error (an ``--out`` that names or lies
-under a file fails before any work), 3 plant stall, 4 a named solver
-failure (a singular condensed QP, a fan inflow solve that does not
-converge, diverged training, a plant substep too coarse to integrate, a
-non-finite horizon cost), 5 a data, model or trajectory file that is
-missing, cannot be read, that its reader cannot parse or that holds a cell
-that is not a finite number, or a dataset whose training rows give a column
-no span to train on.  Any other exception is a program fault and propagates.
+2 an ``--out`` that names or lies under a file (before any work), and for
+any ``dflsim.errors.DflsimError`` the code and label of its kind, which
+``errors.py`` lists.  Any other exception is a program fault and propagates.
 """
 
 from __future__ import annotations
@@ -25,24 +20,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, load_bundle
+from .config import load_bundle
 from .dataset import generate_dataset, load_dataset_csv, save_dataset_csv
-from .engine import EngineStallError, SubstepTooCoarseError
-from .fan import InflowConvergenceError
+from .errors import DflsimError, FileFormatError
 from .lpv import assoc_jacobian
-from .mpc import SingularQpError
-from .networks import (MODEL_KINDS, TrainingDivergedError, compare_models, load_model,
-                       load_rbf, rbf_forward, save_model, train_elman, train_mlp, train_rbf)
-from .scenario import (CONTROLLER_KINDS, NonFiniteCostError, ScenarioStallError,
-                       compute_metrics, load_trajectory_csv, relative_error,
-                       run_scenario, save_lpv_trace, save_trajectory_csv)
-from .tables import FileFormatError, write_table
+from .networks import (MODEL_KINDS, compare_models, load_model, load_rbf, rbf_forward,
+                       save_model, train_elman, train_mlp, train_rbf)
+from .scenario import (CONTROLLER_KINDS, ScenarioStallError, compute_metrics,
+                       load_trajectory_csv, relative_error, run_scenario,
+                       save_lpv_trace, save_trajectory_csv)
+from .tables import write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_STALL = 3
-EXIT_SOLVER = 4
-EXIT_BAD_FILE = 5
 
 
 def _subcommand(subs, name, func, summary, seed_key=None):
@@ -65,16 +55,6 @@ def _load(args):
     return load_bundle(args.config, overrides)
 
 
-def _fan(bundle):
-    """``bundle.fan`` with its hover law solved, for the stages that run the
-    plant: a geometry of no positive, finite thrust and power is a config error."""
-    try:
-        bundle.fan.hover
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return bundle.fan
-
-
 def _ensure_out(args) -> Path:
     args.out.mkdir(parents=True, exist_ok=True)
     return args.out
@@ -82,8 +62,9 @@ def _ensure_out(args) -> Path:
 
 def cmd_gen_data(args) -> int:
     bundle = _load(args)
+    bundle.fan.hover        # a fan of no thrust or power fails before any work
     tr = bundle.training
-    dataset = generate_dataset(bundle.plant, _fan(bundle), tr)
+    dataset = generate_dataset(bundle.plant, bundle.fan, tr)
     out = _ensure_out(args) / "dataset.csv"
     save_dataset_csv(dataset, out)
     print(f"wrote {tr.sample_count} samples ({tr.n_train} train) to {out}")
@@ -153,13 +134,13 @@ def cmd_compare_models(args) -> int:
 
 def cmd_simulate(args) -> int:
     bundle = _load(args)
-    fan = _fan(bundle)
+    bundle.fan.hover        # a fan of no thrust or power fails before any work
     rbf = None if args.controller == "open-loop" else _rbf_for(args)
     out_dir = _ensure_out(args)
     trace = [] if args.dump_lpv else None
     path = out_dir / f"trajectory_{args.controller}.csv"
     try:
-        records, metrics = run_scenario(bundle.plant, fan, bundle.mpc,
+        records, metrics = run_scenario(bundle.plant, bundle.fan, bundle.mpc,
                                         bundle.scenario, controller=args.controller,
                                         rbf=rbf, lpv_trace=trace)
     except ScenarioStallError as exc:
@@ -279,19 +260,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (EngineStallError, ScenarioStallError) as exc:
-        print(f"plant stall: {exc}", file=sys.stderr)
-        return EXIT_STALL
-    except (SingularQpError, InflowConvergenceError, TrainingDivergedError,
-            SubstepTooCoarseError, NonFiniteCostError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except FileFormatError as exc:
-        print(f"bad input file: {exc}", file=sys.stderr)
-        return EXIT_BAD_FILE
+    except DflsimError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

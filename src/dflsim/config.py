@@ -17,13 +17,10 @@ from dataclasses import dataclass
 
 from .dataset import CONTROL_DT, TrainingConfig
 from .engine import EngineParams, substeps
+from .errors import ConfigError
 from .fan import FanGeometry
 from .mpc import MpcConfig
 from .scenario import ScenarioConfig
-
-
-class ConfigError(ValueError):
-    """Bad section, key, or value in a configuration file."""
 
 
 @dataclass(frozen=True)
@@ -51,12 +48,19 @@ def load_bundle(path=None, overrides: dict | None = None) -> SimBundle:
     """Build the full configuration, optionally overlaying an INI file.
 
     ``overrides`` maps "section.key" to values applied after the file, which
-    is how command-line flags reach the bundle.
+    is how command-line flags reach the bundle.  Values are read as written,
+    with no ``%`` interpolation; a file that is not UTF-8 INI text raises
+    ConfigError naming it.
     """
     values = {name: {} for name in _SECTIONS}
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(str(path))
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(str(path), encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            # configparser's messages span several lines; the report takes one
+            raise ConfigError(f"cannot parse config file {path}: "
+                              + " ".join(str(exc).split())) from exc
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         for section in parser.sections():

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverError, StallError
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -50,11 +52,11 @@ STIFF_LIMIT = 1.5
 MAX_HALVINGS = 4
 
 
-class EngineStallError(RuntimeError):
+class EngineStallError(StallError):
     """Crankshaft speed fell below the stall floor during integration."""
 
 
-class SubstepTooCoarseError(RuntimeError):
+class SubstepTooCoarseError(SolverError):
     """An RK4 stage drove the manifold pressure to zero or below: the
     substep ``dt_int`` is too coarse for the interval it integrates."""
 

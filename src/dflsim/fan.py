@@ -22,11 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, SolverError
+
 TWO_PI = 2.0 * math.pi
 KGF = 9.80665  # N per kgf, reporting boundary only
 
 
-class InflowConvergenceError(RuntimeError):
+class InflowConvergenceError(SolverError):
     """Momentum/blade-element inflow iteration failed to converge."""
 
 
@@ -70,13 +72,13 @@ class FanGeometry:
         """(duct_ratio*k_T, k_P): ducted thrust over n_fan^2 and absorbed power
         over n_fan^3, from one operating point solved on first use; the
         similarity law makes both independent of the reference speed.  The power
-        curve divides by k_P: ValueError unless both are positive and finite."""
+        curve divides by k_P: ConfigError unless both are positive and finite."""
         n_ref = 100.0  # rev/s
         op = solve_operating_point(n_ref, self)
         k_thrust = duct_ratio(self) * (op.thrust_unducted / n_ref ** 2)
         k_p = op.power / n_ref ** 3
         if not (0.0 < k_thrust < math.inf and 0.0 < k_p < math.inf):
-            raise ValueError(f"need positive finite k_T and k_P, not {k_thrust:.6g}, {k_p:.6g}")
+            raise ConfigError(f"need positive finite k_T and k_P, not {k_thrust:.6g}, {k_p:.6g}")
         return k_thrust, k_p
 
     @property

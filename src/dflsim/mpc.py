@@ -29,6 +29,7 @@ import numpy as np
 
 from .dataset import MF_RANGE, TPS_RANGE
 from .engine import ControlInput
+from .errors import SolverError
 from .fan import KGF, FanGeometry
 from .lpv import LpvModel, build_lpv
 from .networks import RbfModel
@@ -167,7 +168,7 @@ def cost(config: MpcConfig, refs: np.ndarray, predicted: np.ndarray,
     return float(config.eps * (err ** 2).sum() + config.xi * (moves ** 2).sum())
 
 
-class SingularQpError(RuntimeError):
+class SingularQpError(SolverError):
     """The condensed QP's Hessian is singular or indefinite in floating point."""
 
 

@@ -18,10 +18,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dataset import Dataset, NormStats, TrainingConfig, denormalize, normalize
-from .tables import FileFormatError, load_blocks, save_blocks
+from .errors import FileFormatError, SolverError
+from .tables import load_blocks, save_blocks
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(SolverError):
     """Loss blew up during gradient training."""
 
 

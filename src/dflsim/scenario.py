@@ -18,6 +18,7 @@ import numpy as np
 
 from .dataset import CONTROL_DT, settled_state
 from .engine import ControlInput, EngineParams, EngineStallError, step_engine
+from .errors import SolverError, StallError
 from .fan import KGF, FanGeometry, ducted_thrust_at_crank_speed, fan_load_power
 from .lpv import LPV_CSV_HEADER, build_lpv, lpv_csv_row
 from .mpc import Measurement, MpcConfig, ampc_step, mpc_step
@@ -28,11 +29,11 @@ CONTROLLER_KINDS = ("ampc", "linear-mpc", "open-loop")
 STATE_NOISE_SPAN = (60.0, 150.0)          # N*m, rev/s: scale [Q_eng, n] noise
 
 
-class NonFiniteCostError(RuntimeError):
+class NonFiniteCostError(SolverError):
     """A controller's horizon solution has a cost that is not finite."""
 
 
-class ScenarioStallError(RuntimeError):
+class ScenarioStallError(StallError):
     """Plant stalled mid-run; carries the partial trajectory."""
 
     def __init__(self, message, records):

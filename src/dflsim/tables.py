@@ -5,8 +5,8 @@ is a header line followed by comma-joined rows; a block file is a sequence
 of ``# NAME rows cols`` headers, each followed by its matrix rows.  Integer
 cells are written with ``str`` and every other cell with ``repr(float(v))``,
 which round-trips float64 exactly.  A file that cannot be opened for
-reading (missing, a directory), does not hold the format its reader
-expects or holds a cell that is not a finite number raises
+reading (missing, a directory), is not UTF-8 text, does not hold the format
+its reader expects or holds a cell that is not a finite number raises
 ``FileFormatError`` naming the file.
 """
 
@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-class FileFormatError(ValueError):
-    """A data or model file does not hold the format its reader expects."""
+from .errors import FileFormatError
 
 
 def _cell(value) -> str:
@@ -25,12 +23,16 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def _open_to_read(path):
-    """``open(path)`` for reading, an OSError raised as FileFormatError."""
+def _lines(path):
+    """An iterator over the lines of ``path``, read whole; a file that cannot
+    be read or is not UTF-8 text raises FileFormatError."""
     try:
-        return open(path)
+        with open(path, encoding="utf-8") as fh:
+            return iter(fh.readlines())
     except OSError as exc:
         raise FileFormatError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _finite(path, mat: np.ndarray, where: str = "") -> np.ndarray:
@@ -59,15 +61,15 @@ def read_table(path, header: str) -> np.ndarray:
     not ``header``, a row does not have one number per column or a cell is
     not finite.
     """
-    with _open_to_read(path) as fh:
-        found = fh.readline().rstrip("\n")
-        if found != header:
-            raise FileFormatError(f"{path}: header {found!r}, expected {header!r}")
-        try:
-            rows = [[float(cell) for cell in line.split(",")] for line in fh]
-            table = np.array(rows).reshape(len(rows), header.count(",") + 1)
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: bad row ({exc})") from exc
+    lines = _lines(path)
+    found = next(lines, "").rstrip("\n")
+    if found != header:
+        raise FileFormatError(f"{path}: header {found!r}, expected {header!r}")
+    try:
+        rows = [[float(cell) for cell in line.split(",")] for line in lines]
+        table = np.array(rows).reshape(len(rows), header.count(",") + 1)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad row ({exc})") from exc
     return _finite(path, table)
 
 
@@ -92,16 +94,15 @@ def load_blocks(path) -> dict:
     one of its rows does not parse, a cell is not finite, or the file ends
     inside a block.
     """
-    blocks = {}
-    with _open_to_read(path) as fh:
-        try:
-            for line in fh:
-                if line.startswith("# "):
-                    name, rows, cols = line[2:].rsplit(" ", 2)
-                    mat = [[float(v) for v in next(fh).split()] for _ in range(int(rows))]
-                    blocks[name] = np.array(mat).reshape(int(rows), int(cols))
-        except (ValueError, StopIteration) as exc:
-            raise FileFormatError(f"{path}: bad block file ({exc!r})") from exc
+    blocks, lines = {}, _lines(path)
+    try:
+        for line in lines:
+            if line.startswith("# "):
+                name, rows, cols = line[2:].rsplit(" ", 2)
+                mat = [[float(v) for v in next(lines).split()] for _ in range(int(rows))]
+                blocks[name] = np.array(mat).reshape(int(rows), int(cols))
+    except (ValueError, StopIteration) as exc:
+        raise FileFormatError(f"{path}: bad block file ({exc!r})") from exc
     for name, mat in blocks.items():
         _finite(path, mat, f"block {name} ")
     return blocks

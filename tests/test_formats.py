@@ -122,6 +122,17 @@ def test_bad_file_raises_file_format_error_naming_it(tmp_path, name, text,
         load(path)
 
 
+@pytest.mark.parametrize("name, load", [("dataset.csv", load_dataset),
+                                        ("trajectory.csv", load_trajectory_csv),
+                                        ("rbf_model.txt", load_blocks)])
+def test_file_not_utf8_raises_file_format_error_naming_it(tmp_path, name, load):
+    # the byte that is not UTF-8 lies in the header, or the first block's
+    path = tmp_path / name
+    path.write_bytes(b"# CENTERS 1 4\xff\n1.0 2.0 3.0 4.0\n")
+    with pytest.raises(FileFormatError, match=f"{name}: not UTF-8 text"):
+        load(path)
+
+
 @pytest.mark.parametrize("name, text, load, cell", [
     ("dataset.csv", DATASET_TEXT.replace("37.5,", "nan,"), load_dataset,
      "row 1, column 3 holds nan"),

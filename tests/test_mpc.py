@@ -17,7 +17,7 @@ from dflsim.networks import train_rbf
 from dflsim.scenario import run_scenario
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
     from hypothesis.extra.numpy import arrays
 except ImportError:         # only the property test needs it
@@ -282,7 +282,9 @@ def assert_projected_gradient(lpv, y0, refs, u_prev, config, du):
     of each row, times the row's weight.  The gradient's sum of absolute terms
     counts each row's error after its cancellation, so it misses that
     rounding, which a pull of ``soft_weight`` 1e4 or gains far below the
-    output's size can make the larger."""
+    output's size can make the larger.  The bound is never below the smallest
+    normal float: at subnormal gains every product underflows, and the
+    gradient and its scale lose all their relative precision."""
     layout = config.layout
     g = oracle_condensed_map(lpv, config.nc, config.n2)
     s_mat = running_sums(config.nc)
@@ -302,7 +304,8 @@ def assert_projected_gradient(lpv, y0, refs, u_prev, config, du):
     terms = np.tile(np.abs(y0), config.n2) + np.abs(g) @ np.abs(du)
     rounding = np.abs(to_v) @ np.abs(g.T) @ (2.0 * weight * (len(du) + 1)
                                              * np.finfo(float).eps * terms)
-    assert np.abs(outward).max() <= 1e-9 * scale.max() + margin.max() + rounding.max()
+    bound = 1e-9 * scale.max() + margin.max() + rounding.max()
+    assert np.abs(outward).max() <= max(bound, np.finfo(float).tiny)
 
 
 def assert_reference_minimum(lpv, y0, refs, u_prev, config):
@@ -858,8 +861,21 @@ if st is not None:
         u_prev = np.array([draw(floats(*TPS_RANGE)), draw(floats(*MF_RANGE))])
         return lpv, y0, refs, u_prev, cfg
 
+    def subnormal_case(gain, y0, refs):
+        """A shrunk draw of ``soft_limit_qp`` whose gains are all the
+        subnormal ``gain``, at the stock config."""
+        c = np.array([[5.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        lpv = LpvModel(a=np.zeros((3, 3)), b=np.full((3, 2), gain), c=c,
+                       d=np.zeros((2, 2)), x0=np.zeros(3), u0=np.zeros(2))
+        return (lpv, np.array(y0), np.tile(refs, (CFG.n2, 1)),
+                np.array([TPS_RANGE[0], 0.00390625]), CFG)
+
     @settings(derandomize=True, max_examples=50, deadline=None, database=None)
     @given(case=soft_limit_qp())
+    # the certificate's products underflow at these gains
+    @example(case=subnormal_case(2.2250738585e-313, [0.0, 0.68], [300.0, 0.68 + 0.1]))
+    @example(case=subnormal_case(5e-324, [0.0, 1.26 + 0.1], [0.0, 1.26 + 0.1]))
+    @example(case=subnormal_case(5e-324, [-300.0, 0.68 - 0.1], [-300.0, 0.68 - 0.1]))
     def test_solve_qp_meets_projected_gradient_certificate(case):
         """``cost`` is the objective at du, the plan holds the input box, du
         meets the projected-gradient certificate, no held set recurs, and

@@ -23,6 +23,7 @@ from dflsim.dataset import (NormStats, TrainingConfig, denormalize,
                             settled_state)
 from dflsim.engine import (ControlInput, EngineParams, EngineStallError,
                            step_engine)
+from dflsim.errors import DflsimError, FileFormatError, SolverError, StallError
 from dflsim.fan import (KGF, FanGeometry, fan_power, solve_operating_point,
                         thrust_from_power)
 from dflsim.lpv import build_lpv, lpv_csv_row
@@ -36,6 +37,19 @@ from dflsim.scenario import (CONTROLLER_KINDS, STATE_NOISE_SPAN, ScenarioConfig,
 
 P = EngineParams()
 G = FanGeometry()
+
+# each failure kind: its exit status, its stderr label and its built-in base
+EXIT_KINDS = {ConfigError: (2, "config error", ValueError),
+              StallError: (3, "plant stall", RuntimeError),
+              SolverError: (4, "solver failure", RuntimeError),
+              FileFormatError: (5, "bad input file", ValueError)}
+
+
+def failure_types(cls=DflsimError):
+    """Every class below ``cls``, found by walking its subclasses."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from failure_types(sub)
 
 
 @pytest.fixture(scope="module")
@@ -662,6 +676,50 @@ class TestCli:
         assert cli_main(["gen-data", "--config", str(bad),
                          "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("ini_bytes", [
+        pytest.param(b"[training]\nseed = 1\n[training]\nseed = 2\n", id="duplicate-section"),
+        pytest.param(b"[training]\nseed = 1\nseed = 2\n", id="duplicate-key"),
+        pytest.param(b"seed = 1\n", id="no-section-header"),
+        pytest.param(b"[training]\nseed\n", id="line-without-equals"),
+        pytest.param(b"[training]\nseed = \xff1\n", id="not-utf-8"),
+        # a value is read as written, with no interpolation
+        pytest.param(b"[training]\nseed = %(x)s\n", id="interpolation"),
+    ])
+    def test_malformed_ini_exit_code(self, tmp_path, ini_bytes, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(ini_bytes)
+        out = tmp_path / "o"
+        assert cli_main(["gen-data", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cls", sorted(failure_types(), key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_failure_type_exit_code(self, tmp_path, monkeypatch, capsys, cls):
+        # every failure type, found by discovery, maps through its kind alone
+        kinds = [kind for kind in EXIT_KINDS if issubclass(cls, kind)]
+        assert len(kinds) == 1
+        code, label, builtin = EXIT_KINDS[kinds[0]]
+        assert (cls.exit_code, cls.label) == (code, label)
+        assert issubclass(cls, builtin)
+        exc = cls.__new__(cls)      # a leaf's __init__ may take more than a message
+        Exception.__init__(exc, f"{cls.__name__} in a stage")
+
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr(dflsim.cli, "cmd_gen_data", failing)
+        assert cli_main(["gen-data", "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"{label}: {cls.__name__} in a stage\n"
+
+    def test_failure_types_found_by_discovery(self):
+        assert {cls.__name__ for cls in failure_types()} == {
+            "ConfigError", "StallError", "SolverError", "FileFormatError",
+            "EngineStallError", "ScenarioStallError", "SubstepTooCoarseError",
+            "InflowConvergenceError", "SingularQpError", "TrainingDivergedError",
+            "NonFiniteCostError"}
+
     @pytest.mark.parametrize("command, ini_text", [
         (["gen-data"], "[plant]\ndt_int = 0.003\n"),
         # the fuel in transit must be the previous command alone
@@ -713,6 +771,21 @@ class TestCli:
         assert cli_main([a.format(missing=missing) for a in argv]
                         + ["--out", str(tmp_path / "o")]) == 5
         assert missing in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "rbf", "--data", "{bad}"],
+        ["compare-models", "--data", "{bad}"],
+        ["report", "{bad}"],
+        ["simulate", "--controller", "ampc", "--model-file", "{bad}"],
+    ])
+    def test_input_file_not_utf8_exit_code(self, tmp_path, argv, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"step,thrust_ref\xb0\n0,1.0\n")
+        assert cli_main([a.format(bad=bad) for a in argv]
+                        + ["--out", str(tmp_path / "o")]) == 5
+        err = capsys.readouterr().err
+        assert err == f"bad input file: {bad}: not UTF-8 text (invalid start byte)\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
