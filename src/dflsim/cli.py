@@ -6,9 +6,10 @@ derivative network, and post-process a trajectory into metrics.  Each
 stage reads the files the stage before it wrote and never remakes them.
 ``main`` alone maps errors to the exit status: 0 success, 1 a
 ``check-jacobian`` audit that fails (returned by ``cmd_check_jacobian``),
-2 an ``--out`` that names or lies under a file (before any work), and for
-any ``dflsim.errors.DflsimError`` the code and label of its kind, which
-``errors.py`` lists.  Any other exception is a program fault and propagates.
+and for any ``dflsim.errors.DflsimError`` the code and label of its kind,
+which ``errors.py`` lists; an ``--out`` that names or lies under a file is
+a ``ConfigError``, raised before any work.  Any other exception is a
+program fault and propagates.
 """
 
 from __future__ import annotations
@@ -22,17 +23,16 @@ import numpy as np
 
 from .config import load_bundle
 from .dataset import generate_dataset, load_dataset_csv, save_dataset_csv
-from .errors import DflsimError, FileFormatError
-from .lpv import assoc_jacobian
+from .errors import ConfigError, DflsimError, FileFormatError
+from .lpv import assoc_jacobian, save_lpv_trace
 from .networks import (MODEL_KINDS, compare_models, load_model, load_rbf, rbf_forward,
                        save_model, train_elman, train_mlp, train_rbf)
 from .scenario import (CONTROLLER_KINDS, ScenarioStallError, compute_metrics,
                        load_trajectory_csv, relative_error, run_scenario,
-                       save_lpv_trace, save_trajectory_csv)
+                       save_trajectory_csv)
 from .tables import write_table
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
 
 
 def _subcommand(subs, name, func, summary, seed_key=None):
@@ -254,11 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if any(p.exists() and not p.is_dir() for p in (args.out, *args.out.parents)):
-        print(f"dflsim {args.command}: --out {args.out} is not a directory",
-              file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        if any(p.exists() and not p.is_dir() for p in (args.out, *args.out.parents)):
+            raise ConfigError(f"--out {args.out} is not a directory")
         return args.func(args)
     except DflsimError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

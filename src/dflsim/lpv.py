@@ -19,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import CONTROL_DT
 from .fan import FanGeometry, thrust_jacobian
 from .networks import RbfModel
+from .tables import write_table
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,6 @@ class LpvModel:
     d: np.ndarray          # (2, 2), exactly zero
     x0: np.ndarray         # state triple [Q_eng, n, lambda] at linearization
     u0: np.ndarray         # input pair [tps, m_fi] at linearization
-    t: float = 0.0         # simulation time of linearization, s
 
 
 def assoc_jacobian(rbf: RbfModel, p: np.ndarray) -> np.ndarray:
@@ -51,7 +52,7 @@ def assoc_jacobian(rbf: RbfModel, p: np.ndarray) -> np.ndarray:
 
 
 def build_lpv(rbf: RbfModel, geom: FanGeometry, x0: np.ndarray,
-              u0: np.ndarray, t: float = 0.0) -> LpvModel:
+              u0: np.ndarray) -> LpvModel:
     """Assemble the discrete LPV matrices at a measured operating point.
 
     The network input order is [tps, m_fi, n, lambda]; its Jacobian columns
@@ -78,13 +79,7 @@ def build_lpv(rbf: RbfModel, geom: FanGeometry, x0: np.ndarray,
 
     dt_dq, dt_dn = thrust_jacobian(q_eng, n, geom)
     c = np.array([[dt_dq, dt_dn, 0.0], [0.0, 0.0, 1.0]])
-    return LpvModel(a=a, b=b, c=c, d=np.zeros((2, 2)), x0=x0, u0=u0, t=t)
-
-
-def lpv_csv_row(lpv: LpvModel) -> np.ndarray:
-    """Flatten one model to its CSV cells (time, x0, u0, A, B, C, D row-major)."""
-    return np.concatenate([[lpv.t], lpv.x0, lpv.u0, lpv.a.ravel(),
-                           lpv.b.ravel(), lpv.c.ravel(), lpv.d.ravel()])
+    return LpvModel(a=a, b=b, c=c, d=np.zeros((2, 2)), x0=x0, u0=u0)
 
 
 LPV_CSV_HEADER = ",".join(
@@ -93,3 +88,11 @@ LPV_CSV_HEADER = ",".join(
     + [f"b{i}{j}" for i in range(3) for j in range(2)]
     + [f"c{i}{j}" for i in range(2) for j in range(3)]
     + [f"d{i}{j}" for i in range(2) for j in range(2)])
+
+
+def save_lpv_trace(trace, path) -> None:
+    """One row per model: row k's time ``k * CONTROL_DT``, then x0, u0, A, B,
+    C and D row-major."""
+    write_table(path, LPV_CSV_HEADER, (
+        np.concatenate([[k * CONTROL_DT], m.x0, m.u0, m.a.ravel(), m.b.ravel(),
+                        m.c.ravel(), m.d.ravel()]) for k, m in enumerate(trace)))

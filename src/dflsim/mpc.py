@@ -287,11 +287,10 @@ def mpc_step(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
 
 
 def ampc_step(meas: Measurement, refs: np.ndarray, rbf: RbfModel,
-              geom: FanGeometry, config: MpcConfig, u_prev: np.ndarray,
-              t: float = 0.0):
+              geom: FanGeometry, config: MpcConfig, u_prev: np.ndarray):
     """One adaptive step: relinearize at the measurement, then ``mpc_step``.
 
     Returns (input to apply, horizon solution, the LPV model used).
     """
-    lpv = build_lpv(rbf, geom, np.asarray(meas.state, dtype=float), u_prev, t=t)
+    lpv = build_lpv(rbf, geom, np.asarray(meas.state, dtype=float), u_prev)
     return (*mpc_step(lpv, meas, refs, u_prev, config), lpv)

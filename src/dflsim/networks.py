@@ -375,45 +375,39 @@ def save_model(model, path) -> None:
     save_blocks(path, blocks)
 
 
-def load_model(path, expected=None):
-    """Read a ``save_model`` file back as the model whose blocks it holds.
+def load_model(path, cls):
+    """Read a ``save_model`` file back as a model of class ``cls``.
 
-    Raises FileFormatError when the blocks match no model (of the class
-    ``expected``, if given), e.g. ``STATS`` is missing, or when their
-    shapes do not chain: a layer's width differs from the next layer's, a
-    1-D field is not one row, or ``STATS`` is not two rows of one minimum
-    and one maximum per input and output, or gives an input no positive
-    span or an output a negative one.
+    Raises FileFormatError when the blocks are not those of ``cls``, e.g.
+    ``STATS`` is missing, or when their shapes do not chain: a layer's width
+    differs from the next layer's, a 1-D field is not one row, or ``STATS``
+    is not two rows of one minimum and one maximum per input and output, or
+    gives an input no positive span or an output a negative one.
     """
-    blocks = load_blocks(path)
-    for cls, names in _ARRAYS.items():
-        if expected in (None, cls) and set(blocks) == {*map(str.upper, names), "STATS"}:
-            sizes, arrays = {}, {}
-            for n in names:
-                block, axes = blocks[n.upper()], _AXES[n]
-                mat = block[0] if len(axes) == 1 and len(block) == 1 else block
-                if mat.ndim != len(axes) or any(
-                        sizes.setdefault(axis, size) != size
-                        for axis, size in zip(axes, mat.shape)):
-                    raise FileFormatError(
-                        f"{path}: block {n.upper()} is {block.shape[0]}x"
-                        f"{block.shape[1]}, which does not chain with the "
-                        f"sizes before it {sizes}")
-                arrays[n] = mat
-            n_in = sizes["in"]
-            stats = blocks["STATS"]
-            if stats.shape != (2, n_in + sizes["out"]):
-                raise FileFormatError(
-                    f"{path}: STATS is {stats.shape[0]}x{stats.shape[1]}, "
-                    f"expected 2x{n_in + sizes['out']}")
-            mins, maxs = stats
-            stats = NormStats(mins[:n_in], maxs[:n_in], mins[n_in:], maxs[n_in:])
-            fault = stats.span_fault()
-            if fault:
-                raise FileFormatError(f"{path}: STATS {fault}")
-            return cls(**arrays, stats=stats)
-    want = "model" if expected is None else expected.__name__
-    raise FileFormatError(f"{path}: blocks {sorted(blocks)} match no {want} file")
+    blocks, names = load_blocks(path), _ARRAYS[cls]
+    if set(blocks) != {*map(str.upper, names), "STATS"}:
+        raise FileFormatError(f"{path}: blocks {sorted(blocks)} match no {cls.__name__} file")
+    sizes, arrays = {}, {}
+    for n in names:
+        block, axes = blocks[n.upper()], _AXES[n]
+        mat = block[0] if len(axes) == 1 and len(block) == 1 else block
+        if mat.ndim != len(axes) or any(sizes.setdefault(axis, size) != size
+                                        for axis, size in zip(axes, mat.shape)):
+            raise FileFormatError(
+                f"{path}: block {n.upper()} is {block.shape[0]}x{block.shape[1]}, "
+                f"which does not chain with the sizes before it {sizes}")
+        arrays[n] = mat
+    n_in = sizes["in"]
+    stats = blocks["STATS"]
+    if stats.shape != (2, n_in + sizes["out"]):
+        raise FileFormatError(f"{path}: STATS is {stats.shape[0]}x{stats.shape[1]}, "
+                              f"expected 2x{n_in + sizes['out']}")
+    mins, maxs = stats
+    stats = NormStats(mins[:n_in], maxs[:n_in], mins[n_in:], maxs[n_in:])
+    fault = stats.span_fault()
+    if fault:
+        raise FileFormatError(f"{path}: STATS {fault}")
+    return cls(**arrays, stats=stats)
 
 
 def load_rbf(path) -> RbfModel:

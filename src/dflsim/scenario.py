@@ -5,8 +5,8 @@ controller measurements with noise scaled by the output-limit spans and by
 ``STATE_NOISE_SPAN``, and logs every step to a trajectory record.
 The reference schedule ramps thrust from idle to hover and steps the
 air-fuel-ratio target from the rich power setting to stoichiometric once
-thrust has stabilized.  Trajectories and LPV traces are ``tables`` tables:
-one ``TrajectoryRecord`` or one flattened ``LpvModel`` per row.
+thrust has stabilized.  A trajectory is a ``tables`` table of one
+``TrajectoryRecord`` per row; ``lpv.save_lpv_trace`` writes the LPV trace.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .dataset import CONTROL_DT, settled_state
 from .engine import ControlInput, EngineParams, EngineStallError, step_engine
 from .errors import SolverError, StallError
 from .fan import KGF, FanGeometry, ducted_thrust_at_crank_speed, fan_load_power
-from .lpv import LPV_CSV_HEADER, build_lpv, lpv_csv_row
+from .lpv import build_lpv
 from .mpc import Measurement, MpcConfig, ampc_step, mpc_step
 from .networks import RbfModel
 from .tables import read_table, write_table
@@ -128,19 +128,19 @@ def relative_error(actual, reference):
 
 
 def _step_function(controller, rbf, geom, mpc, state, u0, lpv_trace):
-    """The per-step controller ``(meas, refs, u_prev, t) -> (input, solution,
+    """The per-step controller ``(meas, refs, u_prev) -> (input, solution,
     lpv)``.  ``ampc_step`` is looked up at each call, so rebinding it in this
     module reaches the loop; linear MPC's one model is its only trace row."""
     if controller == "ampc":
-        return lambda meas, refs, u_prev, t: ampc_step(
-            meas, refs, rbf, geom, mpc, u_prev, t=t)
+        return lambda meas, refs, u_prev: ampc_step(
+            meas, refs, rbf, geom, mpc, u_prev)
     if controller == "linear-mpc":
         frozen = build_lpv(rbf, geom, state.as_vector(), u0)
         if lpv_trace is not None:
             lpv_trace.append(frozen)
-        return lambda meas, refs, u_prev, t: (
+        return lambda meas, refs, u_prev: (
             *mpc_step(frozen, meas, refs, u_prev, mpc), None)
-    return lambda meas, refs, u_prev, t: (
+    return lambda meas, refs, u_prev: (
         ControlInput(tps=u_prev[0], m_fi=u_prev[1]), None, None)
 
 
@@ -178,7 +178,6 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
 
     records = []
     for k in range(scenario.steps):
-        t_now = k * scenario.dt
         thrust_true = ducted_thrust_at_crank_speed(state.n, geom)
         y_true = np.array([thrust_true, state.lam])
         eps_y = rng.normal(size=2)
@@ -188,7 +187,7 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
                            state.n + eps_x[1] * state_noise[1],
                            y_meas[1]])
         meas = Measurement(state=x_meas, output=y_meas)
-        u_cmd, sol, lpv = step(meas, refs[k + 1:k + 1 + mpc.n2], u_prev, t_now)
+        u_cmd, sol, lpv = step(meas, refs[k + 1:k + 1 + mpc.n2], u_prev)
         if lpv is not None and lpv_trace is not None:
             lpv_trace.append(lpv)
         cost_val, iters = (0.0, 0) if sol is None else (sol.cost, sol.iterations)
@@ -203,7 +202,7 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
                                      records) from exc
         u_prev = np.array([u_cmd.tps, u_cmd.m_fi])
         records.append(TrajectoryRecord(
-            step=k, time=t_now, thrust_ref=refs[k, 0] / KGF, lam_ref=refs[k, 1],
+            step=k, time=k * scenario.dt, thrust_ref=refs[k, 0] / KGF, lam_ref=refs[k, 1],
             thrust_true=thrust_true / KGF, lam_true=y_true[1],
             thrust_meas=y_meas[0] / KGF, lam_meas=y_meas[1],
             tps=u_cmd.tps, m_fi=u_cmd.m_fi, q_eng=state.q_eng, n=state.n,
@@ -268,7 +267,3 @@ def save_trajectory_csv(records, path) -> None:
 def load_trajectory_csv(path):
     return [TrajectoryRecord(int(row[0]), *row[1:-1], int(row[-1]))
             for row in read_table(path, TRAJECTORY_HEADER).tolist()]
-
-
-def save_lpv_trace(trace, path) -> None:
-    write_table(path, LPV_CSV_HEADER, map(lpv_csv_row, trace))

@@ -12,10 +12,10 @@ import pytest
 
 from dflsim.dataset import (Dataset, compute_stats, load_dataset_csv,
                             save_dataset_csv)
-from dflsim.lpv import LpvModel
-from dflsim.networks import load_model
+from dflsim.lpv import LpvModel, save_lpv_trace
+from dflsim.networks import load_rbf
 from dflsim.scenario import (TrajectoryRecord, load_trajectory_csv,
-                             save_lpv_trace, save_trajectory_csv)
+                             save_trajectory_csv)
 from dflsim.tables import FileFormatError, load_blocks
 
 DATASET_TEXT = (
@@ -33,7 +33,10 @@ TRAJECTORY_TEXT = (
 LPV_TEXT = (
     "t,q0,n0,lam0,tps0,mfi0,a00,a01,a02,a10,a11,a12,a20,a21,a22,"
     "b00,b01,b10,b11,b20,b21,c00,c01,c02,c10,c11,c12,d00,d01,d10,d11\n"
-    "1.5,12.0,65.0,0.9,30.0,0.0028,0.0,0.5,-0.25,0.0,0.75,0.125,0.0,0.001,"
+    "0.0,12.0,65.0,0.9,30.0,0.0028,0.0,0.5,-0.25,0.0,0.75,0.125,0.0,0.001,"
+    "0.5,0.2,1500.0,0.05,9000.0,-0.001,-40.0,12.0,3.5,0.0,0.0,0.0,1.0,"
+    "0.0,0.0,0.0,0.0\n"
+    "0.1,12.0,65.0,0.9,30.0,0.0028,0.0,0.5,-0.25,0.0,0.75,0.125,0.0,0.001,"
     "0.5,0.2,1500.0,0.05,9000.0,-0.001,-40.0,12.0,3.5,0.0,0.0,0.0,1.0,"
     "0.0,0.0,0.0,0.0\n")
 
@@ -83,8 +86,9 @@ def test_lpv_trace_bytes(tmp_path):
                    b=np.array([[0.2, 1500.0], [0.05, 9000.0], [-0.001, -40.0]]),
                    c=np.array([[12.0, 3.5, 0.0], [0.0, 0.0, 1.0]]),
                    d=np.zeros((2, 2)), x0=np.array([12.0, 65.0, 0.9]),
-                   u0=np.array([30.0, 0.0028]), t=1.5)
-    save_lpv_trace([lpv], path)
+                   u0=np.array([30.0, 0.0028]))
+    # row k is stamped k control intervals in
+    save_lpv_trace([lpv, lpv], path)
     assert path.read_text() == LPV_TEXT
 
 
@@ -112,7 +116,7 @@ def test_trajectory_rejects_wrong_header(tmp_path):
     ("rbf_model.txt", "# CENTERS 2 4\n1.0 2.0 3.0 4.0\n", load_blocks),
     ("rbf_model.txt", "# CENTERS 1 4\n1.0 2.0 3.0\n", load_blocks),
     ("rbf_model.txt", "# CENTERS one 4\n", load_blocks),
-    ("rbf_model.txt", "# CENTERS 1 4\n1.0 2.0 3.0 4.0\n", load_model),
+    ("rbf_model.txt", "# CENTERS 1 4\n1.0 2.0 3.0 4.0\n", load_rbf),
 ])
 def test_bad_file_raises_file_format_error_naming_it(tmp_path, name, text,
                                                      load):

@@ -1,18 +1,21 @@
 """Derivative network and LPV assembly."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import dflsim.lpv
 from dflsim.config import load_bundle
-from dflsim.dataset import NormStats, TrainingConfig
-from dflsim.fan import FanGeometry, thrust_jacobian
+from dflsim.dataset import CONTROL_DT, NormStats, TrainingConfig
+from dflsim.fan import FanGeometry, ducted_thrust_at_crank_speed, thrust_jacobian
 from dflsim.lpv import (LPV_CSV_HEADER, LpvModel, assoc_jacobian, build_lpv,
-                        lpv_csv_row)
+                        save_lpv_trace)
+from dflsim.mpc import condensed_map
 from dflsim.networks import (RbfModel, load_rbf, rbf_forward, save_model,
                              train_rbf)
 from dflsim.scenario import run_scenario
+from dflsim.tables import read_table
 
 G = FanGeometry()
 
@@ -47,7 +50,7 @@ def oracle_assoc_jacobian(rbf, p):
     return rbf.lw @ stack
 
 
-def oracle_build_lpv(rbf, geom, x0, u0, t=0.0):
+def oracle_build_lpv(rbf, geom, x0, u0):
     """``build_lpv`` with nothing cached on the model: the operating point
     normalized with array arithmetic, the Jacobian rescaled by
     ``rescale_jacobian``, the fan sensitivities taken at numpy scalars and C
@@ -66,13 +69,25 @@ def oracle_build_lpv(rbf, geom, x0, u0, t=0.0):
     c[0, 0] = dt_dq
     c[0, 1] = dt_dn
     c[1, 2] = 1.0
-    return LpvModel(a=a, b=b, c=c, d=np.zeros((2, 2)), x0=x0, u0=u0, t=t)
+    return LpvModel(a=a, b=b, c=c, d=np.zeros((2, 2)), x0=x0, u0=u0)
 
 
 def lpv_bytes(lpv):
     """Every field of an ``LpvModel``: each array's shape, dtype and bytes."""
     return [(f.name, np.shape(v), np.asarray(v).dtype, np.asarray(v).tobytes())
             for f in fields(lpv) for v in [getattr(lpv, f.name)]]
+
+
+def first_move_gain(lpv, config):
+    """The unconstrained first move per unit tracking error, span-scaled: rows
+    0-1 of E^-1 * 2 G'Q applied to an error held over the horizon, with the
+    error in output spans and the move in input spans."""
+    layout = config.layout
+    g = condensed_map(lpv, config)
+    e_mat = 2.0 * (g.T @ (layout.q_diag[:, None] * g) + layout.r_mat)
+    held = np.tile(np.eye(2), (config.n2, 1))
+    k = np.linalg.solve(e_mat, 2.0 * g.T @ (layout.q_diag[:, None] * held))[:2]
+    return k * layout.w_u[:2, None] / layout.w_y[None, :2]
 
 
 def fd_jacobian(model, p, step=1e-5):
@@ -263,12 +278,14 @@ class TestBuildLpv:
         assert np.array_equal(lpv.a @ np.zeros(3) + lpv.b @ np.zeros(2),
                               np.zeros(3))
 
-    def test_csv_row_shape(self, trained_rbf):
+    def test_csv_row_shape(self, trained_rbf, tmp_path):
         lpv = build_lpv(trained_rbf, G, np.array([12.0, 65.0, 0.9]),
-                        np.array([30.0, 0.0028]), t=1.5)
-        row = lpv_csv_row(lpv)
-        assert row.shape == (len(LPV_CSV_HEADER.split(",")),)
-        assert row[0] == 1.5
+                        np.array([30.0, 0.0028]))
+        path = tmp_path / "lpv_trace.csv"
+        save_lpv_trace([lpv] * 3, path)
+        rows = read_table(path, LPV_CSV_HEADER)
+        assert rows.shape == (3, len(LPV_CSV_HEADER.split(",")))
+        assert rows[:, 0].tolist() == [k * CONTROL_DT for k in range(3)]
 
 
 class TestBuildLpvOracle:
@@ -278,7 +295,7 @@ class TestBuildLpvOracle:
     def test_stock_episode(self, stock_rbf, stock_qps):
         geom = load_bundle(None).fan
         for lpv, *_ in stock_qps:
-            oracle = oracle_build_lpv(stock_rbf, geom, lpv.x0, lpv.u0, lpv.t)
+            oracle = oracle_build_lpv(stock_rbf, geom, lpv.x0, lpv.u0)
             assert lpv_bytes(lpv) == lpv_bytes(oracle)
 
     def test_random_points(self, trained_rbf):
@@ -287,9 +304,8 @@ class TestBuildLpvOracle:
             x0 = np.array([rng.uniform(-5, 40), rng.uniform(20, 120),
                            rng.uniform(0.6, 1.3)])
             u0 = np.array([rng.uniform(0, 95), rng.uniform(0.0005, 0.006)])
-            t = float(rng.uniform(0, 25))
-            assert lpv_bytes(build_lpv(trained_rbf, G, x0, u0, t)) \
-                == lpv_bytes(oracle_build_lpv(trained_rbf, G, x0, u0, t))
+            assert lpv_bytes(build_lpv(trained_rbf, G, x0, u0)) \
+                == lpv_bytes(oracle_build_lpv(trained_rbf, G, x0, u0))
 
 
 class TestStockEpisodeFidelity:
@@ -309,3 +325,38 @@ class TestStockEpisodeFidelity:
         assert len(unstable) == 80
         assert set(range(25)) <= set(unstable)
         assert radius.max() == pytest.approx(1.7892118, rel=1e-6)
+
+    def test_longer_blades_leave_an_offset_the_first_move_barely_sees(self, stock_rbf):
+        # 10 % longer blades: a standing thrust deficit, and at the last step
+        # a first-move gain K that nearly ignores one error direction.  The
+        # stock noise gives the offset [-9.70, 2.31] %; K's singular values
+        # 0.51 and 2.6e-5 are the noise-free episode's (at the stock geometry
+        # its last step gives 1.02 and 0.43, and 0.99 and 0.43 with noise)
+        bundle = load_bundle(None)
+        observed = []
+        for noise_std in (bundle.scenario.noise_std, 0.0):
+            trace = []
+            _, metrics = run_scenario(bundle.plant, FanGeometry(blade_radius=0.385),
+                                      bundle.mpc, replace(bundle.scenario, noise_std=noise_std),
+                                      controller="ampc", rbf=stock_rbf, lpv_trace=trace)
+            sigma = np.linalg.svd(first_move_gain(trace[-1], bundle.mpc), compute_uv=False)
+            observed.append((metrics["thrust_steady"]["min"],
+                             metrics["thrust_steady"]["max"], *sigma))
+        assert observed[0] == pytest.approx((-9.7034422, 2.3138218, 0.50656096, 2.40954e-3),
+                                            rel=1e-6)
+        assert observed[1] == pytest.approx((-9.6461274, 1.3513024, 0.51475292, 2.6083478e-5),
+                                            rel=1e-6)
+
+    def test_thrust_row_from_the_plant_map_collapses_the_loop(self, stock_rbf, monkeypatch):
+        # C's thrust row from the plant's own map T(n), (0, 2 T(n)/n), reads
+        # thrust off the RBF's speed row, whose input gains are the model's
+        # worst: the loop idles about 90 % below the reference.  So C keeps
+        # the power map
+        monkeypatch.setattr(dflsim.lpv, "thrust_jacobian", lambda q_eng, n, geom: (
+            0.0, 2.0 * ducted_thrust_at_crank_speed(n, geom) / n))
+        bundle = load_bundle(None)
+        _, metrics = run_scenario(bundle.plant, bundle.fan, bundle.mpc, bundle.scenario,
+                                  controller="ampc", rbf=stock_rbf)
+        steady = metrics["thrust_steady"]
+        assert (steady["min"], steady["max"], metrics["thrust_ramp"]["mae"]) \
+            == pytest.approx((-90.635933, -89.301625, 73.126504), rel=1e-6)

@@ -36,15 +36,15 @@ def models_and_points(draw):
                                    out_min, out_min + out_span))
     p_phys = in_min + (draw(vectors(4, -1.5, 1.5)) + 1.0) / 2.0 * in_span
     x0 = np.array([draw(st.floats(-5, 60)), p_phys[2], p_phys[3]])
-    return rbf, x0, p_phys[:2], draw(st.floats(0, 30))
+    return rbf, x0, p_phys[:2]
 
 
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)
 @given(case=models_and_points())
 def test_build_lpv_matches_oracle_bit_for_bit(case):
-    rbf, x0, u0, t = case
-    lpv = build_lpv(rbf, G, x0, u0, t)
-    assert lpv_bytes(lpv) == lpv_bytes(oracle_build_lpv(rbf, G, x0, u0, t))
+    rbf, x0, u0 = case
+    lpv = build_lpv(rbf, G, x0, u0)
+    assert lpv_bytes(lpv) == lpv_bytes(oracle_build_lpv(rbf, G, x0, u0))
     assert np.array_equal(lpv.a[:, 0], np.zeros(3))
     assert np.array_equal(lpv.d, np.zeros((2, 2)))
     assert lpv.c[0, 2] == 0.0

@@ -544,7 +544,7 @@ class TestModelFiles:
         model = models[kind]
         path = tmp_path / f"{kind}_model.txt"
         save_model(model, path)
-        back = load_model(path)
+        back = load_model(path, type(model))
         assert type(back) is type(model)
         for f in fields(model):
             if f.name == "stats":
@@ -570,7 +570,7 @@ class TestModelFiles:
         path = tmp_path / "mlp_model.txt"
         save_blocks(path, {"IW": m.iw, "LW": m.lw, "B1": m.b1, "B2": m.b2})
         with pytest.raises(ValueError, match="mlp_model.txt"):
-            load_model(path)
+            load_model(path, MlpModel)
 
     def test_load_rbf_rejects_mlp_file(self, tmp_path):
         _, models = trained_models()
@@ -614,7 +614,7 @@ class TestModelFiles:
         blocks[block] = alter(blocks[block])
         save_blocks(path, blocks)
         with pytest.raises(FileFormatError, match=f"{kind}_model.txt"):
-            load_model(path)
+            load_model(path, type(models[kind]))
 
     @pytest.mark.parametrize("column, kind, rel, alter", [
         (1, "input", "not above", lambda col: col[[0, 0]]),    # max set to min
@@ -630,4 +630,4 @@ class TestModelFiles:
         save_blocks(path, blocks)
         with pytest.raises(FileFormatError, match=f"rbf_model.txt: STATS column "
                            f"{column + 1}, an {kind}, has maximum .* {rel} its"):
-            load_model(path)
+            load_model(path, RbfModel)

@@ -26,7 +26,7 @@ from dflsim.engine import (ControlInput, EngineParams, EngineStallError,
 from dflsim.errors import DflsimError, FileFormatError, SolverError, StallError
 from dflsim.fan import (KGF, FanGeometry, fan_power, solve_operating_point,
                         thrust_from_power)
-from dflsim.lpv import build_lpv, lpv_csv_row
+from dflsim.lpv import LPV_CSV_HEADER, build_lpv, save_lpv_trace
 from dflsim.mpc import Measurement, MpcConfig
 from dflsim.networks import (MODEL_KINDS, compare_models, init_mlp,
                              load_blocks, load_model, load_rbf, mape,
@@ -34,6 +34,8 @@ from dflsim.networks import (MODEL_KINDS, compare_models, init_mlp,
 from dflsim.scenario import (CONTROLLER_KINDS, STATE_NOISE_SPAN, ScenarioConfig,
                              compute_metrics, load_trajectory_csv,
                              relative_error, run_scenario, save_trajectory_csv)
+from dflsim.tables import read_table
+from test_lpv import lpv_bytes
 
 P = EngineParams()
 G = FanGeometry()
@@ -158,13 +160,13 @@ class TestControllerPath:
         plain, _ = run_scenario(P, G, MpcConfig(), SHORT, rbf=trained_rbf)
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["t"])
-            return mpc.ampc_step(*args, **kwargs)
+        def counting(*args):
+            calls.append(args)
+            return mpc.ampc_step(*args)
 
         monkeypatch.setattr(scenario, "ampc_step", counting)
         wrapped, _ = run_scenario(P, G, MpcConfig(), SHORT, rbf=trained_rbf)
-        assert calls == [k * SHORT.dt for k in range(SHORT.steps)]
+        assert len(calls) == SHORT.steps
         assert wrapped == plain
 
     def test_reference_windows_hold_the_last_step(self, trained_rbf, monkeypatch):
@@ -187,21 +189,24 @@ class TestControllerPath:
                 np.stack([t_ref[idx], l_ref[idx]], axis=1).tobytes()
 
     @pytest.mark.parametrize("controller", CONTROLLER_KINDS)
-    def test_lpv_trace_and_solver_fields(self, trained_rbf, controller):
+    def test_lpv_trace_and_solver_fields(self, trained_rbf, controller, tmp_path):
         trace = []
         records, _ = run_scenario(P, G, MpcConfig(), SHORT,
                                   controller=controller, rbf=trained_rbf,
                                   lpv_trace=trace)
         assert len(records) == SHORT.steps
         if controller == "ampc":
-            assert [m.t for m in trace] == [r.time for r in records]
+            # the written trace's row k is stamped with step k's time
+            save_lpv_trace(trace, tmp_path / "lpv_trace.csv")
+            rows = read_table(tmp_path / "lpv_trace.csv", LPV_CSV_HEADER)
+            assert rows[:, 0].tolist() == [r.time for r in records]
         elif controller == "linear-mpc":
             u0 = ControlInput(SHORT.init_tps, SHORT.init_m_fi)
             state = settled_state(P, G, u0)
             frozen = build_lpv(trained_rbf, G, state.as_vector(),
                                np.array([u0.tps, u0.m_fi]))
             assert len(trace) == 1
-            assert np.array_equal(lpv_csv_row(trace[0]), lpv_csv_row(frozen))
+            assert lpv_bytes(trace[0]) == lpv_bytes(frozen)
         else:
             assert trace == []
             assert all(r.cost == 0.0 and r.qp_iterations == 0
@@ -486,7 +491,8 @@ class TestCli:
                          "--out", str(trained)]) == 0
         scored = compare_models(
             load_dataset_csv(trained / "dataset.csv", n_train=285),
-            *(load_model(trained / f"{kind}_model.txt") for kind in MODEL_KINDS))
+            *(load_model(trained / f"{kind}_model.txt", cls)
+              for kind, cls in MODEL_KINDS.items()))
         with open(trained / "mape_report.json") as fh:
             assert json.load(fh) == {m: [float(v) for v in vals]
                                      for m, vals in scored.mape_table.items()}
@@ -953,8 +959,8 @@ class TestCli:
         assert cli_main(command + ["--out", str(out)]) == 2
         assert taken.read_bytes() == b"not a directory\n"
         assert plant_calls == []
-        err = capsys.readouterr().err
-        assert f"--out {out} is not a directory" in err and err.count("\n") == 1
+        assert capsys.readouterr().err == \
+            f"config error: --out {out} is not a directory\n"
 
     @pytest.mark.parametrize("lw_rows, stats_rows", [
         # a third STATS row
@@ -1054,6 +1060,7 @@ class TestCli:
         assert proc.returncode == code
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         if code == 2:
+            assert proc.stderr == "config error: --out out is not a directory\n"
             assert out.read_bytes() == b"not a directory\n"
         else:
             assert not any(out.glob("*"))
