@@ -8,7 +8,8 @@ production.  States are advanced with fixed-step RK4 at ``dt_int`` inside
 each control interval.
 
 tau_d may not exceed the control interval, so the one rate in transit when
-an interval starts is the previous command, which the state carries.
+an interval starts is the previous command, which the state carries; a
+positive tau_d must be a whole number of dt_int substeps.
 
 One interval is 4 * dt/dt_int right-hand-side evaluations (200 at the stock
 0.1 s / 2 ms), so ``step_engine`` runs it on Python floats: inputs and the
@@ -258,12 +259,17 @@ def _too_coarse(p_at: float, h: float):
 
 def substeps(params: EngineParams, dt: float, halvings: int = 0):
     """(RK4 substeps per control interval ``dt``, substeps of fuel delay
-    max(1, ceil(tau_d/h))) at h = dt_int/2**halvings; ValueError unless
-    dt_int divides dt and the delay fits in it."""
+    max(1, tau_d/h)) at h = dt_int/2**halvings; ValueError unless dt_int
+    divides dt and any positive delay, and the delay fits in dt."""
     n_sub = int(round(dt / params.dt_int))
     if n_sub < 1 or abs(n_sub * params.dt_int - dt) > 1e-9 * dt:
         raise ValueError("dt_int must divide the control interval")
-    n_delay = max(1, math.ceil(params.injection_delay * 2 ** halvings / params.dt_int))
+    tau_d = params.injection_delay
+    n_delay = int(round(tau_d / params.dt_int))
+    if abs(n_delay * params.dt_int - tau_d) > 1e-9 * tau_d:
+        raise ValueError(f"injection_delay {tau_d:g} s is not a whole number of "
+                         f"dt_int = {params.dt_int:g} s substeps")
+    n_delay = max(1, n_delay * 2 ** halvings)
     if n_delay > n_sub * 2 ** halvings:
         raise ValueError("injection_delay must not exceed the control interval")
     return n_sub * 2 ** halvings, n_delay

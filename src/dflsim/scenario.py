@@ -77,24 +77,15 @@ class ScenarioConfig:
             raise ValueError("ramp_start, lam_step_at and settle_margin must be "
                              "non-negative, and ramp_end >= ramp_start")
 
-    def thrust_reference(self) -> np.ndarray:
-        """Per-step thrust reference in newtons."""
-        ref = np.empty(self.steps)
-        for k in range(self.steps):
-            if k < self.ramp_start:
-                frac = 0.0
-            elif k >= self.ramp_end:
-                frac = 1.0
-            else:
-                frac = (k - self.ramp_start) / (self.ramp_end - self.ramp_start)
-            ref[k] = (self.thrust_idle
-                      + (self.thrust_hover - self.thrust_idle) * frac) * KGF
-        return ref
-
-    def lambda_reference(self) -> np.ndarray:
-        ref = np.full(self.steps, self.lam_rich)
-        ref[self.lam_step_at:] = self.lam_eff
-        return ref
+    def references(self, preview: int) -> np.ndarray:
+        """The (steps + preview, 2) schedule of [thrust N, lambda]: row k is
+        step k's, and the ``preview`` rows past the end repeat the last."""
+        k = np.minimum(np.arange(self.steps + preview), self.steps - 1)
+        ramp = np.maximum(k - self.ramp_start, 0) / max(self.ramp_end - self.ramp_start, 1)
+        frac = np.where(k >= self.ramp_end, 1.0, ramp)
+        thrust = (self.thrust_idle + (self.thrust_hover - self.thrust_idle) * frac) * KGF
+        return np.stack([thrust, np.where(k < self.lam_step_at, self.lam_rich,
+                                          self.lam_eff)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -159,14 +150,12 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
     if controller != "open-loop" and rbf is None:
         raise ValueError("a trained RBF model is required for closed-loop runs")
 
-    # row k holds step k's [thrust, lambda]; n2 copies of the last fill the preview
-    refs = np.stack([scenario.thrust_reference(), scenario.lambda_reference()], axis=1)
-    refs = np.concatenate([refs, refs[-1:].repeat(mpc.n2, axis=0)])
-    rng = np.random.default_rng(scenario.seed)
-    out_noise = scenario.noise_std * np.array([
-        mpc.thrust_bounds[1] - mpc.thrust_bounds[0],
-        mpc.lambda_bounds[1] - mpc.lambda_bounds[0]])
-    state_noise = scenario.noise_std * np.array(STATE_NOISE_SPAN)
+    refs = scenario.references(mpc.n2)
+    # row k: step k's [thrust, lambda] output noise, then its [Q_eng, n] noise
+    noise = np.random.default_rng(scenario.seed).normal(size=(scenario.steps, 4)) \
+        * (scenario.noise_std * np.array([
+            mpc.thrust_bounds[1] - mpc.thrust_bounds[0],
+            mpc.lambda_bounds[1] - mpc.lambda_bounds[0], *STATE_NOISE_SPAN]))
 
     u0 = ControlInput(tps=scenario.init_tps, m_fi=scenario.init_m_fi)
     try:
@@ -180,12 +169,8 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
     for k in range(scenario.steps):
         thrust_true = ducted_thrust_at_crank_speed(state.n, geom)
         y_true = np.array([thrust_true, state.lam])
-        eps_y = rng.normal(size=2)
-        eps_x = rng.normal(size=2)
-        y_meas = y_true + eps_y * out_noise
-        x_meas = np.array([state.q_eng + eps_x[0] * state_noise[0],
-                           state.n + eps_x[1] * state_noise[1],
-                           y_meas[1]])
+        y_meas = y_true + noise[k, :2]
+        x_meas = np.array([state.q_eng + noise[k, 2], state.n + noise[k, 3], y_meas[1]])
         meas = Measurement(state=x_meas, output=y_meas)
         u_cmd, sol, lpv = step(meas, refs[k + 1:k + 1 + mpc.n2], u_prev)
         if lpv is not None and lpv_trace is not None:

@@ -443,7 +443,8 @@ class TestStepEngineOracle:
         (0.05, 75.0, P.ambient_pressure, 85.0, 7250.0, "-116934")])
     def test_nonpositive_stage_pressure_raises(self, dt_int, n, p_start, tps,
                                                load, p_stage):
-        params = EngineParams(dt_int=dt_int)
+        # a delay of one substep, as stock at 0.05 s
+        params = EngineParams(dt_int=dt_int, injection_delay=dt_int)
         state = replace(make_initial_state(params, n=n, manifold_pressure=7.0e4,
                                            m_fi=0.004), manifold_pressure=p_start)
         with pytest.raises(SubstepTooCoarseError) as info:
@@ -524,6 +525,11 @@ class TestEngineInvariants:
             step_engine(state, u, 8000.0, replace(P, injection_delay=tau_d), 0.1)
         with pytest.raises(ValueError, match="injection_delay"):
             step_engine(state, u, 8000.0, replace(P, injection_delay=0.15), 0.1)
+        # and be whole substeps: the 50 ms delay is 12.5 substeps of 4 ms
+        with pytest.raises(ValueError) as info:
+            step_engine(state, u, 8000.0, replace(P, dt_int=0.004), 0.1)
+        assert str(info.value) == ("injection_delay 0.05 s is not a whole number "
+                                   "of dt_int = 0.004 s substeps")
 
     def test_substep_halving_converges(self):
         u = ControlInput(tps=40.0, m_fi=0.0032)

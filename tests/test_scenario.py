@@ -1,5 +1,6 @@
 """Closed-loop scenario harness, metrics, CSV round-trips, config, CLI."""
 
+import itertools
 import json
 import os
 import shutil
@@ -181,12 +182,11 @@ class TestControllerPath:
 
         monkeypatch.setattr(scenario, "ampc_step", recording)
         run_scenario(P, G, cfg, scen, rbf=trained_rbf)
-        t_ref, l_ref = scen.thrust_reference(), scen.lambda_reference()
+        schedule = scen.references(0)
         assert len(windows) == scen.steps
         for k, refs in enumerate(windows):
             idx = np.minimum(np.arange(k + 1, k + 1 + cfg.n2), scen.steps - 1)
-            assert refs.tobytes() == \
-                np.stack([t_ref[idx], l_ref[idx]], axis=1).tobytes()
+            assert refs.tobytes() == schedule[idx].tobytes()
 
     @pytest.mark.parametrize("controller", CONTROLLER_KINDS)
     def test_lpv_trace_and_solver_fields(self, trained_rbf, controller, tmp_path):
@@ -240,6 +240,31 @@ class TestNoiseAudit:
         var_x_expect = (0.005 * np.array(STATE_NOISE_SPAN)) ** 2
         assert np.all(abs(noise_x.var(axis=0) - var_x_expect) / var_x_expect < 0.1)
 
+    def test_noise_is_the_per_step_draws(self, monkeypatch):
+        # the oracle: each step draws its [thrust, lambda] output normals,
+        # then its [Q_eng, n] state normals, from the episode's generator
+        measured = []
+
+        def recording(state, output):
+            measured.append((state, output))
+            return Measurement(state, output)
+
+        monkeypatch.setattr(scenario, "Measurement", recording)
+        scen = ScenarioConfig(steps=30, noise_std=0.01)
+        cfg = MpcConfig()
+        records, _ = run_scenario(P, G, cfg, scen, controller="open-loop")
+        rng = np.random.default_rng(scen.seed)
+        lam_scale = scen.noise_std * (cfg.lambda_bounds[1] - cfg.lambda_bounds[0])
+        state_scale = scen.noise_std * np.array(STATE_NOISE_SPAN)
+        assert len(measured) == len(records) == scen.steps
+        for k, (r, (x_meas, y_meas)) in enumerate(zip(records, measured)):
+            eps_y, eps_x = rng.normal(size=2), rng.normal(size=2)
+            assert r.lam_meas == y_meas[1] == r.lam_true + eps_y[1] * lam_scale
+            if k > 0:
+                before = records[k - 1]
+                assert x_meas[0] == before.q_eng + eps_x[0] * state_scale[0]
+                assert x_meas[1] == before.n + eps_x[1] * state_scale[1]
+
 
 class TestTrajectoryCsv:
     def test_round_trip_and_metric_consistency(self, trained_rbf, tmp_path):
@@ -279,10 +304,30 @@ class TestTrajectoryCsv:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def loop_references(scen, preview):
+    """The per-step loop that ``ScenarioConfig.references`` replaced, kept as
+    its oracle: thrust and lambda schedules stacked, the last row repeated
+    ``preview`` times."""
+    thrust = np.empty(scen.steps)
+    for k in range(scen.steps):
+        if k < scen.ramp_start:
+            frac = 0.0
+        elif k >= scen.ramp_end:
+            frac = 1.0
+        else:
+            frac = (k - scen.ramp_start) / (scen.ramp_end - scen.ramp_start)
+        thrust[k] = (scen.thrust_idle
+                     + (scen.thrust_hover - scen.thrust_idle) * frac) * KGF
+    lam = np.full(scen.steps, scen.lam_rich)
+    lam[scen.lam_step_at:] = scen.lam_eff
+    refs = np.stack([thrust, lam], axis=1)
+    return np.concatenate([refs, refs[-1:].repeat(preview, axis=0)])
+
+
 class TestReferences:
     def test_thrust_profile_shape(self):
         scen = ScenarioConfig()
-        ref = scen.thrust_reference() / KGF
+        ref = scen.references(0)[:, 0] / KGF
         assert ref[0] == 10.0
         assert ref[scen.ramp_start] == 10.0
         assert ref[scen.ramp_end] == 80.0
@@ -292,9 +337,23 @@ class TestReferences:
 
     def test_lambda_profile_steps_once(self):
         scen = ScenarioConfig()
-        ref = scen.lambda_reference()
+        ref = scen.references(0)[:, 1]
         assert ref[scen.lam_step_at - 1] == scen.lam_rich
         assert ref[scen.lam_step_at] == scen.lam_eff
+
+    @pytest.mark.parametrize("preview", [1, 8])
+    @pytest.mark.parametrize("steps", [1, 5, 40, 250])
+    def test_matches_the_step_loop(self, steps, preview):
+        # the stock ramp, a zero-length one at and after the start, one that
+        # ends past the last step; the retarget inside, at and past the end
+        for (ramp_start, ramp_end), lam_step_at in itertools.product(
+                [(10, 100), (0, 0), (3, 3), (2, steps + 5)],
+                [150, 0, steps // 2, steps, steps + 3]):
+            scen = ScenarioConfig(steps=steps, ramp_start=ramp_start,
+                                  ramp_end=ramp_end, lam_step_at=lam_step_at)
+            ref = scen.references(preview)
+            assert ref.shape == (steps + preview, 2)
+            assert ref.tobytes() == loop_references(scen, preview).tobytes()
 
 
 class TestConfig:
@@ -542,9 +601,10 @@ class TestCli:
 
     @pytest.mark.parametrize("dt_int", ["0.05", "0.1"])
     def test_too_coarse_substep_exit_code(self, tmp_path, dt_int, capsys):
-        # an RK4 stage drives the manifold pressure below zero
+        # an RK4 stage drives the manifold pressure below zero; the fuel
+        # delay is one substep, as stock at 0.05 s
         ini = tmp_path / "coarse.ini"
-        ini.write_text(f"[plant]\ndt_int = {dt_int}\n")
+        ini.write_text(f"[plant]\ndt_int = {dt_int}\ninjection_delay = {dt_int}\n")
         assert cli_main(["gen-data", "--config", str(ini),
                          "--out", str(tmp_path / "o")]) == 4
         assert "dt_int is too coarse" in capsys.readouterr().err
@@ -730,6 +790,8 @@ class TestCli:
         (["gen-data"], "[plant]\ndt_int = 0.003\n"),
         # the fuel in transit must be the previous command alone
         (["gen-data"], "[plant]\ninjection_delay = 0.15\n"),
+        # the stock 50 ms delay is 12.5 substeps of 4 ms
+        (["gen-data"], "[plant]\ndt_int = 0.004\n"),
     ])
     def test_control_interval_not_whole_substeps_exit_code(self, tmp_path,
                                                            command, ini_text):
