@@ -4,19 +4,21 @@ One INI section per field of ``SimBundle``; every key matches a field of
 that section's dataclass, every value overrides an embedded default, so an
 empty (or absent) file reproduces the stock setup.  Angles are radians,
 pressures pascals, thrust bounds newtons; pair-valued fields take two
-comma-separated numbers.  Each section's dataclass lives with the code that
-takes it whole; this module only fills them from the file.
+comma-separated numbers, none of them NaN.  Each section's dataclass lives
+with the code that takes it whole and checks its own values; this module
+only fills them from the file.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass
 
-from .dataset import CONTROL_DT, TrainingConfig
-from .engine import EngineParams, substeps
+from .dataset import TrainingConfig
+from .engine import EngineParams
 from .errors import ConfigError
 from .fan import FanGeometry
 from .mpc import MpcConfig
@@ -37,11 +39,12 @@ _SECTIONS = typing.get_type_hints(SimBundle)
 
 def _convert(raw: str, kind, key: str):
     try:
-        if kind is tuple:
-            return tuple(float(v) for v in raw.split(","))
-        return kind(raw)            # int or float
+        value = tuple(float(v) for v in raw.split(",")) if kind is tuple else kind(raw)
+        if any(map(math.isnan, value if kind is tuple else (value,))):
+            raise ValueError
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+    return value
 
 
 def load_bundle(path=None, overrides: dict | None = None) -> SimBundle:
@@ -78,9 +81,7 @@ def load_bundle(path=None, overrides: dict | None = None) -> SimBundle:
         section, key = dotted.split(".", 1)
         values[section][key] = value
     try:
-        bundle = SimBundle(**{name: cls(**values[name])
-                              for name, cls in _SECTIONS.items()})
-        substeps(bundle.plant, CONTROL_DT)
+        return SimBundle(**{name: cls(**values[name])
+                            for name, cls in _SECTIONS.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return bundle

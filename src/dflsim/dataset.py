@@ -1,12 +1,12 @@
 """Identification data for the engine network models.
 
 Excites the coupled engine + fan plant with multi-level pseudo-random input
-steps, records one-step (input, state) -> next-state pairs at the 0.1 s
-control rate, and adds Gaussian noise of a prescribed SNR to the training
-targets.  Columns are min/max normalized to [-1, 1] using training-split
-statistics only.  The dataset CSV is a ``tables`` table with the
-``CSV_HEADER`` columns.  ``TrainingConfig``, the [training] section, lives
-here so that the excitation and the ``networks`` trainers take it whole.
+steps, records one-step (input, state) -> next-state pairs one
+``engine.CONTROL_DT`` apart, and adds Gaussian noise of a prescribed SNR to
+the training targets.  Columns are min/max normalized to [-1, 1] using
+training-split statistics only.  The dataset CSV is a ``tables`` table with
+the ``CSV_HEADER`` columns.  ``TrainingConfig``, the [training] section,
+lives here so that the excitation and the ``networks`` trainers take it whole.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ CSV_HEADER = "tps,m_fi,n,lambda,Q_next,n_next,lambda_next"
 
 TPS_RANGE = (5.0, 90.0)
 MF_RANGE = (0.0011, 0.0055)
-CONTROL_DT = 0.1
 MAX_SEGMENT_RETRIES = 400     # stalled segments redrawn before a stall is raised
 SETTLE_START = (37.0, 5.7e4)  # rev/s, Pa: where every equilibrium search starts
 
@@ -55,6 +54,8 @@ class TrainingConfig:
             raise ValueError("center, hidden-size and epoch counts must be positive")
         if min(self.seed, self.model_seed) < 0:
             raise ValueError("seed and model_seed must be non-negative")
+        if not self.snr_db > -math.inf:     # +inf is a noise-free dataset
+            raise ValueError("snr_db must be a number above -inf")
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ def generate_dataset(params: EngineParams, geom: FanGeometry,
             tps = min(max(tps + float(dither[j]), TPS_RANGE[0]), TPS_RANGE[1])
             inputs[filled] = (tps, m_fi, state.n, state.lam)
             state = step_engine(state, ControlInput(tps=tps, m_fi=m_fi),
-                                fan_load_power(state.n, geom), params, CONTROL_DT)
+                                fan_load_power(state.n, geom), params)
             targets[filled] = (state.q_eng, state.n, state.lam)
             filled += 1
 

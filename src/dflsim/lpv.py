@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CONTROL_DT
+from .engine import CONTROL_DT
 from .fan import FanGeometry, thrust_jacobian
 from .networks import RbfModel
 from .tables import write_table

@@ -16,8 +16,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataset import CONTROL_DT, settled_state
-from .engine import ControlInput, EngineParams, EngineStallError, step_engine
+from .dataset import settled_state
+from .engine import CONTROL_DT, ControlInput, EngineParams, EngineStallError, step_engine
 from .errors import SolverError, StallError
 from .fan import KGF, FanGeometry, ducted_thrust_at_crank_speed, fan_load_power
 from .lpv import build_lpv
@@ -43,7 +43,7 @@ class ScenarioStallError(StallError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    dt: ClassVar[float] = CONTROL_DT      # s, control interval, not a key
+    dt: ClassVar[float] = CONTROL_DT      # s, the plant's control interval, not a key
     steps: int = 250
     thrust_idle: float = 10.0             # kgf
     thrust_hover: float = 80.0            # kgf
@@ -63,8 +63,8 @@ class ScenarioConfig:
             raise ValueError("scenario steps must be at least 1")
         if self.seed < 0:
             raise ValueError("scenario seed must be non-negative")
-        if not self.init_m_fi > 0:
-            raise ValueError("init_m_fi must be positive")
+        if not (0 < self.init_m_fi < np.inf and abs(self.init_tps) < np.inf):
+            raise ValueError("init_m_fi must be finite and positive, and init_tps finite")
         # the metrics divide by each reference level
         for name in ("thrust_idle", "thrust_hover", "lam_rich", "lam_eff"):
             if not 0 < getattr(self, name) < np.inf:
@@ -180,14 +180,13 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
             raise NonFiniteCostError(f"solver produced a non-finite cost at step {k}")
 
         try:
-            state = step_engine(state, u_cmd, fan_load_power(state.n, geom),
-                                params, scenario.dt)
+            state = step_engine(state, u_cmd, fan_load_power(state.n, geom), params)
         except EngineStallError as exc:
             raise ScenarioStallError(f"plant stalled at step {k}: {exc}",
                                      records) from exc
         u_prev = np.array([u_cmd.tps, u_cmd.m_fi])
         records.append(TrajectoryRecord(
-            step=k, time=k * scenario.dt, thrust_ref=refs[k, 0] / KGF, lam_ref=refs[k, 1],
+            step=k, time=k * CONTROL_DT, thrust_ref=refs[k, 0] / KGF, lam_ref=refs[k, 1],
             thrust_true=thrust_true / KGF, lam_true=y_true[1],
             thrust_meas=y_meas[0] / KGF, lam_meas=y_meas[1],
             tps=u_cmd.tps, m_fi=u_cmd.m_fi, q_eng=state.q_eng, n=state.n,

@@ -178,7 +178,7 @@ def test_criterion_7_plant_properties():
     state = make_initial_state(params, n=70.0, manifold_pressure=7.2e4,
                                m_fi=u.m_fi)
     for _ in range(600):
-        state = step_engine(state, u, 8000.0, params, 0.1)
+        state = step_engine(state, u, 8000.0, params)
     m_as = cylinder_air_flow(state.manifold_pressure, state.n, params)
     lam_burn = normalized_afr(m_as, u.m_fi, params.stoich_afr)
     p_comb = combustion_power(u.m_fi, lam_burn, state.n, params)

@@ -137,7 +137,7 @@ def held_open_loop(u, steps=600):
     57 kPa with the delay line full of ``u.m_fi``."""
     state = make_initial_state(P, n=37.0, manifold_pressure=5.7e4, m_fi=u.m_fi)
     for _ in range(steps):
-        state = step_engine(state, u, fan_load_power(state.n, G), P, 0.1)
+        state = step_engine(state, u, fan_load_power(state.n, G), P)
     return state
 
 

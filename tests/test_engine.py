@@ -1,17 +1,16 @@
 """Engine plant: sub-model contracts, delay timing, integrator quality."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import dflsim.dataset
-import dflsim.engine
 from dflsim.config import load_bundle
 from dflsim.dataset import MF_RANGE, TPS_RANGE, generate_dataset, settled_state
-from dflsim.engine import (MAX_HALVINGS, STIFF_LIMIT, TWO_PI, ControlInput,
-                           EngineParams, EngineStallError,
+from dflsim.engine import (CONTROL_DT, MAX_HALVINGS, STIFF_LIMIT, TWO_PI,
+                           ControlInput, EngineParams, EngineStallError,
                            SubstepTooCoarseError, air_mass_flow,
                            cylinder_air_flow, friction_power,
                            make_initial_state, normalized_afr, step_engine,
@@ -127,14 +126,14 @@ def reference_derivatives(omega, p_man, tps, m_f_delayed, load_power, params,
     return domega, dp_man, orifice_stiffness
 
 
-def reference_step(state, u, load_power, params, dt, hits):
+def reference_step(state, u, load_power, params, hits):
     """One control interval: RK4 on ``reference_derivatives`` at dt_int,
     halved while a substep starts where h * |orifice stiffness| exceeds
     STIFF_LIMIT, at most MAX_HALVINGS times, then the output map.
     Returns (q_eng, n, lam, manifold_pressure, the rate left in transit).
     """
     for halvings in range(MAX_HALVINGS + 1):
-        out = reference_interval(state, u, load_power, params, dt,
+        out = reference_interval(state, u, load_power, params,
                                  params.dt_int / 2 ** halvings,
                                  halvings < MAX_HALVINGS, hits)
         if out is not None:
@@ -142,7 +141,7 @@ def reference_step(state, u, load_power, params, dt, hits):
         hits.add("substep halved")
 
 
-def reference_interval(state, u, load_power, params, dt, h, check, hits):
+def reference_interval(state, u, load_power, params, h, check, hits):
     """One control interval of RK4 at substep ``h`` with numpy scalars
     through a numpy delay line, or None when ``check`` is set and a substep
     starts too stiff for ``h``.
@@ -151,7 +150,7 @@ def reference_interval(state, u, load_power, params, dt, h, check, hits):
     state's previous command; it must end full of ``u.m_fi``, which is what
     lets the plant carry the delay as a single rate.
     """
-    n_sub = int(round(dt / h))
+    n_sub = int(round(CONTROL_DT / h))
     omega = TWO_PI * state.n
     p_man = state.manifold_pressure
     buf = np.full(max(1, math.ceil(params.injection_delay / h)),
@@ -194,7 +193,7 @@ def reference_interval(state, u, load_power, params, dt, h, check, hits):
 def settle(params, u, load, steps=400, n0=60.0, pm0=7.0e4):
     state = make_initial_state(params, n=n0, manifold_pressure=pm0, m_fi=u.m_fi)
     for _ in range(steps):
-        state = step_engine(state, u, load, params, 0.1)
+        state = step_engine(state, u, load, params)
     return state
 
 
@@ -296,7 +295,7 @@ class TestEngineTorque:
         # toward the 1/omega singularity
         state = make_initial_state(P, n=5.0, manifold_pressure=7.0e4, m_fi=0.002)
         with pytest.raises(EngineStallError):
-            step_engine(state, ControlInput(tps=40.0, m_fi=0.002), 0.0, P, 0.1)
+            step_engine(state, ControlInput(tps=40.0, m_fi=0.002), 0.0, P)
 
 
 class TestStepEngine:
@@ -307,14 +306,13 @@ class TestStepEngine:
         p_comb = (P.lower_heating_value * eta * (1.0 - P.fuel_loss_coeff)
                   * u.m_fi)
         load = p_comb - friction_power(state.n, P)
-        nxt = step_engine(state, u, load, P, 0.1)
+        nxt = step_engine(state, u, load, P)
         assert nxt.n == pytest.approx(state.n, rel=1e-9)
 
     def test_fuel_above_balance_accelerates(self):
         u = ControlInput(tps=40.0, m_fi=0.0032)
         state = settle(P, u, load=8000.0)
-        nxt = step_engine(state, ControlInput(tps=40.0, m_fi=0.004), 8000.0,
-                          P, 0.1)
+        nxt = step_engine(state, ControlInput(tps=40.0, m_fi=0.004), 8000.0, P)
         assert nxt.n > state.n
 
     def test_frozen_regression_value(self):
@@ -322,7 +320,7 @@ class TestStepEngine:
         state = make_initial_state(P, n=70.0, manifold_pressure=7.2e4,
                                    m_fi=0.003)
         out = step_engine(state, ControlInput(tps=40.0, m_fi=0.0032),
-                          load_power=8000.0, params=P, dt=0.1)
+                          load_power=8000.0, params=P)
         assert out.q_eng == pytest.approx(23.862053344871086, rel=1e-9)
         assert out.n == pytest.approx(70.27748438953142, rel=1e-9)
         assert out.lam == pytest.approx(0.9145266222200058, rel=1e-8)
@@ -330,10 +328,10 @@ class TestStepEngine:
                                                       rel=1e-8)
 
     def test_dt_must_be_multiple_of_substep(self):
-        state = make_initial_state(P, n=70.0, manifold_pressure=7.2e4,
-                                   m_fi=0.003)
-        with pytest.raises(ValueError):
-            step_engine(state, ControlInput(40.0, 0.003), 0.0, P, 0.10037)
+        # checked when the parameters are built, not on each interval
+        with pytest.raises(ValueError) as info:
+            EngineParams(dt_int=0.003)
+        assert str(info.value) == "dt_int must divide the control interval"
 
     def test_overload_stalls(self):
         state = make_initial_state(P, n=40.0, manifold_pressure=6.0e4,
@@ -341,14 +339,16 @@ class TestStepEngine:
         u = ControlInput(tps=20.0, m_fi=0.0012)
         with pytest.raises(EngineStallError):
             for _ in range(100):
-                state = step_engine(state, u, 5.0e4, P, 0.1)
+                state = step_engine(state, u, 5.0e4, P)
 
 
 class TestStepEngineOracle:
     # the speed-factor floor of the efficiency map lies below zero speed at
     # the stock speed gain, so a steeper map reaches it; tau_d = 0 still
-    # delays the command by one substep
-    PARAMS = (P, EngineParams(eta_speed_gain=1.6), EngineParams(injection_delay=0.0))
+    # delays the command by one substep, and a delay of the whole interval
+    # spans every substep, so the output burns the previous command
+    PARAMS = (P, EngineParams(eta_speed_gain=1.6), EngineParams(injection_delay=0.0),
+              EngineParams(injection_delay=0.1))
 
     def random_case(self, rng):
         params = self.PARAMS[int(rng.integers(len(self.PARAMS)))]
@@ -369,20 +369,17 @@ class TestStepEngineOracle:
         hits = set()
         stalls = 0
         cases = 320
-        for case in range(cases):
-            # every fourth case is half an interval, where the stock delay
-            # spans every substep and the output burns the previous command
-            dt = 0.05 if case % 4 == 3 else 0.1
+        for _ in range(cases):
             state, u, load, params = self.random_case(rng)
             try:
-                expected = reference_step(state, u, load, params, dt, hits)
+                expected = reference_step(state, u, load, params, hits)
             except EngineStallError as exc:
                 stalls += 1
                 with pytest.raises(EngineStallError) as info:
-                    step_engine(state, u, load, params, dt)
+                    step_engine(state, u, load, params)
                 assert str(info.value) == str(exc)
                 continue
-            out = step_engine(state, u, load, params, dt)
+            out = step_engine(state, u, load, params)
             assert (out.q_eng, out.n, out.lam, out.manifold_pressure,
                     out.m_fi_prev) == expected
         assert hits == {"orifice closed", "orifice choked", "orifice unchoked",
@@ -400,41 +397,36 @@ class TestStepEngineOracle:
         u = ControlInput(tps=90.0, m_fi=0.003)
         hits = set()
         last_checked = P.dt_int / 2 ** (MAX_HALVINGS - 1)
-        assert reference_interval(state, u, 8000.0, P, 0.1, last_checked,
+        assert reference_interval(state, u, 8000.0, P, last_checked,
                                   True, hits) is None
-        out = step_engine(state, u, 8000.0, P, 0.1)
+        out = step_engine(state, u, 8000.0, P)
         assert (out.q_eng, out.n, out.lam, out.manifold_pressure,
-                out.m_fi_prev) == reference_step(state, u, 8000.0, P, 0.1, hits)
+                out.m_fi_prev) == reference_step(state, u, 8000.0, P, hits)
 
     def test_stock_excitation_matches_reference_step(self, monkeypatch):
-        # the intervals ``gen-data`` integrates at the stock config, as the
-        # dataset module calls the plant: every one that halves its substep
-        # and every 50th of the rest
-        calls, halved = [], set()
-        plant, substeps = dflsim.dataset.step_engine, dflsim.engine.substeps
+        # every interval ``gen-data`` integrates at the stock config, as the
+        # dataset module calls the plant; 4 of them halve their substep
+        calls = []
+        plant = dflsim.dataset.step_engine
 
         def recording(*args):
             calls.append(args)
             return plant(*args)
 
-        def observed(params, dt, halvings=0):
-            if halvings:
-                halved.add(len(calls) - 1)
-            return substeps(params, dt, halvings)
-
         monkeypatch.setattr(dflsim.dataset, "step_engine", recording)
-        monkeypatch.setattr(dflsim.engine, "substeps", observed)
         bundle = load_bundle(None)
         generate_dataset(bundle.plant, bundle.fan, bundle.training)
         monkeypatch.undo()
-        assert len(calls) == bundle.training.sample_count and len(halved) == 4
-        for i in sorted(halved | set(range(0, len(calls), 50))):
+        assert len(calls) == bundle.training.sample_count
+        halved = 0
+        for args in calls:
             hits = set()
-            expected = reference_step(*calls[i], hits)
-            assert ("substep halved" in hits) == (i in halved)
-            out = step_engine(*calls[i])
+            expected = reference_step(*args, hits)
+            halved += "substep halved" in hits
+            out = step_engine(*args)
             assert (out.q_eng, out.n, out.lam, out.manifold_pressure,
                     out.m_fi_prev) == expected
+        assert halved == 4
 
     @pytest.mark.parametrize("dt_int, n, p_start, tps, load, p_stage", [
         # a coarse substep overshoots below zero in stage 2, 3 or 4
@@ -448,7 +440,7 @@ class TestStepEngineOracle:
         state = replace(make_initial_state(params, n=n, manifold_pressure=7.0e4,
                                            m_fi=0.004), manifold_pressure=p_start)
         with pytest.raises(SubstepTooCoarseError) as info:
-            step_engine(state, ControlInput(tps=tps, m_fi=0.004), load, params, 0.1)
+            step_engine(state, ControlInput(tps=tps, m_fi=0.004), load, params)
         assert str(info.value) == (f"manifold pressure {p_stage} Pa inside an RK4 "
                                    f"substep of {dt_int:g} s: dt_int is too coarse")
 
@@ -458,7 +450,7 @@ class TestStepEngineOracle:
         state = replace(make_initial_state(P, n=75.0, manifold_pressure=7.0e4,
                                            m_fi=0.004), manifold_pressure=p_start)
         with pytest.raises(ValueError) as info:
-            step_engine(state, ControlInput(tps=85.0, m_fi=0.004), 7250.0, P, 0.1)
+            step_engine(state, ControlInput(tps=85.0, m_fi=0.004), 7250.0, P)
         assert str(info.value) == (f"manifold pressure must be positive, not "
                                    f"{p_start:.6g} Pa at the interval's start")
 
@@ -469,7 +461,7 @@ class TestStepEngineOracle:
                                    manifold_pressure=np.float64(7.2e4),
                                    m_fi=np.float64(0.003))
         u = ControlInput(tps=np.float64(40.0), m_fi=np.float64(0.0032))
-        for state in (state, step_engine(state, u, np.float64(8000.0), P, 0.1)):
+        for state in (state, step_engine(state, u, np.float64(8000.0), P)):
             assert {type(v) for v in (state.q_eng, state.n, state.lam,
                                       state.manifold_pressure,
                                       state.m_fi_prev)} == {float}
@@ -484,14 +476,14 @@ class TestEngineInvariants:
         u = ControlInput(tps=40.0, m_fi=1e-9)
         prev = state.n
         for _ in range(20):
-            state = step_engine(state, u, 500.0, P, 0.1)
+            state = step_engine(state, u, 500.0, P)
             assert state.n < prev
             prev = state.n
 
     def test_equilibrium_power_balance(self):
         u = ControlInput(tps=40.0, m_fi=0.0032)
         state = settle(P, u, load=8000.0, steps=600)
-        state = step_engine(state, u, 8000.0, P, 0.1)
+        state = step_engine(state, u, 8000.0, P)
         eta = thermal_efficiency(state.lam, state.n, P)
         p_comb = combustion_power(u.m_fi, state.lam, state.n, P)
         assert eta > 0
@@ -501,33 +493,30 @@ class TestEngineInvariants:
     def test_delay_timing_exact(self):
         # a fuel impulse must first reach the torque term tau_d later,
         # within one internal substep
-        params = EngineParams(injection_delay=0.05, dt_int=1e-3)
-        state = settle(params, ControlInput(40.0, 0.002), 4000.0)
-        base = step_engine(state, ControlInput(40.0, 0.002), 4000.0, params,
-                           0.1)
-        # raise the command: the first 50 substeps still burn the old rate,
-        # so a half-interval step must show exactly the old-fuel trajectory
-        bumped = step_engine(state, ControlInput(40.0, 0.004), 4000.0, params,
-                             0.05)
-        held = step_engine(state, ControlInput(40.0, 0.002), 4000.0, params,
-                           0.05)
-        assert bumped.n == pytest.approx(held.n, rel=1e-12)
-        # but the full interval must differ once the new fuel arrives
-        assert base.n != pytest.approx(
-            step_engine(state, ControlInput(40.0, 0.004), 4000.0, params,
-                        0.1).n, rel=1e-9)
+        held, bumped = ControlInput(40.0, 0.002), ControlInput(40.0, 0.004)
+        # a delay of the whole interval burns the old rate on all 100
+        # substeps, so raising the command must leave the interval as held
+        params = EngineParams(injection_delay=0.1, dt_int=1e-3)
+        state = settle(params, held, 4000.0)
+        assert step_engine(state, bumped, 4000.0, params).n == pytest.approx(
+            step_engine(state, held, 4000.0, params).n, rel=1e-12)
+        # one substep less, and the new fuel arrives for the last substep
+        params = replace(params, injection_delay=0.099)
+        state = settle(params, held, 4000.0)
+        assert step_engine(state, bumped, 4000.0, params).n != pytest.approx(
+            step_engine(state, held, 4000.0, params).n, rel=1e-9)
 
     def test_delay_must_fit_in_the_interval(self):
         state = make_initial_state(P, n=70.0, manifold_pressure=7.2e4,
                                    m_fi=0.003)
         u = ControlInput(40.0, 0.003)
         for tau_d in (0.0, 0.1):
-            step_engine(state, u, 8000.0, replace(P, injection_delay=tau_d), 0.1)
+            step_engine(state, u, 8000.0, replace(P, injection_delay=tau_d))
         with pytest.raises(ValueError, match="injection_delay"):
-            step_engine(state, u, 8000.0, replace(P, injection_delay=0.15), 0.1)
+            step_engine(state, u, 8000.0, replace(P, injection_delay=0.15))
         # and be whole substeps: the 50 ms delay is 12.5 substeps of 4 ms
         with pytest.raises(ValueError) as info:
-            step_engine(state, u, 8000.0, replace(P, dt_int=0.004), 0.1)
+            step_engine(state, u, 8000.0, replace(P, dt_int=0.004))
         assert str(info.value) == ("injection_delay 0.05 s is not a whole number "
                                    "of dt_int = 0.004 s substeps")
 
@@ -540,7 +529,7 @@ class TestEngineInvariants:
                                        m_fi=0.003)
             rows = []
             for _ in range(10):
-                state = step_engine(state, u, 8000.0, params, 0.1)
+                state = step_engine(state, u, 8000.0, params)
                 rows.append([state.q_eng, state.n, state.lam,
                              state.manifold_pressure])
             return np.array(rows)
@@ -567,7 +556,7 @@ class TestEngineInvariants:
                 continue
             starts += 1
             load = fan_load_power(state.n, G)
-            got, ref = (step_engine(state, u1, load, params, 0.1)
+            got, ref = (step_engine(state, u1, load, params)
                         for params in (P, fine))
             rows = np.array([[s.q_eng, s.n, s.lam, s.manifold_pressure]
                              for s in (got, ref)])
@@ -587,6 +576,13 @@ class TestEngineInvariants:
             EngineParams(fuel_loss_coeff=1.0)
         with pytest.raises(ValueError):
             EngineParams(inertia=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_field_must_be_finite(self, value):
+        for field in fields(EngineParams):
+            with pytest.raises(ValueError) as info:
+                EngineParams(**{field.name: value})
+            assert str(info.value) == f"{field.name} must be finite"
 
 
 if st is not None:

@@ -7,7 +7,8 @@ import pytest
 
 import dflsim.lpv
 from dflsim.config import load_bundle
-from dflsim.dataset import CONTROL_DT, NormStats, TrainingConfig
+from dflsim.dataset import NormStats, TrainingConfig
+from dflsim.engine import CONTROL_DT
 from dflsim.fan import FanGeometry, ducted_thrust_at_crank_speed, thrust_jacobian
 from dflsim.lpv import (LPV_CSV_HEADER, LpvModel, assoc_jacobian, build_lpv,
                         save_lpv_trace)

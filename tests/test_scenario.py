@@ -1009,6 +1009,28 @@ class TestCli:
                          str(bad), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, ini_text", [
+        # a stalled plant or a noise-free dataset would hide the bad value
+        (["gen-data"], "[plant]\neta_peak = nan\n"),
+        (["gen-data"], "[plant]\ninertia = inf\n"),
+        (["gen-data"], "[training]\nsnr_db = nan\n"),
+        (["gen-data"], "[training]\nsnr_db = -inf\n"),
+        (["simulate", "--controller", "open-loop"], "[scenario]\ninit_tps = inf\n"),
+        (["simulate", "--controller", "open-loop"], "[scenario]\ninit_tps = nan\n"),
+        (["simulate", "--controller", "open-loop"], "[scenario]\ninit_m_fi = inf\n"),
+        # NaN is no value for any number, a pair's included
+        (["simulate", "--controller", "ampc"], "[mpc]\nsoft_weight = nan\n"),
+        (["simulate", "--controller", "ampc"], "[mpc]\nlambda_bounds = nan, 1.26\n"),
+    ])
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, command, ini_text):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(ini_text)
+        out = tmp_path / "o"
+        assert cli_main(command + ["--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("below", ["", "sub"])
     @pytest.mark.parametrize("command", [
         ["gen-data"], ["simulate", "--controller", "open-loop"]])
