@@ -56,6 +56,8 @@ class TrainingConfig:
             raise ValueError("seed and model_seed must be non-negative")
         if not self.snr_db > -math.inf:     # +inf is a noise-free dataset
             raise ValueError("snr_db must be a number above -inf")
+        if not all(0 < lr < math.inf for lr in (self.mlp_lr, self.elman_lr)):
+            raise ValueError("mlp_lr and elman_lr must be finite and positive")
 
 
 @dataclass(frozen=True)

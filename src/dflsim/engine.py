@@ -119,6 +119,11 @@ class EngineParams:
             raise ValueError("gamma > 1 and positive manifold_volume, manifold_temp, "
                              "ambient_pressure, ambient_temp, gas_constant and "
                              "eta_speed_ref required")
+        # power and air flow scale with these: at zero or below no operating point exists
+        if min(self.eta_peak, self.volumetric_eff, self.throttle_area_max,
+               self.displacement) <= 0:
+            raise ValueError("eta_peak, volumetric_eff, throttle_area_max and displacement "
+                             "must be positive")
         self.substep_counts     # the timing checks, once
 
     @functools.cached_property

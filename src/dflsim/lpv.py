@@ -9,8 +9,8 @@ output matrix C's thrust row is the closed-form derivative of the fan's
 power-matching thrust map (T_DF grows as brake power to the 2/3 under the
 hover similarity law).  The current engine torque never influences the next
 state (it is an output of the power balance, not a memory), so the first
-column of A is structurally zero, as are D and the thrust row's lambda entry
-in C.
+column of A is structurally zero, as is the thrust row's lambda entry in C,
+and the model has no feedthrough matrix D.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class LpvModel:
     a: np.ndarray          # (3, 3), column 0 exactly zero
     b: np.ndarray          # (3, 2)
     c: np.ndarray          # (2, 3), [[dT/dQ, dT/dn, 0], [0, 0, 1]]
-    d: np.ndarray          # (2, 2), exactly zero
     x0: np.ndarray         # state triple [Q_eng, n, lambda] at linearization
     u0: np.ndarray         # input pair [tps, m_fi] at linearization
 
@@ -79,20 +78,19 @@ def build_lpv(rbf: RbfModel, geom: FanGeometry, x0: np.ndarray,
 
     dt_dq, dt_dn = thrust_jacobian(q_eng, n, geom)
     c = np.array([[dt_dq, dt_dn, 0.0], [0.0, 0.0, 1.0]])
-    return LpvModel(a=a, b=b, c=c, d=np.zeros((2, 2)), x0=x0, u0=u0)
+    return LpvModel(a=a, b=b, c=c, x0=x0, u0=u0)
 
 
 LPV_CSV_HEADER = ",".join(
     ["t", "q0", "n0", "lam0", "tps0", "mfi0"]
     + [f"a{i}{j}" for i in range(3) for j in range(3)]
     + [f"b{i}{j}" for i in range(3) for j in range(2)]
-    + [f"c{i}{j}" for i in range(2) for j in range(3)]
-    + [f"d{i}{j}" for i in range(2) for j in range(2)])
+    + [f"c{i}{j}" for i in range(2) for j in range(3)])
 
 
 def save_lpv_trace(trace, path) -> None:
-    """One row per model: row k's time ``k * CONTROL_DT``, then x0, u0, A, B,
-    C and D row-major."""
+    """One row per model: row k's time ``k * CONTROL_DT``, then x0, u0, A, B
+    and C row-major."""
     write_table(path, LPV_CSV_HEADER, (
         np.concatenate([[k * CONTROL_DT], m.x0, m.u0, m.a.ravel(), m.b.ravel(),
-                        m.c.ravel(), m.d.ravel()]) for k, m in enumerate(trace)))
+                        m.c.ravel()]) for k, m in enumerate(trace)))

@@ -123,14 +123,6 @@ class MpcConfig:
 
 
 @dataclass(frozen=True)
-class Measurement:
-    """Sensor bundle fed to the controller each step (may carry noise)."""
-
-    state: np.ndarray    # [Q_eng, n, lambda]
-    output: np.ndarray   # [T_DF, lambda]
-
-
-@dataclass(frozen=True)
 class HorizonSolution:
     du: np.ndarray            # (Nc, 2) optimal input increments
     cost: float               # objective at du (tracking + moves + penalties)
@@ -249,17 +241,18 @@ def hildreth(e_mat: np.ndarray, f_vec: np.ndarray, s_mat: np.ndarray,
             bool(lam.min() < 0.0))
 
 
-def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
+def solve_qp(lpv: LpvModel, y_meas: np.ndarray, refs: np.ndarray,
              u_prev: np.ndarray, config: MpcConfig) -> HorizonSolution:
     """Minimise the horizon objective over the 2*Nc increments in the box by
     one ``hildreth`` call: tracking, moves and rho times each row's squared
-    distance past its limits on the trail y0 + G*du (``condensed_map``); at
+    distance past its limits on the trail y0 + G*du (``condensed_map``) from
+    the measured output ``y_meas`` = y0, [T_DF, lambda]; at
     ``soft_weight`` 0 no rows are passed.  ``cost`` is the objective at du,
     whose penalty is 0.0 on the free minimizer's interior shortcut, where no
     row is more than ``CROSSING_MARGIN`` past a limit."""
     layout = config.layout
     g = condensed_map(lpv, config)
-    y0_s = np.asarray(meas.output, dtype=float)[layout.y_index]
+    y0_s = np.asarray(y_meas, dtype=float)[layout.y_index]
     ref_s = np.asarray(refs, dtype=float)[:config.n2].ravel()
     lower, upper = (layout.box - u_prev).reshape(2, -1)     # the bounds of S @ du
     e_mat = 2.0 * (g.T @ (layout.q_diag[:, None] * g) + layout.r_mat)
@@ -274,23 +267,25 @@ def solve_qp(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
                            + penalty, iterations=iterations, capped=capped)
 
 
-def mpc_step(lpv: LpvModel, meas: Measurement, refs: np.ndarray,
+def mpc_step(lpv: LpvModel, y_meas: np.ndarray, refs: np.ndarray,
              u_prev: np.ndarray, config: MpcConfig):
-    """Optimize on ``lpv``: (input to apply, horizon solution).  Only the
-    first increment ever reaches the plant; the plan already holds the input
-    box, and clipping to it guards against rounding only."""
-    solution = solve_qp(lpv, meas, refs, u_prev, config)
+    """Optimize on ``lpv`` from the measured output ``y_meas``: (input to
+    apply, horizon solution).  Only the first increment ever reaches the
+    plant; the plan already holds the input box, and clipping to it guards
+    against rounding only."""
+    solution = solve_qp(lpv, y_meas, refs, u_prev, config)
     tps, m_fi = (u_prev + solution.du[0]).tolist()
     (tps_lo, tps_hi), (mf_lo, mf_hi) = config.tps_bounds, config.mf_bounds
     return ControlInput(tps=min(max(tps, tps_lo), tps_hi),
                         m_fi=min(max(m_fi, mf_lo), mf_hi)), solution
 
 
-def ampc_step(meas: Measurement, refs: np.ndarray, rbf: RbfModel,
-              geom: FanGeometry, config: MpcConfig, u_prev: np.ndarray):
-    """One adaptive step: relinearize at the measurement, then ``mpc_step``.
+def ampc_step(x_meas: np.ndarray, y_meas: np.ndarray, refs: np.ndarray,
+              rbf: RbfModel, geom: FanGeometry, config: MpcConfig, u_prev: np.ndarray):
+    """One adaptive step: relinearize at the measured state ``x_meas``,
+    [Q_eng, n, lambda], then ``mpc_step`` from the measured output ``y_meas``.
 
     Returns (input to apply, horizon solution, the LPV model used).
     """
-    lpv = build_lpv(rbf, geom, np.asarray(meas.state, dtype=float), u_prev)
-    return (*mpc_step(lpv, meas, refs, u_prev, config), lpv)
+    lpv = build_lpv(rbf, geom, x_meas, u_prev)
+    return (*mpc_step(lpv, y_meas, refs, u_prev, config), lpv)

@@ -21,7 +21,7 @@ from .engine import CONTROL_DT, ControlInput, EngineParams, EngineStallError, st
 from .errors import SolverError, StallError
 from .fan import KGF, FanGeometry, ducted_thrust_at_crank_speed, fan_load_power
 from .lpv import build_lpv
-from .mpc import Measurement, MpcConfig, ampc_step, mpc_step
+from .mpc import MpcConfig, ampc_step, mpc_step
 from .networks import RbfModel
 from .tables import read_table, write_table
 
@@ -119,19 +119,19 @@ def relative_error(actual, reference):
 
 
 def _step_function(controller, rbf, geom, mpc, state, u0, lpv_trace):
-    """The per-step controller ``(meas, refs, u_prev) -> (input, solution,
-    lpv)``.  ``ampc_step`` is looked up at each call, so rebinding it in this
-    module reaches the loop; linear MPC's one model is its only trace row."""
+    """The per-step controller ``(x_meas, y_meas, refs, u_prev) -> (input,
+    solution, lpv)``.  ``ampc_step`` is looked up at each call, so rebinding it
+    in this module reaches the loop; linear MPC's one model is its only trace row."""
     if controller == "ampc":
-        return lambda meas, refs, u_prev: ampc_step(
-            meas, refs, rbf, geom, mpc, u_prev)
+        return lambda x_meas, y_meas, refs, u_prev: ampc_step(
+            x_meas, y_meas, refs, rbf, geom, mpc, u_prev)
     if controller == "linear-mpc":
         frozen = build_lpv(rbf, geom, state.as_vector(), u0)
         if lpv_trace is not None:
             lpv_trace.append(frozen)
-        return lambda meas, refs, u_prev: (
-            *mpc_step(frozen, meas, refs, u_prev, mpc), None)
-    return lambda meas, refs, u_prev: (
+        return lambda x_meas, y_meas, refs, u_prev: (
+            *mpc_step(frozen, y_meas, refs, u_prev, mpc), None)
+    return lambda x_meas, y_meas, refs, u_prev: (
         ControlInput(tps=u_prev[0], m_fi=u_prev[1]), None, None)
 
 
@@ -171,8 +171,7 @@ def run_scenario(params: EngineParams, geom: FanGeometry, mpc: MpcConfig,
         y_true = np.array([thrust_true, state.lam])
         y_meas = y_true + noise[k, :2]
         x_meas = np.array([state.q_eng + noise[k, 2], state.n + noise[k, 3], y_meas[1]])
-        meas = Measurement(state=x_meas, output=y_meas)
-        u_cmd, sol, lpv = step(meas, refs[k + 1:k + 1 + mpc.n2], u_prev)
+        u_cmd, sol, lpv = step(x_meas, y_meas, refs[k + 1:k + 1 + mpc.n2], u_prev)
         if lpv is not None and lpv_trace is not None:
             lpv_trace.append(lpv)
         cost_val, iters = (0.0, 0) if sol is None else (sol.cost, sol.iterations)

@@ -52,7 +52,7 @@ def stock_rbf(stock_dataset):
 
 @pytest.fixture(scope="session")
 def stock_qps(stock_rbf):
-    """(lpv, meas, refs, u_prev, solution) of every step of the stock AMPC
+    """(lpv, y_meas, refs, u_prev, solution) of every step of the stock AMPC
     episode, as ``simulate --controller ampc`` runs it."""
     bundle = load_bundle(None)
     qps = []

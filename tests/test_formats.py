@@ -32,13 +32,11 @@ TRAJECTORY_TEXT = (
 
 LPV_TEXT = (
     "t,q0,n0,lam0,tps0,mfi0,a00,a01,a02,a10,a11,a12,a20,a21,a22,"
-    "b00,b01,b10,b11,b20,b21,c00,c01,c02,c10,c11,c12,d00,d01,d10,d11\n"
+    "b00,b01,b10,b11,b20,b21,c00,c01,c02,c10,c11,c12\n"
     "0.0,12.0,65.0,0.9,30.0,0.0028,0.0,0.5,-0.25,0.0,0.75,0.125,0.0,0.001,"
-    "0.5,0.2,1500.0,0.05,9000.0,-0.001,-40.0,12.0,3.5,0.0,0.0,0.0,1.0,"
-    "0.0,0.0,0.0,0.0\n"
+    "0.5,0.2,1500.0,0.05,9000.0,-0.001,-40.0,12.0,3.5,0.0,0.0,0.0,1.0\n"
     "0.1,12.0,65.0,0.9,30.0,0.0028,0.0,0.5,-0.25,0.0,0.75,0.125,0.0,0.001,"
-    "0.5,0.2,1500.0,0.05,9000.0,-0.001,-40.0,12.0,3.5,0.0,0.0,0.0,1.0,"
-    "0.0,0.0,0.0,0.0\n")
+    "0.5,0.2,1500.0,0.05,9000.0,-0.001,-40.0,12.0,3.5,0.0,0.0,0.0,1.0\n")
 
 load_dataset = partial(load_dataset_csv, n_train=1)
 
@@ -85,7 +83,7 @@ def test_lpv_trace_bytes(tmp_path):
                                [0.0, 1e-3, 0.5]]),
                    b=np.array([[0.2, 1500.0], [0.05, 9000.0], [-0.001, -40.0]]),
                    c=np.array([[12.0, 3.5, 0.0], [0.0, 0.0, 1.0]]),
-                   d=np.zeros((2, 2)), x0=np.array([12.0, 65.0, 0.9]),
+                   x0=np.array([12.0, 65.0, 0.9]),
                    u0=np.array([30.0, 0.0028]))
     # row k is stamped k control intervals in
     save_lpv_trace([lpv, lpv], path)

@@ -70,7 +70,7 @@ def oracle_build_lpv(rbf, geom, x0, u0):
     c[0, 0] = dt_dq
     c[0, 1] = dt_dn
     c[1, 2] = 1.0
-    return LpvModel(a=a, b=b, c=c, d=np.zeros((2, 2)), x0=x0, u0=u0)
+    return LpvModel(a=a, b=b, c=c, x0=x0, u0=u0)
 
 
 def lpv_bytes(lpv):
@@ -218,7 +218,6 @@ class TestBuildLpv:
             u0 = np.array([rng.uniform(20, 70), rng.uniform(0.0015, 0.005)])
             lpv = build_lpv(trained_rbf, G, x0, u0)
             assert np.array_equal(lpv.a[:, 0], np.zeros(3))
-            assert np.array_equal(lpv.d, np.zeros((2, 2)))
             assert lpv.c[0, 2] == 0.0
             assert np.array_equal(lpv.c[1], np.array([0.0, 0.0, 1.0]))
             assert np.all(np.isfinite(lpv.a))

@@ -46,6 +46,5 @@ def test_build_lpv_matches_oracle_bit_for_bit(case):
     lpv = build_lpv(rbf, G, x0, u0)
     assert lpv_bytes(lpv) == lpv_bytes(oracle_build_lpv(rbf, G, x0, u0))
     assert np.array_equal(lpv.a[:, 0], np.zeros(3))
-    assert np.array_equal(lpv.d, np.zeros((2, 2)))
     assert lpv.c[0, 2] == 0.0
     assert np.array_equal(lpv.c[1], np.array([0.0, 0.0, 1.0]))

@@ -10,9 +10,8 @@ from dflsim.config import load_bundle
 from dflsim.dataset import MF_RANGE, TPS_RANGE, TrainingConfig, generate_dataset
 from dflsim.fan import KGF, FanGeometry, ducted_thrust_at_crank_speed
 from dflsim.lpv import LpvModel, build_lpv
-from dflsim.mpc import (CROSSING_MARGIN, HorizonSolution, Measurement, MpcConfig,
-                        SingularQpError, ampc_step, condensed_map, cost, hildreth,
-                        mpc_step, solve_qp)
+from dflsim.mpc import (CROSSING_MARGIN, HorizonSolution, MpcConfig, SingularQpError,
+                        ampc_step, condensed_map, cost, hildreth, mpc_step, solve_qp)
 from dflsim.networks import train_rbf
 from dflsim.scenario import run_scenario
 
@@ -34,8 +33,7 @@ def toy_lpv(seed=0):
     b = rng.uniform(-0.5, 0.5, (3, 2))
     c = np.array([[rng.uniform(5, 15), rng.uniform(1, 4), 0.0],
                   [0.0, 0.0, 1.0]])
-    return LpvModel(a=a, b=b, c=c, d=np.zeros((2, 2)),
-                    x0=np.zeros(3), u0=np.zeros(2))
+    return LpvModel(a=a, b=b, c=c, x0=np.zeros(3), u0=np.zeros(2))
 
 
 def simulate_horizon(lpv, y0, du_seq, n2):
@@ -115,7 +113,7 @@ def two_sided_case():
     a = np.zeros((3, 3))
     a[:, 1:] = [[-0.108, 0.581], [-0.284, 0.368], [0.361, 0.126]]
     lpv = LpvModel(a=a, b=np.array([[-0.021, 0.326], [0.349, 0.248], [-0.204, 0.429]]),
-                   c=np.array([[7.01, 2.2, 0.0], [0.0, 0.0, 1.0]]), d=np.zeros((2, 2)),
+                   c=np.array([[7.01, 2.2, 0.0], [0.0, 0.0, 1.0]]),
                    x0=np.zeros(3), u0=np.zeros(2))
     refs = np.array([[1771.2, 1.366], [1743.3, 1.271], [1896.6, 1.330], [1416.4, 1.225],
                      [1866.7, 1.324], [1871.5, 1.261], [1736.6, 1.394], [1545.9, 1.354]])
@@ -149,13 +147,13 @@ def box_bounds(config, u_prev):
     return np.tile(lower, config.nc), np.tile(upper, config.nc)
 
 
-def plain_qp_solution(lpv, meas, refs, u_prev, config):
+def plain_qp_solution(lpv, y0, refs, u_prev, config):
     """The tracking QP without any soft-limit term, condensed through
     ``oracle_condensed_map`` and solved by one ``hildreth`` call on the box
     alone."""
     layout = config.layout
     g = oracle_condensed_map(lpv, config.nc, config.n2)
-    y0_s = np.tile(meas.output, config.n2)
+    y0_s = np.tile(y0, config.n2)
     ref_s = refs[:config.n2].ravel()
     e_mat = 2.0 * (g.T @ (layout.q_diag[:, None] * g) + layout.r_mat)
     f_vec = 2.0 * g.T @ (layout.q_diag * (y0_s - ref_s))
@@ -234,7 +232,7 @@ def newton_line_minimum(layout, g, z, z_model, y, ref_s):
     return z + np.interp(0.0, slope, ts) * d
 
 
-def newton_solve_qp(lpv, meas, refs, u_prev, config):
+def newton_solve_qp(lpv, y0, refs, u_prev, config):
     """The increments of ``solve_qp``'s soft-limit solver before the targets,
     a semismooth Newton loop (Hintermueller, Ito & Kunisch, SIAM J. Optim.
     13(3), 2002): each round pulls the rows more than ``CROSSING_MARGIN``
@@ -245,7 +243,7 @@ def newton_solve_qp(lpv, meas, refs, u_prev, config):
     layout = config.layout
     top, bottom = layout.y_hi + CROSSING_MARGIN, layout.y_lo - CROSSING_MARGIN
     g = condensed_map(lpv, config)
-    y0_s = np.asarray(meas.output, dtype=float)[layout.y_index]
+    y0_s = np.asarray(y0, dtype=float)[layout.y_index]
     ref_s = np.asarray(refs, dtype=float)[:config.n2].ravel()
     bounds = (layout.box - u_prev).reshape(2, -1)
     weight, rhs = layout.q_diag, layout.q_diag * (y0_s - ref_s)
@@ -311,7 +309,7 @@ def assert_projected_gradient(lpv, y0, refs, u_prev, config, du):
 def assert_reference_minimum(lpv, y0, refs, u_prev, config):
     """``solve_qp`` meets the projected-gradient certificate, its objective
     is the reference minimiser's to 1e-9, and ``cost`` is that objective."""
-    sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, config)
+    sol = solve_qp(lpv, y0, refs, u_prev, config)
     value = objective(lpv, y0, refs, sol.du, config)
     best = reference_minimiser(lpv, y0, refs, u_prev, config)
     assert value == pytest.approx(best, rel=1e-9)
@@ -413,7 +411,7 @@ class TestCondensedMapOracle:
                 lpv = LpvModel(a=rng.normal(size=(3, 3)),
                                b=rng.normal(size=(3, 2)) * 10.0 ** rng.uniform(-3, 3),
                                c=rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-1, 3),
-                               d=np.zeros((2, 2)), x0=np.zeros(3), u0=np.zeros(2))
+                               x0=np.zeros(3), u0=np.zeros(2))
                 assert condensed_map(lpv, MpcConfig(n2=n2, nc=nc)).tobytes() \
                     == oracle_condensed_map(lpv, nc, n2).tobytes()
 
@@ -428,7 +426,7 @@ if st is not None:
         lpv = LpvModel(a=a,
                        b=draw(arrays(np.float64, (3, 2), elements=st.floats(-10, 10))),
                        c=draw(arrays(np.float64, (2, 3), elements=st.floats(-1e3, 1e3))),
-                       d=np.zeros((2, 2)), x0=np.zeros(3), u0=np.zeros(2))
+                       x0=np.zeros(3), u0=np.zeros(2))
         n2 = draw(st.integers(1, 10))
         return lpv, draw(st.integers(1, n2)), n2
 
@@ -441,7 +439,7 @@ if st is not None:
         diagonal."""
         lpv, nc, n2 = case
         magnitude = LpvModel(a=np.abs(lpv.a), b=np.abs(lpv.b), c=np.abs(lpv.c),
-                             d=lpv.d, x0=lpv.x0, u0=lpv.u0)
+                             x0=lpv.x0, u0=lpv.u0)
         units = np.eye(2 * nc).reshape(2 * nc, nc, 2)
         ref = np.column_stack([simulate_horizon(lpv, np.zeros(2), du, n2).ravel()
                                for du in units])
@@ -559,7 +557,7 @@ class TestSolveQp:
         lpv = build_lpv(trained_rbf, G, x0, u_prev)
         y0 = np.array([500.0, 0.9])
         refs = np.tile(y0, (CFG.n2, 1))
-        sol = solve_qp(lpv, Measurement(x0, y0), refs, u_prev, CFG)
+        sol = solve_qp(lpv, y0, refs, u_prev, CFG)
         assert np.max(np.abs(sol.du)) < 1e-9
         assert sol.cost == pytest.approx(0.0, abs=1e-12)
 
@@ -572,7 +570,7 @@ class TestSolveQp:
             lpv = build_lpv(trained_rbf, G, x0, u_prev)
             y0 = np.array([ducted_thrust_at_crank_speed(x0[1], G), x0[2]])
             refs = np.tile(y0 * rng.uniform(0.9, 1.1, 2), (CFG.n2, 1))
-            sol = solve_qp(lpv, Measurement(x0, y0), refs, u_prev, CFG)
+            sol = solve_qp(lpv, y0, refs, u_prev, CFG)
             pred0 = predict(lpv, y0, np.zeros((CFG.nc, 2)), CFG.n2)
             z0 = cost(CFG, refs, pred0, np.zeros((CFG.nc, 2)))
             assert sol.cost <= z0 + 1e-12
@@ -586,7 +584,7 @@ class TestSolveQp:
         u_prev = np.array([45.0, 0.003])
         for cfg in (CFG, MpcConfig(n2=5, nc=2)):
             refs = np.tile(y0 + np.array([3.0, 0.002]), (cfg.n2, 1))
-            sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, cfg)
+            sol = solve_qp(lpv, y0, refs, u_prev, cfg)
 
             g = condensed_map(lpv, cfg)
             w_y = np.tile(cfg.layout.w_y[:2], cfg.n2)
@@ -601,9 +599,8 @@ class TestSolveQp:
         # the tracking QP alone overshoots the thrust limit; the soft limits
         # pull the predicted trail back toward it
         lpv, y0, refs, u_prev = overshoot_case()
-        meas = Measurement(np.zeros(3), y0)
-        sol = solve_qp(lpv, meas, refs, u_prev, CFG)
-        plain = plain_qp_solution(lpv, meas, refs, u_prev, CFG)
+        sol = solve_qp(lpv, y0, refs, u_prev, CFG)
+        plain = plain_qp_solution(lpv, y0, refs, u_prev, CFG)
         first = simulate_horizon(lpv, y0, plain.du, CFG.n2)
         assert first[:, 0].max() > CFG.thrust_bounds[1]
         predicted = y0 + (condensed_map(lpv, CFG) @ sol.du.ravel()).reshape(CFG.n2, 2)
@@ -623,14 +620,13 @@ class TestSolveQp:
             steps.append(result[2])
             return result
 
-        meas = Measurement(np.zeros(3), y0)
         monkeypatch.setattr(mpc, "hildreth", counted)
-        sol = solve_qp(lpv, meas, refs, u_prev, CFG)
+        sol = solve_qp(lpv, y0, refs, u_prev, CFG)
         assert steps == [24]
         assert sol.iterations == 24
         assert not sol.capped
         monkeypatch.setattr(mpc, "hildreth", lambda *args: (*hildreth(*args)[:4], True))
-        assert solve_qp(lpv, meas, refs, u_prev, CFG).capped
+        assert solve_qp(lpv, y0, refs, u_prev, CFG).capped
 
     @pytest.mark.parametrize("name, side", [("thrust_bounds", 1), ("thrust_bounds", 0),
                                             ("lambda_bounds", 1), ("lambda_bounds", 0)])
@@ -647,7 +643,7 @@ class TestSolveQp:
         y0 = np.array([700.0, 0.9])
         y0[channel] = limit + offset if side else limit - offset
         refs, u_prev = np.tile(y0, (CFG.n2, 1)), np.array([45.0, 0.003])
-        sol = solve_qp(toy_lpv(), Measurement(np.zeros(3), y0), refs, u_prev, CFG)
+        sol = solve_qp(toy_lpv(), y0, refs, u_prev, CFG)
         assert 1 + (sol.iterations > 0) == stages and not sol.capped
         if stages == 1:
             assert not sol.du.any() and sol.cost == 0.0
@@ -663,9 +659,9 @@ class TestSolveQpOracle:
     ends at the minimiser of the objective."""
 
     def test_stock_episode(self, stock_qps):
-        for lpv, meas, refs, u_prev, sol in stock_qps:
+        for lpv, y0, refs, u_prev, sol in stock_qps:
             assert solution_bytes(sol) == solution_bytes(
-                plain_qp_solution(lpv, meas, refs, u_prev, CFG))
+                plain_qp_solution(lpv, y0, refs, u_prev, CFG))
         # the episode also runs the active-set steps, not only interior optima
         assert any(sol.iterations for *_, sol in stock_qps)
 
@@ -683,7 +679,6 @@ class TestSolveQpOracle:
         # whose rows are the trail and the limits, reaches the Newton loop's
         # minimiser
         lpv, y0, refs, u_prev = case()
-        meas = Measurement(np.zeros(3), y0)
         calls = []
 
         def counted(*args):
@@ -691,7 +686,7 @@ class TestSolveQpOracle:
             return hildreth(*args)
 
         monkeypatch.setattr(mpc, "hildreth", counted)
-        sol = solve_qp(lpv, meas, refs, u_prev, CFG)
+        sol = solve_qp(lpv, y0, refs, u_prev, CFG)
         (e_mat, f_vec, _, _, _, rows), = calls
         assert e_mat.shape == (2 * CFG.nc,) * 2 and len(f_vec) == 2 * CFG.nc
         g, y0_s, y_lo, y_hi, rho = rows
@@ -700,7 +695,7 @@ class TestSolveQpOracle:
         layout = CFG.layout
         assert all(a is b for a, b in zip((y_lo, y_hi, rho),
                                           (layout.y_lo, layout.y_hi, layout.rho)))
-        newton = newton_solve_qp(lpv, meas, refs, u_prev, CFG)
+        newton = newton_solve_qp(lpv, y0, refs, u_prev, CFG)
         assert objective(lpv, y0, refs, sol.du, CFG) == pytest.approx(
             objective(lpv, y0, refs, newton, CFG), rel=1e-12)
 
@@ -709,7 +704,7 @@ class TestSolveQpOracle:
         # objective: only a repeat of rows and limits together is a cycle
         cfg = MpcConfig(soft_weight=1e4)
         lpv, y0, refs, u_prev = two_sided_case()
-        assert not solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, cfg).capped
+        assert not solve_qp(lpv, y0, refs, u_prev, cfg).capped
         assert_reference_minimum(lpv, y0, refs, u_prev, cfg)
 
     @pytest.mark.parametrize("cfg", [
@@ -767,11 +762,11 @@ class TestSoftLimitsClosedLoop:
         assert all(len(qp_calls) == 1 for *_, qp_calls in steps)
         # a soft step's one call holds a target, of positive multiplier
         soft = [step for step in steps if (step[2][0][1][1][2 * cfg.nc:] > 0.0).any()]
-        for (lpv, meas, refs, u_prev, _), sol, _ in steps:
+        for (lpv, y0, refs, u_prev, _), sol, _ in steps:
             assert_plan_in_box(u_prev, sol.du, cfg)
             assert not sol.capped
-        for (lpv, meas, refs, u_prev, _), sol, _ in soft:
-            assert_projected_gradient(lpv, meas.output, refs, u_prev, cfg, sol.du)
+        for (lpv, y0, refs, u_prev, _), sol, _ in soft:
+            assert_projected_gradient(lpv, y0, refs, u_prev, cfg, sol.du)
         steady = [rec.thrust_true for rec in records[130:]]
         assert 73.0 < min(steady) and max(steady) < 76.5
         return cfg, soft, max(sol.iterations for _, sol, _ in steps)
@@ -780,10 +775,10 @@ class TestSoftLimitsClosedLoop:
         # the one call reaches the Newton loop's minimiser on every soft step
         cfg, soft, steps = self.capped_thrust_episode(stock_rbf, 8)
         assert len(soft) == 161 and steps == 14
-        for (lpv, meas, refs, u_prev, _), sol, _ in soft:
-            newton = newton_solve_qp(lpv, meas, refs, u_prev, cfg)
-            assert objective(lpv, meas.output, refs, sol.du, cfg) == pytest.approx(
-                objective(lpv, meas.output, refs, newton, cfg), rel=1e-12)
+        for (lpv, y0, refs, u_prev, _), sol, _ in soft:
+            newton = newton_solve_qp(lpv, y0, refs, u_prev, cfg)
+            assert objective(lpv, y0, refs, sol.du, cfg) == pytest.approx(
+                objective(lpv, y0, refs, newton, cfg), rel=1e-12)
 
     def test_thrust_cap_at_long_horizon(self, stock_rbf):
         # at n2 = 12 the condensed Hessian's condition number passes 1e19
@@ -797,11 +792,11 @@ class TestSoftLimitsClosedLoop:
         cfg = replace(CFG, thrust_bounds=(0.0, cap_kgf * KGF))
         records, steps = recorded_episode(stock_rbf, cfg, controller)
         assert len(records) == len(steps) == 250
-        for (lpv, meas, refs, u_prev, _), sol, qp_calls in steps:
+        for (lpv, y0, refs, u_prev, _), sol, qp_calls in steps:
             assert len(qp_calls) == 1 and not sol.capped
-            newton = newton_solve_qp(lpv, meas, refs, u_prev, cfg)
-            assert objective(lpv, meas.output, refs, sol.du, cfg) == pytest.approx(
-                objective(lpv, meas.output, refs, newton, cfg), rel=1e-12)
+            newton = newton_solve_qp(lpv, y0, refs, u_prev, cfg)
+            assert objective(lpv, y0, refs, sol.du, cfg) == pytest.approx(
+                objective(lpv, y0, refs, newton, cfg), rel=1e-12)
 
     def test_thrust_cap_on_a_small_training_set(self, monkeypatch):
         # the console run of CI's 300-sample config under a 75 kgf cap: its
@@ -850,7 +845,7 @@ if st is not None:
         c[0, :2] = draw(floats(5.0, 15.0)), draw(floats(1.0, 4.0))
         c[1, 2] = 1.0
         lpv = LpvModel(a=a, b=draw(arrays(np.float64, (3, 2), elements=floats(-0.5, 0.5))),
-                       c=c, d=np.zeros((2, 2)), x0=np.zeros(3), u0=np.zeros(2))
+                       c=c, x0=np.zeros(3), u0=np.zeros(2))
         cfg = draw(st.sampled_from([CFG, MpcConfig(soft_weight=10.0), MpcConfig(soft_weight=0.0),
                                     MpcConfig(soft_weight=1e4), MpcConfig(n2=5, nc=2)]))
         near = np.array([draw(st.sampled_from(cfg.thrust_bounds)),
@@ -866,7 +861,7 @@ if st is not None:
         subnormal ``gain``, at the stock config."""
         c = np.array([[5.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         lpv = LpvModel(a=np.zeros((3, 3)), b=np.full((3, 2), gain), c=c,
-                       d=np.zeros((2, 2)), x0=np.zeros(3), u0=np.zeros(2))
+                       x0=np.zeros(3), u0=np.zeros(2))
         return (lpv, np.array(y0), np.tile(refs, (CFG.n2, 1)),
                 np.array([TPS_RANGE[0], 0.00390625]), CFG)
 
@@ -889,7 +884,7 @@ if st is not None:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mpc, "hildreth", counted)
-            sol = solve_qp(lpv, Measurement(np.zeros(3), y0), refs, u_prev, cfg)
+            sol = solve_qp(lpv, y0, refs, u_prev, cfg)
         assert sol.cost == pytest.approx(objective(lpv, y0, refs, sol.du, cfg), rel=1e-12)
         assert_plan_in_box(u_prev, sol.du, cfg)
         assert_projected_gradient(lpv, y0, refs, u_prev, cfg, sol.du)
@@ -1063,7 +1058,7 @@ class TestControllerSteps:
         u_prev = np.array([35.0, 0.003])
         y0 = np.array([ducted_thrust_at_crank_speed(70.0, G), 0.9])
         refs = np.tile(y0, (CFG.n2, 1))
-        u_cmd, sol, _ = ampc_step(Measurement(x0, y0), refs, trained_rbf, G,
+        u_cmd, sol, _ = ampc_step(x0, y0, refs, trained_rbf, G,
                                   CFG, u_prev)
         assert u_cmd.tps == pytest.approx(u_prev[0], abs=1e-6)
         assert u_cmd.m_fi == pytest.approx(u_prev[1], abs=1e-9)
@@ -1073,7 +1068,7 @@ class TestControllerSteps:
         u_prev = np.array([35.0, 0.003])
         y0 = np.array([ducted_thrust_at_crank_speed(70.0, G), 0.9])
         refs = np.tile(y0 + np.array([150.0, 0.0]), (CFG.n2, 1))
-        u_cmd, sol, _ = ampc_step(Measurement(x0, y0), refs, trained_rbf, G,
+        u_cmd, sol, _ = ampc_step(x0, y0, refs, trained_rbf, G,
                                   CFG, u_prev)
         # more thrust at constant lambda needs more fuel and more air
         assert u_cmd.m_fi > u_prev[1]
@@ -1086,7 +1081,7 @@ class TestControllerSteps:
         refs = np.tile(np.array([y0[0] + 2000.0, 1.0]), (CFG.n2, 1))
         u_cmd = None
         for _ in range(6):
-            u_cmd, sol, _ = ampc_step(Measurement(x0, y0), refs, trained_rbf,
+            u_cmd, sol, _ = ampc_step(x0, y0, refs, trained_rbf,
                                       G, CFG, u_prev)
             u_prev = np.array([u_cmd.tps, u_cmd.m_fi])
         assert u_cmd.m_fi == CFG.mf_bounds[1]
@@ -1099,7 +1094,7 @@ class TestControllerSteps:
         y0 = np.array([ducted_thrust_at_crank_speed(60.0, G), 0.9])
         for _ in range(25):
             refs = np.tile(y0 * rng.uniform(0.2, 3.0, 2), (CFG.n2, 1))
-            u_cmd, _, _ = ampc_step(Measurement(x0, y0), refs, trained_rbf, G,
+            u_cmd, _, _ = ampc_step(x0, y0, refs, trained_rbf, G,
                                     CFG, u_prev)
             assert CFG.tps_bounds[0] <= u_cmd.tps <= CFG.tps_bounds[1]
             assert CFG.mf_bounds[0] <= u_cmd.m_fi <= CFG.mf_bounds[1]
@@ -1110,7 +1105,7 @@ class TestControllerSteps:
         u_prev = np.array([35.0, 0.003])
         y0 = np.array([ducted_thrust_at_crank_speed(70.0, G), 0.9])
         refs = np.tile(y0 + np.array([80.0, 0.01]), (CFG.n2, 1))
-        u_cmd, sol, _ = ampc_step(Measurement(x0, y0), refs, trained_rbf, G,
+        u_cmd, sol, _ = ampc_step(x0, y0, refs, trained_rbf, G,
                                   CFG, u_prev)
         applied = np.array([u_cmd.tps, u_cmd.m_fi])
         assert np.allclose(applied, u_prev + sol.du[0], atol=1e-12)
@@ -1121,15 +1116,14 @@ class TestControllerSteps:
         x_init = np.array([10.0, 50.0, 0.85])
         u_prev = np.array([25.0, 0.002])
         frozen = build_lpv(trained_rbf, G, x_init, u_prev)
-        meas = Measurement(np.array([25.0, 90.0, 1.0]),
-                           np.array([700.0, 1.0]))
+        x_meas, y_meas = np.array([25.0, 90.0, 1.0]), np.array([700.0, 1.0])
         refs = np.tile([720.0, 1.0], (CFG.n2, 1))
-        u1, s1 = mpc_step(frozen, meas, refs, u_prev, CFG)
-        u2, s2, relinearized = ampc_step(meas, refs, trained_rbf, G, CFG, u_prev)
+        u1, s1 = mpc_step(frozen, y_meas, refs, u_prev, CFG)
+        u2, s2, relinearized = ampc_step(x_meas, y_meas, refs, trained_rbf, G, CFG, u_prev)
         # frozen gains differ from the relinearized ones
         assert not np.allclose(s1.du, s2.du)
         # on the model ampc_step built, mpc_step is the same step
-        u3, s3 = mpc_step(relinearized, meas, refs, u_prev, CFG)
+        u3, s3 = mpc_step(relinearized, y_meas, refs, u_prev, CFG)
         assert u3 == u2 and np.array_equal(s3.du, s2.du)
 
     def test_determinism(self, trained_rbf):
@@ -1137,8 +1131,8 @@ class TestControllerSteps:
         u_prev = np.array([35.0, 0.003])
         y0 = np.array([620.0, 0.9])
         refs = np.tile(y0 + np.array([60.0, 0.05]), (CFG.n2, 1))
-        a = ampc_step(Measurement(x0, y0), refs, trained_rbf, G, CFG, u_prev)
-        b = ampc_step(Measurement(x0, y0), refs, trained_rbf, G, CFG, u_prev)
+        a = ampc_step(x0, y0, refs, trained_rbf, G, CFG, u_prev)
+        b = ampc_step(x0, y0, refs, trained_rbf, G, CFG, u_prev)
         assert a[0] == b[0]
         assert np.array_equal(a[1].du, b[1].du)
 

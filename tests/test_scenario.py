@@ -28,7 +28,7 @@ from dflsim.errors import DflsimError, FileFormatError, SolverError, StallError
 from dflsim.fan import (KGF, FanGeometry, fan_power, solve_operating_point,
                         thrust_from_power)
 from dflsim.lpv import LPV_CSV_HEADER, build_lpv, save_lpv_trace
-from dflsim.mpc import Measurement, MpcConfig
+from dflsim.mpc import MpcConfig
 from dflsim.networks import (MODEL_KINDS, compare_models, init_mlp,
                              load_blocks, load_model, load_rbf, mape,
                              rbf_forward, save_blocks, save_model, train_rbf)
@@ -176,9 +176,9 @@ class TestControllerPath:
         cfg = MpcConfig()
         windows = []
 
-        def recording(meas, refs, *args, **kwargs):
+        def recording(x_meas, y_meas, refs, *args, **kwargs):
             windows.append(np.array(refs))
-            return mpc.ampc_step(meas, refs, *args, **kwargs)
+            return mpc.ampc_step(x_meas, y_meas, refs, *args, **kwargs)
 
         monkeypatch.setattr(scenario, "ampc_step", recording)
         run_scenario(P, G, cfg, scen, rbf=trained_rbf)
@@ -214,17 +214,29 @@ class TestControllerPath:
 
 
 class TestNoiseAudit:
+    @staticmethod
+    def record_measurements(monkeypatch):
+        """The list that gets each step's (x_meas, y_meas), captured by
+        wrapping the per-step function ``scenario._step_function`` returns."""
+        measured = []
+        make_step = scenario._step_function
+
+        def recording(*args):
+            step = make_step(*args)
+
+            def recorded(x_meas, y_meas, *rest):
+                measured.append((x_meas, y_meas))
+                return step(x_meas, y_meas, *rest)
+            return recorded
+
+        monkeypatch.setattr(scenario, "_step_function", recording)
+        return measured
+
     def test_injected_variance_matches_configured_level(self, monkeypatch):
         # 1000 open-loop steps: sample variance of the injected noise within
         # 10 % of (0.005 * span)^2 per channel, the output spans from the
         # limits and the [Q_eng, n] spans from STATE_NOISE_SPAN
-        measured = []
-
-        def recording(state, output):
-            measured.append(state)
-            return Measurement(state, output)
-
-        monkeypatch.setattr(scenario, "Measurement", recording)
+        measured = self.record_measurements(monkeypatch)
         scen = ScenarioConfig(steps=1000, seed=42)
         cfg = MpcConfig()
         records, _ = run_scenario(P, G, cfg, scen, controller="open-loop")
@@ -235,7 +247,7 @@ class TestNoiseAudit:
         assert abs(noise_t.var() - var_t_expect) / var_t_expect < 0.1
         assert abs(noise_l.var() - var_l_expect) / var_l_expect < 0.1
         # the state measured at step k is the one recorded after step k - 1
-        noise_x = np.array(measured[1:])[:, :2] \
+        noise_x = np.array([x_meas for x_meas, _ in measured[1:]])[:, :2] \
             - np.array([[r.q_eng, r.n] for r in records[:-1]])
         var_x_expect = (0.005 * np.array(STATE_NOISE_SPAN)) ** 2
         assert np.all(abs(noise_x.var(axis=0) - var_x_expect) / var_x_expect < 0.1)
@@ -243,13 +255,7 @@ class TestNoiseAudit:
     def test_noise_is_the_per_step_draws(self, monkeypatch):
         # the oracle: each step draws its [thrust, lambda] output normals,
         # then its [Q_eng, n] state normals, from the episode's generator
-        measured = []
-
-        def recording(state, output):
-            measured.append((state, output))
-            return Measurement(state, output)
-
-        monkeypatch.setattr(scenario, "Measurement", recording)
+        measured = self.record_measurements(monkeypatch)
         scen = ScenarioConfig(steps=30, noise_std=0.01)
         cfg = MpcConfig()
         records, _ = run_scenario(P, G, cfg, scen, controller="open-loop")
@@ -972,6 +978,11 @@ class TestCli:
         ("plant", "manifold_volume = 0"),
         ("plant", "manifold_temp = 0"),
         ("plant", "eta_speed_ref = 0"),
+        # the power and the air flow scale with these: no operating point at zero
+        ("plant", "eta_peak = -0.33"),
+        ("plant", "volumetric_eff = 0"),
+        ("plant", "throttle_area_max = 0"),
+        ("plant", "displacement = 0"),
         ("fan", "air_density = 0"),
         ("fan", "transmission_eff = 0"),
         # an efficiency above one would make the belt a power source
@@ -1021,6 +1032,11 @@ class TestCli:
         # NaN is no value for any number, a pair's included
         (["simulate", "--controller", "ampc"], "[mpc]\nsoft_weight = nan\n"),
         (["simulate", "--controller", "ampc"], "[mpc]\nlambda_bounds = nan, 1.26\n"),
+        # an infinite rate diverges on its first step; a zero rate trains
+        # nothing, and a negative one climbs the error
+        (["train", "--model", "mlp"], "[training]\nmlp_lr = inf\n"),
+        (["train", "--model", "mlp"], "[training]\nmlp_lr = 0\n"),
+        (["train", "--model", "elman"], "[training]\nelman_lr = -0.01\n"),
     ])
     def test_non_finite_value_exit_code(self, tmp_path, capsys, command, ini_text):
         bad = tmp_path / "bad.ini"
