@@ -13,8 +13,9 @@ when an interval starts is the previous command, which the state carries.
 
 One interval is 4 * CONTROL_DT/dt_int right-hand-side evaluations (200 at
 the stock 2 ms), so ``step_engine`` runs it on Python floats, with every
-constant of the held throttle and of the sub-models computed once and each
-RK4 stage written out inline (see the note above the sub-models).
+constant of the held throttle, of the sub-models and of each fuel-delay
+phase folded once and each RK4 stage written out inline (see the note above
+the sub-models).
 
 Near ambient pressure the unchoked throttle makes the manifold stiff: the
 orifice's share of d(dp_man/dt)/dp_man grows without bound as the pressure
@@ -23,8 +24,9 @@ ratio nears 1, and RK4 is stable on the real axis only for h*|lambda| up to
 ``STIFF_LIMIT`` the whole interval is redone at half the substep, at most
 ``MAX_HALVINGS`` times, and every interval is plain RK4 at dt_int/2**k.
 
-All internal math is SI (rad/s, Pa, W, N*m); crankshaft speed crosses the
-module boundary in rev/s, the unit the rest of the pipeline works in.
+Crankshaft speed is rev/s throughout, the unit the rest of the pipeline
+works in; everything else is SI (Pa, W, N*m), and the torque is the brake
+power over omega = 2*pi*n.
 """
 
 from __future__ import annotations
@@ -63,9 +65,12 @@ class SubstepTooCoarseError(SolverError):
 @dataclass(frozen=True)
 class EngineParams:
     """Physical constants and sub-model coefficients for the engine plant,
-    each finite.  ``dt_int`` is checked for whole substeps, not accuracy: on
-    the worst of 84 settled starts one interval is off a 0.1 ms reference by
-    2.3e-4 relative at 2 ms, 4.25e-4 at 2.5 ms, 2.6e-3 at 5 ms, 1.3e-2 at 10 ms."""
+    each finite.  ``dt_int`` is checked for whole substeps, not accuracy:
+    over 84 settled starts one interval's speed and manifold pressure are off
+    a 0.1 ms reference by at most 1.2e-6 relative at 2 ms, 2.4e-6 at 2.5 ms,
+    1.6e-5 at 5 ms and 8.5e-5 at 10 ms.  Torque reads 2.3e-4, 4.25e-4, 2.6e-3
+    and 1.3e-2 off on one draw that ends at 0.0735 N*m, the small remainder
+    of 9.1 kW of combustion power after friction."""
 
     # energy path
     lower_heating_value: float = 44.0e6   # Hu, J/kg
@@ -112,13 +117,15 @@ class EngineParams:
             raise ValueError("fuel loss coefficient must lie in [0, 1)")
         if self.injection_delay < 0 or self.stoich_afr <= 0 or self.dt_int <= 0:
             raise ValueError("tau_d >= 0, L_th > 0 and dt_int > 0 required")
-        # the plant divides by each of these and the air path by gamma - 1
+        # the plant divides by each of these and the air path by gamma - 1;
+        # every RK4 stage divides by speed, which the stall floor keeps positive
         if not (self.gamma > 1.0 and all(v > 0 for v in (
                 self.manifold_volume, self.manifold_temp, self.ambient_pressure,
-                self.ambient_temp, self.gas_constant, self.eta_speed_ref))):
+                self.ambient_temp, self.gas_constant, self.eta_speed_ref,
+                self.stall_speed))):
             raise ValueError("gamma > 1 and positive manifold_volume, manifold_temp, "
-                             "ambient_pressure, ambient_temp, gas_constant and "
-                             "eta_speed_ref required")
+                             "ambient_pressure, ambient_temp, gas_constant, "
+                             "eta_speed_ref and stall_speed required")
         # power and air flow scale with these: at zero or below no operating point exists
         if min(self.eta_peak, self.volumetric_eff, self.throttle_area_max,
                self.displacement) <= 0:
@@ -182,13 +189,17 @@ def make_initial_state(params: EngineParams, n: float, manifold_pressure: float,
 # ---------------------------------------------------------------------------
 # sub-models
 #
-# Each public function below evaluates one sub-model at a single point.
-# ``step_engine`` spells the same formulas inline in each of its four RK4
-# stages, in the same operation order, because an interval evaluates them 200
-# times and a Python call costs more than the arithmetic; ``tests/test_engine.py``
-# compares the interval with an independently written reference step by ``==``
-# on random draws and on the stock excitation.  The clamps are comparisons
-# written to return what max()/min() would (NaN included) for the same reason.
+# Each public function below evaluates one sub-model at a single point, in
+# its textbook form.  ``step_engine`` spells the same formulas inline in each
+# of its four RK4 stages, because an interval evaluates them 200 times and a
+# Python call costs more than the arithmetic, in forms algebraically equal to
+# these: speed in rev/s, one power per unchoked orifice stage, and the
+# constants of the throttle, the induction and each delay phase folded once.
+# ``tests/test_engine.py`` compares the interval with an independently written
+# reference step in the same forms by ``==``, and with one built from these
+# textbook forms to 1e-13 relative, on random draws and on the stock
+# excitation.  The clamps are comparisons written to return what max()/min()
+# would (NaN included) for the same reason.
 # ---------------------------------------------------------------------------
 
 def _orifice(tps: float, params: EngineParams):
@@ -286,7 +297,7 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
                 params: EngineParams) -> EngineState:
     """Advance the engine by one ``CONTROL_DT`` interval under a held input.
 
-    RK4 at h = ``params.dt_int`` on [omega, p_manifold]; the first
+    RK4 at h = ``params.dt_int`` on [n, p_manifold]; the first
     max(1, tau_d/h) substeps burn ``state.m_fi_prev`` and the rest
     ``u.m_fi``, which the returned state carries in transit.  A substep that
     starts where h * |orifice share of d(dp_man/dt)/dp_man| exceeds
@@ -303,19 +314,30 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
     m_fi, m_fi_prev = float(u.m_fi), float(state.m_fi_prev)
     load_power = float(load_power)
     area_density, pr_crit, psi_choked, exp_a, exp_b, psi_gain = _orifice(float(u.tps), params)
-    p_amb = params.ambient_pressure
-    swept = params.volumetric_eff * params.displacement
-    rt_man = params.gas_constant * params.manifold_temp
-    manifold_gain = rt_man / params.manifold_volume
-    peak, lam_opt, curv = params.eta_peak, params.eta_lambda_opt, params.eta_lambda_curv
-    gain, n_ref, floor = params.eta_speed_gain, params.eta_speed_ref, params.eta_speed_floor
-    hu, kept = params.lower_heating_value, 1.0 - params.fuel_loss_coeff
-    stoich = params.stoich_afr
-    lin, quad, inertia = params.friction_lin, params.friction_quad, params.inertia
-    omega_floor = TWO_PI * params.stall_speed
-    # the unchoked orifice adds -G*A_d*psi_gain * (a*pr**a - b*pr**b)
-    # / (2*pr*psi*p_amb) to d(dp_man/dt)/dp_man; this is its constant factor
-    stiff_gain = manifold_gain * area_density * psi_gain / (2.0 * p_amb)
+    p_amb, inv_gamma = params.ambient_pressure, 1.0 / params.gamma
+    manifold_gain = params.gas_constant * params.manifold_temp / params.manifold_volume
+    # with air = n+ * p_man, the induction is k_cyl * air and the manifold
+    # fills at g_air * psi - g_cyl * air
+    k_cyl = (params.volumetric_eff * params.displacement
+             / (params.gas_constant * params.manifold_temp))
+    g_air, g_cyl = manifold_gain * area_density, manifold_gain * k_cyl
+    # eff = eta/eta_peak = (1 - curv*(lam - lam_opt)**2) * max(speed_base + speed_slope*n, floor)
+    lam_opt, curv, floor = params.eta_lambda_opt, params.eta_lambda_curv, params.eta_speed_floor
+    speed_base = 1.0 - params.eta_speed_gain
+    speed_slope = params.eta_speed_gain / params.eta_speed_ref
+    lin, quad, stall = params.friction_lin, params.friction_quad, params.stall_speed
+    # dn/dt = (P_comb - P_f - P_load) / (4 pi^2 I n)
+    spin = TWO_PI * TWO_PI * params.inertia
+    # the unchoked orifice adds g_air*psi_gain * t*(a*t - b*pr) / (2*pr*psi*p_amb)
+    # to d(dp_man/dt)/dp_man, at t = pr**(1/gamma), a = 2/gamma and
+    # b = (gamma+1)/gamma; this is its constant factor
+    stiff_gain = g_air * psi_gain / (2.0 * p_amb)
+    # per delay phase, (Hu*(1 - kf)*eta_peak*m_f, k_cyl/(m_f*L_th)), both zero
+    # without fuel: P_comb = fuel_gain * max(eff, 0), lam = lam_gain * air
+    phases = [(0.0, 0.0) if m_f <= 0.0 else
+              (params.lower_heating_value * (1.0 - params.fuel_loss_coeff)
+               * params.eta_peak * m_f, k_cyl / (m_f * params.stoich_afr))
+              for m_f in (m_fi_prev, m_fi)]
 
     n_sub0, n_delay0 = params.substep_counts    # at dt_int; a halving doubles both
     for halvings in range(MAX_HALVINGS + 1):
@@ -324,96 +346,107 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
         half_h, sixth_h, h_stiff = 0.5 * h, h / 6.0, h * stiff_gain
         check = halvings < MAX_HALVINGS
         stiff = False
-        omega = TWO_PI * float(state.n)
+        n = float(state.n)
         p_man = float(state.manifold_pressure)
 
-        for j in range(n_sub):
-            m_f_delayed = m_fi_prev if j < n_delay else m_fi
-            no_fuel = m_f_delayed <= 0.0
-            fuel_air = m_f_delayed * stoich
+        for (fuel_gain, lam_gain), count in zip(phases, (n_delay, n_sub - n_delay)):
+            for _ in range(count):
+                # stage 1, at the substep's (positive) start and the only one checked
+                # for stiffness; every stage: orifice, induction, delayed combustion,
+                # friction, rates
+                n_pos = 0.0 if n < 0.0 else n
+                pr = p_man / p_amb
+                if pr >= 1.0:
+                    psi = 0.0
+                elif pr <= pr_crit:
+                    psi = psi_choked
+                else:
+                    t = pr ** inv_gamma
+                    psi = math.sqrt(psi_gain * (t * (t - pr)))
+                    if check and h_stiff * (t * (exp_b * pr - exp_a * t)) > STIFF_LIMIT * pr * psi:
+                        stiff = True
+                        break
+                air = n_pos * p_man
+                x = lam_gain * air - lam_opt
+                speed_factor = speed_base + speed_slope * n
+                eff = (1.0 - curv * (x * x)) * (floor if speed_factor < floor else speed_factor)
+                n1 = ((fuel_gain * (0.0 if eff < 0.0 else eff) - n_pos * (lin + quad * n_pos)
+                       - load_power) / (spin * n))
+                p1 = g_air * psi - g_cyl * air
 
-            # stage 1, at the substep's (positive) start and the only one checked for
-            # stiffness; every stage: orifice, induction, delayed combustion, friction, rates
-            n = omega / TWO_PI
-            n_pos = 0.0 if n < 0.0 else n
-            pr = p_man / p_amb
-            if pr >= 1.0:
-                psi = 0.0
-            elif pr <= pr_crit:
-                psi = psi_choked
-            else:
-                pr_a, pr_b = pr ** exp_a, pr ** exp_b
-                psi = math.sqrt(psi_gain * (pr_a - pr_b))
-                if check and h_stiff * (exp_b * pr_b - exp_a * pr_a) > STIFF_LIMIT * pr * psi:
-                    stiff = True
-                    break
-            m_cyl = swept * n_pos * (p_man / rt_man)
-            speed_factor = 1.0 + gain * (n / n_ref - 1.0)
-            eta = 0.0 if no_fuel else peak * (1.0 - curv * (m_cyl / fuel_air - lam_opt) ** 2) * (
-                floor if speed_factor < floor else speed_factor)
-            p_comb = 0.0 if no_fuel else hu * (0.0 if eta < 0.0 else eta) * kept * m_f_delayed
-            w1 = (p_comb - (lin * n_pos + quad * n_pos * n_pos) - load_power) / (inertia * omega)
-            p1 = manifold_gain * (area_density * psi - m_cyl)
+                # stage 2, half a substep along stage 1's slope
+                n_at, p_at = n + half_h * n1, p_man + half_h * p1
+                n_pos = 0.0 if n_at < 0.0 else n_at
+                pr = p_at / p_amb
+                if pr >= 1.0:
+                    psi = 0.0
+                elif pr <= pr_crit:
+                    psi = psi_choked if p_at > 0.0 else _too_coarse(p_at, h)
+                else:
+                    t = pr ** inv_gamma
+                    psi = math.sqrt(psi_gain * (t * (t - pr)))
+                air = n_pos * p_at
+                x = lam_gain * air - lam_opt
+                speed_factor = speed_base + speed_slope * n_at
+                eff = (1.0 - curv * (x * x)) * (floor if speed_factor < floor else speed_factor)
+                n2 = ((fuel_gain * (0.0 if eff < 0.0 else eff) - n_pos * (lin + quad * n_pos)
+                       - load_power) / (spin * n_at))
+                p2 = g_air * psi - g_cyl * air
 
-            # stage 2, half a substep along stage 1's slope
-            w_at, p_at = omega + half_h * w1, p_man + half_h * p1
-            n = w_at / TWO_PI
-            n_pos = 0.0 if n < 0.0 else n
-            pr = p_at / p_amb
-            psi = (0.0 if pr >= 1.0 else (psi_choked if p_at > 0.0 else _too_coarse(p_at, h))
-                   if pr <= pr_crit else math.sqrt(psi_gain * (pr ** exp_a - pr ** exp_b)))
-            m_cyl = swept * n_pos * (p_at / rt_man)
-            speed_factor = 1.0 + gain * (n / n_ref - 1.0)
-            eta = 0.0 if no_fuel else peak * (1.0 - curv * (m_cyl / fuel_air - lam_opt) ** 2) * (
-                floor if speed_factor < floor else speed_factor)
-            p_comb = 0.0 if no_fuel else hu * (0.0 if eta < 0.0 else eta) * kept * m_f_delayed
-            w2 = (p_comb - (lin * n_pos + quad * n_pos * n_pos) - load_power) / (inertia * w_at)
-            p2 = manifold_gain * (area_density * psi - m_cyl)
+                # stage 3, half a substep along stage 2's slope
+                n_at, p_at = n + half_h * n2, p_man + half_h * p2
+                n_pos = 0.0 if n_at < 0.0 else n_at
+                pr = p_at / p_amb
+                if pr >= 1.0:
+                    psi = 0.0
+                elif pr <= pr_crit:
+                    psi = psi_choked if p_at > 0.0 else _too_coarse(p_at, h)
+                else:
+                    t = pr ** inv_gamma
+                    psi = math.sqrt(psi_gain * (t * (t - pr)))
+                air = n_pos * p_at
+                x = lam_gain * air - lam_opt
+                speed_factor = speed_base + speed_slope * n_at
+                eff = (1.0 - curv * (x * x)) * (floor if speed_factor < floor else speed_factor)
+                n3 = ((fuel_gain * (0.0 if eff < 0.0 else eff) - n_pos * (lin + quad * n_pos)
+                       - load_power) / (spin * n_at))
+                p3 = g_air * psi - g_cyl * air
 
-            # stage 3, half a substep along stage 2's slope
-            w_at, p_at = omega + half_h * w2, p_man + half_h * p2
-            n = w_at / TWO_PI
-            n_pos = 0.0 if n < 0.0 else n
-            pr = p_at / p_amb
-            psi = (0.0 if pr >= 1.0 else (psi_choked if p_at > 0.0 else _too_coarse(p_at, h))
-                   if pr <= pr_crit else math.sqrt(psi_gain * (pr ** exp_a - pr ** exp_b)))
-            m_cyl = swept * n_pos * (p_at / rt_man)
-            speed_factor = 1.0 + gain * (n / n_ref - 1.0)
-            eta = 0.0 if no_fuel else peak * (1.0 - curv * (m_cyl / fuel_air - lam_opt) ** 2) * (
-                floor if speed_factor < floor else speed_factor)
-            p_comb = 0.0 if no_fuel else hu * (0.0 if eta < 0.0 else eta) * kept * m_f_delayed
-            w3 = (p_comb - (lin * n_pos + quad * n_pos * n_pos) - load_power) / (inertia * w_at)
-            p3 = manifold_gain * (area_density * psi - m_cyl)
+                # stage 4, a whole substep along stage 3's slope
+                n_at, p_at = n + h * n3, p_man + h * p3
+                n_pos = 0.0 if n_at < 0.0 else n_at
+                pr = p_at / p_amb
+                if pr >= 1.0:
+                    psi = 0.0
+                elif pr <= pr_crit:
+                    psi = psi_choked if p_at > 0.0 else _too_coarse(p_at, h)
+                else:
+                    t = pr ** inv_gamma
+                    psi = math.sqrt(psi_gain * (t * (t - pr)))
+                air = n_pos * p_at
+                x = lam_gain * air - lam_opt
+                speed_factor = speed_base + speed_slope * n_at
+                eff = (1.0 - curv * (x * x)) * (floor if speed_factor < floor else speed_factor)
+                n4 = ((fuel_gain * (0.0 if eff < 0.0 else eff) - n_pos * (lin + quad * n_pos)
+                       - load_power) / (spin * n_at))
+                p4 = g_air * psi - g_cyl * air
 
-            # stage 4, a whole substep along stage 3's slope
-            w_at, p_at = omega + h * w3, p_man + h * p3
-            n = w_at / TWO_PI
-            n_pos = 0.0 if n < 0.0 else n
-            pr = p_at / p_amb
-            psi = (0.0 if pr >= 1.0 else (psi_choked if p_at > 0.0 else _too_coarse(p_at, h))
-                   if pr <= pr_crit else math.sqrt(psi_gain * (pr ** exp_a - pr ** exp_b)))
-            m_cyl = swept * n_pos * (p_at / rt_man)
-            speed_factor = 1.0 + gain * (n / n_ref - 1.0)
-            eta = 0.0 if no_fuel else peak * (1.0 - curv * (m_cyl / fuel_air - lam_opt) ** 2) * (
-                floor if speed_factor < floor else speed_factor)
-            p_comb = 0.0 if no_fuel else hu * (0.0 if eta < 0.0 else eta) * kept * m_f_delayed
-            w4 = (p_comb - (lin * n_pos + quad * n_pos * n_pos) - load_power) / (inertia * w_at)
-            p4 = manifold_gain * (area_density * psi - m_cyl)
+                n += sixth_h * (n1 + 2.0 * n2 + 2.0 * n3 + n4)
+                p_man += sixth_h * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+                if p_man < 1.0:
+                    p_man = 1.0
+                if p_amb < p_man:
+                    p_man = p_amb
 
-            omega += sixth_h * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
-            p_man += sixth_h * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-            if p_man < 1.0:
-                p_man = 1.0
-            if p_amb < p_man:
-                p_man = p_amb
-
-            if omega < omega_floor:
-                raise EngineStallError(
-                    f"engine stalled at {omega / TWO_PI:.2f} rev/s (load infeasible)")
+                if n < stall:
+                    raise EngineStallError(f"engine stalled at {n:.2f} rev/s (load infeasible)")
+            if stiff:
+                break
         if not stiff:
             break
 
-    n = omega / TWO_PI
-    q_eng, lam = _outputs(n, omega, p_man, m_fi, m_f_delayed, params)
+    # a delay of the whole interval leaves the previous command burning at its end
+    m_f_delayed = m_fi if n_sub > n_delay else m_fi_prev
+    q_eng, lam = _outputs(n, TWO_PI * n, p_man, m_fi, m_f_delayed, params)
     return EngineState(q_eng=q_eng, n=n, lam=lam, manifold_pressure=p_man,
                        m_fi_prev=m_fi)

@@ -233,33 +233,33 @@ def test_criterion_8_solver_audit():
 # commits.  A change that moves them on purpose re-freezes them and records
 # the largest shift in CHANGES.md.
 FROZEN_AMPC = {
-    0: (19.50791781732109, 0.001240242413093054, 10.037092158518412,
+    0: (19.507917817310133, 0.0012402424130946463, 10.037092158518412,
         0.8188458918968433),
-    25: (28.68285782234587, 0.0021591951317588595, 15.835385718687618,
-         0.8580014656975695),
-    50: (44.86043575682169, 0.004224057833025678, 49.718680728221436,
-         0.843413490914135),
-    75: (53.469691399473156, 0.004839837005637724, 56.55870890029147,
-         0.8203050731238142),
-    100: (43.9975312161055, 0.004990554953636793, 81.09980597513346,
-          0.8155274867839968),
-    125: (45.921860049683985, 0.005095580487213338, 80.18324447975776,
-          0.823660583720522),
-    150: (55.12924820271976, 0.004601404738968789, 79.11111226548384,
-          0.9858277762061124),
-    175: (70.63535340247518, 0.004859016164747286, 79.74669100608446,
-          1.0015670985604577),
-    200: (63.78273821720513, 0.004794875714680802, 80.46704323602961,
-          0.9994978539777238),
-    225: (65.49805283817413, 0.004824023370789928, 79.80314911815904,
-          1.001885102379443),
+    25: (28.68285849134213, 0.002159195234247681, 15.83538582390202,
+         0.8580014703905063),
+    50: (44.860426987436206, 0.004224057518549106, 49.71868178404786,
+         0.8434134851030942),
+    75: (53.469697012280626, 0.004839837174034319, 56.55871045600833,
+         0.82030507854888),
+    100: (43.99753062471672, 0.004990554875410092, 81.09980466312429,
+          0.8155274866803103),
+    125: (45.92185904376791, 0.0050955804176932625, 80.18324475701515,
+          0.8236605832591399),
+    150: (55.12924843030264, 0.004601404751867772, 79.11111253859177,
+          0.9858277756816997),
+    175: (70.63535283099661, 0.00485901615716837, 79.74669092397014,
+          1.0015670984495002),
+    200: (63.78273860274448, 0.00479487572079322, 80.46704324176527,
+          0.9994978540451119),
+    225: (65.49805260521298, 0.004824023367944269, 79.80314913029913,
+          1.0018851023572866),
 }
 # criterion 5's segment statistics, percent: (min, max, mae)
 FROZEN_SEGMENTS = {
-    "thrust_steady": (-2.1647649352638965, 1.0878387104394527,
-                      0.6408435545548802),
-    "lambda_steady": (-0.48217448020547726, 0.5256116128651289,
-                      0.18274945122837655),
+    "thrust_steady": (-2.16476470233971, 1.0878386369368265,
+                      0.6408434525041052),
+    "lambda_steady": (-0.482174480303188, 0.5256116194630733,
+                      0.18274945252717104),
 }
 
 

@@ -342,9 +342,9 @@ class TestStockEpisodeFidelity:
             sigma = np.linalg.svd(first_move_gain(trace[-1], bundle.mpc), compute_uv=False)
             observed.append((metrics["thrust_steady"]["min"],
                              metrics["thrust_steady"]["max"], *sigma))
-        assert observed[0] == pytest.approx((-9.7034422, 2.3138218, 0.50656096, 2.40954e-3),
+        assert observed[0] == pytest.approx((-9.7034423, 2.3138228, 0.50656096, 2.4095389e-3),
                                             rel=1e-6)
-        assert observed[1] == pytest.approx((-9.6461274, 1.3513024, 0.51475292, 2.6083478e-5),
+        assert observed[1] == pytest.approx((-9.6461275, 1.3513369, 0.51475292, 2.6083427e-5),
                                             rel=1e-6)
 
     def test_thrust_row_from_the_plant_map_collapses_the_loop(self, stock_rbf, monkeypatch):

@@ -1007,6 +1007,9 @@ class TestCli:
         # a twist whose blades push down: refused where simulate solves the fan
         ("fan", "twist_root = -0.5\ntwist_tip = -0.5"),
         ("plant", "injection_delay = inf"),
+        # every RK4 stage divides by speed, which the stall floor keeps positive
+        ("plant", "stall_speed = 0"),
+        ("plant", "stall_speed = -50"),
         # the metrics slice the trajectory at the step indices
         ("scenario", "settle_margin = -200"),
         ("scenario", "ramp_start = 60\nramp_end = 20"),
