@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (TWO_PI, ControlInput, EngineParams, EngineStallError,
+from .engine import (STALL_SPEED, TWO_PI, ControlInput, EngineParams, EngineStallError,
                      _outputs, air_mass_flow, cylinder_air_flow, friction_power,
                      make_initial_state, step_engine, thermal_efficiency)
 from .fan import FanGeometry, fan_load_power
@@ -174,7 +174,7 @@ def settled_state(params: EngineParams, geom: FanGeometry, u0: ControlInput):
         if not abs(det) > 0.0:
             raise EngineStallError(f"singular rate Jacobian under {u0}")
         step, t = np.linalg.solve(jac, -f), 1.0
-        while not (params.stall_speed < x[0] + t * step[0]
+        while not (STALL_SPEED < x[0] + t * step[0]
                    and 1.0 < x[1] + t * step[1] < params.ambient_pressure):
             t *= 0.5
             if t < 1e-9:

@@ -4,25 +4,24 @@ Cycle-averaged dynamics only: crankshaft speed driven by the balance of
 combustion power against friction and load, an isothermal intake manifold
 fed through a compressible-orifice throttle, speed-density cylinder
 induction, and a pure transport delay between fuel injection and torque
-production.  States are advanced with fixed-step RK4 at ``dt_int`` inside
+production.  States are advanced with fixed-step RK4 at ``DT_INT`` inside
 each ``CONTROL_DT`` control interval, the sampling interval of the
-identified one-step models and a constant of the plant.  ``EngineParams``
-checks when it is built that dt_int divides the interval and any positive
-tau_d, and that tau_d fits in the interval, so the one rate in transit
-when an interval starts is the previous command, which the state carries.
+identified one-step models.  ``EngineParams`` checks when it is built that
+any positive tau_d is whole substeps and fits in the interval, so the one
+rate in transit when an interval starts is the previous command, which the
+state carries.
 
-One interval is 4 * CONTROL_DT/dt_int right-hand-side evaluations (200 at
-the stock 2 ms), so ``step_engine`` runs it on Python floats, with every
-constant of the held throttle, of the sub-models and of each fuel-delay
-phase folded once and each RK4 stage written out inline (see the note above
-the sub-models).
+One interval is 4 * SUBSTEPS right-hand-side evaluations (200), so
+``step_engine`` runs it on Python floats, with every constant of the held
+throttle, of the sub-models and of each fuel-delay phase folded once and
+each RK4 stage written out inline (see the note above the sub-models).
 
 Near ambient pressure the unchoked throttle makes the manifold stiff: the
 orifice's share of d(dp_man/dt)/dp_man grows without bound as the pressure
 ratio nears 1, and RK4 is stable on the real axis only for h*|lambda| up to
 2.785.  So each substep first checks h times that share; above
 ``STIFF_LIMIT`` the whole interval is redone at half the substep, at most
-``MAX_HALVINGS`` times, and every interval is plain RK4 at dt_int/2**k.
+``MAX_HALVINGS`` times, and every interval is plain RK4 at DT_INT/2**k.
 
 Crankshaft speed is rev/s throughout, the unit the rest of the pipeline
 works in; everything else is SI (Pa, W, N*m), and the torque is the brake
@@ -42,6 +41,12 @@ from .errors import SolverError, StallError
 TWO_PI = 2.0 * math.pi
 # s, the control interval: the sampling interval of the identified models
 CONTROL_DT = 0.1
+# s, the RK4 substep: over 84 settled starts one interval is within 1.2e-6
+# of a 0.1 ms reference in speed and manifold pressure, and 2.3e-4 in the
+# torque of a draw that ends at 0.0735 N*m (2.6e-3 at 5 ms)
+DT_INT = 2.0e-3
+SUBSTEPS = round(CONTROL_DT / DT_INT)    # per control interval, at DT_INT
+STALL_SPEED = 10.0    # rev/s: the plant raises below it, so no RK4 stage divides by ~0
 
 
 # largest h * |orifice share of d(dp_man/dt)/dp_man| a substep may start at;
@@ -58,19 +63,13 @@ class EngineStallError(StallError):
 
 
 class SubstepTooCoarseError(SolverError):
-    """An RK4 stage drove the manifold pressure to zero or below: the
-    substep ``dt_int`` is too coarse for the interval it integrates."""
+    """An RK4 stage drove the manifold pressure to zero or below: the plant
+    is too stiff for the substep that integrates it."""
 
 
 @dataclass(frozen=True)
 class EngineParams:
-    """Physical constants and sub-model coefficients for the engine plant,
-    each finite.  ``dt_int`` is checked for whole substeps, not accuracy:
-    over 84 settled starts one interval's speed and manifold pressure are off
-    a 0.1 ms reference by at most 1.2e-6 relative at 2 ms, 2.4e-6 at 2.5 ms,
-    1.6e-5 at 5 ms and 8.5e-5 at 10 ms.  Torque reads 2.3e-4, 4.25e-4, 2.6e-3
-    and 1.3e-2 off on one draw that ends at 0.0735 N*m, the small remainder
-    of 9.1 kW of combustion power after friction."""
+    """Physical constants and sub-model coefficients for the engine plant, each finite."""
 
     # energy path
     lower_heating_value: float = 44.0e6   # Hu, J/kg
@@ -103,10 +102,6 @@ class EngineParams:
     displacement: float = 0.85e-3         # m^3 swept per rev (two-stroke)
     volumetric_eff: float = 0.78
 
-    # integration
-    dt_int: float = 2.0e-3                # s, halved where the manifold is stiff
-    stall_speed: float = 10.0             # rev/s, below this we raise
-
     def __post_init__(self):
         for field in fields(self):
             if not math.isfinite(getattr(self, field.name)):
@@ -115,38 +110,35 @@ class EngineParams:
             raise ValueError("Hu and inertia must be positive")
         if not 0.0 <= self.fuel_loss_coeff < 1.0:
             raise ValueError("fuel loss coefficient must lie in [0, 1)")
-        if self.injection_delay < 0 or self.stoich_afr <= 0 or self.dt_int <= 0:
-            raise ValueError("tau_d >= 0, L_th > 0 and dt_int > 0 required")
-        # the plant divides by each of these and the air path by gamma - 1;
-        # every RK4 stage divides by speed, which the stall floor keeps positive
+        # negative friction would add power
+        if min(self.injection_delay, self.friction_lin, self.friction_quad) < 0:
+            raise ValueError("injection_delay, friction_lin and friction_quad must be >= 0")
+        # the plant divides by each of these and the air path by gamma - 1
         if not (self.gamma > 1.0 and all(v > 0 for v in (
                 self.manifold_volume, self.manifold_temp, self.ambient_pressure,
-                self.ambient_temp, self.gas_constant, self.eta_speed_ref,
-                self.stall_speed))):
+                self.ambient_temp, self.gas_constant, self.eta_speed_ref, self.stoich_afr))):
             raise ValueError("gamma > 1 and positive manifold_volume, manifold_temp, "
                              "ambient_pressure, ambient_temp, gas_constant, "
-                             "eta_speed_ref and stall_speed required")
+                             "eta_speed_ref and stoich_afr required")
         # power and air flow scale with these: at zero or below no operating point exists
         if min(self.eta_peak, self.volumetric_eff, self.throttle_area_max,
                self.displacement) <= 0:
             raise ValueError("eta_peak, volumetric_eff, throttle_area_max and displacement "
                              "must be positive")
-        self.substep_counts     # the timing checks, once
+        self.delay_substeps     # the timing checks, once
 
     @functools.cached_property
-    def substep_counts(self):
-        """(RK4 substeps per control interval, substeps of fuel delay) at
-        dt_int; ValueError unless both are whole and the delay fits."""
+    def delay_substeps(self):
+        """Substeps of fuel delay at DT_INT; ValueError unless the count is
+        whole and the delay fits in the control interval."""
         tau_d = self.injection_delay
-        n_sub, n_delay = (int(round(t / self.dt_int)) for t in (CONTROL_DT, tau_d))
-        if n_sub < 1 or abs(n_sub * self.dt_int - CONTROL_DT) > 1e-9 * CONTROL_DT:
-            raise ValueError("dt_int must divide the control interval")
-        if abs(n_delay * self.dt_int - tau_d) > 1e-9 * tau_d:
+        n_delay = round(tau_d / DT_INT)
+        if abs(n_delay * DT_INT - tau_d) > 1e-9 * tau_d:
             raise ValueError(f"injection_delay {tau_d:g} s is not a whole number of "
-                             f"dt_int = {self.dt_int:g} s substeps")
-        if n_delay > n_sub:
+                             f"{DT_INT:g} s substeps")
+        if n_delay > SUBSTEPS:
             raise ValueError("injection_delay must not exceed the control interval")
-        return n_sub, n_delay
+        return n_delay
 
 
 @dataclass(frozen=True)
@@ -290,14 +282,14 @@ def _too_coarse(p_at: float, h: float):
     """Raise SubstepTooCoarseError for an RK4 stage at pressure ``p_at`` <= 0; the
     orifice reaches it through its choked branch, as p_amb > 0 gives pr <= 0 < pr_crit."""
     raise SubstepTooCoarseError(f"manifold pressure {p_at:.6g} Pa inside an RK4 substep of "
-                                f"{h:g} s: dt_int is too coarse")
+                                f"{h:g} s: the plant is too stiff for the substep")
 
 
 def step_engine(state: EngineState, u: ControlInput, load_power: float,
                 params: EngineParams) -> EngineState:
     """Advance the engine by one ``CONTROL_DT`` interval under a held input.
 
-    RK4 at h = ``params.dt_int`` on [n, p_manifold]; the first
+    RK4 at h = ``DT_INT`` on [n, p_manifold]; the first
     max(1, tau_d/h) substeps burn ``state.m_fi_prev`` and the rest
     ``u.m_fi``, which the returned state carries in transit.  A substep that
     starts where h * |orifice share of d(dp_man/dt)/dp_man| exceeds
@@ -325,7 +317,7 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
     lam_opt, curv, floor = params.eta_lambda_opt, params.eta_lambda_curv, params.eta_speed_floor
     speed_base = 1.0 - params.eta_speed_gain
     speed_slope = params.eta_speed_gain / params.eta_speed_ref
-    lin, quad, stall = params.friction_lin, params.friction_quad, params.stall_speed
+    lin, quad = params.friction_lin, params.friction_quad
     # dn/dt = (P_comb - P_f - P_load) / (4 pi^2 I n)
     spin = TWO_PI * TWO_PI * params.inertia
     # the unchoked orifice adds g_air*psi_gain * t*(a*t - b*pr) / (2*pr*psi*p_amb)
@@ -339,10 +331,10 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
                * params.eta_peak * m_f, k_cyl / (m_f * params.stoich_afr))
               for m_f in (m_fi_prev, m_fi)]
 
-    n_sub0, n_delay0 = params.substep_counts    # at dt_int; a halving doubles both
+    n_delay0 = params.delay_substeps    # at DT_INT; a halving doubles it and SUBSTEPS
     for halvings in range(MAX_HALVINGS + 1):
-        n_sub, n_delay = n_sub0 << halvings, max(1, n_delay0 << halvings)
-        h = params.dt_int / 2 ** halvings
+        n_sub, n_delay = SUBSTEPS << halvings, max(1, n_delay0 << halvings)
+        h = DT_INT / 2 ** halvings
         half_h, sixth_h, h_stiff = 0.5 * h, h / 6.0, h * stiff_gain
         check = halvings < MAX_HALVINGS
         stiff = False
@@ -438,7 +430,7 @@ def step_engine(state: EngineState, u: ControlInput, load_power: float,
                 if p_amb < p_man:
                     p_man = p_amb
 
-                if n < stall:
+                if n < STALL_SPEED:
                     raise EngineStallError(f"engine stalled at {n:.2f} rev/s (load infeasible)")
             if stiff:
                 break

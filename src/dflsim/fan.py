@@ -58,14 +58,15 @@ class FanGeometry:
             raise ValueError("need 0 <= r0 < R")
         if self.element_count < 16:
             raise ValueError("element_count must be >= 16")
-        # the blade loads scale with B, cl_max and the lift slope, and the duct
-        # gain is a cube root of S3/S2
+        # the blade loads scale with B, cl_max, the lift slope and the chord, which
+        # lifts downward where it is negative, and the duct gain is a cube root of S3/S2
         if not (all(v > 0.0 for v in (self.pulley_ratio, self.air_density, self.blade_factor,
-                                      self.outlet_area_ratio, self.cl_max, self.lift_slope))
+                                      self.outlet_area_ratio, self.cl_max, self.lift_slope,
+                                      self.chord_root, self.chord_tip))
                 and 0.0 < self.transmission_eff <= 1.0):
             raise ValueError("need positive pulley ratio, air density, blade_factor, "
-                             "outlet_area_ratio, cl_max and lift_slope, "
-                             "and 0 < transmission_eff <= 1")
+                             "outlet_area_ratio, cl_max, lift_slope, chord_root and "
+                             "chord_tip, and 0 < transmission_eff <= 1")
 
     @functools.cached_property
     def hover(self):

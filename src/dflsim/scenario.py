@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import settled_state
 from .engine import CONTROL_DT, ControlInput, EngineParams, EngineStallError, step_engine
-from .errors import SolverError, StallError
+from .errors import FileFormatError, SolverError, StallError
 from .fan import KGF, FanGeometry, ducted_thrust_at_crank_speed, fan_load_power
 from .lpv import build_lpv
 from .mpc import MpcConfig, ampc_step, mpc_step
@@ -248,5 +248,11 @@ def save_trajectory_csv(records, path) -> None:
 
 
 def load_trajectory_csv(path):
-    return [TrajectoryRecord(int(row[0]), *row[1:-1], int(row[-1]))
-            for row in read_table(path, TRAJECTORY_HEADER).tolist()]
+    """The records of a trajectory CSV, whose step and qp_iterations are whole numbers."""
+    rows = read_table(path, TRAJECTORY_HEADER).tolist()
+    for i, row in enumerate(rows, 1):
+        for col in (0, len(row) - 1):
+            if not row[col].is_integer():
+                raise FileFormatError(f"{path}: row {i}, column {col + 1} holds "
+                                      f"{row[col]!r}, not a whole number")
+    return [TrajectoryRecord(int(row[0]), *row[1:-1], int(row[-1])) for row in rows]

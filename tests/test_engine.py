@@ -9,8 +9,9 @@ import pytest
 import dflsim.dataset
 from dflsim.config import load_bundle
 from dflsim.dataset import MF_RANGE, TPS_RANGE, generate_dataset, settled_state
-from dflsim.engine import (CONTROL_DT, MAX_HALVINGS, STIFF_LIMIT, TWO_PI,
-                           ControlInput, EngineParams, EngineStallError,
+from dflsim.engine import (CONTROL_DT, DT_INT, MAX_HALVINGS, STALL_SPEED,
+                           STIFF_LIMIT, SUBSTEPS, TWO_PI, ControlInput,
+                           EngineParams, EngineStallError, EngineState,
                            SubstepTooCoarseError, air_mass_flow,
                            cylinder_air_flow, friction_power,
                            make_initial_state, normalized_afr, step_engine,
@@ -124,14 +125,14 @@ def reference_derivatives(n, p_man, tps, m_f_delayed, load_power, params, hits):
 
 
 def reference_step(state, u, load_power, params, hits):
-    """One control interval: RK4 on ``reference_derivatives`` at dt_int,
+    """One control interval: RK4 on ``reference_derivatives`` at DT_INT,
     halved while a substep starts where h * |orifice stiffness| exceeds
     STIFF_LIMIT, at most MAX_HALVINGS times, then the output map.
     Returns (q_eng, n, lam, manifold_pressure, the rate left in transit).
     """
     for halvings in range(MAX_HALVINGS + 1):
         out = reference_interval(state, u, load_power, params,
-                                 params.dt_int / 2 ** halvings,
+                                 DT_INT / 2 ** halvings,
                                  halvings < MAX_HALVINGS, hits)
         if out is not None:
             return out
@@ -172,7 +173,7 @@ def reference_interval(state, u, load_power, params, h, check, hits):
         n += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         p_man += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         p_man = min(max(p_man, 1.0), params.ambient_pressure)
-        if n < params.stall_speed:
+        if n < STALL_SPEED:
             hits.add("stall")
             raise EngineStallError(
                 f"engine stalled at {n:.2f} rev/s (load infeasible)")
@@ -258,14 +259,14 @@ def textbook_derivatives(omega, p_man, tps, m_f_delayed, load_power, params,
 
 
 def textbook_step(state, u, load_power, params, hits):
-    """One control interval: RK4 on ``textbook_derivatives`` at dt_int,
+    """One control interval: RK4 on ``textbook_derivatives`` at DT_INT,
     halved while a substep starts where h * |orifice stiffness| exceeds
     STIFF_LIMIT, at most MAX_HALVINGS times, then the output map.
     Returns (q_eng, n, lam, manifold_pressure, the rate left in transit).
     """
     for halvings in range(MAX_HALVINGS + 1):
         out = textbook_interval(state, u, load_power, params,
-                                 params.dt_int / 2 ** halvings,
+                                 DT_INT / 2 ** halvings,
                                  halvings < MAX_HALVINGS, hits)
         if out is not None:
             return out
@@ -287,7 +288,7 @@ def textbook_interval(state, u, load_power, params, h, check, hits):
     buf = np.full(max(1, math.ceil(params.injection_delay / h)),
                   state.m_fi_prev)
     idx = 0
-    omega_floor = TWO_PI * params.stall_speed
+    omega_floor = TWO_PI * STALL_SPEED
 
     def rhs(omega, p_man, m_f_delayed):
         return textbook_derivatives(omega, p_man, u.tps, m_f_delayed,
@@ -466,7 +467,7 @@ class TestStepEngine:
         assert nxt.n > state.n
 
     def test_frozen_regression_value(self):
-        # frozen from the stock integration (dt_int = 2 ms) of the same step
+        # frozen from the stock integration (DT_INT = 2 ms) of the same step
         state = make_initial_state(P, n=70.0, manifold_pressure=7.2e4,
                                    m_fi=0.003)
         out = step_engine(state, ControlInput(tps=40.0, m_fi=0.0032),
@@ -478,10 +479,8 @@ class TestStepEngine:
                                                       rel=1e-8)
 
     def test_dt_must_be_multiple_of_substep(self):
-        # checked when the parameters are built, not on each interval
-        with pytest.raises(ValueError) as info:
-            EngineParams(dt_int=0.003)
-        assert str(info.value) == "dt_int must divide the control interval"
+        # the interval runs SUBSTEPS substeps, which must end at its end
+        assert SUBSTEPS * DT_INT == CONTROL_DT
 
     def test_overload_stalls(self):
         state = make_initial_state(P, n=40.0, manifold_pressure=6.0e4,
@@ -542,13 +541,13 @@ class TestStepEngineOracle:
     def test_halving_bound_matches_reference_step(self):
         # just below ambient at full throttle the orifice is so stiff that
         # even the last checked substep halves, so the interval runs
-        # unchecked at dt_int / 2**MAX_HALVINGS
+        # unchecked at DT_INT / 2**MAX_HALVINGS
         p_man = (1.0 - 1e-6) * P.ambient_pressure
         state = make_initial_state(P, n=60.0, manifold_pressure=p_man,
                                    m_fi=0.003)
         u = ControlInput(tps=90.0, m_fi=0.003)
         hits = set()
-        last_checked = P.dt_int / 2 ** (MAX_HALVINGS - 1)
+        last_checked = DT_INT / 2 ** (MAX_HALVINGS - 1)
         assert reference_interval(state, u, 8000.0, P, last_checked,
                                   True, hits) is None
         out = step_engine(state, u, 8000.0, P)
@@ -588,21 +587,22 @@ class TestStepEngineOracle:
             assert out.m_fi_prev == m_fi_prev
         assert stalls > 0
 
-    @pytest.mark.parametrize("dt_int, n, p_start, tps, load, p_stage", [
-        # a coarse substep overshoots below zero in stage 2, 3 or 4
-        (0.1, 150.0, P.ambient_pressure, 85.0, 7250.0, "-66621.2"),
-        (0.05, 145.0, 4.9e4, 95.0, 1.7e4, "-123497"),
-        (0.05, 75.0, P.ambient_pressure, 85.0, 7250.0, "-116934")])
-    def test_nonpositive_stage_pressure_raises(self, dt_int, n, p_start, tps,
-                                               load, p_stage):
-        # a delay of one substep, as stock at 0.05 s
-        params = EngineParams(dt_int=dt_int, injection_delay=dt_int)
+    @pytest.mark.parametrize("n, p_start, tps, load, p_stage", [
+        # the stock substep overshoots below zero in stage 2, 3 or 4 of a
+        # manifold a hundredth of the stock volume; each starts at ambient or
+        # choked, where the orifice adds no stiffness, so none halves first
+        (75.0, P.ambient_pressure, 85.0, 7250.0, "-66621.2"),
+        (145.0, 4.9e4, 95.0, 1.7e4, "-2.24475e+06"),
+        (40.0, 4.9e4, 5.0, 7250.0, "-23042.5")])
+    def test_nonpositive_stage_pressure_raises(self, n, p_start, tps, load, p_stage):
+        params = EngineParams(manifold_volume=3e-5)
         state = replace(make_initial_state(params, n=n, manifold_pressure=7.0e4,
                                            m_fi=0.004), manifold_pressure=p_start)
         with pytest.raises(SubstepTooCoarseError) as info:
             step_engine(state, ControlInput(tps=tps, m_fi=0.004), load, params)
         assert str(info.value) == (f"manifold pressure {p_stage} Pa inside an RK4 "
-                                   f"substep of {dt_int:g} s: dt_int is too coarse")
+                                   f"substep of {DT_INT:g} s: the plant is too stiff "
+                                   f"for the substep")
 
     @pytest.mark.parametrize("p_start", [-1.0, 0.0, float("nan")])
     def test_nonpositive_start_pressure_raises(self, p_start):
@@ -654,14 +654,14 @@ class TestEngineInvariants:
         # a fuel impulse must first reach the torque term tau_d later,
         # within one internal substep
         held, bumped = ControlInput(40.0, 0.002), ControlInput(40.0, 0.004)
-        # a delay of the whole interval burns the old rate on all 100
+        # a delay of the whole interval burns the old rate on all 50
         # substeps, so raising the command must leave the interval as held
-        params = EngineParams(injection_delay=0.1, dt_int=1e-3)
+        params = EngineParams(injection_delay=0.1)
         state = settle(params, held, 4000.0)
         assert step_engine(state, bumped, 4000.0, params).n == pytest.approx(
             step_engine(state, held, 4000.0, params).n, rel=1e-12)
         # one substep less, and the new fuel arrives for the last substep
-        params = replace(params, injection_delay=0.099)
+        params = replace(params, injection_delay=0.098)
         state = settle(params, held, 4000.0)
         assert step_engine(state, bumped, 4000.0, params).n != pytest.approx(
             step_engine(state, held, 4000.0, params).n, rel=1e-9)
@@ -674,40 +674,38 @@ class TestEngineInvariants:
             step_engine(state, u, 8000.0, replace(P, injection_delay=tau_d))
         with pytest.raises(ValueError, match="injection_delay"):
             step_engine(state, u, 8000.0, replace(P, injection_delay=0.15))
-        # and be whole substeps: the 50 ms delay is 12.5 substeps of 4 ms
+        # and be whole substeps: 51 ms is 25.5 substeps of 2 ms
         with pytest.raises(ValueError) as info:
-            step_engine(state, u, 8000.0, replace(P, dt_int=0.004))
-        assert str(info.value) == ("injection_delay 0.05 s is not a whole number "
-                                   "of dt_int = 0.004 s substeps")
+            step_engine(state, u, 8000.0, replace(P, injection_delay=0.051))
+        assert str(info.value) == ("injection_delay 0.051 s is not a whole number "
+                                   "of 0.002 s substeps")
 
     def test_substep_halving_converges(self):
+        # ten stock intervals against the oracle at a quarter of the substep
         u = ControlInput(tps=40.0, m_fi=0.0032)
-
-        def run(dt_int):
-            params = EngineParams(dt_int=dt_int)
-            state = make_initial_state(params, n=70.0, manifold_pressure=7.2e4,
-                                       m_fi=0.003)
-            rows = []
-            for _ in range(10):
-                state = step_engine(state, u, 8000.0, params)
-                rows.append([state.q_eng, state.n, state.lam,
-                             state.manifold_pressure])
-            return np.array(rows)
-
-        coarse, fine = run(1e-3), run(5e-4)
-        assert np.max(np.abs(coarse - fine) / np.abs(fine)) < 1e-4
+        stock = fine = make_initial_state(P, n=70.0, manifold_pressure=7.2e4,
+                                          m_fi=0.003)
+        rows = []
+        for _ in range(10):
+            stock = step_engine(stock, u, 8000.0, P)
+            q_eng, n, lam, p_man, m_fi_prev = textbook_interval(
+                fine, u, 8000.0, P, 5e-4, False, set())
+            fine = EngineState(q_eng, n, lam, p_man, m_fi_prev)
+            rows.append([[s.q_eng, s.n, s.lam, s.manifold_pressure]
+                         for s in (stock, fine)])
+        rows = np.array(rows)
+        assert np.max(np.abs(rows[:, 0] - rows[:, 1]) / np.abs(rows[:, 1])) < 1e-4
 
     def test_stock_substep_matches_fine_reference(self):
         # one interval from the settled state of a random held input under
         # another: the stock 2 ms substep, halved where the manifold is
-        # stiff, against 0.1 ms.  Without the halving (or with a limit of
-        # 2.5, near RK4's stability edge) the worst draw is off by 3.4e-3;
-        # at a plain 1 ms it is 2.6e-5.  At the stock substep the worst draw
-        # cuts the throttle from 82.8 % to 11.3 % and ends at 0.0735 N*m, the
-        # remainder of 9.1 kW of combustion power after friction, so its
-        # torque is 2.3e-4 off where no draw's speed or manifold pressure is
-        # off by more than 1.23e-6, about 180 times less
-        fine = replace(P, dt_int=1e-4)
+        # stiff, against the textbook oracle at 0.1 ms.  Without the halving
+        # (or with a limit of 2.5, near RK4's stability edge) the worst draw
+        # is off by 3.4e-3; at a plain 1 ms it is 2.6e-5.  At the stock
+        # substep the worst draw cuts the throttle from 82.8 % to 11.3 % and
+        # ends at 0.0735 N*m, the remainder of 9.1 kW of combustion power
+        # after friction, so its torque is 2.3e-4 off where no draw's speed
+        # or manifold pressure is off by more than 1.23e-6, about 180 times less
         rng = np.random.default_rng(0)
         lo, hi = (TPS_RANGE[0], MF_RANGE[0]), (TPS_RANGE[1], MF_RANGE[1])
         worst = worst_state = 0.0
@@ -721,10 +719,10 @@ class TestEngineInvariants:
                 continue
             starts += 1
             load = fan_load_power(state.n, G)
-            got, ref = (step_engine(state, u1, load, params)
-                        for params in (P, fine))
-            rows = np.array([[s.q_eng, s.n, s.lam, s.manifold_pressure]
-                             for s in (got, ref)])
+            got = step_engine(state, u1, load, P)
+            ref = textbook_interval(state, u1, load, P, 1e-4, False, set())
+            rows = np.array([[got.q_eng, got.n, got.lam, got.manifold_pressure],
+                             ref[:4]])
             error = np.abs(rows[0] - rows[1]) / np.abs(rows[1])
             worst = max(worst, float(np.max(error)))
             worst_state = max(worst_state, float(np.max(error[[1, 3]])))

@@ -115,6 +115,11 @@ def test_trajectory_rejects_wrong_header(tmp_path):
     ("rbf_model.txt", "# CENTERS 1 4\n1.0 2.0 3.0\n", load_blocks),
     ("rbf_model.txt", "# CENTERS one 4\n", load_blocks),
     ("rbf_model.txt", "# CENTERS 1 4\n1.0 2.0 3.0 4.0\n", load_rbf),
+    # a step or an iteration count is a whole number, never truncated to one
+    ("trajectory.csv", TRAJECTORY_TEXT.replace("\n1,0.1,", "\n1.5,0.1,"),
+     load_trajectory_csv),
+    ("trajectory.csv", TRAJECTORY_TEXT.replace(",3\n", ",2.7\n"),
+     load_trajectory_csv),
 ])
 def test_bad_file_raises_file_format_error_naming_it(tmp_path, name, text,
                                                      load):

@@ -36,6 +36,7 @@ from dflsim.scenario import (CONTROLLER_KINDS, STATE_NOISE_SPAN, ScenarioConfig,
                              compute_metrics, load_trajectory_csv,
                              relative_error, run_scenario, save_trajectory_csv)
 from dflsim.tables import read_table
+from test_formats import TRAJECTORY_TEXT
 from test_lpv import lpv_bytes
 
 P = EngineParams()
@@ -600,21 +601,27 @@ class TestCli:
 
     def test_gen_data_stall_exit_code(self, tmp_path):
         ini = tmp_path / "stall.ini"
-        ini.write_text("[plant]\nstall_speed = 1000.0\n"
+        # nearly all the fuel short-circuits, so no operating point holds the
+        # engine above the stall floor
+        ini.write_text("[plant]\nfuel_loss_coeff = 0.999\n"
                        "[training]\nsample_count = 50\nn_train = 45\n")
         assert cli_main(["gen-data", "--config", str(ini),
                          "--out", str(tmp_path / "o")]) == 3
 
-    @pytest.mark.parametrize("dt_int", ["0.05", "0.1"])
-    def test_too_coarse_substep_exit_code(self, tmp_path, dt_int, capsys):
-        # an RK4 stage drives the manifold pressure below zero; the fuel
-        # delay is one substep, as stock at 0.05 s
+    @pytest.mark.parametrize("injection_delay", ["0.05", "0.1"])
+    def test_too_coarse_substep_exit_code(self, tmp_path, injection_delay, capsys):
+        # in a manifold a hundredth of the stock volume an RK4 stage of the
+        # first interval drives the pressure below zero, with the stock fuel
+        # delay and with one of the whole interval
         ini = tmp_path / "coarse.ini"
-        ini.write_text(f"[plant]\ndt_int = {dt_int}\ninjection_delay = {dt_int}\n")
+        ini.write_text(f"[plant]\nmanifold_volume = 3e-5\n"
+                       f"injection_delay = {injection_delay}\n")
         assert cli_main(["gen-data", "--config", str(ini),
                          "--out", str(tmp_path / "o")]) == 4
-        assert "dt_int is too coarse" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "dataset.csv").exists()
+        assert capsys.readouterr().err == (
+            "solver failure: manifold pressure -80975 Pa inside an RK4 substep "
+            "of 0.002 s: the plant is too stiff for the substep\n")
+        assert not (tmp_path / "o").exists()
 
     def test_singular_qp_exit_code(self, trained_rbf, tmp_path, capsys):
         # the model's A is unstable in the climb, so its powers up to A^15
@@ -793,11 +800,10 @@ class TestCli:
             "NonFiniteCostError"}
 
     @pytest.mark.parametrize("command, ini_text", [
-        (["gen-data"], "[plant]\ndt_int = 0.003\n"),
         # the fuel in transit must be the previous command alone
         (["gen-data"], "[plant]\ninjection_delay = 0.15\n"),
-        # the stock 50 ms delay is 12.5 substeps of 4 ms
-        (["gen-data"], "[plant]\ndt_int = 0.004\n"),
+        # 51 ms is 25.5 substeps of 2 ms
+        (["gen-data"], "[plant]\ninjection_delay = 0.051\n"),
     ])
     def test_control_interval_not_whole_substeps_exit_code(self, tmp_path,
                                                            command, ini_text):
@@ -874,6 +880,18 @@ class TestCli:
         assert f"{folder}: cannot read" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("old, new, cell", [
+        ("\n1,0.1,", "\n1.5,0.1,", "row 2, column 1 holds 1.5"),
+        (",3\n", ",2.7\n", "row 2, column 14 holds 2.7")], ids=["step", "qp_iterations"])
+    def test_fractional_count_cell_exit_code(self, tmp_path, capsys, old, new, cell):
+        # a step or an iteration count is a whole number, never truncated to one
+        bad = tmp_path / "trajectory.csv"
+        bad.write_text(TRAJECTORY_TEXT.replace(old, new))
+        assert cli_main(["report", str(bad), "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err == (f"bad input file: {bad}: {cell}, "
+                                           f"not a whole number\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, ini_text", [
         (["gen-data", "--seed", "-1"], ""),
         (["train", "--model", "mlp"], "[training]\nmodel_seed = -1\n"),
@@ -940,12 +958,19 @@ class TestCli:
         ("training", "ridge = 1e-8"),
         ("training", "lms_passes = 1"),
         ("training", "lms_rate = 0.005"),
+        # the RK4 substep and the stall floor are constants of dflsim.engine
+        ("plant", "dt_int = 0.002"),
+        ("plant", "stall_speed = 10"),
     ])
-    def test_removed_fixed_keys_exit_code(self, tmp_path, section, key):
+    def test_removed_fixed_keys_exit_code(self, tmp_path, capsys, section, key):
         bad = tmp_path / "bad.ini"
         bad.write_text(f"[{section}]\n{key}\n")
         assert cli_main(["simulate", "--controller", "open-loop", "--config",
                          str(bad), "--out", str(tmp_path / "o")]) == 2
+        name = key.split(" = ")[0]
+        assert capsys.readouterr().err == (f"config error: unknown key {name!r} "
+                                           f"in [{section}]\n")
+        assert not (tmp_path / "o").exists()
 
     def test_reversed_mpc_bounds_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -1007,9 +1032,11 @@ class TestCli:
         # a twist whose blades push down: refused where simulate solves the fan
         ("fan", "twist_root = -0.5\ntwist_tip = -0.5"),
         ("plant", "injection_delay = inf"),
-        # every RK4 stage divides by speed, which the stall floor keeps positive
-        ("plant", "stall_speed = 0"),
-        ("plant", "stall_speed = -50"),
+        # negative friction would add power, and a negative chord lift downward
+        ("plant", "friction_lin = -3000"),
+        ("plant", "friction_quad = -5"),
+        ("fan", "chord_root = -0.06"),
+        ("fan", "chord_tip = 0"),
         # the metrics slice the trajectory at the step indices
         ("scenario", "settle_margin = -200"),
         ("scenario", "ramp_start = 60\nramp_end = 20"),
@@ -1139,8 +1166,8 @@ class TestCli:
         pytest.param(3, ["simulate", "--controller", "open-loop"],
                      "[scenario]\ninit_tps = 5.0\ninit_m_fi = 0.0055\n",
                      id="3-stall-at-start"),
-        # an RK4 stage drives the manifold pressure below zero
-        pytest.param(4, ["gen-data"], "[plant]\ndt_int = 0.05\n",
+        # an RK4 stage drives the pressure of a tiny manifold below zero
+        pytest.param(4, ["gen-data"], "[plant]\nmanifold_volume = 3e-5\n",
                      id="4-substep-too-coarse"),
         # the stage before never wrote the model file
         pytest.param(5, ["simulate", "--controller", "ampc", "--model-file",
