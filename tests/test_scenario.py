@@ -800,10 +800,11 @@ class TestCli:
             "NonFiniteCostError"}
 
     @pytest.mark.parametrize("command, ini_text", [
+        # 51 ms is 25.5 substeps of 2 ms
+        pytest.param(["gen-data"], "[plant]\ninjection_delay = 0.051\n",
+                     id="injection_delay = 0.051"),
         # the fuel in transit must be the previous command alone
         (["gen-data"], "[plant]\ninjection_delay = 0.15\n"),
-        # 51 ms is 25.5 substeps of 2 ms
-        (["gen-data"], "[plant]\ninjection_delay = 0.051\n"),
     ])
     def test_control_interval_not_whole_substeps_exit_code(self, tmp_path,
                                                            command, ini_text):
